@@ -6,10 +6,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 
 from __future__ import annotations
 
+import json
 import sys
 
 import click
-import numpy as np
 
 from .eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
 from .errors import (
@@ -20,10 +20,7 @@ from .errors import (
     GridError,
     NormalizationError,
 )
-from .grids import SampledFunction
-from .model import Box, Constants, Oscillator, Ring, SystemSpec, predicted_node_count
-from .nodal import count_nodes
-from .oracle import default_grid, sample_state
+from .model import Box, Constants, Oscillator, Ring, SystemSpec
 from .report import (
     SweepConfig,
     corrupt_first_product,
@@ -210,11 +207,12 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
         if k < 1:
             raise ConfigError(f"--k must be >= 1, got {k}")
         spec = build_system(system, params, hbar)
-        grid = default_eigen_grid(spec, k=k, points=grid_points)
+        try:
+            grid = default_eigen_grid(spec, k=k, points=grid_points)
+        except GridError as exc:
+            raise ConfigError(f"grid points {grid_points}: {exc}") from exc
         result = solve_lowest(build_hamiltonian(spec, grid), k)
         if fmt == "json":
-            import json
-
             payload = {
                 "system": system,
                 "energies": [float(e) for e in result.energies],
@@ -237,23 +235,12 @@ def nodes(system, params, hbar, grid_points, fmt, out, levels):
 
     def body():
         spec = build_system(system, params, hbar)
-        lvls = parse_levels(levels)
-        cfg = SweepConfig(system=spec, levels=lvls, paths=("analytic",))
-        records = []
-        for level in cfg.levels:
-            psi = sample_state(spec, level, default_grid(spec, level, grid_points))
-            counted = count_nodes(SampledFunction(psi.grid, np.real(psi.values))).count
-            records.append((level, predicted_node_count(spec, level), counted))
+        cfg = SweepConfig(system=spec, levels=parse_levels(levels), grid_points=grid_points)
+        columns = ("level", "nodes_predicted", "nodes_counted")
+        table = [[getattr(r, c) for c in columns] for r in run_sweep(cfg)]
         if fmt == "json":
-            import json
-
-            payload = [
-                {"level": l, "nodes_predicted": p, "nodes_counted": c}
-                for l, p, c in records
-            ]
-            return json.dumps(payload, indent=2) + "\n"
-        lines = ["level,nodes_predicted,nodes_counted"]
-        lines += [f"{l},{p},{c}" for l, p, c in records]
+            return json.dumps([dict(zip(columns, t)) for t in table], indent=2) + "\n"
+        lines = [",".join(columns)] + [",".join(map(str, t)) for t in table]
         return "\n".join(lines) + "\n"
 
     write_output(_run_guarded(body), out)

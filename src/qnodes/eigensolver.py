@@ -12,17 +12,17 @@ entries and goes through the dense symmetric solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
 from .analytic import UncertaintyRecord
-from .errors import ConvergenceError, GridError
-from .grids import GridSpec, SampledFunction, quad, spectral_derivative
-from .model import Box, Oscillator, Ring, SystemSpec
+from .errors import ConfigError, ConvergenceError, GridError
+from .grids import GridSpec, SampledFunction, quad
+from .model import Box, Ring, SystemSpec
 from .nodal import count_nodes
-from .oracle import momentum_moments, position_moments, ring_lz_by_quadrature, ring_theta_by_quadrature
+from .oracle import record_from_samples, ring_lz_by_quadrature
 
 __all__ = [
     "Hamiltonian",
@@ -117,7 +117,7 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     """k lowest eigenpairs, continuum-normalized with a positive leading lobe."""
     dim = ham.diagonal.size
     if k > dim:
-        raise GridError(f"requested {k} eigenpairs from a {dim}-dimensional matrix")
+        raise ConfigError(f"requested {k} eigenpairs from a {dim}-dimensional matrix")
     if ham.periodic:
         mat = (
             np.diag(ham.diagonal)
@@ -142,7 +142,6 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
         full = v
         if ham.grid.boundary == "dirichlet":
             full = np.concatenate(([0.0], v, [0.0]))
-        psi = SampledFunction(ham.grid, full)
         norm2 = float(np.real(quad(SampledFunction(ham.grid, np.abs(full) ** 2))))
         full = full / math.sqrt(norm2)
         lead = np.flatnonzero(np.abs(full) > 1e-8 * np.max(np.abs(full)))[0]
@@ -195,43 +194,17 @@ def eigen_uncertainties(
     integer m (mapped through its degenerate pair).  Node counts are
     measured on the state itself.
     """
-    hbar = spec.constants.hbar
     if isinstance(spec, Ring):
-        psi = ring_momentum_state(result, index, hbar)
-        mean_lz, dlz = ring_lz_by_quadrature(psi, hbar)
-        _, dtheta = ring_theta_by_quadrature(psi)
-        energy = float(result.energies[0 if index == 0 else 2 * abs(index) - 1])
-        nodes = count_nodes(SampledFunction(psi.grid, np.real(psi.values))).count
-        return UncertaintyRecord(
-            delta_q=dtheta,
-            delta_p=dlz,
-            product=dtheta * dlz,
-            bound=hbar / 2.0,
-            energy=energy,
-            nodes_predicted=2 * abs(index),
-            nodes_measured=nodes,
-            provenance="eigen",
-        )
-
-    pos = index - 1 if isinstance(spec, Box) else index
-    if pos < 0 or pos >= len(result.states):
-        raise GridError(f"eigenstate {index} not among the {len(result.states)} solved")
-    psi = result.states[pos]
-    mean_x, _ = position_moments(psi)
-    x = psi.grid.x
-    density = np.abs(psi.values) ** 2
-    var_x = float(quad(SampledFunction(psi.grid, (x - mean_x) ** 2 * density)))
-    mean_p, mean_p2 = momentum_moments(psi, hbar)
-    dx = math.sqrt(max(var_x, 0.0))
-    dp = math.sqrt(max(mean_p2 - mean_p**2, 0.0))
-    nodes = count_nodes(psi).count
-    return UncertaintyRecord(
-        delta_q=dx,
-        delta_p=dp,
-        product=dx * dp,
-        bound=hbar / 2.0,
+        psi = ring_momentum_state(result, index, spec.constants.hbar)
+        pos = 0 if index == 0 else 2 * abs(index) - 1
+    else:
+        pos = index - 1 if isinstance(spec, Box) else index
+        if pos < 0 or pos >= len(result.states):
+            raise GridError(f"eigenstate {index} not among the {len(result.states)} solved")
+        psi = result.states[pos]
+    return replace(
+        record_from_samples(spec, index, psi),
         energy=float(result.energies[pos]),
-        nodes_predicted=pos,
-        nodes_measured=nodes,
+        nodes_measured=count_nodes(psi).count,
         provenance="eigen",
     )

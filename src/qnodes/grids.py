@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,19 +48,15 @@ class GridSpec:
             return (self.upper - self.lower) / self.points
         return (self.upper - self.lower) / (self.points - 1)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
+        """Grid points, built once per grid and read-only."""
         if self.boundary == "periodic":
-            return self.lower + self.h * np.arange(self.points)
-        return np.linspace(self.lower, self.upper, self.points)
-
-    def coarsened(self) -> "GridSpec":
-        """Every second point; used for Richardson coarseness checks."""
-        if self.boundary == "periodic":
-            if self.points % 2:
-                raise GridError("cannot halve a periodic grid with odd point count")
-            return GridSpec(self.lower, self.upper, self.points // 2, "periodic")
-        return GridSpec(self.lower, self.upper, (self.points - 1) // 2 + 1, self.boundary)
+            x = self.lower + self.h * np.arange(self.points)
+        else:
+            x = np.linspace(self.lower, self.upper, self.points)
+        x.flags.writeable = False
+        return x
 
 
 @dataclass(frozen=True)
@@ -78,9 +74,6 @@ class SampledFunction:
                 f"point count {self.grid.points}"
             )
         object.__setattr__(self, "values", values)
-
-    def coarsened(self) -> "SampledFunction":
-        return SampledFunction(self.grid.coarsened(), self.values[::2])
 
 
 def quad(f: SampledFunction) -> float | complex:

@@ -8,6 +8,7 @@ at construction time.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, NormalizationError
@@ -24,6 +25,11 @@ __all__ = [
 ]
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Constants:
     """Fundamental constants; only the reduced Planck constant here."""
@@ -31,8 +37,7 @@ class Constants:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
+        _check_positive("hbar", self.hbar)
 
 
 @dataclass(frozen=True)
@@ -44,10 +49,8 @@ class Box:
     constants: Constants = field(default_factory=Constants)
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise DomainError(f"box length must be positive, got {self.length}")
-        if not self.mass > 0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
+        _check_positive("box length", self.length)
+        _check_positive("mass", self.mass)
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,7 @@ class Ring:
     constants: Constants = field(default_factory=Constants)
 
     def __post_init__(self):
-        if not self.moment_of_inertia > 0:
-            raise DomainError(
-                f"moment of inertia must be positive, got {self.moment_of_inertia}"
-            )
+        _check_positive("moment of inertia", self.moment_of_inertia)
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,8 @@ class Oscillator:
     constants: Constants = field(default_factory=Constants)
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
-        if not self.omega > 0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
+        _check_positive("mass", self.mass)
+        _check_positive("omega", self.omega)
 
 
 SystemSpec = Box | Ring | Oscillator

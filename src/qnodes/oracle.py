@@ -30,23 +30,25 @@ from .model import (
     predicted_node_count,
     validate_state,
 )
-from .special import oscillator_psi
+from .special import oscillator_ladder, oscillator_psi
 
 __all__ = [
     "default_grid",
     "sample_state",
+    "sample_levels",
     "position_moments",
     "momentum_moments",
     "oracle_uncertainties",
+    "record_from_samples",
     "ring_lz_by_quadrature",
     "ring_theta_by_quadrature",
 ]
 
 # Normalization tolerances: precondition vs hard error.
 _NORM_TOL = 1e-6
-# Richardson coarseness guard for <p^2>: relative disagreement between the
-# full grid and its 2x-coarsened version.
-_RICHARDSON_TOL = 1e-2
+# Stencil-order guard for <p^2>: relative disagreement between the order-6
+# derivative and np.gradient's order-2 stencil on the same grid.
+_STENCIL_ORDER_TOL = 1e-2
 
 DEFAULT_BOX_POINTS = 4001
 DEFAULT_OSCILLATOR_POINTS = 8001
@@ -86,6 +88,21 @@ def sample_state(
     return SampledFunction(grid, oscillator_psi(spec, idx, grid.x))
 
 
+def sample_levels(spec: SystemSpec, levels, grid: GridSpec):
+    """Yield (level, sample) for ascending distinct `levels`, all on `grid`.
+
+    Oscillator levels come from one streamed pass of `oscillator_ladder`.
+    """
+    if not isinstance(spec, Oscillator):
+        for level in levels:
+            yield level, sample_state(spec, level, grid)
+        return
+    wanted = set(levels)
+    for n, phi in enumerate(oscillator_ladder(spec, grid.x, max(levels))):
+        if n in wanted:
+            yield n, SampledFunction(grid, phi)
+
+
 def _check_normalized(psi: SampledFunction) -> None:
     norm = float(np.real(quad(SampledFunction(psi.grid, np.abs(psi.values) ** 2))))
     if abs(norm - 1.0) > _NORM_TOL:
@@ -100,13 +117,6 @@ def position_moments(psi: SampledFunction) -> tuple[float, float]:
     mean_x = float(quad(SampledFunction(psi.grid, x * density)))
     mean_x2 = float(quad(SampledFunction(psi.grid, x**2 * density)))
     return mean_x, mean_x2
-
-
-def _p2_by_gradient(psi: SampledFunction, hbar: float) -> float:
-    dpsi = derivative(psi)
-    return hbar**2 * float(
-        np.real(quad(SampledFunction(psi.grid, np.abs(dpsi) ** 2)))
-    )
 
 
 def momentum_moments(
@@ -126,13 +136,13 @@ def momentum_moments(
     mean_p = float(
         np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * (-1j * hbar) * dpsi)))
     )
-    mean_p2 = _p2_by_gradient(psi, hbar)
+    mean_p2 = hbar**2 * float(np.real(quad(SampledFunction(psi.grid, np.abs(dpsi) ** 2))))
     if check_resolution:
         low = np.gradient(psi.values, psi.grid.h)
         p2_low = hbar**2 * float(
             np.real(quad(SampledFunction(psi.grid, np.abs(low) ** 2)))
         )
-        if abs(p2_low - mean_p2) > _RICHARDSON_TOL * max(abs(mean_p2), 1.0):
+        if abs(p2_low - mean_p2) > _STENCIL_ORDER_TOL * max(abs(mean_p2), 1.0):
             raise GridError(
                 "grid too coarse for momentum moments: stencil-order "
                 f"disagreement {abs(p2_low - mean_p2):.3e} on <p^2> = {mean_p2:.6e}"
@@ -149,17 +159,19 @@ def p2_by_second_derivative(psi: SampledFunction, hbar: float = 1.0) -> float:
 
 
 def ring_lz_by_quadrature(
-    psi: SampledFunction, hbar: float = 1.0
+    psi: SampledFunction, hbar: float = 1.0, lz_psi: np.ndarray | None = None
 ) -> tuple[float, float]:
     """(<L_z>, Delta L_z) by applying -i hbar d/dtheta spectrally.
 
     The spread is computed from the centered state (L_z - <L_z>) psi before
-    squaring so that a definite-m state yields zero to roundoff.
+    squaring so that a definite-m state yields zero to roundoff.  A caller
+    that already holds L_z psi passes it as `lz_psi`.
     """
     if psi.grid.boundary != "periodic":
         raise GridError("ring L_z statistics need a periodic grid")
     _check_normalized(psi)
-    lz_psi = -1j * hbar * spectral_derivative(psi)
+    if lz_psi is None:
+        lz_psi = -1j * hbar * spectral_derivative(psi)
     mean = float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * lz_psi))))
     centered = lz_psi - mean * psi.values
     var = float(np.real(quad(SampledFunction(psi.grid, np.abs(centered) ** 2))))
@@ -207,48 +219,43 @@ def oracle_uncertainties(
     grid: GridSpec | None = None,
 ) -> UncertaintyRecord:
     """Assemble an UncertaintyRecord purely from quadrature moments."""
-    hbar = spec.constants.hbar
-    psi = sample_state(spec, state, grid)
+    return record_from_samples(spec, state, sample_state(spec, state, grid))
 
+
+def record_from_samples(
+    spec: SystemSpec, state: int | RingSuperposition, psi: SampledFunction
+) -> UncertaintyRecord:
+    """UncertaintyRecord of the sampled state `psi` from quadrature moments.
+
+    The one moment pipeline of the oracle and eigen paths: the norm is
+    checked once and psi is differentiated once.  The energy is <L_z^2>/2I
+    on the ring, <p^2>/2m plus the oscillator potential otherwise.
+    """
+    hbar = spec.constants.hbar
     if isinstance(spec, Ring):
-        mean_lz, dlz = ring_lz_by_quadrature(psi, hbar)
-        _, dtheta = ring_theta_by_quadrature(psi)
         lz_psi = -1j * hbar * spectral_derivative(psi)
+        _, dp = ring_lz_by_quadrature(psi, hbar, lz_psi)
+        _, dq = ring_theta_by_quadrature(psi)
         mean_lz2 = float(np.real(quad(SampledFunction(psi.grid, np.abs(lz_psi) ** 2))))
         energy = mean_lz2 / (2.0 * spec.moment_of_inertia)
-        nodes = (
-            predicted_node_count(spec, state) if not isinstance(state, RingSuperposition) else -1
-        )
-        return UncertaintyRecord(
-            delta_q=dtheta,
-            delta_p=dlz,
-            product=dtheta * dlz,
-            bound=hbar / 2.0,
-            energy=energy,
-            nodes_predicted=nodes,
-            provenance="oracle",
-        )
-
-    idx = validate_state(spec, state)
-    mean_x, _ = position_moments(psi)
-    x = psi.grid.x
-    density = np.abs(psi.values) ** 2
-    var_x = float(quad(SampledFunction(psi.grid, (x - mean_x) ** 2 * density)))
-    mean_p, mean_p2 = momentum_moments(psi, hbar)
-    var_p = mean_p2 - mean_p**2
-    dx = math.sqrt(max(var_x, 0.0))
-    dp = math.sqrt(max(var_p, 0.0))
-    if isinstance(spec, Box):
-        energy = mean_p2 / (2.0 * spec.mass)
     else:
-        mean_x2 = var_x + mean_x**2
-        energy = mean_p2 / (2.0 * spec.mass) + 0.5 * spec.mass * spec.omega**2 * mean_x2
+        x = psi.grid.x
+        density = np.abs(psi.values) ** 2
+        mean_x = float(quad(SampledFunction(psi.grid, x * density)))
+        var_x = float(quad(SampledFunction(psi.grid, (x - mean_x) ** 2 * density)))
+        mean_p, mean_p2 = momentum_moments(psi, hbar)
+        dq = math.sqrt(max(var_x, 0.0))
+        dp = math.sqrt(max(mean_p2 - mean_p**2, 0.0))
+        energy = mean_p2 / (2.0 * spec.mass)
+        if isinstance(spec, Oscillator):
+            energy += 0.5 * spec.mass * spec.omega**2 * (var_x + mean_x**2)
+    nodes = -1 if isinstance(state, RingSuperposition) else predicted_node_count(spec, state)
     return UncertaintyRecord(
-        delta_q=dx,
+        delta_q=dq,
         delta_p=dp,
-        product=dx * dp,
+        product=dq * dp,
         bound=hbar / 2.0,
         energy=energy,
-        nodes_predicted=predicted_node_count(spec, idx),
+        nodes_predicted=nodes,
         provenance="oracle",
     )

@@ -13,8 +13,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import __version__
 from .analytic import (
     UncertaintyRecord,
@@ -23,11 +21,10 @@ from .analytic import (
     ring_uncertainties,
 )
 from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_uncertainties, solve_lowest
-from .errors import ConfigError, QnodesError
-from .grids import SampledFunction
-from .model import Box, Oscillator, Ring, SystemSpec, validate_state
+from .errors import ConfigError, GridError, QnodesError
+from .model import Box, Ring, SystemSpec, validate_state
 from .nodal import count_nodes
-from .oracle import default_grid, oracle_uncertainties, sample_state
+from .oracle import default_grid, record_from_samples, sample_levels
 
 __all__ = [
     "SweepConfig",
@@ -84,6 +81,11 @@ class SweepConfig:
                 raise ConfigError(f"level {level} invalid for this system: {exc}") from exc
         if not self.tol > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tol}")
+        if self.grid_points is not None:
+            try:
+                default_grid(self.system, 0, self.grid_points)
+            except GridError as exc:
+                raise ConfigError(f"grid points {self.grid_points}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,11 @@ def _analytic_record(spec: SystemSpec, level: int) -> UncertaintyRecord:
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """One row per (level, path), sorted by level then canonical path order."""
+    """One row per (level, path), in `cfg.levels` order then canonical path order.
+
+    Each distinct level is sampled once, on the one grid that resolves the
+    top level, `default_grid(spec, max |level|, cfg.grid_points)`.
+    """
     spec = cfg.system
     paths = tuple(p for p in PATH_ORDER if p in cfg.paths)
 
@@ -153,32 +159,29 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         grid = default_eigen_grid(spec, k=k, points=cfg.grid_points)
         eigen_result = solve_lowest(build_hamiltonian(spec, grid), k)
 
-    rows: list[SweepRow] = []
-    for level in cfg.levels:
+    levels = sorted(set(cfg.levels))
+    if "analytic" in paths or "oracle" in paths:
+        grid = default_grid(spec, max(abs(l) for l in levels), cfg.grid_points)
+        samples = sample_levels(spec, levels, grid)
+    else:
+        samples = ((level, None) for level in levels)
+    by_level: dict[int, list[SweepRow]] = {}
+    for level, psi in samples:
         try:
-            per_level = _sweep_level(cfg, spec, paths, level, eigen_result)
+            by_level[level] = _sweep_level(spec, paths, level, psi, eigen_result)
         except QnodesError as exc:
             raise type(exc)(f"level {level}: {exc}") from exc
-        rows.extend(per_level)
-    return rows
+    return [row for level in cfg.levels for row in by_level[level]]
 
 
-def _sweep_level(cfg, spec, paths, level, eigen_result) -> list[SweepRow]:
+def _sweep_level(spec, paths, level, psi, eigen_result) -> list[SweepRow]:
     per_level: list[SweepRow] = []
-    sampled = None
-    measured = None
-    if "analytic" in paths or "oracle" in paths:
-        sampled = sample_state(spec, level, default_grid(spec, level, cfg.grid_points))
-        measured = count_nodes(
-            SampledFunction(sampled.grid, np.real(sampled.values))
-        ).count
+    measured = None if psi is None else count_nodes(psi).count
     if "analytic" in paths:
         rec = replace(_analytic_record(spec, level), nodes_measured=measured)
         per_level.append(_row_from_record(spec, level, rec, "analytic"))
     if "oracle" in paths:
-        rec = replace(
-            oracle_uncertainties(spec, level, sampled.grid), nodes_measured=measured
-        )
+        rec = replace(record_from_samples(spec, level, psi), nodes_measured=measured)
         per_level.append(_row_from_record(spec, level, rec, "oracle"))
     if "eigen" in paths:
         rec = eigen_uncertainties(spec, eigen_result, level)

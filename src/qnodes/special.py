@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError
 from .model import Oscillator
 
-__all__ = ["hermite", "oscillator_psi", "MAX_OSCILLATOR_N"]
+__all__ = ["hermite", "oscillator_ladder", "oscillator_psi", "MAX_OSCILLATOR_N"]
 
 MAX_OSCILLATOR_N = 200
 
@@ -39,27 +39,38 @@ def hermite(n: int, x):
     return hk1 if hk1.ndim else float(hk1)
 
 
-def oscillator_psi(spec: Oscillator, n: int, x):
-    """Normalized harmonic-oscillator eigenfunction psi_n(x).
+def oscillator_ladder(spec: Oscillator, x, n_max: int):
+    """Yield the normalized eigenfunctions psi_0, ..., psi_{n_max} on `x`.
 
-    Equals (m w / pi hbar)^{1/4} (2^n n!)^{-1/2} H_n(xi) e^{-xi^2/2} with
-    xi = x sqrt(m w / hbar), evaluated by the normalized recurrence
-    phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1}.
+    One pass of the normalized recurrence
+    phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1}, with
+    xi = x sqrt(m w / hbar), so all levels up to n_max cost O(n_max) array
+    steps.  Each yielded array is a fresh object.
     """
-    if n < 0:
-        raise DomainError(f"quantum number must be >= 0, got {n}")
-    if n > MAX_OSCILLATOR_N:
-        raise OverflowError(f"oscillator_psi supports n <= {MAX_OSCILLATOR_N}, got {n}")
+    if n_max < 0:
+        raise DomainError(f"quantum number must be >= 0, got {n_max}")
+    if n_max > MAX_OSCILLATOR_N:
+        raise OverflowError(f"oscillator_psi supports n <= {MAX_OSCILLATOR_N}, got {n_max}")
     hbar = spec.constants.hbar
     alpha = spec.mass * spec.omega / hbar
     xi = np.asarray(x, dtype=float) * np.sqrt(alpha)
     phi = (alpha / np.pi) ** 0.25 * np.exp(-0.5 * xi**2)
-    if n == 0:
-        return phi if phi.ndim else float(phi)
+    yield phi
     prev = np.zeros_like(phi)
-    for k in range(n):
+    for k in range(n_max):
         phi, prev = (
             np.sqrt(2.0 / (k + 1)) * xi * phi - np.sqrt(k / (k + 1.0)) * prev,
             phi,
         )
+        yield phi
+
+
+def oscillator_psi(spec: Oscillator, n: int, x):
+    """Normalized harmonic-oscillator eigenfunction psi_n(x).
+
+    Equals (m w / pi hbar)^{1/4} (2^n n!)^{-1/2} H_n(xi) e^{-xi^2/2}; the
+    last value of `oscillator_ladder(spec, x, n)`.
+    """
+    for phi in oscillator_ladder(spec, x, n):
+        pass
     return phi if phi.ndim else float(phi)

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
 
+from qnodes import Oscillator, SweepConfig, run_sweep
 from qnodes.cli import main
 
 
@@ -69,6 +71,31 @@ class TestSweep:
     def test_unknown_system_exit_2(self, runner):
         result = runner.invoke(main, ["sweep", "--system", "torus", "--levels", "1:2"])
         assert result.exit_code == 2
+
+    def test_even_grid_points_exit_2(self, runner):
+        result = runner.invoke(
+            main, ["sweep", "--system", "box", "--levels", "1:3", "--grid-points", "2000"]
+        )
+        assert result.exit_code == 2
+        assert "odd point count" in result.output
+
+    def test_eigen_request_beyond_grid_exit_2(self, runner):
+        result = runner.invoke(
+            main,
+            ["sweep", "--system", "ring", "--levels", "0:600", "--paths", "analytic,eigen"],
+        )
+        assert result.exit_code == 2
+        assert "1201" in result.output
+
+    @pytest.mark.parametrize("param", ["a=inf", "a=nan", "m=-inf"])
+    def test_non_finite_param_exit_2_without_warnings(self, runner, param):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                main, ["sweep", "--system", "box", "--levels", "1:3", "--param", param]
+            )
+        assert result.exit_code == 2
+        assert "finite" in result.output
 
 
 class TestVerify:
@@ -154,6 +181,20 @@ class TestEigensolve:
         result = runner.invoke(main, ["eigensolve", "--system", "box", "--k", "0"])
         assert result.exit_code == 2
 
+    def test_even_grid_points_exit_2(self, runner):
+        result = runner.invoke(
+            main, ["eigensolve", "--system", "box", "--grid-points", "2000"]
+        )
+        assert result.exit_code == 2
+        assert "odd point count" in result.output
+
+    def test_k_beyond_grid_exit_2(self, runner):
+        result = runner.invoke(
+            main, ["eigensolve", "--system", "box", "--grid-points", "11", "--k", "20"]
+        )
+        assert result.exit_code == 2
+        assert "requested 20 eigenpairs from a 9-dimensional matrix" in result.output
+
 
 class TestNodes:
     def test_ring_node_law(self, runner):
@@ -161,6 +202,16 @@ class TestNodes:
         assert result.exit_code == 0
         assert "-2,4,4" in result.output
         assert "0,0,0" in result.output
+
+    def test_oscillator_nodes_match_the_sweep(self, runner):
+        result = runner.invoke(
+            main, ["nodes", "--system", "oscillator", "--levels", "0:40", "--param", "m=0.7"]
+        )
+        assert result.exit_code == 0
+        rows = run_sweep(SweepConfig(system=Oscillator(mass=0.7), levels=tuple(range(41))))
+        expected = [f"{r.level},{r.nodes_predicted},{r.nodes_counted}" for r in rows]
+        assert result.output.splitlines()[1:] == expected
+        assert expected[-1] == "40,40,40"
 
     def test_box_nodes_json(self, runner):
         result = runner.invoke(

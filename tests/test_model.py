@@ -32,6 +32,19 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Oscillator(omega=-2.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, value):
+        for make in (
+            lambda: Constants(hbar=value),
+            lambda: Box(length=value),
+            lambda: Box(mass=value),
+            lambda: Ring(moment_of_inertia=value),
+            lambda: Oscillator(mass=value),
+            lambda: Oscillator(omega=value),
+        ):
+            with pytest.raises(DomainError, match="finite"):
+                make()
+
     def test_parameters_overridable(self):
         spec = Box(length=2.5, mass=3.0, constants=Constants(hbar=0.5))
         assert spec.length == 2.5

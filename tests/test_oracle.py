@@ -25,6 +25,7 @@ from qnodes import (
     ring_uncertainties,
     sample_state,
 )
+import qnodes.oracle
 from qnodes.oracle import p2_by_second_derivative
 
 
@@ -172,3 +173,37 @@ class TestOracleVsAnalytic:
         ana = box_uncertainties(spec, 3)
         ora = oracle_uncertainties(spec, 3)
         assert ora.product == pytest.approx(ana.product, rel=1e-6)
+
+
+class TestOneMomentPipeline:
+    def test_one_derivative_per_momentum_moment(self, monkeypatch):
+        calls = []
+        derivative = qnodes.oracle.derivative
+
+        def counted(f):
+            calls.append(f)
+            return derivative(f)
+
+        monkeypatch.setattr(qnodes.oracle, "derivative", counted)
+        momentum_moments(sample_state(Box(), 3))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec, state", [(Box(), 3), (Oscillator(), 4), (Ring(), -2)])
+    def test_norm_checked_once_per_record(self, monkeypatch, spec, state):
+        calls = []
+        check = qnodes.oracle._check_normalized
+
+        def counted(psi):
+            calls.append(psi)
+            check(psi)
+
+        monkeypatch.setattr(qnodes.oracle, "_check_normalized", counted)
+        oracle_uncertainties(spec, state)
+        assert len(calls) == 1
+
+    def test_unnormalized_sample_rejected_by_record(self):
+        psi = sample_state(Box(), 2)
+        with pytest.raises(NormalizationError):
+            qnodes.oracle.record_from_samples(
+                Box(), 2, SampledFunction(psi.grid, 1.1 * psi.values)
+            )

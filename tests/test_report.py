@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import qnodes.oracle
 from qnodes import (
     Box,
     ConfigError,
@@ -10,11 +11,15 @@ from qnodes import (
     Ring,
     SweepConfig,
     corrupt_first_product,
+    default_grid,
     emit,
+    oracle_uncertainties,
     run_sweep,
     verify_rows,
 )
 from qnodes.report import CSV_HEADER, default_metadata
+
+RECORD_FIELDS = ("energy", "delta_q", "delta_p", "product", "nodes_predicted")
 
 
 class TestSweepConfig:
@@ -33,6 +38,23 @@ class TestSweepConfig:
     def test_invalid_level_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(system=Box(), levels=(0, 1))
+
+    @pytest.mark.parametrize("spec", [Box(), Oscillator()])
+    def test_even_grid_points_rejected_on_closed_grids(self, spec):
+        with pytest.raises(ConfigError, match="odd point count"):
+            SweepConfig(system=spec, levels=(1,), grid_points=2000)
+
+    def test_even_grid_points_accepted_on_the_ring(self):
+        SweepConfig(system=Ring(), levels=(1,), paths=("oracle", "eigen"), grid_points=2000)
+
+    @pytest.mark.parametrize(
+        "spec, levels",
+        [(Ring(), tuple(range(0, 601))), (Box(), tuple(range(1, 2001)))],
+    )
+    def test_eigen_request_beyond_grid_rejected(self, spec, levels):
+        cfg = SweepConfig(system=spec, levels=levels, paths=("analytic", "eigen"))
+        with pytest.raises(ConfigError, match="eigenpairs"):
+            run_sweep(cfg)
 
 
 class TestRunSweep:
@@ -80,6 +102,77 @@ class TestRunSweep:
     def test_node_columns(self):
         rows = run_sweep(SweepConfig(system=Box(), levels=(4,)))
         assert rows[0].nodes_predicted == rows[0].nodes_counted == 3
+
+
+class TestOneGridSweep:
+    def test_oscillator_oracle_rows_equal_oracle_uncertainties_on_sweep_grid(self):
+        spec = Oscillator(mass=0.8, omega=1.3)
+        levels = (40, 0, 7, 40, 13, 39)
+        rows = run_sweep(SweepConfig(system=spec, levels=levels, paths=("analytic", "oracle")))
+        grid = default_grid(spec, max(levels))
+        oracle_rows = [r for r in rows if r.path == "oracle"]
+        assert [r.level for r in oracle_rows] == list(levels)
+        for row in oracle_rows:
+            rec = oracle_uncertainties(spec, row.level, grid)
+            for name in RECORD_FIELDS:
+                assert getattr(row, name) == getattr(rec, name), (row.level, name)
+            assert row.nodes_counted == row.level
+
+    @pytest.mark.parametrize(
+        "spec, levels",
+        [(Box(length=1.7, mass=0.6), (1, 9, 40)), (Ring(moment_of_inertia=0.7), (-10, 0, 3))],
+    )
+    def test_box_and_ring_rows_equal_oracle_uncertainties(self, spec, levels):
+        rows = run_sweep(SweepConfig(system=spec, levels=levels, paths=("oracle",)))
+        for row in rows:
+            rec = oracle_uncertainties(spec, row.level)
+            for name in RECORD_FIELDS:
+                assert getattr(row, name) == getattr(rec, name), (row.level, name)
+
+    def test_full_oscillator_ladder_verifies(self):
+        cfg = SweepConfig(
+            system=Oscillator(), levels=tuple(range(201)), paths=("analytic", "oracle"), tol=1e-6
+        )
+        rows = run_sweep(cfg)
+        assert len(rows) == 402
+        assert verify_rows(cfg, rows) == []
+        grid = default_grid(cfg.system, 200)
+        for row in rows:
+            if row.path == "oracle" and row.level in (0, 1, 99, 199, 200):
+                rec = oracle_uncertainties(cfg.system, row.level, grid)
+                assert [getattr(row, f) for f in RECORD_FIELDS] == [
+                    getattr(rec, f) for f in RECORD_FIELDS
+                ], row.level
+
+    def test_oscillator_levels_come_from_one_ladder_pass(self, monkeypatch):
+        passes = []
+        ladder = qnodes.oracle.oscillator_ladder
+
+        def counted(spec, x, n_max):
+            passes.append(n_max)
+            return ladder(spec, x, n_max)
+
+        def forbidden(*args):
+            raise AssertionError("sweep restarted the recurrence")
+
+        monkeypatch.setattr(qnodes.oracle, "oscillator_ladder", counted)
+        monkeypatch.setattr(qnodes.oracle, "oscillator_psi", forbidden)
+        cfg = SweepConfig(system=Oscillator(), levels=(3, 20, 3, 0), paths=("analytic", "oracle"))
+        rows = run_sweep(cfg)
+        assert passes == [20]
+        assert [r.level for r in rows] == [3, 3, 20, 20, 3, 3, 0, 0]
+
+    def test_box_levels_sampled_once_each(self, monkeypatch):
+        calls = []
+        sample = qnodes.oracle.sample_state
+
+        def counted(spec, state, grid=None):
+            calls.append(state)
+            return sample(spec, state, grid)
+
+        monkeypatch.setattr(qnodes.oracle, "sample_state", counted)
+        run_sweep(SweepConfig(system=Box(), levels=(2, 1, 2, 5), paths=("analytic", "oracle")))
+        assert calls == [1, 2, 5]
 
 
 class TestVerifyRows:
