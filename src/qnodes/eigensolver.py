@@ -5,8 +5,14 @@ hard walls drop the boundary points (box), the ring couples first and last
 points, and the oscillator lives on a truncated open interval where the
 state has decayed below roundoff.  Box/oscillator matrices are symmetric
 tridiagonal and solved by bisection plus inverse iteration
-(`scipy.linalg.eigh_tridiagonal`); the periodic ring matrix carries corner
-entries and goes through the dense symmetric solver.
+(`scipy.linalg.eigh_tridiagonal`).
+
+The periodic ring matrix carries corner entries, but it commutes with the
+reflection theta -> -theta, so it splits into an even (cos) and an odd
+(sin) block, both symmetric tridiagonal and solved the same way.  The m-th
+level of the even block and the m-th of the odd block are the two members
+of the degenerate +/-m pair (symmetry reduction of a circulant operator:
+Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import ConfigError, ConvergenceError, GridError
 from .grids import GridSpec, SampledFunction, quad
 from .model import Box, Ring, SystemSpec
 from .nodal import count_nodes
-from .oracle import record_from_samples, ring_lz_by_quadrature
+from .oracle import record_from_samples
 
 __all__ = [
     "Hamiltonian",
@@ -47,8 +53,9 @@ class Hamiltonian:
 
     `diagonal` holds hbar^2/(M h^2) + V(q_i) per unknown; `off_diagonal`
     is the uniform coupling -hbar^2/(2 M h^2).  `periodic` adds the two
-    corner couplings.  `grid` is the full state grid (for the box this
-    includes the wall points the matrix excludes).
+    corner couplings; `solve_lowest` then solves the even and odd parity
+    blocks instead of the full matrix.  `grid` is the full state grid (for
+    the box this includes the wall points the matrix excludes).
     """
 
     grid: GridSpec
@@ -60,7 +67,12 @@ class Hamiltonian:
 @dataclass(frozen=True)
 class EigenResult:
     """Lowest eigenpairs: ascending energies, normalized sampled states,
-    and residual norms ||H psi - E psi||."""
+    and residual norms ||H psi - E psi||.
+
+    Ring states come in parity order [m=0, cos 1, sin 1, cos 2, sin 2, ...].
+    The two members of a +/-m pair are solved in separate blocks, so their
+    energies agree only to roundoff and may be out of order by that much.
+    """
 
     energies: np.ndarray
     states: list[SampledFunction]
@@ -113,25 +125,76 @@ def _apply(ham: Hamiltonian, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lowest_tridiagonal(
+    diagonal: np.ndarray, off: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    return scipy.linalg.eigh_tridiagonal(
+        diagonal, off, select="i", select_range=(0, count - 1)
+    )
+
+
+def _ring_parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest ring eigenpairs from the even and odd blocks, unfolded.
+
+    With N points and mirror j -> N - j, the even block's unknowns are
+    j = 0..N//2 and the odd block's j = 1..(N+1)//2 - 1 (an odd state
+    vanishes at theta = 0 and, for even N, at theta = pi).  An even unknown
+    with a distinct mirror stands for two ring points and is scaled by
+    sqrt 2, so its couplings to the self-mirrored unknowns carry sqrt 2 and
+    the block stays symmetric.  For odd N the last unknown's outer
+    neighbour is its own mirror: the even diagonal gains +c, the odd -c.
+    Returns energies and unit-norm ring vectors in the order
+    [m=0, cos 1, sin 1, cos 2, sin 2, ...].
+    """
+    n, c = ham.diagonal.size, ham.off_diagonal
+    half = n // 2
+    root2 = math.sqrt(2.0)
+    even_diag = ham.diagonal[: half + 1].copy()
+    even_off = np.full(half, c)
+    odd_diag = ham.diagonal[1 : n - half].copy()
+    # ring amplitude of each even unknown: 1 if self-mirrored, else 1/sqrt 2
+    scale = np.full(half + 1, 1.0 / root2)
+    scale[0] = 1.0
+    even_off[0] *= root2
+    if n % 2 == 0:
+        scale[half] = 1.0
+        even_off[-1] *= root2
+    else:
+        even_diag[-1] += c
+        odd_diag[-1] -= c
+    n_even, n_odd = k // 2 + 1, (k - 1) // 2
+    even_e, even_v = _lowest_tridiagonal(even_diag, even_off, n_even)
+
+    # unfold by mirror symmetry: ring point j takes unknown min(j, N - j)
+    j = np.arange(n)
+    fold = np.minimum(j, n - j)
+    full_even = (even_v * scale[:, None])[fold]
+    energies, vecs = np.empty(k), np.empty((n, k))
+    energies[0], vecs[:, 0] = even_e[0], full_even[:, 0]
+    energies[1::2], vecs[:, 1::2] = even_e[1:], full_even[:, 1:]
+    if n_odd:
+        odd_e, odd_v = _lowest_tridiagonal(odd_diag, np.full(odd_diag.size - 1, c), n_odd)
+        padded = np.zeros((half + 1, n_odd))
+        padded[1 : n - half] = odd_v / root2
+        energies[2::2] = odd_e
+        vecs[:, 2::2] = np.sign(n - 2 * j)[:, None] * padded[fold]
+    return energies, vecs
+
+
 def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
-    """k lowest eigenpairs, continuum-normalized with a positive leading lobe."""
+    """k lowest eigenpairs, continuum-normalized with a positive leading lobe.
+
+    A periodic (ring) Hamiltonian is solved as its even and odd parity
+    blocks; the states come in the order of `_ring_parity_pairs`.
+    """
     dim = ham.diagonal.size
     if k > dim:
         raise ConfigError(f"requested {k} eigenpairs from a {dim}-dimensional matrix")
     if ham.periodic:
-        mat = (
-            np.diag(ham.diagonal)
-            + np.diag(np.full(dim - 1, ham.off_diagonal), 1)
-            + np.diag(np.full(dim - 1, ham.off_diagonal), -1)
-        )
-        mat[0, -1] = mat[-1, 0] = ham.off_diagonal
-        energies, vecs = scipy.linalg.eigh(mat, subset_by_index=[0, k - 1])
+        energies, vecs = _ring_parity_pairs(ham, k)
     else:
-        energies, vecs = scipy.linalg.eigh_tridiagonal(
-            ham.diagonal,
-            np.full(dim - 1, ham.off_diagonal),
-            select="i",
-            select_range=(0, k - 1),
+        energies, vecs = _lowest_tridiagonal(
+            ham.diagonal, np.full(dim - 1, ham.off_diagonal), k
         )
 
     states = []
@@ -158,16 +221,14 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     return EigenResult(energies=energies, states=states, residuals=residuals)
 
 
-def ring_momentum_state(
-    result: EigenResult, m: int, hbar: float = 1.0
-) -> SampledFunction:
-    """Definite angular-momentum combination for a ring eigensolve.
+def ring_momentum_state(result: EigenResult, m: int) -> SampledFunction:
+    """Definite angular-momentum state e^{i m theta} from a ring eigensolve.
 
-    The FD ring spectrum is exactly degenerate in +/-m, so the dense solver
-    returns an arbitrary real cos/sin-like basis of each pair.  Combining
-    the pair as u + i w (sign chosen so <L_z> matches sign(m)) recovers the
-    e^{i m theta} eigenstate of L_z up to a phase.  m = 0 is nondegenerate
-    and returned as-is.
+    States 2|m| - 1 and 2|m| are the even (cos) and odd (sin) members of
+    the +/-m pair, each with a positive leading lobe: the cos state at
+    theta = 0, the sin state at theta = h.  So (u + i sign(m) w)/sqrt 2 is
+    the normalized L_z eigenstate with eigenvalue m hbar.  m = 0 is
+    nondegenerate and returned as-is.
     """
     if m == 0:
         return result.states[0]
@@ -176,13 +237,8 @@ def ring_momentum_state(
         raise GridError(f"need at least {first + 2} solved levels for |m| = {abs(m)}")
     u = result.states[first].values
     w = result.states[first + 1].values
-    psi = (u + 1j * w) / math.sqrt(2.0)
-    state = SampledFunction(result.states[first].grid, psi)
-    mean, _ = ring_lz_by_quadrature(state, hbar)
-    if mean * m < 0:
-        psi = np.conj(psi)
-        state = SampledFunction(state.grid, psi)
-    return state
+    psi = (u + 1j * math.copysign(1.0, m) * w) / math.sqrt(2.0)
+    return SampledFunction(result.states[first].grid, psi)
 
 
 def eigen_uncertainties(
@@ -195,7 +251,7 @@ def eigen_uncertainties(
     measured on the state itself.
     """
     if isinstance(spec, Ring):
-        psi = ring_momentum_state(result, index, spec.constants.hbar)
+        psi = ring_momentum_state(result, index)
         pos = 0 if index == 0 else 2 * abs(index) - 1
     else:
         pos = index - 1 if isinstance(spec, Box) else index

@@ -2,19 +2,24 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qnodes import (
     Box,
+    ConfigError,
+    Constants,
     GridError,
     GridSpec,
     Oscillator,
     Ring,
     box_energy,
     build_hamiltonian,
+    count_nodes,
     default_eigen_grid,
     eigen_uncertainties,
     oscillator_energy,
     ring_energy,
+    ring_lz_by_quadrature,
     ring_momentum_state,
     solve_lowest,
 )
@@ -164,3 +169,98 @@ class TestEigenUncertainties:
         spec, result = box_result
         with pytest.raises(GridError):
             eigen_uncertainties(spec, result, 11)
+
+
+def _dense_ring_energies(ham):
+    """Ascending spectrum of the full periodic matrix, corners included."""
+    n = ham.diagonal.size
+    coupling = np.eye(n, k=1) + np.eye(n, k=n - 1)
+    mat = np.diag(ham.diagonal) + ham.off_diagonal * (coupling + coupling.T)
+    return np.linalg.eigh(mat)[0]
+
+
+def _mirror(values):
+    """Samples of f(-theta) on a periodic grid: point j -> point N - j."""
+    return values[(-np.arange(values.size)) % values.size]
+
+
+class TestRingParitySolve:
+    """The even/odd block solve against a dense reference, on any N >= 3."""
+
+    @pytest.mark.parametrize("points", [3, 4, 5, 8, 63, 64, 1001, 1024])
+    def test_energies_match_dense_reference(self, points):
+        ham = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, points, "periodic"))
+        reference = _dense_ring_energies(ham)
+        scale = max(float(np.max(np.abs(reference))), 1.0)
+        # every k on the small grids; the edges, both parities of k and a
+        # mid-spectrum cut on the large ones (a full sweep of k there
+        # costs minutes)
+        if points <= 64:
+            ks = range(1, points + 1)
+        else:
+            ks = (1, 2, 3, 4, 21, points // 2, points - 1, points)
+        for k in ks:
+            result = solve_lowest(ham, k)
+            assert len(result.states) == k
+            np.testing.assert_allclose(
+                result.energies, reference[:k], rtol=0.0, atol=1e-12 * scale
+            )
+
+    @pytest.mark.parametrize("points", [3, 4, 5, 8, 63, 64])
+    def test_pairs_are_parity_partners(self, points):
+        ham = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, points, "periodic"))
+        result = solve_lowest(ham, points)
+        for j, state in enumerate(result.states):
+            odd = j > 0 and j % 2 == 0
+            expected = -state.values if odd else state.values
+            np.testing.assert_allclose(_mirror(state.values), expected, atol=1e-12)
+
+    def test_oversized_request_rejected_before_any_solve(self, monkeypatch):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("solver reached")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", record)
+        monkeypatch.setattr(scipy.linalg, "eigh", record)
+        for points in (3, 8, 1024):
+            ham = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, points, "periodic"))
+            with pytest.raises(ConfigError):
+                solve_lowest(ham, points + 1)
+        assert calls == []
+
+
+class TestRingMomentumState:
+    """Definite-m states from the parity pairs, off natural units."""
+
+    HBAR = 0.7
+    INERTIA = 1.3
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        spec = Ring(moment_of_inertia=self.INERTIA, constants=Constants(hbar=self.HBAR))
+        result = solve_lowest(build_hamiltonian(spec, default_eigen_grid(spec, 21)), 21)
+        return spec, result
+
+    @pytest.mark.parametrize("m", range(-10, 11))
+    def test_definite_angular_momentum(self, solved, m):
+        spec, result = solved
+        psi = ring_momentum_state(result, m)
+        mean, spread = ring_lz_by_quadrature(psi, self.HBAR)
+        assert mean == pytest.approx(m * self.HBAR, abs=1e-8)
+        assert spread <= 1e-8
+        assert count_nodes(psi).count == 2 * abs(m)
+        assert eigen_uncertainties(spec, result, m).nodes_measured == 2 * abs(m)
+
+    @pytest.mark.parametrize("m", range(0, 11))
+    def test_cos_state_even_sin_state_odd(self, solved, m):
+        _, result = solved
+        if m == 0:
+            values = result.states[0].values
+            np.testing.assert_allclose(_mirror(values), values, atol=1e-12)
+            return
+        cos_state = result.states[2 * m - 1].values
+        sin_state = result.states[2 * m].values
+        np.testing.assert_allclose(_mirror(cos_state), cos_state, atol=1e-12)
+        np.testing.assert_allclose(_mirror(sin_state), -sin_state, atol=1e-12)
