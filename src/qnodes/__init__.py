@@ -53,8 +53,10 @@ from .model import (
     Oscillator,
     Ring,
     RingSuperposition,
+    Scales,
     SystemSpec,
     predicted_node_count,
+    scales,
     validate_state,
 )
 from .nodal import NodeReport, count_nodes, density_flatness

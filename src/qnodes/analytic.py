@@ -1,7 +1,9 @@
 """Closed-form wavefunctions, energies, and uncertainty products.
 
 Everything here is an exact expression evaluated in double precision; the
-independent numerical checks live in `oracle` and `eigensolver`.
+independent numerical checks live in `oracle` and `eigensolver`.  Each
+closed form is written in natural units and multiplied by the system's
+`scales` once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .model import (
     Oscillator,
     Ring,
     RingSuperposition,
+    Scales,
     predicted_node_count,
+    scales,
     validate_state,
 )
 
@@ -54,7 +58,6 @@ class ExpectationSet:
     mean_x2: float
     mean_p: float
     mean_p2: float
-    provenance: str = "analytic"
 
     def __post_init__(self):
         if self.mean_x2 - self.mean_x**2 < -1e-12:
@@ -79,11 +82,22 @@ class UncertaintyRecord:
     energy: float
     nodes_predicted: int
     nodes_measured: int | None = None
-    provenance: str = "analytic"
 
     def __post_init__(self):
         if self.delta_q < 0 or self.delta_p < 0:
             raise DomainError("uncertainties must be nonnegative")
+
+    def rescaled(self, units: Scales) -> UncertaintyRecord:
+        """This natural-unit record in physical units: the one rescale."""
+        return UncertaintyRecord(
+            delta_q=self.delta_q * units.length,
+            delta_p=self.delta_p * units.momentum,
+            product=self.product * units.hbar,
+            bound=self.bound * units.hbar,
+            energy=self.energy * units.energy,
+            nodes_predicted=self.nodes_predicted,
+            nodes_measured=self.nodes_measured,
+        )
 
 
 # --- particle in a box ------------------------------------------------------
@@ -92,7 +106,7 @@ class UncertaintyRecord:
 def box_psi(spec: Box, n: int, x):
     """Normalized box eigenfunction sqrt(2/a) sin(n pi x / a) on [0, a]."""
     n = validate_state(spec, n)
-    a = spec.length
+    a = scales(spec).length
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or np.any(x > a):
         raise DomainError(f"x must lie in [0, {a}]")
@@ -100,42 +114,46 @@ def box_psi(spec: Box, n: int, x):
     return out if out.ndim else float(out)
 
 
+def _natural_energy(spec, idx: int) -> float:
+    """n^2 pi^2 / 2 (box), m^2 / 2 (ring) or n + 1/2 (oscillator)."""
+    if isinstance(spec, Box):
+        return idx**2 * math.pi**2 / 2.0
+    if isinstance(spec, Ring):
+        return idx**2 / 2.0
+    return idx + 0.5
+
+
 def box_energy(spec: Box, n: int) -> float:
     """E_n = hbar^2 n^2 pi^2 / (2 m a^2)."""
-    n = validate_state(spec, n)
-    hbar = spec.constants.hbar
-    return hbar**2 * n**2 * math.pi**2 / (2.0 * spec.mass * spec.length**2)
+    return _natural_energy(spec, validate_state(spec, n)) * scales(spec).energy
 
 
 def box_expectations(spec: Box, n: int) -> ExpectationSet:
     """<x> = a/2, <x^2> = a^2 (1/3 - 1/(2 n^2 pi^2)), <p> = 0,
     <p^2> = hbar^2 n^2 pi^2 / a^2."""
     n = validate_state(spec, n)
-    a = spec.length
-    hbar = spec.constants.hbar
+    units = scales(spec)
     return ExpectationSet(
-        mean_x=a / 2.0,
-        mean_x2=a**2 * (1.0 / 3.0 - 1.0 / (2.0 * n**2 * math.pi**2)),
+        mean_x=0.5 * units.length,
+        mean_x2=(1.0 / 3.0 - 1.0 / (2.0 * n**2 * math.pi**2)) * units.length**2,
         mean_p=0.0,
-        mean_p2=hbar**2 * n**2 * math.pi**2 / a**2,
+        mean_p2=n**2 * math.pi**2 * units.momentum**2,
     )
 
 
 def box_uncertainties(spec: Box, n: int) -> UncertaintyRecord:
     """Delta x = a sqrt(1/12 - 1/(2 n^2 pi^2)), Delta p = hbar n pi / a."""
     n = validate_state(spec, n)
-    a = spec.length
-    hbar = spec.constants.hbar
-    dx = a * math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * n**2 * math.pi**2))
-    dp = hbar * n * math.pi / a
+    dx = math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * n**2 * math.pi**2))
+    dp = n * math.pi
     return UncertaintyRecord(
         delta_q=dx,
         delta_p=dp,
         product=dx * dp,
-        bound=hbar / 2.0,
-        energy=box_energy(spec, n),
+        bound=0.5,
+        energy=_natural_energy(spec, n),
         nodes_predicted=predicted_node_count(spec, n),
-    )
+    ).rescaled(scales(spec))
 
 
 # --- particle on a ring -----------------------------------------------------
@@ -143,9 +161,7 @@ def box_uncertainties(spec: Box, n: int) -> UncertaintyRecord:
 
 def ring_psi(spec: Ring, m: int, theta):
     """Ring eigenfunction e^{i m theta} / sqrt(2 pi); periodic in theta."""
-    m = validate_state(spec, m)
-    theta = np.asarray(theta, dtype=float)
-    out = np.exp(1j * m * theta) / np.sqrt(2.0 * np.pi)
+    out = ring_state_values(validate_state(spec, m), theta)
     return out if out.ndim else complex(out)
 
 
@@ -162,9 +178,7 @@ def ring_state_values(state: int | RingSuperposition, theta) -> np.ndarray:
 
 def ring_energy(spec: Ring, m: int) -> float:
     """E_m = m^2 hbar^2 / (2 I)."""
-    m = validate_state(spec, m)
-    hbar = spec.constants.hbar
-    return m**2 * hbar**2 / (2.0 * spec.moment_of_inertia)
+    return _natural_energy(spec, validate_state(spec, m)) * scales(spec).energy
 
 
 def ring_density(spec: Ring, m: int, theta):
@@ -181,14 +195,14 @@ def ring_lz_stats(spec: Ring, state: int | RingSuperposition) -> tuple[float, fl
     A definite m state gives (m hbar, 0); a superposition gives the
     discrete mean and standard deviation over the |c_k|^2 distribution.
     """
-    hbar = spec.constants.hbar
+    unit = scales(spec).momentum
     if isinstance(state, RingSuperposition):
         weights = [(m, abs(c) ** 2) for m, c in state.terms]
         mean = sum(w * m for m, w in weights)
         var = sum(w * (m - mean) ** 2 for m, w in weights)
-        return hbar * mean, hbar * math.sqrt(max(var, 0.0))
+        return unit * mean, unit * math.sqrt(max(var, 0.0))
     m = validate_state(spec, state)
-    return hbar * m, 0.0
+    return unit * m, 0.0
 
 
 def ring_theta_stats(
@@ -219,16 +233,15 @@ def ring_uncertainties(spec: Ring, m: int) -> UncertaintyRecord:
     bound column as informational only.
     """
     m = validate_state(spec, m)
-    _, dlz = ring_lz_stats(spec, m)
     _, dtheta = ring_theta_stats(spec, m)
     return UncertaintyRecord(
         delta_q=dtheta,
-        delta_p=dlz,
-        product=dtheta * dlz,
-        bound=spec.constants.hbar / 2.0,
-        energy=ring_energy(spec, m),
+        delta_p=0.0,
+        product=0.0,
+        bound=0.5,
+        energy=_natural_energy(spec, m),
         nodes_predicted=predicted_node_count(spec, m),
-    )
+    ).rescaled(scales(spec))
 
 
 # --- harmonic oscillator ----------------------------------------------------
@@ -236,34 +249,31 @@ def ring_uncertainties(spec: Ring, m: int) -> UncertaintyRecord:
 
 def oscillator_energy(spec: Oscillator, n: int) -> float:
     """E_n = (n + 1/2) hbar omega."""
-    n = validate_state(spec, n)
-    return (n + 0.5) * spec.constants.hbar * spec.omega
+    return _natural_energy(spec, validate_state(spec, n)) * scales(spec).energy
 
 
 def oscillator_expectations(spec: Oscillator, n: int) -> ExpectationSet:
     """<x> = <p> = 0 by symmetry; <x^2> = hbar (n + 1/2)/(m w),
     <p^2> = m hbar w (n + 1/2)."""
     n = validate_state(spec, n)
-    hbar = spec.constants.hbar
+    units = scales(spec)
     return ExpectationSet(
         mean_x=0.0,
-        mean_x2=hbar * (n + 0.5) / (spec.mass * spec.omega),
+        mean_x2=(n + 0.5) * units.length**2,
         mean_p=0.0,
-        mean_p2=spec.mass * hbar * spec.omega * (n + 0.5),
+        mean_p2=(n + 0.5) * units.momentum**2,
     )
 
 
 def oscillator_uncertainties(spec: Oscillator, n: int) -> UncertaintyRecord:
     """Delta x Delta p = hbar (n + 1/2); equality with the bound at n = 0."""
     n = validate_state(spec, n)
-    hbar = spec.constants.hbar
-    dx = math.sqrt(hbar * (n + 0.5) / (spec.mass * spec.omega))
-    dp = math.sqrt(spec.mass * hbar * spec.omega * (n + 0.5))
+    spread = math.sqrt(n + 0.5)
     return UncertaintyRecord(
-        delta_q=dx,
-        delta_p=dp,
-        product=hbar * (n + 0.5),
-        bound=hbar / 2.0,
-        energy=oscillator_energy(spec, n),
+        delta_q=spread,
+        delta_p=spread,
+        product=n + 0.5,
+        bound=0.5,
+        energy=_natural_energy(spec, n),
         nodes_predicted=predicted_node_count(spec, n),
-    )
+    ).rescaled(scales(spec))

@@ -20,7 +20,7 @@ from .errors import (
     GridError,
     NormalizationError,
 )
-from .model import Box, Constants, Oscillator, Ring, SystemSpec
+from .model import Box, Constants, Oscillator, Ring, SystemSpec, scales
 from .report import (
     SweepConfig,
     corrupt_first_product,
@@ -86,6 +86,11 @@ def parse_paths(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
+def _config(system, params, hbar, grid_points, levels, **options) -> SweepConfig:
+    spec = build_system(system, params, hbar)
+    return SweepConfig(spec, parse_levels(levels), grid_points=grid_points, **options)
+
+
 def write_output(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
@@ -144,16 +149,8 @@ def sweep(system, params, hbar, grid_points, fmt, out, levels, paths, tol):
     """Evaluate uncertainties and node counts over a range of levels."""
 
     def body():
-        spec = build_system(system, params, hbar)
-        cfg = SweepConfig(
-            system=spec,
-            levels=parse_levels(levels),
-            paths=parse_paths(paths),
-            grid_points=grid_points,
-            tol=tol,
-        )
-        rows = run_sweep(cfg)
-        return emit(rows, fmt, default_metadata(cfg))
+        cfg = _config(system, params, hbar, grid_points, levels, paths=parse_paths(paths), tol=tol)
+        return emit(run_sweep(cfg), fmt, default_metadata(cfg))
 
     write_output(_run_guarded(body), out)
 
@@ -166,25 +163,18 @@ def sweep(system, params, hbar, grid_points, fmt, out, levels, paths, tol):
 @click.option(
     "--inject-corruption",
     is_flag=True,
-    help="Self-test: corrupt one product by hbar/4 before checking.",
+    help="Self-test: lower one product by half its bound before checking.",
 )
 def verify(system, params, hbar, grid_points, fmt, out, levels, paths, tol, inject_corruption):
     """Cross-check paths, Heisenberg bounds, and node laws; exit 1 on failure."""
 
     def body():
-        spec = build_system(system, params, hbar)
-        cfg = SweepConfig(
-            system=spec,
-            levels=parse_levels(levels),
-            paths=parse_paths(paths),
-            grid_points=grid_points,
-            tol=tol,
-        )
+        cfg = _config(system, params, hbar, grid_points, levels, paths=parse_paths(paths), tol=tol)
         if len(cfg.paths) < 2:
             raise ConfigError("verify needs at least two paths to cross-check")
         rows = run_sweep(cfg)
         if inject_corruption:
-            rows = corrupt_first_product(rows, hbar)
+            rows = corrupt_first_product(rows)
         return cfg, rows
 
     cfg, rows = _run_guarded(body)
@@ -207,21 +197,20 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
         if k < 1:
             raise ConfigError(f"--k must be >= 1, got {k}")
         spec = build_system(system, params, hbar)
+        unit = scales(spec).energy
         try:
             grid = default_eigen_grid(spec, k=k, points=grid_points)
         except GridError as exc:
             raise ConfigError(f"grid points {grid_points}: {exc}") from exc
         result = solve_lowest(build_hamiltonian(spec, grid), k)
+        energies = [float(e) * unit for e in result.energies]
+        residuals = [float(r) * unit for r in result.residuals]
         if fmt == "json":
-            payload = {
-                "system": system,
-                "energies": [float(e) for e in result.energies],
-                "residuals": [float(r) for r in result.residuals],
-            }
+            payload = {"system": system, "energies": energies, "residuals": residuals}
             return json.dumps(payload, indent=2) + "\n"
         lines = ["index,energy,residual"]
-        for i, (e, r) in enumerate(zip(result.energies, result.residuals)):
-            lines.append(f"{i},{format(float(e), '#.12g')},{r:.3e}")
+        for i, (e, r) in enumerate(zip(energies, residuals)):
+            lines.append(f"{i},{format(e, '#.12g')},{r:.3e}")
         return "\n".join(lines) + "\n"
 
     write_output(_run_guarded(body), out)
@@ -234,8 +223,7 @@ def nodes(system, params, hbar, grid_points, fmt, out, levels):
     """Count wavefunction nodes and compare with the predicted law."""
 
     def body():
-        spec = build_system(system, params, hbar)
-        cfg = SweepConfig(system=spec, levels=parse_levels(levels), grid_points=grid_points)
+        cfg = _config(system, params, hbar, grid_points, levels)
         columns = ("level", "nodes_predicted", "nodes_counted")
         table = [[getattr(r, c) for c in columns] for r in run_sweep(cfg)]
         if fmt == "json":

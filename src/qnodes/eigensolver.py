@@ -13,6 +13,9 @@ reflection theta -> -theta, so it splits into an even (cos) and an odd
 level of the even block and the m-th of the odd block are the two members
 of the degenerate +/-m pair (symmetry reduction of a circulant operator:
 Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3).
+
+Grids, Hamiltonians, energies and states are in the system's natural
+units (`model.scales`); `eigen_uncertainties` rescales its record once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import scipy.linalg
 from .analytic import UncertaintyRecord
 from .errors import ConfigError, ConvergenceError, GridError
 from .grids import GridSpec, SampledFunction, quad
-from .model import Box, Ring, SystemSpec
+from .model import Box, Oscillator, Ring, SystemSpec, scales
 from .nodal import count_nodes
 from .oracle import record_from_samples
 
@@ -49,13 +52,13 @@ DEFAULT_RING_EIGEN_POINTS = 1024
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Symmetric discretization of -(hbar^2/2M) d^2/dq^2 + V(q).
+    """Symmetric discretization of -(1/2) d^2/dq^2 + V(q) in natural units.
 
-    `diagonal` holds hbar^2/(M h^2) + V(q_i) per unknown; `off_diagonal`
-    is the uniform coupling -hbar^2/(2 M h^2).  `periodic` adds the two
-    corner couplings; `solve_lowest` then solves the even and odd parity
-    blocks instead of the full matrix.  `grid` is the full state grid (for
-    the box this includes the wall points the matrix excludes).
+    `diagonal` holds 1/h^2 + V(q_i) per unknown; `off_diagonal` is the
+    uniform coupling -1/(2 h^2).  `periodic` adds the two corner
+    couplings; `solve_lowest` then solves the even and odd parity blocks
+    instead of the full matrix.  `grid` is the full state grid (for the
+    box this includes the wall points the matrix excludes).
     """
 
     grid: GridSpec
@@ -66,8 +69,8 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Lowest eigenpairs: ascending energies, normalized sampled states,
-    and residual norms ||H psi - E psi||.
+    """Lowest eigenpairs in natural units: ascending energies, normalized
+    sampled states, and residual norms ||H psi - E psi||.
 
     Ring states come in parity order [m=0, cos 1, sin 1, cos 2, sin 2, ...].
     The two members of a +/-m pair are solved in separate blocks, so their
@@ -80,39 +83,33 @@ class EigenResult:
 
 
 def default_eigen_grid(spec: SystemSpec, k: int = 6, points: int | None = None) -> GridSpec:
-    """Grid suited to resolving the k lowest levels of the system."""
+    """Natural-unit grid suited to resolving the k lowest levels."""
     if isinstance(spec, Box):
-        return GridSpec(0.0, spec.length, points or DEFAULT_BOX_EIGEN_POINTS, "dirichlet")
+        return GridSpec(0.0, 1.0, points or DEFAULT_BOX_EIGEN_POINTS, "dirichlet")
     if isinstance(spec, Ring):
         return GridSpec(0.0, 2.0 * math.pi, points or DEFAULT_RING_EIGEN_POINTS, "periodic")
-    xscale = math.sqrt(spec.constants.hbar / (spec.mass * spec.omega))
-    half_width = max(math.sqrt(2.0 * k + 1.0) + 8.0, 12.0) * xscale
+    half_width = max(math.sqrt(2.0 * k + 1.0) + 8.0, 12.0)
     return GridSpec(
         -half_width, half_width, points or DEFAULT_OSCILLATOR_EIGEN_POINTS, "open"
     )
 
 
 def build_hamiltonian(spec: SystemSpec, grid: GridSpec) -> Hamiltonian:
-    """Three-point finite-difference Hamiltonian on `grid`."""
-    hbar = spec.constants.hbar
-    h = grid.h
+    """Three-point finite-difference Hamiltonian on the natural-unit `grid`.
+
+    The hopping is t = 1/(2 h^2); the oscillator adds V = x^2/2.
+    """
+    boundary = {Box: "dirichlet", Ring: "periodic", Oscillator: "open"}[type(spec)]
+    if grid.boundary != boundary:
+        raise GridError(f"{type(spec).__name__.lower()} Hamiltonian needs a {boundary} grid")
+    t = 1.0 / (2.0 * grid.h**2)
     if isinstance(spec, Box):
-        if grid.boundary != "dirichlet":
-            raise GridError("box Hamiltonian needs a dirichlet grid")
-        t = hbar**2 / (2.0 * spec.mass * h**2)
         diag = np.full(grid.points - 2, 2.0 * t)
-        return Hamiltonian(grid, diag, -t, periodic=False)
-    if isinstance(spec, Ring):
-        if grid.boundary != "periodic":
-            raise GridError("ring Hamiltonian needs a periodic grid")
-        t = hbar**2 / (2.0 * spec.moment_of_inertia * h**2)
+    elif isinstance(spec, Ring):
         diag = np.full(grid.points, 2.0 * t)
-        return Hamiltonian(grid, diag, -t, periodic=True)
-    if grid.boundary != "open":
-        raise GridError("oscillator Hamiltonian needs an open truncated grid")
-    t = hbar**2 / (2.0 * spec.mass * h**2)
-    diag = 2.0 * t + 0.5 * spec.mass * spec.omega**2 * grid.x**2
-    return Hamiltonian(grid, diag, -t, periodic=False)
+    else:
+        diag = 2.0 * t + 0.5 * grid.x**2
+    return Hamiltonian(grid, diag, -t, periodic=isinstance(spec, Ring))
 
 
 def _apply(ham: Hamiltonian, v: np.ndarray) -> np.ndarray:
@@ -128,9 +125,12 @@ def _apply(ham: Hamiltonian, v: np.ndarray) -> np.ndarray:
 def _lowest_tridiagonal(
     diagonal: np.ndarray, off: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    return scipy.linalg.eigh_tridiagonal(
-        diagonal, off, select="i", select_range=(0, count - 1)
-    )
+    try:
+        return scipy.linalg.eigh_tridiagonal(
+            diagonal, off, select="i", select_range=(0, count - 1)
+        )
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
 def _ring_parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +244,7 @@ def ring_momentum_state(result: EigenResult, m: int) -> SampledFunction:
 def eigen_uncertainties(
     spec: SystemSpec, result: EigenResult, index: int
 ) -> UncertaintyRecord:
-    """UncertaintyRecord for one computed eigenstate.
+    """Physical UncertaintyRecord for one computed natural-unit eigenstate.
 
     `index` is the quantum number: box n >= 1, oscillator n >= 0, ring any
     integer m (mapped through its degenerate pair).  Node counts are
@@ -262,5 +262,4 @@ def eigen_uncertainties(
         record_from_samples(spec, index, psi),
         energy=float(result.energies[pos]),
         nodes_measured=count_nodes(psi).count,
-        provenance="eigen",
-    )
+    ).rescaled(scales(spec))

@@ -102,60 +102,43 @@ def _fd_weights(offsets: tuple[int, ...], deriv: int) -> np.ndarray:
 
 
 _CENTRAL_6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+_CENTRAL_6_SECOND = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+
+
+def _order6(f: SampledFunction, central: np.ndarray, deriv: int, width: int) -> np.ndarray:
+    """d^deriv/dx^deriv: 7-point central stencil inside, one-sided
+    `width`-point stencils at the three points of each non-periodic edge;
+    periodic grids wrap around."""
+    y = f.values
+    scale = f.grid.h**deriv
+    n = y.size
+    if n < width:
+        raise GridError(f"need at least {width} points for the order-6 stencil, got {n}")
+    if f.grid.boundary == "periodic":
+        out = np.zeros_like(y)
+        for k, c in zip(range(-3, 4), central):
+            if c:
+                out += c * np.roll(y, -k)
+        return out / scale
+
+    out = np.empty_like(y)
+    out[3:-3] = np.convolve(y, central[::-1], mode="valid") / scale
+    for i in range(3):
+        w = _fd_weights(tuple(range(-i, width - i)), deriv)
+        out[i] = w @ y[:width] / scale
+        w = _fd_weights(tuple(range(-(width - 1 - i), i + 1)), deriv)
+        out[n - 1 - i] = w @ y[-width:] / scale
+    return out
 
 
 def derivative(f: SampledFunction) -> np.ndarray:
-    """First derivative of sampled values, order-6 accurate.
-
-    Interior points use the 7-point central stencil; the three points at
-    each non-periodic edge use one-sided 7-point stencils.  Periodic grids
-    wrap around.
-    """
-    y = f.values
-    h = f.grid.h
-    n = y.size
-    if n < 7:
-        raise GridError(f"need at least 7 points for the order-6 stencil, got {n}")
-    if f.grid.boundary == "periodic":
-        out = np.zeros_like(y)
-        for k, c in zip(range(-3, 4), _CENTRAL_6):
-            if c:
-                out += c * np.roll(y, -k)
-        return out / h
-
-    out = np.empty_like(y)
-    out[3:-3] = np.convolve(y, _CENTRAL_6[::-1], mode="valid") / h
-    for i in range(3):
-        w = _fd_weights(tuple(range(-i, 7 - i)), 1)
-        out[i] = w @ y[:7] / h
-        w = _fd_weights(tuple(range(-(6 - i), i + 1)), 1)
-        out[n - 1 - i] = w @ y[-7:] / h
-    return out
+    """First derivative of sampled values, order-6 accurate (7-point edges)."""
+    return _order6(f, _CENTRAL_6, 1, 7)
 
 
 def second_derivative(f: SampledFunction) -> np.ndarray:
-    """Second derivative, order-6 interior stencil with one-sided edges."""
-    y = f.values
-    h = f.grid.h
-    n = y.size
-    if n < 9:
-        raise GridError(f"need at least 9 points for the order-6 stencil, got {n}")
-    c2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-    if f.grid.boundary == "periodic":
-        out = np.zeros_like(y)
-        for k, c in zip(range(-3, 4), c2):
-            if c:
-                out += c * np.roll(y, -k)
-        return out / h**2
-
-    out = np.empty_like(y)
-    out[3:-3] = np.convolve(y, c2[::-1], mode="valid") / h**2
-    for i in range(3):
-        w = _fd_weights(tuple(range(-i, 9 - i)), 2)
-        out[i] = w @ y[:9] / h**2
-        w = _fd_weights(tuple(range(-(8 - i), i + 1)), 2)
-        out[n - 1 - i] = w @ y[-9:] / h**2
-    return out
+    """Second derivative, order-6 interior stencil with 9-point one-sided edges."""
+    return _order6(f, _CENTRAL_6_SECOND, 2, 9)
 
 
 def spectral_derivative(f: SampledFunction) -> np.ndarray:

@@ -1,15 +1,20 @@
-"""Physical systems, quantum numbers, and predicted node counts.
+"""Physical systems, their unit scales, quantum numbers, and node counts.
 
 Default natural units: hbar = mass = length = omega = inertia = 1, so
 every headline number is dimensionless.  All parameters can be overridden
-at construction time.
+at construction time.  `scales` is the only code that reads hbar or a
+system parameter: every numerical path computes in natural units and
+multiplies by these scales once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
+from functools import lru_cache
 
 from .errors import DomainError, NormalizationError
 
@@ -19,6 +24,8 @@ __all__ = [
     "Ring",
     "Oscillator",
     "SystemSpec",
+    "Scales",
+    "scales",
     "RingSuperposition",
     "validate_state",
     "predicted_node_count",
@@ -78,6 +85,62 @@ class Oscillator:
 
 
 SystemSpec = Box | Ring | Oscillator
+
+
+@dataclass(frozen=True)
+class Scales:
+    """Physical size of one natural unit of each column.
+
+    length: a, sqrt(hbar / m omega) or 1 rad; momentum: hbar / length;
+    energy: hbar^2 / m a^2, hbar omega or hbar^2 / I; hbar scales the
+    product Delta q Delta p and its bound.
+    """
+
+    length: float
+    momentum: float
+    energy: float
+    hbar: float
+
+
+def _scale(*factors: tuple[float, int], root: int = 1) -> float:
+    """prod(value ** power) ** (1 / root) for root 1 or 2, rounded to a
+    double once.
+
+    In 40-digit decimal arithmetic no intermediate leaves the double
+    range; a result beyond it becomes inf or 0.
+    """
+    with localcontext(Context(prec=40)):
+        value = math.prod((Decimal(v) ** k for v, k in factors), start=Decimal(1))
+        return float(value.sqrt() if root == 2 else value)
+
+
+@lru_cache(maxsize=64)
+def scales(spec: SystemSpec) -> Scales:
+    """Unit scales of `spec`, each from its own closed form.
+
+    Raises DomainError, naming the scale, when one leaves the normal
+    double range: no physical row could then be represented.
+    """
+    hbar = spec.constants.hbar
+    if isinstance(spec, Box):
+        a = spec.length
+        energy = _scale((hbar, 2), (spec.mass, -1), (a, -2))
+        out = Scales(a, _scale((hbar, 1), (a, -1)), energy, hbar)
+    elif isinstance(spec, Ring):
+        out = Scales(1.0, hbar, _scale((hbar, 2), (spec.moment_of_inertia, -1)), hbar)
+    else:
+        m, w = spec.mass, spec.omega
+        out = Scales(
+            length=_scale((hbar, 1), (m, -1), (w, -1), root=2),
+            momentum=_scale((hbar, 1), (m, 1), (w, 1), root=2),
+            energy=_scale((hbar, 1), (w, 1)),
+            hbar=hbar,
+        )
+    for name, value in vars(out).items():
+        if not sys.float_info.min <= value < math.inf:
+            raise DomainError(f"{name} scale {value!r} is outside the normal double range")
+    return out
+
 
 # Normalization must hold to this tolerance for superpositions.
 _NORM_TOL = 1e-12

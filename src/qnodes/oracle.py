@@ -2,7 +2,9 @@
 
 Nothing in this module uses the closed-form moments; states are sampled
 (or handed over as eigenvectors) and every moment is recomputed from
-Simpson quadrature and high-order discrete derivatives.
+Simpson quadrature and high-order discrete derivatives.  Grids, samples
+and moments are in the system's natural units (`model.scales`);
+`oracle_uncertainties` rescales its record once.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .model import (
     RingSuperposition,
     SystemSpec,
     predicted_node_count,
+    scales,
     validate_state,
 )
 from .special import oscillator_ladder, oscillator_psi
@@ -56,19 +59,17 @@ DEFAULT_RING_POINTS = 4096
 
 
 def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> GridSpec:
-    """Grid suited to the system and quantum number.
+    """Natural-unit grid suited to the system and quantum number.
 
-    The oscillator half-width scales with the classical turning point
-    sqrt(2n+1) plus a 10-sigma tail margin, in units of the oscillator
-    length sqrt(hbar / m omega).
+    The box grid is [0, 1], the ring's [0, 2 pi).  The oscillator
+    half-width is the classical turning point sqrt(2n+1) plus a 10-sigma
+    tail margin.
     """
     if isinstance(spec, Box):
-        return GridSpec(0.0, spec.length, points or DEFAULT_BOX_POINTS, "dirichlet")
+        return GridSpec(0.0, 1.0, points or DEFAULT_BOX_POINTS, "dirichlet")
     if isinstance(spec, Ring):
         return GridSpec(0.0, 2.0 * math.pi, points or DEFAULT_RING_POINTS, "periodic")
-    n = max(int(abs(idx)), 0)
-    xscale = math.sqrt(spec.constants.hbar / (spec.mass * spec.omega))
-    half_width = max(math.sqrt(2.0 * n + 1.0) + 10.0, 12.0) * xscale
+    half_width = max(math.sqrt(2.0 * abs(int(idx)) + 1.0) + 10.0, 12.0)
     return GridSpec(-half_width, half_width, points or DEFAULT_OSCILLATOR_POINTS, "open")
 
 
@@ -77,15 +78,15 @@ def sample_state(
     state: int | RingSuperposition,
     grid: GridSpec | None = None,
 ) -> SampledFunction:
-    """Sample the analytic eigenfunction (or ring superposition) on a grid."""
+    """Sample the natural-unit eigenfunction (or ring superposition) on a
+    natural-unit grid."""
     if isinstance(spec, Ring):
         grid = grid or default_grid(spec)
         return SampledFunction(grid, ring_state_values(state, grid.x))
     idx = validate_state(spec, state)
     grid = grid or default_grid(spec, idx)
-    if isinstance(spec, Box):
-        return SampledFunction(grid, box_psi(spec, idx, grid.x))
-    return SampledFunction(grid, oscillator_psi(spec, idx, grid.x))
+    psi = box_psi if isinstance(spec, Box) else oscillator_psi
+    return SampledFunction(grid, psi(type(spec)(), idx, grid.x))
 
 
 def sample_levels(spec: SystemSpec, levels, grid: GridSpec):
@@ -98,7 +99,7 @@ def sample_levels(spec: SystemSpec, levels, grid: GridSpec):
             yield level, sample_state(spec, level, grid)
         return
     wanted = set(levels)
-    for n, phi in enumerate(oscillator_ladder(spec, grid.x, max(levels))):
+    for n, phi in enumerate(oscillator_ladder(grid.x, max(levels))):
         if n in wanted:
             yield n, SampledFunction(grid, phi)
 
@@ -120,28 +121,24 @@ def position_moments(psi: SampledFunction) -> tuple[float, float]:
 
 
 def momentum_moments(
-    psi: SampledFunction, hbar: float = 1.0, check_resolution: bool = True
+    psi: SampledFunction, check_resolution: bool = True
 ) -> tuple[float, float]:
-    """(<p>, <p^2>) from discrete derivatives.
+    """(<p>, <p^2>) in natural units (hbar = 1) from discrete derivatives.
 
-    <p> is the real part of the quadrature of psi* (-i hbar) psi'; <p^2>
-    uses the integration-by-parts form hbar^2 integral |psi'|^2, which is
-    nonnegative by construction.  With `check_resolution` the second
-    moment is recomputed from a low-order derivative stencil and a
-    GridError is raised when the two estimates disagree beyond 1 percent:
-    the grid cannot resolve the state's oscillations.
+    <p> is the real part of the quadrature of psi* (-i) psi'; <p^2> uses
+    the integration-by-parts form integral |psi'|^2, which is nonnegative
+    by construction.  With `check_resolution` the second moment is
+    recomputed from a low-order derivative stencil and a GridError is
+    raised when the two estimates disagree beyond 1 percent: the grid
+    cannot resolve the state's oscillations.
     """
     _check_normalized(psi)
     dpsi = derivative(psi)
-    mean_p = float(
-        np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * (-1j * hbar) * dpsi)))
-    )
-    mean_p2 = hbar**2 * float(np.real(quad(SampledFunction(psi.grid, np.abs(dpsi) ** 2))))
+    mean_p = float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * -1j * dpsi))))
+    mean_p2 = float(np.real(quad(SampledFunction(psi.grid, np.abs(dpsi) ** 2))))
     if check_resolution:
         low = np.gradient(psi.values, psi.grid.h)
-        p2_low = hbar**2 * float(
-            np.real(quad(SampledFunction(psi.grid, np.abs(low) ** 2)))
-        )
+        p2_low = float(np.real(quad(SampledFunction(psi.grid, np.abs(low) ** 2))))
         if abs(p2_low - mean_p2) > _STENCIL_ORDER_TOL * max(abs(mean_p2), 1.0):
             raise GridError(
                 "grid too coarse for momentum moments: stencil-order "
@@ -150,18 +147,16 @@ def momentum_moments(
     return mean_p, mean_p2
 
 
-def p2_by_second_derivative(psi: SampledFunction, hbar: float = 1.0) -> float:
-    """Cross-check form <p^2> = -hbar^2 integral psi* psi''."""
+def p2_by_second_derivative(psi: SampledFunction) -> float:
+    """Cross-check form <p^2> = -integral psi* psi'' (natural units)."""
     d2 = second_derivative(psi)
-    return -(hbar**2) * float(
-        np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * d2)))
-    )
+    return -float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * d2))))
 
 
 def ring_lz_by_quadrature(
-    psi: SampledFunction, hbar: float = 1.0, lz_psi: np.ndarray | None = None
+    psi: SampledFunction, lz_psi: np.ndarray | None = None
 ) -> tuple[float, float]:
-    """(<L_z>, Delta L_z) by applying -i hbar d/dtheta spectrally.
+    """(<L_z>, Delta L_z) in units of hbar, applying -i d/dtheta spectrally.
 
     The spread is computed from the centered state (L_z - <L_z>) psi before
     squaring so that a definite-m state yields zero to roundoff.  A caller
@@ -171,7 +166,7 @@ def ring_lz_by_quadrature(
         raise GridError("ring L_z statistics need a periodic grid")
     _check_normalized(psi)
     if lz_psi is None:
-        lz_psi = -1j * hbar * spectral_derivative(psi)
+        lz_psi = -1j * spectral_derivative(psi)
     mean = float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * lz_psi))))
     centered = lz_psi - mean * psi.values
     var = float(np.real(quad(SampledFunction(psi.grid, np.abs(centered) ** 2))))
@@ -218,44 +213,46 @@ def oracle_uncertainties(
     state: int | RingSuperposition,
     grid: GridSpec | None = None,
 ) -> UncertaintyRecord:
-    """Assemble an UncertaintyRecord purely from quadrature moments."""
-    return record_from_samples(spec, state, sample_state(spec, state, grid))
+    """Physical UncertaintyRecord purely from quadrature moments.
+
+    A `grid`, if given, is in natural units.
+    """
+    record = record_from_samples(spec, state, sample_state(spec, state, grid))
+    return record.rescaled(scales(spec))
 
 
 def record_from_samples(
     spec: SystemSpec, state: int | RingSuperposition, psi: SampledFunction
 ) -> UncertaintyRecord:
-    """UncertaintyRecord of the sampled state `psi` from quadrature moments.
+    """Natural-unit UncertaintyRecord of the natural-unit samples `psi`.
 
     The one moment pipeline of the oracle and eigen paths: the norm is
-    checked once and psi is differentiated once.  The energy is <L_z^2>/2I
-    on the ring, <p^2>/2m plus the oscillator potential otherwise.
+    checked once and psi is differentiated once.  The energy is <L_z^2>/2
+    on the ring, <p^2>/2 plus the oscillator's <x^2>/2 otherwise.
     """
-    hbar = spec.constants.hbar
     if isinstance(spec, Ring):
-        lz_psi = -1j * hbar * spectral_derivative(psi)
-        _, dp = ring_lz_by_quadrature(psi, hbar, lz_psi)
+        lz_psi = -1j * spectral_derivative(psi)
+        _, dp = ring_lz_by_quadrature(psi, lz_psi)
         _, dq = ring_theta_by_quadrature(psi)
         mean_lz2 = float(np.real(quad(SampledFunction(psi.grid, np.abs(lz_psi) ** 2))))
-        energy = mean_lz2 / (2.0 * spec.moment_of_inertia)
+        energy = mean_lz2 / 2.0
     else:
         x = psi.grid.x
         density = np.abs(psi.values) ** 2
         mean_x = float(quad(SampledFunction(psi.grid, x * density)))
         var_x = float(quad(SampledFunction(psi.grid, (x - mean_x) ** 2 * density)))
-        mean_p, mean_p2 = momentum_moments(psi, hbar)
+        mean_p, mean_p2 = momentum_moments(psi)
         dq = math.sqrt(max(var_x, 0.0))
         dp = math.sqrt(max(mean_p2 - mean_p**2, 0.0))
-        energy = mean_p2 / (2.0 * spec.mass)
+        energy = mean_p2 / 2.0
         if isinstance(spec, Oscillator):
-            energy += 0.5 * spec.mass * spec.omega**2 * (var_x + mean_x**2)
+            energy += 0.5 * (var_x + mean_x**2)
     nodes = -1 if isinstance(state, RingSuperposition) else predicted_node_count(spec, state)
     return UncertaintyRecord(
         delta_q=dq,
         delta_p=dp,
         product=dq * dp,
-        bound=hbar / 2.0,
+        bound=0.5,
         energy=energy,
         nodes_predicted=nodes,
-        provenance="oracle",
     )

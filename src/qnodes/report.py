@@ -8,10 +8,9 @@ as CSV or JSON with deterministic formatting.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
 from .analytic import (
@@ -22,7 +21,7 @@ from .analytic import (
 )
 from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_uncertainties, solve_lowest
 from .errors import ConfigError, GridError, QnodesError
-from .model import Box, Ring, SystemSpec, validate_state
+from .model import Box, Ring, Scales, SystemSpec, scales, validate_state
 from .nodal import count_nodes
 from .oracle import default_grid, record_from_samples, sample_levels
 
@@ -39,21 +38,15 @@ __all__ = [
 
 PATH_ORDER = ("analytic", "oracle", "eigen")
 
-CSV_HEADER = (
-    "system,level,nodes_predicted,nodes_counted,energy,delta_q,delta_p,"
-    "product,bound,satisfied,path,disagreement"
-)
-
-# Slack on the Heisenberg comparison: pure roundoff, nothing physical.
+# Slack on the Heisenberg comparison, relative to the bound: pure roundoff.
 BOUND_SLACK = 1e-12
+
+# Compared columns and the unit (a `Scales` field) each is measured in.
+_COLUMN_UNITS = {"energy": "energy", "delta_q": "length", "delta_p": "momentum", "product": "hbar"}
 
 
 def system_tag(spec: SystemSpec) -> str:
-    if isinstance(spec, Box):
-        return "box"
-    if isinstance(spec, Ring):
-        return "ring"
-    return "oscillator"
+    return type(spec).__name__.lower()
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (level, path) result; field order mirrors the CSV columns."""
+    """One (level, path) result; its fields are the CSV columns, in order."""
 
     system: str
     level: int
@@ -106,20 +99,27 @@ class SweepRow:
     disagreement: float | None
 
 
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+
+
+def _meets_bound(product: float, bound: float) -> bool:
+    return product >= bound - BOUND_SLACK * bound
+
+
 def _satisfied_flag(spec: SystemSpec, product: float, bound: float) -> str:
     if isinstance(spec, Ring):
         return "na"
-    return "true" if product >= bound - BOUND_SLACK else "false"
+    return "true" if _meets_bound(product, bound) else "false"
 
 
 def _row_from_record(
-    spec: SystemSpec, level: int, rec: UncertaintyRecord, path: str
+    spec: SystemSpec, level: int, rec: UncertaintyRecord, path: str, nodes_counted: int | None
 ) -> SweepRow:
     return SweepRow(
         system=system_tag(spec),
         level=level,
         nodes_predicted=rec.nodes_predicted,
-        nodes_counted=rec.nodes_measured,
+        nodes_counted=nodes_counted,
         energy=rec.energy,
         delta_q=rec.delta_q,
         delta_p=rec.delta_p,
@@ -143,9 +143,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per (level, path), in `cfg.levels` order then canonical path order.
 
     Each distinct level is sampled once, on the one grid that resolves the
-    top level, `default_grid(spec, max |level|, cfg.grid_points)`.
+    top level, `default_grid(spec, max |level|, cfg.grid_points)`.  Every
+    path computes in natural units; each record is rescaled once.
     """
     spec = cfg.system
+    units = scales(spec)
     paths = tuple(p for p in PATH_ORDER if p in cfg.paths)
 
     eigen_result = None
@@ -168,72 +170,80 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     by_level: dict[int, list[SweepRow]] = {}
     for level, psi in samples:
         try:
-            by_level[level] = _sweep_level(spec, paths, level, psi, eigen_result)
+            by_level[level] = _sweep_level(spec, units, paths, level, psi, eigen_result)
         except QnodesError as exc:
             raise type(exc)(f"level {level}: {exc}") from exc
     return [row for level in cfg.levels for row in by_level[level]]
 
 
-def _sweep_level(spec, paths, level, psi, eigen_result) -> list[SweepRow]:
+def _sweep_level(spec, units, paths, level, psi, eigen_result) -> list[SweepRow]:
     per_level: list[SweepRow] = []
     measured = None if psi is None else count_nodes(psi).count
     if "analytic" in paths:
-        rec = replace(_analytic_record(spec, level), nodes_measured=measured)
-        per_level.append(_row_from_record(spec, level, rec, "analytic"))
+        rec = _analytic_record(spec, level)
+        per_level.append(_row_from_record(spec, level, rec, "analytic", measured))
     if "oracle" in paths:
-        rec = replace(record_from_samples(spec, level, psi), nodes_measured=measured)
-        per_level.append(_row_from_record(spec, level, rec, "oracle"))
+        rec = record_from_samples(spec, level, psi).rescaled(units)
+        per_level.append(_row_from_record(spec, level, rec, "oracle", measured))
     if "eigen" in paths:
         rec = eigen_uncertainties(spec, eigen_result, level)
-        per_level.append(_row_from_record(spec, level, rec, "eigen"))
+        per_level.append(_row_from_record(spec, level, rec, "eigen", rec.nodes_measured))
     if len(per_level) >= 2:
-        dis = _max_disagreement(per_level)
+        dis = _max_disagreement(per_level, units)
         per_level = [replace(r, disagreement=dis) for r in per_level]
     return per_level
 
 
-_COMPARED_FIELDS = ("energy", "delta_q", "delta_p", "product")
+def _max_disagreement(rows: list[SweepRow], units: Scales) -> float:
+    """Worst relative difference of a compared column between two rows.
 
-
-def _max_disagreement(rows: list[SweepRow]) -> float:
+    Each denominator is floored at the column's unit, so values far below
+    one natural unit are compared absolutely in that unit.  NaN if any
+    difference is NaN.
+    """
     worst = 0.0
     for i, a in enumerate(rows):
         for b in rows[i + 1 :]:
-            for name in _COMPARED_FIELDS:
+            for name, unit in _COLUMN_UNITS.items():
                 va, vb = getattr(a, name), getattr(b, name)
-                rel = abs(va - vb) / max(abs(va), abs(vb), 1.0)
+                rel = abs(va - vb) / max(abs(va), abs(vb), getattr(units, unit))
+                if math.isnan(rel):
+                    return math.nan
                 worst = max(worst, rel)
     return worst
 
 
 def verify_rows(cfg: SweepConfig, rows: list[SweepRow]) -> list[str]:
-    """Check bounds, node laws, and cross-path agreement; return failures.
+    """Check finiteness, bounds, node laws, and cross-path agreement.
 
-    The satisfied flag is recomputed from the product and bound fields so a
-    corrupted row cannot slip through on a stale flag.
+    Returns the failures.  The satisfied flag is recomputed from the
+    product and bound fields so a corrupted row cannot slip through on a
+    stale flag.
     """
     failures: list[str] = []
     for row in rows:
-        if row.system != "ring" and row.product < row.bound - BOUND_SLACK:
+        where = f"{row.system} level {row.level} ({row.path})"
+        for name in (*_COLUMN_UNITS, "bound"):
+            if not math.isfinite(getattr(row, name)):
+                failures.append(f"{where}: {name} is {getattr(row, name)!r}, not finite")
+        if row.system != "ring" and not _meets_bound(row.product, row.bound):
             failures.append(
-                f"{row.system} level {row.level} ({row.path}): product "
-                f"{row.product:.12g} below bound {row.bound:.12g}"
+                f"{where}: product {row.product:.12g} below bound {row.bound:.12g}"
             )
         if row.nodes_counted is not None and row.nodes_counted != row.nodes_predicted:
             failures.append(
-                f"{row.system} level {row.level} ({row.path}): counted "
-                f"{row.nodes_counted} nodes, predicted {row.nodes_predicted}"
+                f"{where}: counted {row.nodes_counted} nodes, predicted {row.nodes_predicted}"
             )
-        if row.disagreement is not None and row.disagreement > cfg.tol:
+        if row.disagreement is not None and not row.disagreement <= cfg.tol:
             failures.append(
-                f"{row.system} level {row.level} ({row.path}): cross-path "
-                f"disagreement {row.disagreement:.3e} exceeds tolerance {cfg.tol:.3e}"
+                f"{where}: cross-path disagreement {row.disagreement:.3e} "
+                f"exceeds tolerance {cfg.tol:.3e}"
             )
     return failures
 
 
-def corrupt_first_product(rows: list[SweepRow], hbar: float = 1.0) -> list[SweepRow]:
-    """Self-test mutation: lower the first row's product by hbar/4.
+def corrupt_first_product(rows: list[SweepRow]) -> list[SweepRow]:
+    """Self-test mutation: lower the first row's product by half its bound.
 
     Used to prove the checker catches a broken pipeline rather than
     rubber-stamping whatever it is fed.
@@ -241,12 +251,14 @@ def corrupt_first_product(rows: list[SweepRow], hbar: float = 1.0) -> list[Sweep
     if not rows:
         return rows
     first = rows[0]
-    bad = replace(first, product=first.product - hbar / 4.0)
+    bad = replace(first, product=first.product - first.bound / 2.0)
     return [bad] + rows[1:]
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), "#.12g")
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return format(value, "#.12g") if isinstance(value, float) else str(value)
 
 
 def emit(
@@ -254,54 +266,17 @@ def emit(
     fmt: str = "csv",
     metadata: dict | None = None,
 ) -> str:
-    """Serialize rows as CSV (fixed header, 12 significant digits) or JSON."""
+    """Serialize rows as CSV (fixed header, 12 significant digits) or JSON.
+
+    The columns and JSON keys are the fields of `SweepRow`, in order.
+    """
     if not rows:
         raise ConfigError("no rows to emit")
     if fmt == "csv":
-        out = io.StringIO()
-        out.write(CSV_HEADER + "\n")
-        for r in rows:
-            out.write(
-                ",".join(
-                    [
-                        r.system,
-                        str(r.level),
-                        str(r.nodes_predicted),
-                        "" if r.nodes_counted is None else str(r.nodes_counted),
-                        _fmt(r.energy),
-                        _fmt(r.delta_q),
-                        _fmt(r.delta_p),
-                        _fmt(r.product),
-                        _fmt(r.bound),
-                        r.satisfied,
-                        r.path,
-                        "" if r.disagreement is None else _fmt(r.disagreement),
-                    ]
-                )
-                + "\n"
-            )
-        return out.getvalue()
+        lines = [CSV_HEADER] + [",".join(map(_cell, vars(r).values())) for r in rows]
+        return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "metadata": metadata or {},
-            "rows": [
-                {
-                    "system": r.system,
-                    "level": r.level,
-                    "nodes_predicted": r.nodes_predicted,
-                    "nodes_counted": r.nodes_counted,
-                    "energy": r.energy,
-                    "delta_q": r.delta_q,
-                    "delta_p": r.delta_p,
-                    "product": r.product,
-                    "bound": r.bound,
-                    "satisfied": r.satisfied,
-                    "path": r.path,
-                    "disagreement": r.disagreement,
-                }
-                for r in rows
-            ],
-        }
+        payload = {"metadata": metadata or {}, "rows": [asdict(r) for r in rows]}
         return json.dumps(payload, indent=2) + "\n"
     raise ConfigError(f"unknown output format {fmt!r}")
 
@@ -309,7 +284,7 @@ def emit(
 def default_metadata(cfg: SweepConfig) -> dict:
     spec = cfg.system
     return {
-        "units": {"hbar": spec.constants.hbar},
+        "units": asdict(scales(spec)),
         "system": system_tag(spec),
         "grids": {"points_override": cfg.grid_points},
         "tolerances": {"cross_path": cfg.tol, "bound_slack": BOUND_SLACK},

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .model import Oscillator
+from .model import Oscillator, scales
 
 __all__ = ["hermite", "oscillator_ladder", "oscillator_psi", "MAX_OSCILLATOR_N"]
 
@@ -39,22 +39,21 @@ def hermite(n: int, x):
     return hk1 if hk1.ndim else float(hk1)
 
 
-def oscillator_ladder(spec: Oscillator, x, n_max: int):
-    """Yield the normalized eigenfunctions psi_0, ..., psi_{n_max} on `x`.
+def oscillator_ladder(x, n_max: int):
+    """Yield the natural-unit eigenfunctions phi_0, ..., phi_{n_max} on `x`.
 
-    One pass of the normalized recurrence
-    phi_{k+1} = sqrt(2/(k+1)) xi phi_k - sqrt(k/(k+1)) phi_{k-1}, with
-    xi = x sqrt(m w / hbar), so all levels up to n_max cost O(n_max) array
-    steps.  Each yielded array is a fresh object.
+    `x` is in units of the oscillator length sqrt(hbar / m w).  One pass of
+    the normalized recurrence
+    phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1}, so all
+    levels up to n_max cost O(n_max) array steps.  Each yielded array is a
+    fresh object.
     """
     if n_max < 0:
         raise DomainError(f"quantum number must be >= 0, got {n_max}")
     if n_max > MAX_OSCILLATOR_N:
         raise OverflowError(f"oscillator_psi supports n <= {MAX_OSCILLATOR_N}, got {n_max}")
-    hbar = spec.constants.hbar
-    alpha = spec.mass * spec.omega / hbar
-    xi = np.asarray(x, dtype=float) * np.sqrt(alpha)
-    phi = (alpha / np.pi) ** 0.25 * np.exp(-0.5 * xi**2)
+    xi = np.asarray(x, dtype=float)
+    phi = (1.0 / np.pi) ** 0.25 * np.exp(-0.5 * xi**2)
     yield phi
     prev = np.zeros_like(phi)
     for k in range(n_max):
@@ -68,9 +67,12 @@ def oscillator_ladder(spec: Oscillator, x, n_max: int):
 def oscillator_psi(spec: Oscillator, n: int, x):
     """Normalized harmonic-oscillator eigenfunction psi_n(x).
 
-    Equals (m w / pi hbar)^{1/4} (2^n n!)^{-1/2} H_n(xi) e^{-xi^2/2}; the
-    last value of `oscillator_ladder(spec, x, n)`.
+    Equals (m w / pi hbar)^{1/4} (2^n n!)^{-1/2} H_n(xi) e^{-xi^2/2} with
+    xi = x / length: the last value of `oscillator_ladder(xi, n)`, divided
+    by sqrt(length).
     """
-    for phi in oscillator_ladder(spec, x, n):
+    length = scales(spec).length
+    for phi in oscillator_ladder(np.asarray(x, dtype=float) / length, n):
         pass
+    phi = phi / np.sqrt(length)
     return phi if phi.ndim else float(phi)

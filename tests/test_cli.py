@@ -1,7 +1,9 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
+import scipy.linalg
 from click.testing import CliRunner
 
 from qnodes import Oscillator, SweepConfig, run_sweep
@@ -167,6 +169,83 @@ class TestVerify:
         )
         assert result.exit_code == 3
         assert "level 18" in result.output
+
+
+class TestUnits:
+    """Physical parameters enter only through the unit scales."""
+
+    def test_unrepresentable_scale_exit_2(self, runner):
+        args = ["--hbar", "1e150", "--param", "a=1e-150", "--param", "m=1e-150"]
+        for command in (["verify", "--levels", "1:2"], ["eigensolve"]):
+            result = runner.invoke(main, command + ["--system", "box"] + args)
+            assert result.exit_code == 2
+            assert "energy scale" in result.output
+
+    @pytest.mark.parametrize("mass", ["1e300", "1e-300"])
+    def test_extreme_oscillator_mass_verifies(self, runner, mass):
+        result = runner.invoke(
+            main,
+            ["verify", "--system", "oscillator", "--param", f"m={mass}", "--levels", "0:2",
+             "--paths", "analytic,oracle,eigen", "--tol", "1e-3"],
+        )
+        assert result.exit_code == 0, result.output
+        rows = runner.invoke(
+            main,
+            ["sweep", "--system", "oscillator", "--param", f"m={mass}", "--levels", "0:2",
+             "--paths", "analytic,oracle"],
+        ).output.splitlines()[1:]
+        for line in rows:
+            fields = line.split(",")
+            assert float(fields[4]) == pytest.approx(float(fields[1]) + 0.5, rel=1e-6)
+            assert fields[9] == "true"
+
+    def test_tiny_inertia_eigen_path(self, runner):
+        result = runner.invoke(
+            main,
+            ["verify", "--system", "ring", "--param", "I=1e-200", "--levels", "-2:2",
+             "--paths", "analytic,eigen", "--tol", "1e-3"],
+        )
+        assert result.exit_code == 0, result.output
+
+    def test_corruption_caught_at_tiny_hbar(self, runner):
+        result = runner.invoke(
+            main,
+            ["verify", "--system", "box", "--hbar", "1e-30", "--levels", "1:3",
+             "--inject-corruption"],
+        )
+        assert result.exit_code == 1
+        assert "below bound" in result.output
+
+    def test_eigensolve_energies_in_physical_units(self, runner):
+        plain = runner.invoke(main, ["eigensolve", "--system", "ring", "--k", "3"])
+        scaled = runner.invoke(
+            main, ["eigensolve", "--system", "ring", "--k", "3", "--hbar", "2", "--format", "json"]
+        )
+        table = [line.split(",") for line in plain.output.splitlines()[1:]]
+        payload = json.loads(scaled.output)
+        assert payload["energies"] == pytest.approx([4.0 * float(t[1]) for t in table], rel=1e-11)
+        assert payload["residuals"] == pytest.approx([4.0 * float(t[2]) for t in table], rel=1e-3)
+
+
+class TestLapackFailure:
+    @pytest.fixture(autouse=True)
+    def failing_solver(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalue 3 did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eigensolve", "--system", "box"],
+            ["verify", "--system", "oscillator", "--levels", "0:2", "--paths", "analytic,eigen"],
+        ],
+    )
+    def test_exit_3(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert "numerical failure:" in result.output
 
 
 class TestEigensolve:

@@ -8,6 +8,7 @@ from qnodes import (
     Box,
     ConfigError,
     Constants,
+    ConvergenceError,
     GridError,
     GridSpec,
     Oscillator,
@@ -171,6 +172,18 @@ class TestEigenUncertainties:
             eigen_uncertainties(spec, result, 11)
 
 
+class TestSolverFailure:
+    @pytest.mark.parametrize("spec", [Box(), Ring(), Oscillator()])
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch, spec):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalue 3 did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        ham = build_hamiltonian(spec, default_eigen_grid(spec, 4))
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            solve_lowest(ham, 4)
+
+
 def _dense_ring_energies(ham):
     """Ascending spectrum of the full periodic matrix, corners included."""
     n = ham.diagonal.size
@@ -232,7 +245,7 @@ class TestRingParitySolve:
 
 
 class TestRingMomentumState:
-    """Definite-m states from the parity pairs, off natural units."""
+    """Definite-m states from the parity pairs; records off natural units."""
 
     HBAR = 0.7
     INERTIA = 1.3
@@ -247,11 +260,13 @@ class TestRingMomentumState:
     def test_definite_angular_momentum(self, solved, m):
         spec, result = solved
         psi = ring_momentum_state(result, m)
-        mean, spread = ring_lz_by_quadrature(psi, self.HBAR)
-        assert mean == pytest.approx(m * self.HBAR, abs=1e-8)
+        mean, spread = ring_lz_by_quadrature(psi)
+        assert mean == pytest.approx(m, abs=1e-8)
         assert spread <= 1e-8
         assert count_nodes(psi).count == 2 * abs(m)
-        assert eigen_uncertainties(spec, result, m).nodes_measured == 2 * abs(m)
+        rec = eigen_uncertainties(spec, result, m)
+        assert rec.nodes_measured == 2 * abs(m)
+        assert rec.delta_p <= 1e-8 * self.HBAR
 
     @pytest.mark.parametrize("m", range(0, 11))
     def test_cos_state_even_sin_state_odd(self, solved, m):

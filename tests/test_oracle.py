@@ -107,11 +107,6 @@ class TestMomentumMoments:
         _, p2 = momentum_moments(psi)
         assert p2_by_second_derivative(psi) == pytest.approx(p2, rel=1e-6)
 
-    def test_hbar_scaling(self):
-        psi = sample_state(Box(), 1)
-        _, p2 = momentum_moments(psi, hbar=2.0)
-        assert p2 == pytest.approx(4.0 * np.pi**2, rel=1e-6)
-
 
 class TestRingQuadrature:
     spec = Ring()

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +9,7 @@ import qnodes.oracle
 from qnodes import (
     Box,
     ConfigError,
+    Constants,
     Oscillator,
     Ring,
     SweepConfig,
@@ -148,9 +151,9 @@ class TestOneGridSweep:
         passes = []
         ladder = qnodes.oracle.oscillator_ladder
 
-        def counted(spec, x, n_max):
+        def counted(x, n_max):
             passes.append(n_max)
-            return ladder(spec, x, n_max)
+            return ladder(x, n_max)
 
         def forbidden(*args):
             raise AssertionError("sweep restarted the recurrence")
@@ -182,7 +185,7 @@ class TestVerifyRows:
 
     def test_corruption_detected(self):
         cfg = SweepConfig(system=Box(), levels=(1, 2), paths=("analytic", "oracle"))
-        rows = corrupt_first_product(run_sweep(cfg), hbar=1.0)
+        rows = corrupt_first_product(run_sweep(cfg))
         failures = verify_rows(cfg, rows)
         assert failures, "corrupted product must be flagged"
         assert any("below bound" in f for f in failures)
@@ -194,9 +197,22 @@ class TestVerifyRows:
         failures = verify_rows(cfg, run_sweep(cfg))
         assert any("disagreement" in f for f in failures)
 
-    def test_node_mismatch_detected(self):
-        from dataclasses import replace
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_fail(self, bad):
+        cfg = SweepConfig(system=Oscillator(), levels=(0, 1), paths=("analytic", "oracle"))
+        rows = run_sweep(cfg)
+        rows[1] = replace(rows[1], energy=bad, delta_p=bad, product=bad)
+        failures = verify_rows(cfg, rows)
+        for name in ("energy", "delta_p", "product"):
+            assert any(f"(oracle): {name} is {bad!r}, not finite" in f for f in failures), name
+        assert not any("level 1" in f for f in failures)
 
+    def test_nan_disagreement_fails(self):
+        cfg = SweepConfig(system=Box(), levels=(1,), paths=("analytic", "oracle"))
+        rows = [replace(r, disagreement=math.nan) for r in run_sweep(cfg)]
+        assert any("disagreement nan" in f for f in verify_rows(cfg, rows))
+
+    def test_node_mismatch_detected(self):
         cfg = SweepConfig(system=Box(), levels=(2,), paths=("analytic", "oracle"))
         rows = run_sweep(cfg)
         rows[0] = replace(rows[0], nodes_counted=5)
@@ -227,6 +243,25 @@ class TestEmit:
         rows = run_sweep(SweepConfig(system=Box(), levels=(1,)))
         fields = emit(rows, "csv").splitlines()[1].split(",")
         assert fields[7] == "0.567861808387"
+
+    @pytest.mark.parametrize("spec", [Box(), Ring(), Oscillator()])
+    def test_columns_are_the_row_fields(self, spec):
+        cfg = SweepConfig(system=spec, levels=(1, 2), paths=("analytic", "oracle", "eigen"))
+        rows = run_sweep(cfg)
+        names = [f.name for f in dataclasses.fields(rows[0])]
+        assert CSV_HEADER.split(",") == names
+        csv_rows = emit(rows, "csv").splitlines()[1:]
+        assert [line.split(",")[:2] for line in csv_rows] == [
+            [r.system, str(r.level)] for r in rows
+        ]
+        payload = json.loads(emit(rows, "json"))
+        assert [list(r) for r in payload["rows"]] == [names] * len(rows)
+
+    def test_metadata_reports_the_four_scales(self):
+        spec = Oscillator(mass=2.0, omega=0.25, constants=Constants(hbar=0.5))
+        cfg = SweepConfig(system=spec, levels=(0,))
+        units = json.loads(emit(run_sweep(cfg), "json", default_metadata(cfg)))["metadata"]["units"]
+        assert units == {"length": 1.0, "momentum": 0.5, "energy": 0.125, "hbar": 0.5}
 
     def test_json_round_trip(self):
         cfg = SweepConfig(system=Box(), levels=(1, 2), paths=("analytic", "oracle"))

@@ -95,26 +95,28 @@ class TestOscillatorPsi:
 
 
 class TestOscillatorLadder:
-    spec = Oscillator(mass=0.8, omega=1.3)
+    """The ladder is in natural units: oscillator_psi of Oscillator()."""
+
+    spec = Oscillator()
 
     def test_every_level_equals_oscillator_psi_bit_for_bit(self):
         x = default_grid(self.spec, MAX_OSCILLATOR_N, 1001).x
         count = 0
-        for n, phi in enumerate(oscillator_ladder(self.spec, x, MAX_OSCILLATOR_N)):
+        for n, phi in enumerate(oscillator_ladder(x, MAX_OSCILLATOR_N)):
             assert np.array_equal(phi, oscillator_psi(self.spec, n, x)), n
             count += 1
         assert count == MAX_OSCILLATOR_N + 1
 
     def test_yielded_levels_are_distinct_arrays(self):
         x = np.linspace(-5.0, 5.0, 11)
-        levels = list(oscillator_ladder(self.spec, x, 3))
+        levels = list(oscillator_ladder(x, 3))
         assert len({id(phi) for phi in levels}) == 4
         assert np.array_equal(levels[1], oscillator_psi(self.spec, 1, x))
 
     def test_negative_top_level_rejected(self):
         with pytest.raises(DomainError):
-            next(oscillator_ladder(self.spec, 0.0, -1))
+            next(oscillator_ladder(0.0, -1))
 
     def test_degree_cap(self):
         with pytest.raises(OverflowError):
-            next(oscillator_ladder(self.spec, 0.0, MAX_OSCILLATOR_N + 1))
+            next(oscillator_ladder(0.0, MAX_OSCILLATOR_N + 1))
