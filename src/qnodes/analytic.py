@@ -212,8 +212,9 @@ def ring_theta_stats(
 
     mean = integral theta rho(theta), Delta theta = sqrt(<theta^2> - mean^2),
     computed by Simpson quadrature of the density.  For any definite m the
-    density is uniform and Delta theta = 2 pi / sqrt(12).  The statistic is
-    branch-dependent by construction.
+    density is uniform and Delta theta = 2 pi / sqrt(12), the closed form
+    `ring_uncertainties` uses.  The statistic is branch-dependent by
+    construction.
     """
     grid = GridSpec(0.0, 2.0 * np.pi, points, "open")
     theta = grid.x
@@ -228,14 +229,14 @@ def ring_theta_stats(
 def ring_uncertainties(spec: Ring, m: int) -> UncertaintyRecord:
     """Delta theta and Delta L_z for a definite-m ring state.
 
+    The density is uniform, so Delta theta = 2 pi / sqrt(12) for every m.
     No Heisenberg comparison is meaningful here: Delta L_z is exactly zero
     while the naive Delta theta stays finite, so callers must treat the
     bound column as informational only.
     """
     m = validate_state(spec, m)
-    _, dtheta = ring_theta_stats(spec, m)
     return UncertaintyRecord(
-        delta_q=dtheta,
+        delta_q=UNIFORM_THETA_SPREAD,
         delta_p=0.0,
         product=0.0,
         bound=0.5,

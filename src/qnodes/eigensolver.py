@@ -3,16 +3,13 @@
 The three systems are discretized with the standard three-point Laplacian:
 hard walls drop the boundary points (box), the ring couples first and last
 points, and the oscillator lives on a truncated open interval where the
-state has decayed below roundoff.  Box/oscillator matrices are symmetric
-tridiagonal and solved by bisection plus inverse iteration
-(`scipy.linalg.eigh_tridiagonal`).
-
-The periodic ring matrix carries corner entries, but it commutes with the
-reflection theta -> -theta, so it splits into an even (cos) and an odd
-(sin) block, both symmetric tridiagonal and solved the same way.  The m-th
-level of the even block and the m-th of the odd block are the two members
-of the degenerate +/-m pair (symmetry reduction of a circulant operator:
-Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3).
+state has decayed below roundoff.  Each matrix commutes with its mirror
+(x -> a - x, x -> -x, theta -> -theta), so it splits into an even and an
+odd symmetric tridiagonal block of about half the size, each solved for
+about half the levels by bisection plus inverse iteration
+(`scipy.linalg.eigh_tridiagonal`).  The m-th levels of the ring's even
+(cos) and odd (sin) blocks are the degenerate +/-m pair (symmetry
+reduction: Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3).
 
 Grids, Hamiltonians, energies and states are in the system's natural
 units (`model.scales`); `eigen_uncertainties` rescales its record once.
@@ -56,9 +53,9 @@ class Hamiltonian:
 
     `diagonal` holds 1/h^2 + V(q_i) per unknown; `off_diagonal` is the
     uniform coupling -1/(2 h^2).  `periodic` adds the two corner
-    couplings; `solve_lowest` then solves the even and odd parity blocks
-    instead of the full matrix.  `grid` is the full state grid (for the
-    box this includes the wall points the matrix excludes).
+    couplings and makes the mirror j -> N - j, not N - 1 - j; `solve_lowest`
+    folds the (mirror-symmetric) matrix by it.  `grid` is the full state
+    grid (for the box this includes the wall points the matrix excludes).
     """
 
     grid: GridSpec
@@ -72,9 +69,12 @@ class EigenResult:
     """Lowest eigenpairs in natural units: ascending energies, normalized
     sampled states, and residual norms ||H psi - E psi||.
 
-    Ring states come in parity order [m=0, cos 1, sin 1, cos 2, sin 2, ...].
-    The two members of a +/-m pair are solved in separate blocks, so their
-    energies agree only to roundoff and may be out of order by that much.
+    States alternate even, odd, even, ... under the mirror; the ring's come
+    as [m=0, cos 1, sin 1, cos 2, sin 2, ...].  A +/-m pair, or a doublet
+    split below roundoff, is solved in two blocks, so its energies may be
+    out of order by roundoff.  An energy within the bisection's absolute
+    tolerance eps (max|diagonal| + 2|coupling|) of zero, as the ring's m = 0,
+    is exactly 0.0: its computed digits are roundoff.
     """
 
     energies: np.ndarray
@@ -133,69 +133,64 @@ def _lowest_tridiagonal(
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
-def _ring_parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k lowest ring eigenpairs from the even and odd blocks, unfolded.
+def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k lowest eigenpairs from the even and odd mirror blocks, unfolded.
 
-    With N points and mirror j -> N - j, the even block's unknowns are
-    j = 0..N//2 and the odd block's j = 1..(N+1)//2 - 1 (an odd state
-    vanishes at theta = 0 and, for even N, at theta = pi).  An even unknown
-    with a distinct mirror stands for two ring points and is scaled by
-    sqrt 2, so its couplings to the self-mirrored unknowns carry sqrt 2 and
-    the block stays symmetric.  For odd N the last unknown's outer
-    neighbour is its own mirror: the even diagonal gains +c, the odd -c.
-    Returns energies and unit-norm ring vectors in the order
-    [m=0, cos 1, sin 1, cos 2, sin 2, ...].
+    The mirror is j -> N - j (mod N) on a periodic chain of N unknowns, else
+    j -> N - 1 - j; unknowns j <= mirror(j) carry the blocks.  Couplings to
+    a self-mirrored unknown carry sqrt 2 in the even block, which it alone
+    joins.  If the last unknown couples to its own mirror, the even diagonal
+    gains +c there and the odd -c.  Open chains alternate [even 0, odd 0,
+    even 1, ...], which ascends: a Jacobi matrix's levels alternate in
+    parity.  The ring is [m=0, cos 1, sin 1, ...].  Vectors have unit norm.
     """
     n, c = ham.diagonal.size, ham.off_diagonal
-    half = n // 2
     root2 = math.sqrt(2.0)
-    even_diag = ham.diagonal[: half + 1].copy()
-    even_off = np.full(half, c)
-    odd_diag = ham.diagonal[1 : n - half].copy()
-    # ring amplitude of each even unknown: 1 if self-mirrored, else 1/sqrt 2
-    scale = np.full(half + 1, 1.0 / root2)
-    scale[0] = 1.0
-    even_off[0] *= root2
-    if n % 2 == 0:
-        scale[half] = 1.0
-        even_off[-1] *= root2
-    else:
+    j = np.arange(n)
+    mirror = (n - j) % n if ham.periodic else n - 1 - j
+    fold = np.minimum(j, mirror)
+    half = int(fold.max()) + 1
+    own = mirror[:half] == j[:half]
+    even_diag = ham.diagonal[:half].copy()
+    even_off = np.full(half - 1, c)
+    even_off[own[:-1] | own[1:]] *= root2
+    odd_diag = ham.diagonal[:half][~own]
+    if mirror[half - 1] == half:
         even_diag[-1] += c
         odd_diag[-1] -= c
-    n_even, n_odd = k // 2 + 1, (k - 1) // 2
-    even_e, even_v = _lowest_tridiagonal(even_diag, even_off, n_even)
+    slot = np.arange(k)
+    even_slot = (slot % 2 == int(ham.periodic)) | (slot == 0)
+    n_odd = k - int(np.count_nonzero(even_slot))
+    even_e, even_v = _lowest_tridiagonal(even_diag, even_off, k - n_odd)
 
-    # unfold by mirror symmetry: ring point j takes unknown min(j, N - j)
-    j = np.arange(n)
-    fold = np.minimum(j, n - j)
-    full_even = (even_v * scale[:, None])[fold]
+    # unfold by mirror symmetry: chain point j takes unknown min(j, mirror(j));
+    # in place where possible, as these temporaries set a sweep's peak memory
     energies, vecs = np.empty(k), np.empty((n, k))
-    energies[0], vecs[:, 0] = even_e[0], full_even[:, 0]
-    energies[1::2], vecs[:, 1::2] = even_e[1:], full_even[:, 1:]
+    energies[even_slot] = even_e
+    even_v *= np.where(own, 1.0, 1.0 / root2)[:, None]
+    vecs[:, even_slot] = even_v[fold]
     if n_odd:
         odd_e, odd_v = _lowest_tridiagonal(odd_diag, np.full(odd_diag.size - 1, c), n_odd)
-        padded = np.zeros((half + 1, n_odd))
-        padded[1 : n - half] = odd_v / root2
-        energies[2::2] = odd_e
-        vecs[:, 2::2] = np.sign(n - 2 * j)[:, None] * padded[fold]
+        padded = np.zeros((half, n_odd))
+        padded[~own] = odd_v
+        padded /= root2
+        odd_v = padded[fold]
+        odd_v *= np.sign(mirror - j)[:, None]
+        energies[~even_slot] = odd_e
+        vecs[:, ~even_slot] = odd_v
     return energies, vecs
 
 
 def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     """k lowest eigenpairs, continuum-normalized with a positive leading lobe.
 
-    A periodic (ring) Hamiltonian is solved as its even and odd parity
-    blocks; the states come in the order of `_ring_parity_pairs`.
+    The even and odd mirror blocks are solved (`_parity_pairs`) and every
+    pair is checked against the full operator; see `EigenResult`.
     """
     dim = ham.diagonal.size
     if k > dim:
         raise ConfigError(f"requested {k} eigenpairs from a {dim}-dimensional matrix")
-    if ham.periodic:
-        energies, vecs = _ring_parity_pairs(ham, k)
-    else:
-        energies, vecs = _lowest_tridiagonal(
-            ham.diagonal, np.full(dim - 1, ham.off_diagonal), k
-        )
+    energies, vecs = _parity_pairs(ham, k)
 
     states = []
     residuals = np.empty(k)
@@ -218,6 +213,8 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
             f"eigenpair residual {residuals.max():.3e} exceeds "
             f"{_RESIDUAL_TOL * scale:.3e}"
         )
+    floor = np.finfo(float).eps * (np.max(np.abs(ham.diagonal)) + 2.0 * abs(ham.off_diagonal))
+    energies[np.abs(energies) <= floor] = 0.0
     return EigenResult(energies=energies, states=states, residuals=residuals)
 
 

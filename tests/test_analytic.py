@@ -24,6 +24,7 @@ from qnodes import (
     ring_theta_stats,
     ring_uncertainties,
 )
+from qnodes.analytic import UNIFORM_THETA_SPREAD
 
 UNIFORM = 2.0 * math.pi / math.sqrt(12.0)
 
@@ -220,6 +221,14 @@ class TestRingThetaStats:
         )
         assert spread == pytest.approx(math.sqrt(math.pi**2 / 3.0 - 1.0), rel=1e-9)
         assert spread < UNIFORM
+
+    @pytest.mark.parametrize("m", range(-10, 11))
+    def test_quadrature_cross_checks_closed_form(self, m):
+        # ring_uncertainties returns the closed form; the quadrature of the
+        # uniform density must reproduce it for every definite m
+        _, spread = ring_theta_stats(self.spec, m)
+        assert abs(spread - UNIFORM) <= 1e-15 * UNIFORM
+        assert ring_uncertainties(self.spec, m).delta_q == UNIFORM_THETA_SPREAD == UNIFORM
 
     def test_ring_record_no_bound_claim(self):
         rec = ring_uncertainties(self.spec, 4)

@@ -11,6 +11,7 @@ from qnodes import (
     ConvergenceError,
     GridError,
     GridSpec,
+    Hamiltonian,
     Oscillator,
     Ring,
     box_energy,
@@ -184,16 +185,20 @@ class TestSolverFailure:
             solve_lowest(ham, 4)
 
 
-def _dense_ring_energies(ham):
-    """Ascending spectrum of the full periodic matrix, corners included."""
+def _dense_energies(ham):
+    """Ascending spectrum of the full matrix, periodic corners included."""
     n = ham.diagonal.size
-    coupling = np.eye(n, k=1) + np.eye(n, k=n - 1)
+    coupling = np.eye(n, k=1) + (np.eye(n, k=n - 1) if ham.periodic else 0.0)
     mat = np.diag(ham.diagonal) + ham.off_diagonal * (coupling + coupling.T)
     return np.linalg.eigh(mat)[0]
 
 
-def _mirror(values):
-    """Samples of f(-theta) on a periodic grid: point j -> point N - j."""
+def _mirror(values, periodic=True):
+    """Samples of the mirrored function: on a periodic grid f(-theta),
+    point j -> N - j; on a box or oscillator grid f(a - x) or f(-x),
+    point j -> N - 1 - j."""
+    if not periodic:
+        return values[::-1]
     return values[(-np.arange(values.size)) % values.size]
 
 
@@ -203,7 +208,7 @@ class TestRingParitySolve:
     @pytest.mark.parametrize("points", [3, 4, 5, 8, 63, 64, 1001, 1024])
     def test_energies_match_dense_reference(self, points):
         ham = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, points, "periodic"))
-        reference = _dense_ring_energies(ham)
+        reference = _dense_energies(ham)
         scale = max(float(np.max(np.abs(reference))), 1.0)
         # every k on the small grids; the edges, both parities of k and a
         # mid-spectrum cut on the large ones (a full sweep of k there
@@ -279,3 +284,128 @@ class TestRingMomentumState:
         sin_state = result.states[2 * m].values
         np.testing.assert_allclose(_mirror(cos_state), cos_state, atol=1e-12)
         np.testing.assert_allclose(_mirror(sin_state), -sin_state, atol=1e-12)
+
+
+def _open_hamiltonian(spec, points):
+    return build_hamiltonian(spec, default_eigen_grid(spec, points=points))
+
+
+OPEN_CHAINS = [(Box(), p) for p in (3, 5, 7, 9, 65, 2001)] + [
+    (Oscillator(), p) for p in (5, 7, 65, 2001)
+]
+
+
+def _chain_id(case):
+    spec, points = case
+    return f"{type(spec).__name__.lower()}-{points}"
+
+
+class TestMirrorParitySolve:
+    """The box and oscillator even/odd block solve against a dense reference."""
+
+    @pytest.fixture(scope="class", params=OPEN_CHAINS, ids=_chain_id)
+    def chain(self, request):
+        spec, points = request.param
+        ham = _open_hamiltonian(spec, points)
+        dim = ham.diagonal.size
+        reference = _dense_energies(ham)
+        scale = max(float(np.max(np.abs(reference))), 1.0)
+        return ham, reference, scale, solve_lowest(ham, dim)
+
+    def test_energies_match_dense_reference(self, chain):
+        ham, reference, scale, _ = chain
+        dim = ham.diagonal.size
+        # every k up to 65 points; the edges, both parities of k and the
+        # benchmark's 40 levels on the 2001-point grids
+        ks = range(1, dim + 1) if dim <= 65 else (1, 2, 3, 21, 40, dim)
+        for k in ks:
+            result = solve_lowest(ham, k)
+            assert len(result.states) == k
+            np.testing.assert_allclose(
+                result.energies, reference[:k], rtol=0.0, atol=1e-12 * scale
+            )
+
+    def test_states_alternate_even_odd(self, chain):
+        ham, _, _, result = chain
+        for j, state in enumerate(result.states):
+            expected = -state.values if j % 2 else state.values
+            np.testing.assert_allclose(
+                _mirror(state.values, periodic=False), expected, atol=1e-12
+            )
+
+    def test_energies_ascend(self, chain):
+        ham, _, scale, result = chain
+        dim = ham.diagonal.size
+        steps = np.diff(result.energies)
+        # the levels a grid resolves (two or more samples per half-wave)
+        # ascend strictly; at the top of a coarse oscillator grid, states
+        # sit at the two far edges and form doublets split below
+        # roundoff, so there the order holds to roundoff only
+        assert np.all(steps[: max(dim // 2 - 1, 0)] > 0.0)
+        assert np.all(steps >= -1e-12 * scale)
+        if ham.grid.boundary == "dirichlet":
+            assert np.all(steps > 0.0)
+
+    def test_state_j_has_j_nodes(self, chain):
+        ham, _, _, result = chain
+        dim = ham.diagonal.size
+        for j in range(dim // 2):
+            assert count_nodes(result.states[j]).count == j
+
+    @pytest.mark.parametrize("spec", [Box(), Oscillator()], ids=["box", "oscillator"])
+    def test_asymmetric_diagonal_fails_the_residual_check(self, spec):
+        # the fold reads only the left half of the diagonal; the residual
+        # on the full operator is what catches a matrix without the mirror
+        ham = _open_hamiltonian(spec, 65)
+        grid = ham.grid
+        x = grid.x[1:-1] if grid.boundary == "dirichlet" else grid.x
+        skewed = Hamiltonian(grid, ham.diagonal + 0.5 * x, ham.off_diagonal, periodic=False)
+        with pytest.raises(ConvergenceError, match="residual"):
+            solve_lowest(skewed, 4)
+
+
+class TestExactDiscreteSpectrum:
+    def test_box_levels_match_discrete_eigenvalues(self):
+        # the 3-point Laplacian with Dirichlet walls has the exact spectrum
+        # (2/h^2) sin^2(n pi h / 2); the solver must reach it to the
+        # bisection's absolute tolerance eps ||H||_1, which separates
+        # solver error from the O(h^2) discretization gap
+        ham = build_hamiltonian(Box(), default_eigen_grid(Box()))
+        assert ham.diagonal.size == 1999
+        h = ham.grid.h
+        n = np.arange(1, 41)
+        exact = (2.0 / h**2) * np.sin(n * np.pi * h / 2.0) ** 2
+        norm1 = float(np.max(np.abs(ham.diagonal))) + 2.0 * abs(ham.off_diagonal)
+        result = solve_lowest(ham, 40)
+        np.testing.assert_allclose(
+            result.energies, exact, rtol=0.0, atol=np.finfo(float).eps * norm1
+        )
+
+
+class TestZeroEnergyFloor:
+    """Ring m = 0 has energy exactly 0; its computed digits are roundoff."""
+
+    @pytest.mark.parametrize("points", [1023, 1024])
+    @pytest.mark.parametrize("k", [1, 5, 21])
+    def test_ring_ground_energy_is_zero(self, points, k):
+        ham = build_hamiltonian(Ring(), default_eigen_grid(Ring(), points=points))
+        result = solve_lowest(ham, k)
+        assert result.energies[0] == 0.0
+        assert np.all(result.energies[1:] > 0.4)
+        # the floor is reported after the residual check on the raw energy
+        assert result.residuals[0] < 1e-8
+
+    def test_sweep_eigen_row_reports_zero(self):
+        from qnodes.report import SweepConfig, run_sweep
+
+        rows = run_sweep(SweepConfig(system=Ring(), levels=(-2, -1, 0, 1, 2), paths=("eigen",)))
+        energies = {row.level: row.energy for row in rows}
+        assert energies[0] == 0.0
+        assert energies[1] > 0.4 and energies[-1] > 0.4
+
+    @pytest.mark.parametrize("spec", [Box(), Oscillator()], ids=["box", "oscillator"])
+    def test_box_and_oscillator_levels_untouched(self, spec):
+        ham = build_hamiltonian(spec, default_eigen_grid(spec, 6))
+        result = solve_lowest(ham, 6)
+        # the smallest such level is 0.5, far above a floor of ~1.8e-9
+        assert result.energies[0] >= 0.4
