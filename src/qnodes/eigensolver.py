@@ -72,9 +72,9 @@ class EigenResult:
     States alternate even, odd, even, ... under the mirror; the ring's come
     as [m=0, cos 1, sin 1, cos 2, sin 2, ...].  A +/-m pair, or a doublet
     split below roundoff, is solved in two blocks, so its energies may be
-    out of order by roundoff.  An energy within the bisection's absolute
-    tolerance eps (max|diagonal| + 2|coupling|) of zero, as the ring's m = 0,
-    is exactly 0.0: its computed digits are roundoff.
+    out of order by roundoff.  An energy within the absolute tolerance of
+    the block bisection that found it (eps times the block's 1-norm) of
+    zero, as the ring's m = 0, is exactly 0.0: its digits are roundoff.
     """
 
     energies: np.ndarray
@@ -124,25 +124,28 @@ def _apply(ham: Hamiltonian, v: np.ndarray) -> np.ndarray:
 
 def _lowest_tridiagonal(
     diagonal: np.ndarray, off: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """`count` lowest eigenpairs of T and the bisection's tolerance eps ||T||_1 (dstebz)."""
+    rows = np.abs(diagonal) + np.pad(np.abs(off), (0, 1)) + np.pad(np.abs(off), (1, 0))
     try:
-        return scipy.linalg.eigh_tridiagonal(
+        energies, vecs = scipy.linalg.eigh_tridiagonal(
             diagonal, off, select="i", select_range=(0, count - 1)
         )
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    return energies, vecs, np.finfo(float).eps * float(rows.max())
 
 
-def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k lowest eigenpairs from the even and odd mirror blocks, unfolded.
 
     The mirror is j -> N - j (mod N) on a periodic chain of N unknowns, else
-    j -> N - 1 - j; unknowns j <= mirror(j) carry the blocks.  Couplings to
-    a self-mirrored unknown carry sqrt 2 in the even block, which it alone
-    joins.  If the last unknown couples to its own mirror, the even diagonal
-    gains +c there and the odd -c.  Open chains alternate [even 0, odd 0,
-    even 1, ...], which ascends: a Jacobi matrix's levels alternate in
-    parity.  The ring is [m=0, cos 1, sin 1, ...].  Vectors have unit norm.
+    j -> N - 1 - j; unknowns j <= mirror(j) carry the blocks.  Couplings to a
+    self-mirrored unknown carry sqrt 2 in the even block, which it alone joins.
+    If the last unknown couples to its own mirror, the even diagonal gains +c
+    there and the odd -c.  Open chains alternate [even 0, odd 0, even 1, ...]
+    (ascending: a Jacobi matrix's levels alternate in parity); the ring is
+    [m=0, cos 1, sin 1, ...].  Returns energies, unit vectors, block tolerances.
     """
     n, c = ham.diagonal.size, ham.off_diagonal
     root2 = math.sqrt(2.0)
@@ -152,8 +155,7 @@ def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
     half = int(fold.max()) + 1
     own = mirror[:half] == j[:half]
     even_diag = ham.diagonal[:half].copy()
-    even_off = np.full(half - 1, c)
-    even_off[own[:-1] | own[1:]] *= root2
+    even_off = np.where(own[:-1] | own[1:], c * root2, c)
     odd_diag = ham.diagonal[:half][~own]
     if mirror[half - 1] == half:
         even_diag[-1] += c
@@ -161,24 +163,24 @@ def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray]:
     slot = np.arange(k)
     even_slot = (slot % 2 == int(ham.periodic)) | (slot == 0)
     n_odd = k - int(np.count_nonzero(even_slot))
-    even_e, even_v = _lowest_tridiagonal(even_diag, even_off, k - n_odd)
+    even_e, even_v, even_tol = _lowest_tridiagonal(even_diag, even_off, k - n_odd)
 
     # unfold by mirror symmetry: chain point j takes unknown min(j, mirror(j));
     # in place where possible, as these temporaries set a sweep's peak memory
-    energies, vecs = np.empty(k), np.empty((n, k))
-    energies[even_slot] = even_e
+    energies, floors, vecs = np.empty(k), np.empty(k), np.empty((n, k))
+    energies[even_slot], floors[even_slot] = even_e, even_tol
     even_v *= np.where(own, 1.0, 1.0 / root2)[:, None]
     vecs[:, even_slot] = even_v[fold]
     if n_odd:
-        odd_e, odd_v = _lowest_tridiagonal(odd_diag, np.full(odd_diag.size - 1, c), n_odd)
+        odd_e, odd_v, odd_tol = _lowest_tridiagonal(odd_diag, np.full(odd_diag.size - 1, c), n_odd)
         padded = np.zeros((half, n_odd))
         padded[~own] = odd_v
         padded /= root2
         odd_v = padded[fold]
         odd_v *= np.sign(mirror - j)[:, None]
-        energies[~even_slot] = odd_e
+        energies[~even_slot], floors[~even_slot] = odd_e, odd_tol
         vecs[:, ~even_slot] = odd_v
-    return energies, vecs
+    return energies, vecs, floors
 
 
 def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
@@ -190,7 +192,7 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     dim = ham.diagonal.size
     if k > dim:
         raise ConfigError(f"requested {k} eigenpairs from a {dim}-dimensional matrix")
-    energies, vecs = _parity_pairs(ham, k)
+    energies, vecs, floors = _parity_pairs(ham, k)
 
     states = []
     residuals = np.empty(k)
@@ -213,8 +215,7 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
             f"eigenpair residual {residuals.max():.3e} exceeds "
             f"{_RESIDUAL_TOL * scale:.3e}"
         )
-    floor = np.finfo(float).eps * (np.max(np.abs(ham.diagonal)) + 2.0 * abs(ham.off_diagonal))
-    energies[np.abs(energies) <= floor] = 0.0
+    energies[np.abs(energies) <= floors] = 0.0
     return EigenResult(energies=energies, states=states, residuals=residuals)
 
 

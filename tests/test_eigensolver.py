@@ -25,7 +25,7 @@ from qnodes import (
     ring_momentum_state,
     solve_lowest,
 )
-from qnodes.eigensolver import _apply
+from qnodes.eigensolver import _apply, _parity_pairs
 from qnodes.grids import SampledFunction, quad
 
 
@@ -403,9 +403,14 @@ class TestZeroEnergyFloor:
         assert energies[0] == 0.0
         assert energies[1] > 0.4 and energies[-1] > 0.4
 
-    @pytest.mark.parametrize("spec", [Box(), Oscillator()], ids=["box", "oscillator"])
-    def test_box_and_oscillator_levels_untouched(self, spec):
-        ham = build_hamiltonian(spec, default_eigen_grid(spec, 6))
-        result = solve_lowest(ham, 6)
-        # the smallest such level is 0.5, far above a floor of ~1.8e-9
-        assert result.energies[0] >= 0.4
+    @pytest.mark.parametrize("points", [1023, 1024])
+    def test_floor_is_the_bisected_blocks_norm(self, points):
+        # dstebz bisects each block to eps ||T||_1; the even block's sqrt 2
+        # couplings make its norm (3 + sqrt 2) t, not the full ring's 4 t
+        ham = build_hamiltonian(Ring(), default_eigen_grid(Ring(), points=points))
+        t, eps = -ham.off_diagonal, np.finfo(float).eps
+        energies, _, floors = _parity_pairs(ham, 5)
+        assert floors[0] == pytest.approx(eps * (3.0 + math.sqrt(2.0)) * t, rel=1e-15)
+        assert floors[2] == pytest.approx(eps * 4.0 * t, rel=1e-15)
+        np.testing.assert_array_equal(floors[1::2], floors[0])
+        assert abs(energies[0]) <= floors[0]

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
         --workload box-3path --workload ring-eigen --seeds 1501-1510 \\
-        --seconds 30 --out BENCH_5.json
+        --out BENCH_5.json
 
 For each workload and seed, `bench/run.py --trace 0` runs once in each
 checkout, one after the other; the side that runs first alternates from
@@ -10,8 +10,9 @@ seed to seed, so a slow drift of the host speed does not favour one side.
 Each run's record is read back from the checkout's `.bench_out/`.  The
 output JSON holds every run's metrics, each side's median and quartiles
 per metric, the number of pairs the change won, and the run environment
-of both sides.  Which direction is better comes from the `end_to_end`
-list of the change's BENCHMARK.json.  Standard library only.
+of both sides.  The run length (`run_seconds`) and which direction of
+each metric is better (`end_to_end`) come from the change's
+BENCHMARK.json.  Standard library only.
 """
 
 from __future__ import annotations
@@ -84,16 +85,16 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1501-1510")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     result = {
         "command": ["python3", "tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])],
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": args.seeds,
         "order": "parent first on even pair indices, change first on odd ones",
         "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -105,7 +106,7 @@ def main(argv=None) -> int:
         for index, seed in enumerate(args.seeds):
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             for side in order:
-                run = run_once(checkouts[side], workload, seed, args.seconds)
+                run = run_once(checkouts[side], workload, seed, seconds)
                 run["first"] = side == order[0]
                 runs[side].append(run)
                 print(f"{workload} seed {seed} {side:<6} " + "  ".join(
