@@ -22,7 +22,7 @@ from qnodes import (
     count_nodes,
     ring_lz_by_quadrature,
     ring_lz_stats,
-    ring_theta_stats,
+    ring_theta_by_quadrature,
     sample_state,
 )
 
@@ -31,8 +31,8 @@ uniform = 2.0 * math.pi / math.sqrt(12.0)
 
 print(f"{'m':>3} {'Delta theta':>12} {'Delta L_z':>12} {'nodes of Re psi':>16}")
 for m in range(0, 6):
-    _, dtheta = ring_theta_stats(spec, m)
     psi = sample_state(spec, m)
+    _, dtheta = ring_theta_by_quadrature(psi)
     _, dlz = ring_lz_by_quadrature(psi)
     nodes = count_nodes(SampledFunction(psi.grid, np.real(psi.values))).count
     print(f"{m:>3} {dtheta:>12.8f} {dlz:>12.2e} {nodes:>16}")
@@ -43,8 +43,9 @@ print(f"\nEvery definite-m row shows Delta theta = 2 pi/sqrt(12) = "
 c = 1.0 / math.sqrt(2.0)
 cat = RingSuperposition(((1, c), (-1, c)))
 mean, spread = ring_lz_stats(spec, cat)
-_, spread_quad = ring_lz_by_quadrature(sample_state(spec, cat))
-_, dtheta_cat = ring_theta_stats(spec, cat)
+cat_psi = sample_state(spec, cat)
+_, spread_quad = ring_lz_by_quadrature(cat_psi)
+_, dtheta_cat = ring_theta_by_quadrature(cat_psi)
 print(f"\nSuperposition (|+1> + |-1>)/sqrt(2):")
 print(f"  <L_z> = {mean:+.3f} hbar, Delta L_z = {spread:.12f} hbar "
       f"(coefficients) = {spread_quad:.12f} hbar (quadrature)")

@@ -3,7 +3,7 @@ solvable 1D quantum systems, with independent numerical verification.
 
 Three computation paths answer the same questions and must agree:
 
-- `analytic`: closed-form expectation values and uncertainties,
+- `analytic`: closed-form energies and uncertainties,
 - `oracle`: Simpson quadrature and discrete derivatives on sampled states,
 - `eigensolver`: finite-difference Hamiltonians rediscovering the
   eigenstates, energies, and node counts from scratch.
@@ -12,20 +12,16 @@ Three computation paths answer the same questions and must agree:
 __version__ = "0.1.0"
 
 from .analytic import (
-    ExpectationSet,
     UncertaintyRecord,
     box_energy,
-    box_expectations,
     box_psi,
     box_uncertainties,
     oscillator_energy,
-    oscillator_expectations,
     oscillator_uncertainties,
     ring_density,
     ring_energy,
     ring_lz_stats,
     ring_psi,
-    ring_theta_stats,
     ring_uncertainties,
 )
 from .eigensolver import (
@@ -77,4 +73,4 @@ from .report import (
     run_sweep,
     verify_rows,
 )
-from .special import hermite, oscillator_psi
+from .special import oscillator_psi

@@ -1,7 +1,8 @@
 """Closed-form wavefunctions, energies, and uncertainty products.
 
-Everything here is an exact expression evaluated in double precision; the
-independent numerical checks live in `oracle` and `eigensolver`.  Each
+Everything here is an exact expression evaluated in double precision, with
+no quadrature and no grid; the independent numerical checks, ring Delta
+theta by quadrature included, live in `oracle` and `eigensolver`.  Each
 closed form is written in natural units and multiplied by the system's
 `scales` once.
 """
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .grids import GridSpec, SampledFunction, quad
 from .model import (
     Box,
     Oscillator,
@@ -27,43 +27,22 @@ from .model import (
 )
 
 __all__ = [
-    "ExpectationSet",
     "UncertaintyRecord",
     "box_psi",
     "box_energy",
-    "box_expectations",
     "box_uncertainties",
     "ring_psi",
     "ring_state_values",
     "ring_energy",
     "ring_density",
     "ring_lz_stats",
-    "ring_theta_stats",
     "ring_uncertainties",
     "oscillator_energy",
-    "oscillator_expectations",
     "oscillator_uncertainties",
 ]
 
 # Uniform density on an interval of width w has standard deviation w/sqrt(12).
 UNIFORM_THETA_SPREAD = 2.0 * math.pi / math.sqrt(12.0)
-
-
-@dataclass(frozen=True)
-class ExpectationSet:
-    """First and second moments of position and momentum (or their
-    angular analogues theta and L_z for ring states)."""
-
-    mean_x: float
-    mean_x2: float
-    mean_p: float
-    mean_p2: float
-
-    def __post_init__(self):
-        if self.mean_x2 - self.mean_x**2 < -1e-12:
-            raise DomainError("negative position variance")
-        if self.mean_p2 - self.mean_p**2 < -1e-12:
-            raise DomainError("negative momentum variance")
 
 
 @dataclass(frozen=True)
@@ -126,19 +105,6 @@ def _natural_energy(spec, idx: int) -> float:
 def box_energy(spec: Box, n: int) -> float:
     """E_n = hbar^2 n^2 pi^2 / (2 m a^2)."""
     return _natural_energy(spec, validate_state(spec, n)) * scales(spec).energy
-
-
-def box_expectations(spec: Box, n: int) -> ExpectationSet:
-    """<x> = a/2, <x^2> = a^2 (1/3 - 1/(2 n^2 pi^2)), <p> = 0,
-    <p^2> = hbar^2 n^2 pi^2 / a^2."""
-    n = validate_state(spec, n)
-    units = scales(spec)
-    return ExpectationSet(
-        mean_x=0.5 * units.length,
-        mean_x2=(1.0 / 3.0 - 1.0 / (2.0 * n**2 * math.pi**2)) * units.length**2,
-        mean_p=0.0,
-        mean_p2=n**2 * math.pi**2 * units.momentum**2,
-    )
 
 
 def box_uncertainties(spec: Box, n: int) -> UncertaintyRecord:
@@ -205,27 +171,6 @@ def ring_lz_stats(spec: Ring, state: int | RingSuperposition) -> tuple[float, fl
     return unit * m, 0.0
 
 
-def ring_theta_stats(
-    spec: Ring, state: int | RingSuperposition, points: int = 4097
-) -> tuple[float, float]:
-    """Naive interval statistics of theta on the fixed branch [0, 2 pi).
-
-    mean = integral theta rho(theta), Delta theta = sqrt(<theta^2> - mean^2),
-    computed by Simpson quadrature of the density.  For any definite m the
-    density is uniform and Delta theta = 2 pi / sqrt(12), the closed form
-    `ring_uncertainties` uses.  The statistic is branch-dependent by
-    construction.
-    """
-    grid = GridSpec(0.0, 2.0 * np.pi, points, "open")
-    theta = grid.x
-    rho = np.abs(ring_state_values(state, theta)) ** 2
-    norm = quad(SampledFunction(grid, rho))
-    rho = rho / norm
-    mean = quad(SampledFunction(grid, theta * rho))
-    var = quad(SampledFunction(grid, (theta - mean) ** 2 * rho))
-    return float(mean), float(math.sqrt(max(var, 0.0)))
-
-
 def ring_uncertainties(spec: Ring, m: int) -> UncertaintyRecord:
     """Delta theta and Delta L_z for a definite-m ring state.
 
@@ -251,19 +196,6 @@ def ring_uncertainties(spec: Ring, m: int) -> UncertaintyRecord:
 def oscillator_energy(spec: Oscillator, n: int) -> float:
     """E_n = (n + 1/2) hbar omega."""
     return _natural_energy(spec, validate_state(spec, n)) * scales(spec).energy
-
-
-def oscillator_expectations(spec: Oscillator, n: int) -> ExpectationSet:
-    """<x> = <p> = 0 by symmetry; <x^2> = hbar (n + 1/2)/(m w),
-    <p^2> = m hbar w (n + 1/2)."""
-    n = validate_state(spec, n)
-    units = scales(spec)
-    return ExpectationSet(
-        mean_x=0.0,
-        mean_x2=(n + 0.5) * units.length**2,
-        mean_p=0.0,
-        mean_p2=(n + 0.5) * units.momentum**2,
-    )
 
 
 def oscillator_uncertainties(spec: Oscillator, n: int) -> UncertaintyRecord:

@@ -26,6 +26,7 @@ from .report import (
     corrupt_first_product,
     default_metadata,
     emit,
+    json_safe,
     run_sweep,
     verify_rows,
 )
@@ -207,7 +208,7 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
         residuals = [float(r) * unit for r in result.residuals]
         if fmt == "json":
             payload = {"system": system, "energies": energies, "residuals": residuals}
-            return json.dumps(payload, indent=2) + "\n"
+            return json.dumps(json_safe(payload), indent=2) + "\n"
         lines = ["index,energy,residual"]
         for i, (e, r) in enumerate(zip(energies, residuals)):
             lines.append(f"{i},{format(e, '#.12g')},{r:.3e}")

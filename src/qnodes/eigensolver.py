@@ -42,9 +42,7 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-8
 
-DEFAULT_BOX_EIGEN_POINTS = 2001
-DEFAULT_OSCILLATOR_EIGEN_POINTS = 2001
-DEFAULT_RING_EIGEN_POINTS = 1024
+DEFAULT_EIGEN_POINTS = {Box: 2001, Oscillator: 2001, Ring: 1024}
 
 
 @dataclass(frozen=True)
@@ -84,14 +82,14 @@ class EigenResult:
 
 def default_eigen_grid(spec: SystemSpec, k: int = 6, points: int | None = None) -> GridSpec:
     """Natural-unit grid suited to resolving the k lowest levels."""
+    if points is None:
+        points = DEFAULT_EIGEN_POINTS[type(spec)]
     if isinstance(spec, Box):
-        return GridSpec(0.0, 1.0, points or DEFAULT_BOX_EIGEN_POINTS, "dirichlet")
+        return GridSpec(0.0, 1.0, points, "dirichlet")
     if isinstance(spec, Ring):
-        return GridSpec(0.0, 2.0 * math.pi, points or DEFAULT_RING_EIGEN_POINTS, "periodic")
+        return GridSpec(0.0, 2.0 * math.pi, points, "periodic")
     half_width = max(math.sqrt(2.0 * k + 1.0) + 8.0, 12.0)
-    return GridSpec(
-        -half_width, half_width, points or DEFAULT_OSCILLATOR_EIGEN_POINTS, "open"
-    )
+    return GridSpec(-half_width, half_width, points, "open")
 
 
 def build_hamiltonian(spec: SystemSpec, grid: GridSpec) -> Hamiltonian:
@@ -190,7 +188,7 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     pair is checked against the full operator; see `EigenResult`.
     """
     dim = ham.diagonal.size
-    if k > dim:
+    if not 1 <= k <= dim:
         raise ConfigError(f"requested {k} eigenpairs from a {dim}-dimensional matrix")
     energies, vecs, floors = _parity_pairs(ham, k)
 

@@ -9,7 +9,6 @@ multiplies by these scales once.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -151,7 +150,8 @@ class RingSuperposition:
     """Normalized superposition of definite angular-momentum ring states.
 
     `terms` is a sequence of (m, coefficient) pairs with distinct integer m
-    and sum(|c|^2) == 1 within 1e-12.
+    and sum(|c|^2) == 1 within 1e-12; `analytic.ring_state_values`
+    evaluates it.
     """
 
     terms: tuple[tuple[int, complex], ...]
@@ -167,11 +167,6 @@ class RingSuperposition:
             raise NormalizationError(
                 f"sum of |coefficient|^2 is {norm!r}, deviates from 1 beyond {_NORM_TOL}"
             )
-
-    def amplitude(self, theta):
-        """Wavefunction value sum_k c_k e^{i m_k theta} / sqrt(2 pi)."""
-        tau = (2.0 * cmath.pi) ** -0.5
-        return sum(c * cmath.exp(1j * m * theta) for m, c in self.terms) * tau
 
 
 def validate_state(spec: SystemSpec, idx: int) -> int:

@@ -1,4 +1,9 @@
-"""Node counting on sampled wavefunctions and density-flatness checks."""
+"""Node counting on sampled wavefunctions and density-flatness checks.
+
+Both read the real part of the samples: a real state's own values, or
+Re psi of a complex ring state.  `count_nodes` judges near-zero samples
+against one fixed threshold, `ZERO_RTOL` times the peak magnitude.
+"""
 
 from __future__ import annotations
 
@@ -22,23 +27,22 @@ class NodeReport:
 
     count: int
     locations: np.ndarray
-    boundary_excluded: int
 
 
-def count_nodes(f: SampledFunction, zero_rtol: float = ZERO_RTOL) -> NodeReport:
+def count_nodes(f: SampledFunction) -> NodeReport:
     """Count strict sign changes of the (real part of the) samples.
 
-    Samples with magnitude below zero_rtol * max|f| are bridged: a node is
+    Samples with magnitude below ZERO_RTOL * max|f| are bridged: a node is
     a sign change between the significant samples on either side, located
     by linear interpolation.  Zeros within one grid cell of a Dirichlet
-    wall are excluded from the count and tallied separately.
+    wall are not counted.
     """
-    y = np.real(np.asarray(f.values, dtype=complex))
+    y = np.real(f.values)
     x = f.grid.x
     peak = float(np.max(np.abs(y)))
     if peak == 0.0:
         raise DegenerateError("samples are identically zero")
-    eps = zero_rtol * peak
+    eps = ZERO_RTOL * peak
     significant = np.flatnonzero(np.abs(y) > eps)
     if significant.size < 3:
         raise DegenerateError("fewer than 3 samples above the zero threshold")
@@ -62,21 +66,12 @@ def count_nodes(f: SampledFunction, zero_rtol: float = ZERO_RTOL) -> NodeReport:
         ys[flips + 1] - ys[flips]
     )
 
-    excluded = 0
     if f.grid.boundary == "periodic":
-        period = f.grid.upper - f.grid.lower
         locations = f.grid.lower + (locations - f.grid.lower) % period
     if f.grid.boundary == "dirichlet":
         h = f.grid.h
-        keep = (locations > f.grid.lower + h) & (locations < f.grid.upper - h)
-        excluded = int(np.size(locations) - np.count_nonzero(keep))
-        locations = locations[keep]
-
-    return NodeReport(
-        count=int(locations.size),
-        locations=np.sort(locations),
-        boundary_excluded=excluded,
-    )
+        locations = locations[(locations > f.grid.lower + h) & (locations < f.grid.upper - h)]
+    return NodeReport(count=int(locations.size), locations=np.sort(locations))
 
 
 def density_flatness(rho: SampledFunction) -> tuple[float, bool]:
@@ -85,7 +80,7 @@ def density_flatness(rho: SampledFunction) -> tuple[float, bool]:
     Returns (max|rho - mean(rho)|, min(rho) > 0).  For any definite-m ring
     state the sampled density is exactly constant and strictly positive.
     """
-    values = np.real(np.asarray(rho.values, dtype=complex))
+    values = np.real(rho.values)
     if np.ptp(values) == 0.0:
         # exactly constant samples: zero deviation with no roundoff from the mean
         return 0.0, bool(values[0] > 0.0)

@@ -53,9 +53,7 @@ _NORM_TOL = 1e-6
 # derivative and np.gradient's order-2 stencil on the same grid.
 _STENCIL_ORDER_TOL = 1e-2
 
-DEFAULT_BOX_POINTS = 4001
-DEFAULT_OSCILLATOR_POINTS = 8001
-DEFAULT_RING_POINTS = 4096
+DEFAULT_POINTS = {Box: 4001, Oscillator: 8001, Ring: 4096}
 
 
 def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> GridSpec:
@@ -65,12 +63,14 @@ def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> G
     half-width is the classical turning point sqrt(2n+1) plus a 10-sigma
     tail margin.
     """
+    if points is None:
+        points = DEFAULT_POINTS[type(spec)]
     if isinstance(spec, Box):
-        return GridSpec(0.0, 1.0, points or DEFAULT_BOX_POINTS, "dirichlet")
+        return GridSpec(0.0, 1.0, points, "dirichlet")
     if isinstance(spec, Ring):
-        return GridSpec(0.0, 2.0 * math.pi, points or DEFAULT_RING_POINTS, "periodic")
+        return GridSpec(0.0, 2.0 * math.pi, points, "periodic")
     half_width = max(math.sqrt(2.0 * abs(int(idx)) + 1.0) + 10.0, 12.0)
-    return GridSpec(-half_width, half_width, points or DEFAULT_OSCILLATOR_POINTS, "open")
+    return GridSpec(-half_width, half_width, points, "open")
 
 
 def sample_state(
@@ -120,30 +120,27 @@ def position_moments(psi: SampledFunction) -> tuple[float, float]:
     return mean_x, mean_x2
 
 
-def momentum_moments(
-    psi: SampledFunction, check_resolution: bool = True
-) -> tuple[float, float]:
+def momentum_moments(psi: SampledFunction) -> tuple[float, float]:
     """(<p>, <p^2>) in natural units (hbar = 1) from discrete derivatives.
 
     <p> is the real part of the quadrature of psi* (-i) psi'; <p^2> uses
     the integration-by-parts form integral |psi'|^2, which is nonnegative
-    by construction.  With `check_resolution` the second moment is
-    recomputed from a low-order derivative stencil and a GridError is
-    raised when the two estimates disagree beyond 1 percent: the grid
-    cannot resolve the state's oscillations.
+    by construction.  The second moment is recomputed from a low-order
+    derivative stencil and a GridError is raised when the two estimates
+    disagree beyond 1 percent: the grid cannot resolve the state's
+    oscillations.
     """
     _check_normalized(psi)
     dpsi = derivative(psi)
     mean_p = float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * -1j * dpsi))))
     mean_p2 = float(np.real(quad(SampledFunction(psi.grid, np.abs(dpsi) ** 2))))
-    if check_resolution:
-        low = np.gradient(psi.values, psi.grid.h)
-        p2_low = float(np.real(quad(SampledFunction(psi.grid, np.abs(low) ** 2))))
-        if abs(p2_low - mean_p2) > _STENCIL_ORDER_TOL * max(abs(mean_p2), 1.0):
-            raise GridError(
-                "grid too coarse for momentum moments: stencil-order "
-                f"disagreement {abs(p2_low - mean_p2):.3e} on <p^2> = {mean_p2:.6e}"
-            )
+    low = np.gradient(psi.values, psi.grid.h)
+    p2_low = float(np.real(quad(SampledFunction(psi.grid, np.abs(low) ** 2))))
+    if abs(p2_low - mean_p2) > _STENCIL_ORDER_TOL * max(abs(mean_p2), 1.0):
+        raise GridError(
+            "grid too coarse for momentum moments: stencil-order "
+            f"disagreement {abs(p2_low - mean_p2):.3e} on <p^2> = {mean_p2:.6e}"
+        )
     return mean_p, mean_p2
 
 

@@ -21,7 +21,7 @@ from .analytic import (
 )
 from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_uncertainties, solve_lowest
 from .errors import ConfigError, GridError, QnodesError
-from .model import Box, Ring, Scales, SystemSpec, scales, validate_state
+from .model import Box, Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
 from .nodal import count_nodes
 from .oracle import default_grid, record_from_samples, sample_levels
 
@@ -34,6 +34,7 @@ __all__ = [
     "verify_rows",
     "corrupt_first_product",
     "emit",
+    "json_safe",
 ]
 
 PATH_ORDER = ("analytic", "oracle", "eigen")
@@ -74,11 +75,10 @@ class SweepConfig:
                 raise ConfigError(f"level {level} invalid for this system: {exc}") from exc
         if not self.tol > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tol}")
-        if self.grid_points is not None:
-            try:
-                default_grid(self.system, 0, self.grid_points)
-            except GridError as exc:
-                raise ConfigError(f"grid points {self.grid_points}: {exc}") from exc
+        try:
+            default_grid(self.system, 0, self.grid_points)
+        except GridError as exc:
+            raise ConfigError(f"grid points {self.grid_points}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
     eigen_result = None
     if "eigen" in paths:
-        if isinstance(spec, Ring):
-            k = 2 * max(abs(l) for l in cfg.levels) + 1
-        elif isinstance(spec, Box):
-            k = max(cfg.levels)
-        else:
-            k = max(cfg.levels) + 1
+        # a level with N predicted nodes needs eigenstates 0 .. N
+        k = max(predicted_node_count(spec, l) for l in cfg.levels) + 1
         grid = default_eigen_grid(spec, k=k, points=cfg.grid_points)
         eigen_result = solve_lowest(build_hamiltonian(spec, grid), k)
 
@@ -261,6 +257,15 @@ def _cell(value) -> str:
     return format(value, "#.12g") if isinstance(value, float) else str(value)
 
 
+def json_safe(value):
+    """`value` with every float that is not finite, at any depth, as None (null)."""
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [json_safe(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def emit(
     rows: list[SweepRow],
     fmt: str = "csv",
@@ -277,7 +282,7 @@ def emit(
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {"metadata": metadata or {}, "rows": [asdict(r) for r in rows]}
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(json_safe(payload), indent=2) + "\n"
     raise ConfigError(f"unknown output format {fmt!r}")
 
 

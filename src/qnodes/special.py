@@ -1,8 +1,8 @@
-"""Hermite polynomials and normalized oscillator eigenfunctions.
+"""Normalized harmonic-oscillator eigenfunctions.
 
-Raw physicists' Hermite values grow like (2x)^n and overflow quickly, so
-the normalized eigenfunction is built with a recurrence on the already
-normalized functions instead of dividing huge numbers: the normalization
+psi_n carries the physicists' Hermite polynomial H_n, whose raw values grow
+like (2x)^n and overflow quickly.  So no H_n is ever formed: the ladder
+recurrence runs on the already normalized functions, and the normalization
 never materializes as a factorial.  Supported degree is n <= 200.
 """
 
@@ -13,30 +13,9 @@ import numpy as np
 from .errors import DomainError
 from .model import Oscillator, scales
 
-__all__ = ["hermite", "oscillator_ladder", "oscillator_psi", "MAX_OSCILLATOR_N"]
+__all__ = ["oscillator_ladder", "oscillator_psi", "MAX_OSCILLATOR_N"]
 
 MAX_OSCILLATOR_N = 200
-
-
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by forward recurrence.
-
-    H_0 = 1, H_1 = 2x, H_{k+1} = 2x H_k - 2k H_{k-1}.  Raises
-    OverflowError if an intermediate leaves double-precision range.
-    """
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    hk = np.ones_like(x)
-    if n == 0:
-        return hk if hk.ndim else float(hk)
-    hk1 = 2.0 * x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n):
-            hk, hk1 = hk1, 2.0 * x * hk1 - 2.0 * k * hk
-    if not np.all(np.isfinite(hk1)):
-        raise OverflowError(f"H_{n} overflows double precision on this argument")
-    return hk1 if hk1.ndim else float(hk1)
 
 
 def oscillator_ladder(x, n_max: int):

@@ -36,7 +36,7 @@ from qnodes import (
     ring_lz_by_quadrature,
     ring_lz_stats,
     ring_momentum_state,
-    ring_theta_stats,
+    ring_theta_by_quadrature,
     run_sweep,
     sample_state,
     solve_lowest,
@@ -181,7 +181,7 @@ def test_criterion_6_ring_statistics():
         _, by_quad = ring_lz_by_quadrature(sample_state(RING, pair))
         assert abs(by_coeff - 1.0) <= 1e-10
         assert abs(by_quad - 1.0) <= 1e-10
-        _, dtheta = ring_theta_stats(RING, 5)
+        _, dtheta = ring_theta_by_quadrature(sample_state(RING, 5))
         assert abs(dtheta - 2.0 * math.pi / math.sqrt(12.0)) <= 1e-8
 
 

@@ -11,18 +11,19 @@ from qnodes import (
     Ring,
     RingSuperposition,
     box_energy,
-    box_expectations,
     box_psi,
     box_uncertainties,
+    momentum_moments,
     oscillator_energy,
-    oscillator_expectations,
     oscillator_uncertainties,
+    position_moments,
     ring_density,
     ring_energy,
     ring_lz_stats,
     ring_psi,
-    ring_theta_stats,
+    ring_theta_by_quadrature,
     ring_uncertainties,
+    sample_state,
 )
 from qnodes.analytic import UNIFORM_THETA_SPREAD
 
@@ -50,22 +51,26 @@ class TestBoxWavefunction:
 
 
 class TestBoxMoments:
+    """Moments of box states: <x^2> = Delta x^2 + (a/2)^2 and <p^2> =
+    Delta p^2 from the closed-form spreads; <x> and <p> by quadrature."""
+
     spec = Box()
 
     def test_mean_x_is_center(self):
-        assert box_expectations(self.spec, 1).mean_x == 0.5
+        mean_x, _ = position_moments(sample_state(self.spec, 1))
+        assert mean_x == pytest.approx(0.5, abs=1e-15)
 
     def test_mean_x2_against_quadrature(self):
         # independent oracle: direct integral of x^2 |psi_1|^2
         oracle, _ = scipy.integrate.quad(
             lambda x: x**2 * 2.0 * math.sin(math.pi * x) ** 2, 0.0, 1.0
         )
-        got = box_expectations(self.spec, 1).mean_x2
+        got = box_uncertainties(self.spec, 1).delta_q ** 2 + 0.5**2
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(0.2826727415121644, rel=1e-12)
 
     def test_mean_p2_n2(self):
-        got = box_expectations(self.spec, 2).mean_p2
+        got = box_uncertainties(self.spec, 2).delta_p ** 2
         assert got == pytest.approx(4.0 * math.pi**2, rel=1e-15)
         # cross-check via integral of |psi'|^2
         oracle, _ = scipy.integrate.quad(
@@ -76,13 +81,16 @@ class TestBoxMoments:
         assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_mean_p_zero(self):
-        assert box_expectations(self.spec, 3).mean_p == 0.0
+        # a real state: the real part of psi* (-i) psi' is exactly zero
+        assert momentum_moments(sample_state(self.spec, 3))[0] == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17])
     def test_variances_nonnegative(self, n):
-        e = box_expectations(self.spec, n)
-        assert e.mean_x2 - e.mean_x**2 >= 0.0
-        assert e.mean_p2 - e.mean_p**2 >= 0.0
+        psi = sample_state(self.spec, n)
+        mean_x, mean_x2 = position_moments(psi)
+        mean_p, mean_p2 = momentum_moments(psi)
+        assert mean_x2 - mean_x**2 >= 0.0
+        assert mean_p2 - mean_p**2 >= 0.0
 
 
 class TestBoxUncertainties:
@@ -197,10 +205,15 @@ class TestRingLzStats:
 
 
 class TestRingThetaStats:
+    """The closed-form ring Delta theta against the oracle's quadrature."""
+
     spec = Ring()
 
+    def theta_stats(self, state):
+        return ring_theta_by_quadrature(sample_state(self.spec, state))
+
     def test_definite_m_uniform(self):
-        mean, spread = ring_theta_stats(self.spec, 7)
+        mean, spread = self.theta_stats(7)
         assert mean == pytest.approx(math.pi, rel=1e-12)
         assert spread == pytest.approx(UNIFORM, abs=1e-12)
 
@@ -209,16 +222,14 @@ class TestRingThetaStats:
         # [0, 2 pi) the mass sits at both ends, so the naive spread exceeds
         # the uniform value.  Closed form: variance = pi^2/3 + 2.
         c = 1.0 / math.sqrt(2.0)
-        _, spread = ring_theta_stats(self.spec, RingSuperposition(((0, c), (1, c))))
+        _, spread = self.theta_stats(RingSuperposition(((0, c), (1, c))))
         assert spread == pytest.approx(math.sqrt(math.pi**2 / 3.0 + 2.0), rel=1e-9)
         assert spread > UNIFORM
 
     def test_superposition_peaked_mid_branch(self):
         # the i phase moves the density peak to 3 pi/2: variance pi^2/3 - 1
         c = 1.0 / math.sqrt(2.0)
-        _, spread = ring_theta_stats(
-            self.spec, RingSuperposition(((0, c), (1, 1j * c)))
-        )
+        _, spread = self.theta_stats(RingSuperposition(((0, c), (1, 1j * c))))
         assert spread == pytest.approx(math.sqrt(math.pi**2 / 3.0 - 1.0), rel=1e-9)
         assert spread < UNIFORM
 
@@ -226,7 +237,7 @@ class TestRingThetaStats:
     def test_quadrature_cross_checks_closed_form(self, m):
         # ring_uncertainties returns the closed form; the quadrature of the
         # uniform density must reproduce it for every definite m
-        _, spread = ring_theta_stats(self.spec, m)
+        _, spread = self.theta_stats(m)
         assert abs(spread - UNIFORM) <= 1e-15 * UNIFORM
         assert ring_uncertainties(self.spec, m).delta_q == UNIFORM_THETA_SPREAD == UNIFORM
 
@@ -266,11 +277,14 @@ class TestOscillator:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_expectations_symmetry(self):
-        e = oscillator_expectations(self.spec, 2)
-        assert e.mean_x == 0.0
-        assert e.mean_p == 0.0
-        assert e.mean_x2 == pytest.approx(2.5, rel=1e-15)
-        assert e.mean_p2 == pytest.approx(2.5, rel=1e-15)
+        # <x> = <p> = 0 by parity, so <x^2> = Delta x^2 and <p^2> = Delta p^2
+        mean_x, _ = position_moments(sample_state(self.spec, 2))
+        mean_p, _ = momentum_moments(sample_state(self.spec, 2))
+        assert mean_x == 0.0
+        assert mean_p == 0.0
+        rec = oscillator_uncertainties(self.spec, 2)
+        assert rec.delta_q**2 == pytest.approx(2.5, rel=1e-15)
+        assert rec.delta_p**2 == pytest.approx(2.5, rel=1e-15)
 
     def test_parameter_scaling(self):
         spec = Oscillator(mass=2.0, omega=0.5)

@@ -100,6 +100,55 @@ class TestSweep:
         assert "finite" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--system", "box", "--levels", "1:3"],
+        ["verify", "--system", "oscillator", "--levels", "0:3"],
+        ["eigensolve", "--system", "ring"],
+        ["nodes", "--system", "box", "--levels", "1:3"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_zero_grid_points_exit_2(runner, args):
+    # 0 is a grid size, not a request for the default grid
+    result = runner.invoke(main, args + ["--grid-points", "0"])
+    assert result.exit_code == 2
+    assert "need at least 3 points, got 0" in result.output
+
+
+def _strict_json(text):
+    """Parse standard JSON only: Infinity, -Infinity and NaN are rejected."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["sweep", "--system", "box", "--levels", "5:5"], "rows"),
+        (["eigensolve", "--system", "box", "--k", "3"], "energies"),
+    ],
+    ids=["sweep", "eigensolve"],
+)
+def test_json_writes_overflowed_value_as_null(runner, args, key):
+    # the box energy scale is 1e307, so E_5 and E_2 overflow to inf
+    units = ["--hbar", "1e100", "--param", "m=1e-107"]
+    result = runner.invoke(main, args + units + ["--format", "json"])
+    assert result.exit_code == 0
+    payload = _strict_json(result.output)
+    if key == "rows":
+        assert payload["rows"][0]["energy"] is None
+        assert payload["rows"][0]["delta_p"] == pytest.approx(5e100 * np.pi)
+    else:
+        assert payload["energies"][0] > 0 and payload["energies"][1:] == [None, None]
+    csv = runner.invoke(main, args + units)
+    assert ",inf," in csv.output
+
+
 class TestVerify:
     def test_box_analytic_oracle_exit_0(self, runner):
         result = runner.invoke(

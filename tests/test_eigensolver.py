@@ -184,6 +184,12 @@ class TestSolverFailure:
         with pytest.raises(ConvergenceError, match="did not converge"):
             solve_lowest(ham, 4)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_levels_requested_is_config_error(self, k):
+        ham = build_hamiltonian(Box(), GridSpec(0.0, 1.0, 11, "dirichlet"))
+        with pytest.raises(ConfigError, match=f"requested {k} eigenpairs"):
+            solve_lowest(ham, k)
+
 
 def _dense_energies(ham):
     """Ascending spectrum of the full matrix, periodic corners included."""

@@ -1,45 +1,62 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
 from numpy.polynomial.hermite import hermval
 
-from qnodes import DomainError, Oscillator, default_grid, hermite, oscillator_psi
+from qnodes import DomainError, Oscillator, default_grid, oscillator_psi
 from qnodes.special import MAX_OSCILLATOR_N, oscillator_ladder
 
 
+def hermite_closed_form(n, x):
+    """H_n(x) by numpy's Clenshaw evaluation of the Hermite series."""
+    coef = np.zeros(n + 1)
+    coef[n] = 1.0
+    return hermval(x, coef)
+
+
+def hermite_factor(n, x):
+    """H_n(x) recovered from psi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi))."""
+    x = np.asarray(x, dtype=float)
+    norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+    return oscillator_psi(Oscillator(), n, x) * norm * np.exp(0.5 * x**2)
+
+
 class TestHermite:
+    """The physicists' Hermite polynomial inside oscillator_psi."""
+
     def test_h0_is_one(self):
-        assert hermite(0, 0.7) == 1.0
+        assert hermite_factor(0, 0.7) == pytest.approx(1.0, rel=1e-15)
 
     def test_h2_at_one(self):
         # 4x^2 - 2 at x = 1
-        assert hermite(2, 1.0) == pytest.approx(2.0, abs=1e-14)
+        assert hermite_factor(2, 1.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_h3_at_half(self):
         # 8x^3 - 12x at x = 0.5
-        assert hermite(3, 0.5) == pytest.approx(-5.0, abs=1e-13)
+        assert hermite_factor(3, 0.5) == pytest.approx(-5.0, abs=1e-13)
 
     @pytest.mark.parametrize("n", [1, 4, 9, 15])
     def test_matches_numpy_hermval(self, n):
         x = np.linspace(-3.0, 3.0, 41)
-        coef = np.zeros(n + 1)
-        coef[n] = 1.0
-        np.testing.assert_allclose(hermite(n, x), hermval(x, coef), rtol=1e-12)
+        np.testing.assert_allclose(hermite_factor(n, x), hermite_closed_form(n, x), rtol=1e-12)
 
     def test_recurrence_invariant(self):
         x = np.linspace(-2.0, 2.0, 17)
         for k in range(1, 12):
-            lhs = hermite(k + 1, x)
-            rhs = 2.0 * x * hermite(k, x) - 2.0 * k * hermite(k - 1, x)
+            lhs = hermite_factor(k + 1, x)
+            rhs = 2.0 * x * hermite_factor(k, x) - 2.0 * k * hermite_factor(k - 1, x)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(DomainError):
-            hermite(-1, 0.0)
+            oscillator_psi(Oscillator(), -1, 0.0)
 
     def test_overflow_raises(self):
+        # H_400 leaves double range on this argument; no such degree is built
         with pytest.raises(OverflowError):
-            hermite(400, 900.0)
+            oscillator_psi(Oscillator(), 400, 900.0)
 
 
 class TestOscillatorPsi:
@@ -85,6 +102,15 @@ class TestOscillatorPsi:
     def test_degree_cap(self):
         with pytest.raises(OverflowError):
             oscillator_psi(self.spec, 201, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 20])
+    def test_matches_hermite_closed_form(self, n):
+        # past the turning point sqrt(2n + 1) into the decaying tail
+        x = np.linspace(-8.0, 8.0, 161)
+        expected = hermite_closed_form(n, x) * np.exp(-0.5 * x**2)
+        expected /= math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        got = oscillator_psi(self.spec, n, x)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
     def test_high_degree_stable(self):
         x = np.linspace(-25.0, 25.0, 6001)
