@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -26,7 +27,6 @@ from .report import (
     corrupt_first_product,
     default_metadata,
     emit,
-    json_safe,
     run_sweep,
     verify_rows,
 )
@@ -206,9 +206,16 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
         result = solve_lowest(build_hamiltonian(spec, grid), k)
         energies = [float(e) * unit for e in result.energies]
         residuals = [float(r) * unit for r in result.residuals]
+        for i, (e, r) in enumerate(zip(energies, residuals)):
+            for name, value in (("energy", e), ("residual", r)):
+                if not math.isfinite(value):
+                    raise OverflowError(
+                        f"index {i}: {name} {value!r} is not finite after rescaling "
+                        f"by the energy scale {unit!r}"
+                    )
         if fmt == "json":
             payload = {"system": system, "energies": energies, "residuals": residuals}
-            return json.dumps(json_safe(payload), indent=2) + "\n"
+            return json.dumps(payload, indent=2) + "\n"
         lines = ["index,energy,residual"]
         for i, (e, r) in enumerate(zip(energies, residuals)):
             lines.append(f"{i},{format(e, '#.12g')},{r:.3e}")

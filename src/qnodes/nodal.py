@@ -39,11 +39,12 @@ def count_nodes(f: SampledFunction) -> NodeReport:
     """
     y = np.real(f.values)
     x = f.grid.x
-    peak = float(np.max(np.abs(y)))
+    magnitude = np.abs(y)
+    peak = float(np.max(magnitude))
     if peak == 0.0:
         raise DegenerateError("samples are identically zero")
     eps = ZERO_RTOL * peak
-    significant = np.flatnonzero(np.abs(y) > eps)
+    significant = np.flatnonzero(magnitude > eps)
     if significant.size < 3:
         raise DegenerateError("fewer than 3 samples above the zero threshold")
     # Open grids truncate decaying tails, so a mostly-below-threshold sample
@@ -61,7 +62,8 @@ def count_nodes(f: SampledFunction) -> NodeReport:
         period = f.grid.upper - f.grid.lower
         ys = np.append(ys, ys[0])
         xs = np.append(xs, xs[0] + period)
-    flips = np.flatnonzero(np.sign(ys[:-1]) != np.sign(ys[1:]))
+    signs = np.sign(ys)
+    flips = np.flatnonzero(signs[:-1] != signs[1:])
     locations = xs[flips] - ys[flips] * (xs[flips + 1] - xs[flips]) / (
         ys[flips + 1] - ys[flips]
     )

@@ -50,7 +50,7 @@ __all__ = [
 # Normalization tolerances: precondition vs hard error.
 _NORM_TOL = 1e-6
 # Stencil-order guard for <p^2>: relative disagreement between the order-6
-# derivative and np.gradient's order-2 stencil on the same grid.
+# derivative and the order-2 stencil of `_gradient` on the same grid.
 _STENCIL_ORDER_TOL = 1e-2
 
 DEFAULT_POINTS = {Box: 4001, Oscillator: 8001, Ring: 4096}
@@ -104,38 +104,67 @@ def sample_levels(spec: SystemSpec, levels, grid: GridSpec):
             yield n, SampledFunction(grid, phi)
 
 
-def _check_normalized(psi: SampledFunction) -> None:
-    norm = float(np.real(quad(SampledFunction(psi.grid, np.abs(psi.values) ** 2))))
+def _check_normalized(psi: SampledFunction, density: np.ndarray | None = None) -> None:
+    """Raise NormalizationError unless the quadrature of |psi|^2 is 1.
+
+    A caller that already holds `density` = |psi.values|**2 passes it, so
+    that it is not built a second time.
+    """
+    if density is None:
+        density = np.abs(psi.values) ** 2
+    norm = float(np.real(quad(SampledFunction(psi.grid, density))))
     if abs(norm - 1.0) > _NORM_TOL:
         raise NormalizationError(f"state norm^2 is {norm!r}, deviates beyond {_NORM_TOL}")
 
 
 def position_moments(psi: SampledFunction) -> tuple[float, float]:
     """(<x>, <x^2>) by quadrature of x |psi|^2 and x^2 |psi|^2."""
-    _check_normalized(psi)
-    x = psi.grid.x
     density = np.abs(psi.values) ** 2
+    _check_normalized(psi, density)
+    x = psi.grid.x
     mean_x = float(quad(SampledFunction(psi.grid, x * density)))
     mean_x2 = float(quad(SampledFunction(psi.grid, x**2 * density)))
     return mean_x, mean_x2
 
 
-def momentum_moments(psi: SampledFunction) -> tuple[float, float]:
+def _gradient(y: np.ndarray, h: float) -> np.ndarray:
+    """np.gradient(y, h) of float or complex `y` on a uniform grid, bit
+    for bit: central differences inside, first-order one-sided
+    differences at the edges."""
+    out = np.empty_like(y)
+    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
+    out[0] = (y[1] - y[0]) / h
+    out[-1] = (y[-1] - y[-2]) / h
+    return out
+
+
+def momentum_moments(
+    psi: SampledFunction, density: np.ndarray | None = None
+) -> tuple[float, float]:
     """(<p>, <p^2>) in natural units (hbar = 1) from discrete derivatives.
 
-    <p> is the real part of the quadrature of psi* (-i) psi'; <p^2> uses
-    the integration-by-parts form integral |psi'|^2, which is nonnegative
-    by construction.  The second moment is recomputed from a low-order
+    <p> is the real part of the quadrature of psi* (-i) psi'.  For real
+    samples that integrand's real part is an exact +-0.0 at every point,
+    so <p> is 0.0 and is not computed.  <p^2> uses the
+    integration-by-parts form integral |psi'|^2, which is nonnegative by
+    construction.  The second moment is recomputed from a low-order
     derivative stencil and a GridError is raised when the two estimates
     disagree beyond 1 percent: the grid cannot resolve the state's
-    oscillations.
+    oscillations.  A caller that already holds `density` = |psi.values|**2
+    passes it to the norm check; it enters no returned value.
     """
-    _check_normalized(psi)
+    _check_normalized(psi, density)
     dpsi = derivative(psi)
-    mean_p = float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * -1j * dpsi))))
-    mean_p2 = float(np.real(quad(SampledFunction(psi.grid, np.abs(dpsi) ** 2))))
-    low = np.gradient(psi.values, psi.grid.h)
-    p2_low = float(np.real(quad(SampledFunction(psi.grid, np.abs(low) ** 2))))
+    low = _gradient(psi.values, psi.grid.h)
+    if np.iscomplexobj(psi.values):
+        mean_p = float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * -1j * dpsi))))
+        dpsi2, low2 = np.abs(dpsi) ** 2, np.abs(low) ** 2
+    else:
+        # for real arrays np.square(a) equals np.abs(a) ** 2 bit for bit
+        mean_p = 0.0
+        dpsi2, low2 = np.square(dpsi), np.square(low)
+    mean_p2 = float(np.real(quad(SampledFunction(psi.grid, dpsi2))))
+    p2_low = float(np.real(quad(SampledFunction(psi.grid, low2))))
     if abs(p2_low - mean_p2) > _STENCIL_ORDER_TOL * max(abs(mean_p2), 1.0):
         raise GridError(
             "grid too coarse for momentum moments: stencil-order "
@@ -223,9 +252,10 @@ def record_from_samples(
 ) -> UncertaintyRecord:
     """Natural-unit UncertaintyRecord of the natural-unit samples `psi`.
 
-    The one moment pipeline of the oracle and eigen paths: the norm is
-    checked once and psi is differentiated once.  The energy is <L_z^2>/2
-    on the ring, <p^2>/2 plus the oscillator's <x^2>/2 otherwise.
+    The one moment pipeline of the oracle and eigen paths: |psi|^2 is
+    built once, the norm is checked once and psi is differentiated once.
+    The energy is <L_z^2>/2 on the ring, <p^2>/2 plus the oscillator's
+    <x^2>/2 otherwise.
     """
     if isinstance(spec, Ring):
         lz_psi = -1j * spectral_derivative(psi)
@@ -238,7 +268,7 @@ def record_from_samples(
         density = np.abs(psi.values) ** 2
         mean_x = float(quad(SampledFunction(psi.grid, x * density)))
         var_x = float(quad(SampledFunction(psi.grid, (x - mean_x) ** 2 * density)))
-        mean_p, mean_p2 = momentum_moments(psi)
+        mean_p, mean_p2 = momentum_moments(psi, density)
         dq = math.sqrt(max(var_x, 0.0))
         dp = math.sqrt(max(mean_p2 - mean_p**2, 0.0))
         energy = mean_p2 / 2.0

@@ -126,27 +126,31 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# the box energy scale is 1e307, so E_5 (and eigensolve's E_2, E_3) overflow to inf
+_OVERFLOW_UNITS = ["--hbar", "1e100", "--param", "m=1e-107"]
+
+
 @pytest.mark.parametrize(
-    "args, key",
-    [
-        (["sweep", "--system", "box", "--levels", "5:5"], "rows"),
-        (["eigensolve", "--system", "box", "--k", "3"], "energies"),
-    ],
-    ids=["sweep", "eigensolve"],
+    "args", [["sweep", "--system", "box", "--levels", "5:5"]], ids=["sweep"]
 )
-def test_json_writes_overflowed_value_as_null(runner, args, key):
-    # the box energy scale is 1e307, so E_5 and E_2 overflow to inf
-    units = ["--hbar", "1e100", "--param", "m=1e-107"]
-    result = runner.invoke(main, args + units + ["--format", "json"])
+def test_json_writes_overflowed_value_as_null(runner, args):
+    result = runner.invoke(main, args + _OVERFLOW_UNITS + ["--format", "json"])
     assert result.exit_code == 0
     payload = _strict_json(result.output)
-    if key == "rows":
-        assert payload["rows"][0]["energy"] is None
-        assert payload["rows"][0]["delta_p"] == pytest.approx(5e100 * np.pi)
-    else:
-        assert payload["energies"][0] > 0 and payload["energies"][1:] == [None, None]
-    csv = runner.invoke(main, args + units)
+    assert payload["rows"][0]["energy"] is None
+    assert payload["rows"][0]["delta_p"] == pytest.approx(5e100 * np.pi)
+    csv = runner.invoke(main, args + _OVERFLOW_UNITS)
     assert ",inf," in csv.output
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eigensolve_overflowed_energy_exit_3(runner, fmt):
+    # levels 1 and 2 overflow once rescaled; no row may be printed as inf or null
+    args = ["eigensolve", "--system", "box", "--hbar", "1e100", "--param", "m=1e-107", "--k", "3"]
+    result = runner.invoke(main, args + ["--format", fmt])
+    assert result.exit_code == 3
+    assert "index 1: energy inf is not finite" in result.output
+    assert "inf," not in result.output and "null" not in result.output
 
 
 class TestVerify:

@@ -26,7 +26,9 @@ from qnodes import (
     sample_state,
 )
 import qnodes.oracle
-from qnodes.oracle import p2_by_second_derivative
+from qnodes.eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
+from qnodes.grids import derivative
+from qnodes.oracle import _gradient, default_grid, p2_by_second_derivative, sample_levels
 
 
 class TestQuad:
@@ -106,6 +108,53 @@ class TestMomentumMoments:
         psi = sample_state(Box(), n)
         _, p2 = momentum_moments(psi)
         assert p2_by_second_derivative(psi) == pytest.approx(p2, rel=1e-6)
+
+
+def _sweep_oscillator_samples():
+    grid = default_grid(Oscillator(), 200)
+    return [psi for _, psi in sample_levels(Oscillator(), range(201), grid)]
+
+
+def _box_eigenvectors():
+    return solve_lowest(build_hamiltonian(Box(), default_eigen_grid(Box(), 40)), 40).states
+
+
+@pytest.mark.parametrize(
+    "samples", [_sweep_oscillator_samples, _box_eigenvectors], ids=["oscillator-0:200", "box-eigen-40"]
+)
+class TestRealSampleShortcut:
+    """The real-sample branch of `momentum_moments` against the general
+    formulas, bit for bit, on the samples the sweeps feed it."""
+
+    def test_mean_p_is_zero(self, samples):
+        for psi in samples():
+            dpsi = derivative(psi)
+            general = float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * -1j * dpsi))))
+            assert general == 0.0
+            assert momentum_moments(psi)[0] == 0.0
+
+    def test_mean_p2_matches_general_formula(self, samples):
+        for psi in samples():
+            general = float(np.real(quad(SampledFunction(psi.grid, np.abs(derivative(psi)) ** 2))))
+            assert momentum_moments(psi)[1] == general
+
+    def test_guard_gradient_matches_numpy(self, samples):
+        for psi in samples():
+            assert np.array_equal(_gradient(psi.values, psi.grid.h), np.gradient(psi.values, psi.grid.h))
+
+
+class TestMovingWavePacket:
+    """Complex samples take the general <p> product: a Gaussian packet
+    pi^(-1/4) exp(-x^2/2) exp(i k0 x) has <p> = k0 and <p^2> = k0^2 + 1/2."""
+
+    @pytest.mark.parametrize("k0", [0.5, 3.0])
+    def test_moments(self, k0):
+        grid = default_grid(Oscillator(), 0)
+        x = grid.x
+        psi = SampledFunction(grid, np.pi**-0.25 * np.exp(-(x**2) / 2.0) * np.exp(1j * k0 * x))
+        mean_p, mean_p2 = momentum_moments(psi)
+        assert mean_p == pytest.approx(k0, abs=1e-8)
+        assert mean_p2 == pytest.approx(k0**2 + 0.5, abs=1e-8)
 
 
 class TestRingQuadrature:
@@ -188,9 +237,9 @@ class TestOneMomentPipeline:
         calls = []
         check = qnodes.oracle._check_normalized
 
-        def counted(psi):
+        def counted(psi, *args):
             calls.append(psi)
-            check(psi)
+            check(psi, *args)
 
         monkeypatch.setattr(qnodes.oracle, "_check_normalized", counted)
         oracle_uncertainties(spec, state)
