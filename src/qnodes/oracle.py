@@ -107,8 +107,9 @@ def sample_levels(spec: SystemSpec, levels, grid: GridSpec):
 def _check_normalized(psi: SampledFunction, density: np.ndarray | None = None) -> None:
     """Raise NormalizationError unless the quadrature of |psi|^2 is 1.
 
-    A caller that already holds `density` = |psi.values|**2 passes it, so
-    that it is not built a second time.
+    A caller that already holds `density` = np.abs(psi.values) ** 2 passes
+    it, so that it is not built a second time.  It is trusted, not
+    recomputed: only its length is checked (GridError).
     """
     if density is None:
         density = np.abs(psi.values) ** 2
@@ -128,9 +129,10 @@ def position_moments(psi: SampledFunction) -> tuple[float, float]:
 
 
 def _gradient(y: np.ndarray, h: float) -> np.ndarray:
-    """np.gradient(y, h) of float or complex `y` on a uniform grid, bit
-    for bit: central differences inside, first-order one-sided
-    differences at the edges."""
+    """np.gradient(y, h) on a uniform grid, bit for bit: central
+    differences inside, first-order one-sided differences at the edges.
+    Integer samples are promoted to float64 first, as np.gradient does."""
+    y = y.astype(np.result_type(y, 1.0), copy=False)
     out = np.empty_like(y)
     out[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
     out[0] = (y[1] - y[0]) / h
@@ -150,8 +152,9 @@ def momentum_moments(
     construction.  The second moment is recomputed from a low-order
     derivative stencil and a GridError is raised when the two estimates
     disagree beyond 1 percent: the grid cannot resolve the state's
-    oscillations.  A caller that already holds `density` = |psi.values|**2
-    passes it to the norm check; it enters no returned value.
+    oscillations.  A caller that already holds `density` =
+    np.abs(psi.values) ** 2 passes it to the norm check; it enters no
+    returned value, but it is trusted, so it must be exactly that array.
     """
     _check_normalized(psi, density)
     dpsi = derivative(psi)

@@ -143,6 +143,17 @@ class TestRealSampleShortcut:
             assert np.array_equal(_gradient(psi.values, psi.grid.h), np.gradient(psi.values, psi.grid.h))
 
 
+def test_guard_gradient_promotes_integer_samples():
+    y = np.array([0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8])
+    assert np.array_equal(_gradient(y, 0.3), np.gradient(y, 0.3))
+
+
+def test_density_of_wrong_length_rejected():
+    psi = sample_state(Box(), 1)
+    with pytest.raises(GridError):
+        momentum_moments(psi, np.abs(psi.values[:-1]) ** 2)
+
+
 class TestMovingWavePacket:
     """Complex samples take the general <p> product: a Gaussian packet
     pi^(-1/4) exp(-x^2/2) exp(i k0 x) has <p> = k0 and <p^2> = k0^2 + 1/2."""

@@ -75,13 +75,10 @@ def describe(parent: Output, change: Output) -> str:
 
 
 def compare(
-    parent: Path,
-    change: Path,
-    invocations=INVOCATIONS,
-    run: Callable[[Path, tuple[str, ...]], Output] = run_invocation,
+    parent: Path, change: Path, run: Callable[[Path, tuple[str, ...]], Output] = run_invocation
 ) -> Iterator[str]:
     """Yield one 'SAME: ...' or 'DIFF ...: ...' line per invocation."""
-    for args in invocations:
+    for args in INVOCATIONS:
         verdict = describe(run(parent, args), run(change, args))
         yield f"{verdict}: qnodes {' '.join(args)}"
 
