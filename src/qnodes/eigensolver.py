@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .analytic import UncertaintyRecord
 from .errors import ConfigError, ConvergenceError, GridError
-from .grids import GridSpec, SampledFunction, quad
+from .grids import GridSpec, SampledFunction
 from .model import Box, Oscillator, Ring, SystemSpec, scales
 from .nodal import count_nodes
 from .oracle import record_from_samples
@@ -50,7 +50,7 @@ class Hamiltonian:
     """Symmetric discretization of -(1/2) d^2/dq^2 + V(q) in natural units.
 
     `diagonal` holds 1/h^2 + V(q_i) per unknown; `off_diagonal` is the
-    uniform coupling -1/(2 h^2).  `periodic` adds the two corner
+    uniform coupling -1/(2 h^2).  A periodic grid adds the two corner
     couplings and makes the mirror j -> N - j, not N - 1 - j; `solve_lowest`
     folds the (mirror-symmetric) matrix by it.  `grid` is the full state
     grid (for the box this includes the wall points the matrix excludes).
@@ -58,8 +58,14 @@ class Hamiltonian:
 
     grid: GridSpec
     diagonal: np.ndarray
-    off_diagonal: float
-    periodic: bool
+
+    @property
+    def off_diagonal(self) -> float:
+        return -1.0 / (2.0 * self.grid.h**2)
+
+    @property
+    def periodic(self) -> bool:
+        return self.grid.boundary == "periodic"
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ def build_hamiltonian(spec: SystemSpec, grid: GridSpec) -> Hamiltonian:
         diag = np.full(grid.points, 2.0 * t)
     else:
         diag = 2.0 * t + 0.5 * grid.x**2
-    return Hamiltonian(grid, diag, -t, periodic=isinstance(spec, Ring))
+    return Hamiltonian(grid, diag)
 
 
 def _apply(ham: Hamiltonian, v: np.ndarray) -> np.ndarray:
@@ -200,8 +206,7 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
         full = v
         if ham.grid.boundary == "dirichlet":
             full = np.concatenate(([0.0], v, [0.0]))
-        norm2 = float(np.real(quad(SampledFunction(ham.grid, np.abs(full) ** 2))))
-        full = full / math.sqrt(norm2)
+        full = full / math.sqrt(SampledFunction(ham.grid, full).norm)
         lead = np.flatnonzero(np.abs(full) > 1e-8 * np.max(np.abs(full)))[0]
         if full[lead] < 0:
             full = -full

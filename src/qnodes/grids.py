@@ -61,7 +61,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Function values on a grid; values may be real or complex."""
+    """Function values on a grid; values may be real or complex.
+
+    `values` is a read-only view; integer samples are promoted to float64
+    once, here, so every derivative and quadrature sees inexact values.
+    """
 
     grid: GridSpec
     values: np.ndarray
@@ -73,7 +77,21 @@ class SampledFunction:
                 f"value count {values.shape} does not match grid "
                 f"point count {self.grid.points}"
             )
+        values = values.astype(np.result_type(values, 1.0), copy=False).view()
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """|values|^2, built once per sample and read-only."""
+        density = np.abs(self.values) ** 2
+        density.flags.writeable = False
+        return density
+
+    @cached_property
+    def norm(self) -> float:
+        """Quadrature of `density`: the squared norm, computed once."""
+        return float(np.real(quad(SampledFunction(self.grid, self.density))))
 
 
 def quad(f: SampledFunction) -> float | complex:

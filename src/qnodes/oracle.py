@@ -104,28 +104,23 @@ def sample_levels(spec: SystemSpec, levels, grid: GridSpec):
             yield n, SampledFunction(grid, phi)
 
 
-def _check_normalized(psi: SampledFunction, density: np.ndarray | None = None) -> None:
-    """Raise NormalizationError unless the quadrature of |psi|^2 is 1.
-
-    A caller that already holds `density` = np.abs(psi.values) ** 2 passes
-    it, so that it is not built a second time.  It is trusted, not
-    recomputed: only its length is checked (GridError).
-    """
-    if density is None:
-        density = np.abs(psi.values) ** 2
-    norm = float(np.real(quad(SampledFunction(psi.grid, density))))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise NormalizationError(f"state norm^2 is {norm!r}, deviates beyond {_NORM_TOL}")
+def _check_normalized(psi: SampledFunction) -> None:
+    """Raise NormalizationError unless the quadrature of |psi|^2 is 1."""
+    if abs(psi.norm - 1.0) > _NORM_TOL:
+        raise NormalizationError(f"state norm^2 is {psi.norm!r}, deviates beyond {_NORM_TOL}")
 
 
 def position_moments(psi: SampledFunction) -> tuple[float, float]:
-    """(<x>, <x^2>) by quadrature of x |psi|^2 and x^2 |psi|^2."""
-    density = np.abs(psi.values) ** 2
-    _check_normalized(psi, density)
+    """(<x>, Var x) by quadrature of x |psi|^2 and (x - <x>)^2 |psi|^2.
+
+    The variance is integrated about the mean, not taken as <x^2> - <x>^2,
+    which would cancel digits for a state far from the origin.
+    """
+    _check_normalized(psi)
     x = psi.grid.x
-    mean_x = float(quad(SampledFunction(psi.grid, x * density)))
-    mean_x2 = float(quad(SampledFunction(psi.grid, x**2 * density)))
-    return mean_x, mean_x2
+    mean_x = float(quad(SampledFunction(psi.grid, x * psi.density)))
+    var_x = float(quad(SampledFunction(psi.grid, (x - mean_x) ** 2 * psi.density)))
+    return mean_x, var_x
 
 
 def _gradient(y: np.ndarray, h: float) -> np.ndarray:
@@ -140,9 +135,7 @@ def _gradient(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def momentum_moments(
-    psi: SampledFunction, density: np.ndarray | None = None
-) -> tuple[float, float]:
+def momentum_moments(psi: SampledFunction) -> tuple[float, float]:
     """(<p>, <p^2>) in natural units (hbar = 1) from discrete derivatives.
 
     <p> is the real part of the quadrature of psi* (-i) psi'.  For real
@@ -152,11 +145,9 @@ def momentum_moments(
     construction.  The second moment is recomputed from a low-order
     derivative stencil and a GridError is raised when the two estimates
     disagree beyond 1 percent: the grid cannot resolve the state's
-    oscillations.  A caller that already holds `density` =
-    np.abs(psi.values) ** 2 passes it to the norm check; it enters no
-    returned value, but it is trusted, so it must be exactly that array.
+    oscillations.
     """
-    _check_normalized(psi, density)
+    _check_normalized(psi)
     dpsi = derivative(psi)
     low = _gradient(psi.values, psi.grid.h)
     if np.iscomplexobj(psi.values):
@@ -219,10 +210,9 @@ def ring_theta_by_quadrature(psi: SampledFunction) -> tuple[float, float]:
         raise GridError("ring theta statistics need a periodic grid")
     if psi.grid.lower != 0.0 or abs(psi.grid.upper - 2.0 * math.pi) > 1e-12:
         raise GridError("theta statistics assume the branch [0, 2 pi)")
-    rho = np.abs(psi.values) ** 2
     n = psi.grid.points
-    # c[k] = integral rho e^{-i k theta} dtheta, exact below the Nyquist limit
-    c = np.fft.fft(rho) * psi.grid.h
+    # c[k] = integral |psi|^2 e^{-i k theta} dtheta, exact below the Nyquist limit
+    c = np.fft.fft(psi.density) * psi.grid.h
     total = float(np.real(c[0]))
     k = np.arange(1, n // 2)
     re = np.real(c[1 : n // 2])
@@ -255,10 +245,11 @@ def record_from_samples(
 ) -> UncertaintyRecord:
     """Natural-unit UncertaintyRecord of the natural-unit samples `psi`.
 
-    The one moment pipeline of the oracle and eigen paths: |psi|^2 is
-    built once, the norm is checked once and psi is differentiated once.
-    The energy is <L_z^2>/2 on the ring, <p^2>/2 plus the oscillator's
-    <x^2>/2 otherwise.
+    The one moment pipeline of the oracle and eigen paths: the sample
+    builds its |psi|^2 and norm once, and psi is differentiated once (the
+    ring's L_z psi serves both `ring_lz_by_quadrature` and <L_z^2>).  The
+    energy is <L_z^2>/2 on the ring, <p^2>/2 plus the oscillator's <x^2>/2
+    otherwise.
     """
     if isinstance(spec, Ring):
         lz_psi = -1j * spectral_derivative(psi)
@@ -267,11 +258,8 @@ def record_from_samples(
         mean_lz2 = float(np.real(quad(SampledFunction(psi.grid, np.abs(lz_psi) ** 2))))
         energy = mean_lz2 / 2.0
     else:
-        x = psi.grid.x
-        density = np.abs(psi.values) ** 2
-        mean_x = float(quad(SampledFunction(psi.grid, x * density)))
-        var_x = float(quad(SampledFunction(psi.grid, (x - mean_x) ** 2 * density)))
-        mean_p, mean_p2 = momentum_moments(psi, density)
+        mean_x, var_x = position_moments(psi)
+        mean_p, mean_p2 = momentum_moments(psi)
         dq = math.sqrt(max(var_x, 0.0))
         dp = math.sqrt(max(mean_p2 - mean_p**2, 0.0))
         energy = mean_p2 / 2.0

@@ -87,9 +87,9 @@ class TestBoxMoments:
     @pytest.mark.parametrize("n", [1, 2, 5, 17])
     def test_variances_nonnegative(self, n):
         psi = sample_state(self.spec, n)
-        mean_x, mean_x2 = position_moments(psi)
+        _, var_x = position_moments(psi)
         mean_p, mean_p2 = momentum_moments(psi)
-        assert mean_x2 - mean_x**2 >= 0.0
+        assert var_x >= 0.0
         assert mean_p2 - mean_p**2 >= 0.0
 
 

@@ -365,7 +365,7 @@ class TestMirrorParitySolve:
         ham = _open_hamiltonian(spec, 65)
         grid = ham.grid
         x = grid.x[1:-1] if grid.boundary == "dirichlet" else grid.x
-        skewed = Hamiltonian(grid, ham.diagonal + 0.5 * x, ham.off_diagonal, periodic=False)
+        skewed = Hamiltonian(grid, ham.diagonal + 0.5 * x)
         with pytest.raises(ConvergenceError, match="residual"):
             solve_lowest(skewed, 4)
 

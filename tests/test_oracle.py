@@ -25,9 +25,10 @@ from qnodes import (
     ring_uncertainties,
     sample_state,
 )
+import qnodes.grids
 import qnodes.oracle
 from qnodes.eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
-from qnodes.grids import derivative
+from qnodes.grids import derivative, second_derivative
 from qnodes.oracle import _gradient, default_grid, p2_by_second_derivative, sample_levels
 
 
@@ -72,8 +73,8 @@ class TestPositionMoments:
 
     def test_box_n3_second_moment(self):
         psi = sample_state(Box(), 3)
-        _, mean_x2 = position_moments(psi)
-        assert mean_x2 == pytest.approx(1.0 / 3.0 - 1.0 / (18.0 * np.pi**2), abs=1e-9)
+        _, var_x = position_moments(psi)
+        assert var_x == pytest.approx(1.0 / 12.0 - 1.0 / (18.0 * np.pi**2), abs=1e-9)
 
     def test_oscillator_even_density(self):
         psi = sample_state(Oscillator(), 2, GridSpec(-12.0, 12.0, 4001, "open"))
@@ -148,10 +149,61 @@ def test_guard_gradient_promotes_integer_samples():
     assert np.array_equal(_gradient(y, 0.3), np.gradient(y, 0.3))
 
 
-def test_density_of_wrong_length_rejected():
-    psi = sample_state(Box(), 1)
-    with pytest.raises(GridError):
-        momentum_moments(psi, np.abs(psi.values[:-1]) ** 2)
+class TestSampleOwnsDensity:
+    def test_density_and_norm_built_once(self, monkeypatch):
+        psi = sample_state(Box(), 2)
+        calls = []
+        quad_ = qnodes.grids.quad
+
+        def counted(f):
+            calls.append(f)
+            return quad_(f)
+
+        monkeypatch.setattr(qnodes.grids, "quad", counted)
+        assert psi.density is psi.density
+        assert np.array_equal(psi.density, np.abs(psi.values) ** 2)
+        assert psi.norm == psi.norm == pytest.approx(1.0, abs=1e-12)
+        assert len(calls) == 1
+
+    def test_density_and_norm_read_only(self):
+        psi = sample_state(Box(), 2)
+        with pytest.raises(ValueError):
+            psi.density[0] = 1.0
+        with pytest.raises(AttributeError):
+            psi.norm = 2.0
+        with pytest.raises(AttributeError):
+            psi.density = np.zeros(psi.grid.points)
+
+    def test_values_read_only(self):
+        source = np.ones(101)
+        psi = SampledFunction(GridSpec(0.0, 1.0, 101, "open"), source)
+        with pytest.raises(ValueError):
+            psi.values[0] = 0.0
+        assert source.flags.writeable  # the caller's own array is untouched
+
+
+class TestIntegerSamples:
+    """Integer samples are promoted once, when sampled: every derivative
+    matches the same values given as floats."""
+
+    y = np.array([0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8])
+
+    @pytest.mark.parametrize("op", [derivative, second_derivative])
+    def test_open_grid(self, op):
+        grid = GridSpec(0.0, 3.0, 13, "open")
+        got = op(SampledFunction(grid, self.y))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, op(SampledFunction(grid, self.y.astype(float))))
+
+    def test_periodic_grid(self):
+        grid = GridSpec(0.0, 3.0, 12, "periodic")
+        got = derivative(SampledFunction(grid, self.y[:12]))
+        assert np.array_equal(got, derivative(SampledFunction(grid, self.y[:12].astype(float))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.float64, np.complex128])
+    def test_inexact_samples_keep_their_dtype(self, dtype):
+        psi = SampledFunction(GridSpec(0.0, 3.0, 13, "open"), self.y.astype(dtype))
+        assert psi.values.dtype == dtype
 
 
 class TestMovingWavePacket:
@@ -245,16 +297,35 @@ class TestOneMomentPipeline:
 
     @pytest.mark.parametrize("spec, state", [(Box(), 3), (Oscillator(), 4), (Ring(), -2)])
     def test_norm_checked_once_per_record(self, monkeypatch, spec, state):
+        # count quadratures of |psi|^2 itself, wherever they are taken
+        psi = sample_state(spec, state)
+        density = np.abs(psi.values) ** 2
         calls = []
-        check = qnodes.oracle._check_normalized
+        quad_ = qnodes.grids.quad
 
-        def counted(psi, *args):
-            calls.append(psi)
-            check(psi, *args)
+        def counted(f):
+            if np.array_equal(f.values, density):
+                calls.append(f)
+            return quad_(f)
 
-        monkeypatch.setattr(qnodes.oracle, "_check_normalized", counted)
-        oracle_uncertainties(spec, state)
+        for module in (qnodes.grids, qnodes.oracle):
+            monkeypatch.setattr(module, "quad", counted)
+        qnodes.oracle.record_from_samples(spec, state, psi)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec, state", [(Box(), 3), (Oscillator(), 4)])
+    def test_record_uses_the_public_moment_functions(self, monkeypatch, spec, state):
+        calls = []
+        for name in ("position_moments", "momentum_moments"):
+            original = getattr(qnodes.oracle, name)
+
+            def counted(psi, name=name, original=original):
+                calls.append(name)
+                return original(psi)
+
+            monkeypatch.setattr(qnodes.oracle, name, counted)
+        oracle_uncertainties(spec, state)
+        assert sorted(calls) == ["momentum_moments", "position_moments"]
 
     def test_unnormalized_sample_rejected_by_record(self):
         psi = sample_state(Box(), 2)

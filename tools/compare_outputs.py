@@ -33,6 +33,11 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["sweep", "--system", "oscillator", "--levels", "0:60", "--param", "m=1.7",
          "--param", "omega=0.6", *ALL_PATHS],
         ["nodes", "--system", "oscillator", "--levels", "0:30"],
+        ["verify", "--system", "ring", "--levels", "-10:10", *ALL_PATHS, "--tol", "1e-3"],
+        ["verify", "--system", "ring", "--levels", "-10:10", *ALL_PATHS, "--tol", "1e-3",
+         "--inject-corruption"],
+        ["eigensolve", "--system", "box", "--k", "6"],
+        ["nodes", "--system", "ring", "--levels", "-3:3"],
     )
 )
 
