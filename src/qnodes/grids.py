@@ -77,7 +77,11 @@ class SampledFunction:
                 f"value count {values.shape} does not match grid "
                 f"point count {self.grid.points}"
             )
-        values = values.astype(np.result_type(values, 1.0), copy=False).view()
+        # every quadrature integrand is wrapped here too, so inexact values
+        # skip the dtype promotion's cost
+        if values.dtype.kind not in "fc":
+            values = values.astype(np.result_type(values, 1.0))
+        values = values.view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
