@@ -11,11 +11,8 @@ even at n = 20, where the wavefunction oscillates rapidly over a classical
 turning region of half-width sqrt(2n+1) oscillator lengths.
 """
 
-import numpy as np
-
 from qnodes import (
     Oscillator,
-    SampledFunction,
     count_nodes,
     oracle_uncertainties,
     oscillator_uncertainties,
@@ -30,7 +27,7 @@ for n in range(0, 11):
     ana = oscillator_uncertainties(spec, n)
     ora = oracle_uncertainties(spec, n)
     psi = sample_state(spec, n)
-    nodes = count_nodes(SampledFunction(psi.grid, np.real(psi.values))).count
+    nodes = count_nodes(psi).count
     rel = abs(ora.product - ana.product) / ana.product
     print(f"{n:>3} {ana.product:>13.10f} {n + 0.5:>8.1f} {nodes:>6} "
           f"{rel:>15.2e}")

@@ -13,12 +13,9 @@ density lumpy, gives L_z a genuine spread, and the node count survives.
 
 import math
 
-import numpy as np
-
 from qnodes import (
     Ring,
     RingSuperposition,
-    SampledFunction,
     count_nodes,
     ring_lz_by_quadrature,
     ring_lz_stats,
@@ -33,8 +30,8 @@ print(f"{'m':>3} {'Delta theta':>12} {'Delta L_z':>12} {'nodes of Re psi':>16}")
 for m in range(0, 6):
     psi = sample_state(spec, m)
     _, dtheta = ring_theta_by_quadrature(psi)
-    _, dlz = ring_lz_by_quadrature(psi)
-    nodes = count_nodes(SampledFunction(psi.grid, np.real(psi.values))).count
+    _, dlz, _ = ring_lz_by_quadrature(psi)
+    nodes = count_nodes(psi).count
     print(f"{m:>3} {dtheta:>12.8f} {dlz:>12.2e} {nodes:>16}")
 
 print(f"\nEvery definite-m row shows Delta theta = 2 pi/sqrt(12) = "
@@ -44,7 +41,7 @@ c = 1.0 / math.sqrt(2.0)
 cat = RingSuperposition(((1, c), (-1, c)))
 mean, spread = ring_lz_stats(spec, cat)
 cat_psi = sample_state(spec, cat)
-_, spread_quad = ring_lz_by_quadrature(cat_psi)
+_, spread_quad, _ = ring_lz_by_quadrature(cat_psi)
 _, dtheta_cat = ring_theta_by_quadrature(cat_psi)
 print(f"\nSuperposition (|+1> + |-1>)/sqrt(2):")
 print(f"  <L_z> = {mean:+.3f} hbar, Delta L_z = {spread:.12f} hbar "

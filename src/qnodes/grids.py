@@ -61,10 +61,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Function values on a grid; values may be real or complex.
+    """Samples of a state (or a density) on a grid, real or complex.
 
-    `values` is a read-only view; integer samples are promoted to float64
-    once, here, so every derivative and quadrature sees inexact values.
+    Only samples are `SampledFunction`s; an integrand is a plain array
+    that `quad(grid, values)` integrates.  `values` is a read-only view;
+    integer samples are promoted to float64 once, here, so every
+    derivative sees inexact values.
     """
 
     grid: GridSpec
@@ -77,11 +79,7 @@ class SampledFunction:
                 f"value count {values.shape} does not match grid "
                 f"point count {self.grid.points}"
             )
-        # every quadrature integrand is wrapped here too, so inexact values
-        # skip the dtype promotion's cost
-        if values.dtype.kind not in "fc":
-            values = values.astype(np.result_type(values, 1.0))
-        values = values.view()
+        values = values.astype(np.result_type(values, 1.0), copy=False).view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -95,19 +93,20 @@ class SampledFunction:
     @cached_property
     def norm(self) -> float:
         """Quadrature of `density`: the squared norm, computed once."""
-        return float(np.real(quad(SampledFunction(self.grid, self.density))))
+        return float(np.real(quad(self.grid, self.density)))
 
 
-def quad(f: SampledFunction) -> float | complex:
-    """Integrate sampled values over their grid.
+def quad(grid: GridSpec, y: np.ndarray) -> float | complex:
+    """Integrate the values `y`, one per point of `grid`, over the grid.
 
     Composite Simpson on closed grids (O(h^4) for smooth integrands);
     rectangle rule on periodic grids, which is spectrally accurate for
     smooth periodic integrands.
     """
-    y = f.values
-    h = f.grid.h
-    if f.grid.boundary == "periodic":
+    if y.shape != (grid.points,):
+        raise GridError(f"value count {y.shape} does not match grid point count {grid.points}")
+    h = grid.h
+    if grid.boundary == "periodic":
         return h * y.sum()
     s = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()
     return s * h / 3.0

@@ -118,8 +118,8 @@ def position_moments(psi: SampledFunction) -> tuple[float, float]:
     """
     _check_normalized(psi)
     x = psi.grid.x
-    mean_x = float(quad(SampledFunction(psi.grid, x * psi.density)))
-    var_x = float(quad(SampledFunction(psi.grid, (x - mean_x) ** 2 * psi.density)))
+    mean_x = float(quad(psi.grid, x * psi.density))
+    var_x = float(quad(psi.grid, (x - mean_x) ** 2 * psi.density))
     return mean_x, var_x
 
 
@@ -151,14 +151,14 @@ def momentum_moments(psi: SampledFunction) -> tuple[float, float]:
     dpsi = derivative(psi)
     low = _gradient(psi.values, psi.grid.h)
     if np.iscomplexobj(psi.values):
-        mean_p = float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * -1j * dpsi))))
+        mean_p = float(np.real(quad(psi.grid, np.conj(psi.values) * -1j * dpsi)))
         dpsi2, low2 = np.abs(dpsi) ** 2, np.abs(low) ** 2
     else:
         # for real arrays np.square(a) equals np.abs(a) ** 2 bit for bit
         mean_p = 0.0
         dpsi2, low2 = np.square(dpsi), np.square(low)
-    mean_p2 = float(np.real(quad(SampledFunction(psi.grid, dpsi2))))
-    p2_low = float(np.real(quad(SampledFunction(psi.grid, low2))))
+    mean_p2 = float(np.real(quad(psi.grid, dpsi2)))
+    p2_low = float(np.real(quad(psi.grid, low2)))
     if abs(p2_low - mean_p2) > _STENCIL_ORDER_TOL * max(abs(mean_p2), 1.0):
         raise GridError(
             "grid too coarse for momentum moments: stencil-order "
@@ -170,27 +170,27 @@ def momentum_moments(psi: SampledFunction) -> tuple[float, float]:
 def p2_by_second_derivative(psi: SampledFunction) -> float:
     """Cross-check form <p^2> = -integral psi* psi'' (natural units)."""
     d2 = second_derivative(psi)
-    return -float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * d2))))
+    return -float(np.real(quad(psi.grid, np.conj(psi.values) * d2)))
 
 
-def ring_lz_by_quadrature(
-    psi: SampledFunction, lz_psi: np.ndarray | None = None
-) -> tuple[float, float]:
-    """(<L_z>, Delta L_z) in units of hbar, applying -i d/dtheta spectrally.
+def ring_lz_by_quadrature(psi: SampledFunction) -> tuple[float, float, float]:
+    """(<L_z>, Delta L_z, <L_z^2>) in units of hbar, applying -i d/dtheta
+    spectrally, once.
 
     The spread is computed from the centered state (L_z - <L_z>) psi before
-    squaring so that a definite-m state yields zero to roundoff.  A caller
-    that already holds L_z psi passes it as `lz_psi`.
+    squaring so that a definite-m state yields zero to roundoff.  <L_z^2>
+    is the quadrature of |L_z psi|^2, not <L_z>^2 + (Delta L_z)^2, whose
+    last bits differ.
     """
     if psi.grid.boundary != "periodic":
         raise GridError("ring L_z statistics need a periodic grid")
     _check_normalized(psi)
-    if lz_psi is None:
-        lz_psi = -1j * spectral_derivative(psi)
-    mean = float(np.real(quad(SampledFunction(psi.grid, np.conj(psi.values) * lz_psi))))
+    lz_psi = -1j * spectral_derivative(psi)
+    mean = float(np.real(quad(psi.grid, np.conj(psi.values) * lz_psi)))
     centered = lz_psi - mean * psi.values
-    var = float(np.real(quad(SampledFunction(psi.grid, np.abs(centered) ** 2))))
-    return mean, math.sqrt(max(var, 0.0))
+    var = float(np.real(quad(psi.grid, np.abs(centered) ** 2)))
+    mean2 = float(np.real(quad(psi.grid, np.abs(lz_psi) ** 2)))
+    return mean, math.sqrt(max(var, 0.0)), mean2
 
 
 def ring_theta_by_quadrature(psi: SampledFunction) -> tuple[float, float]:
@@ -245,17 +245,14 @@ def record_from_samples(
 ) -> UncertaintyRecord:
     """Natural-unit UncertaintyRecord of the natural-unit samples `psi`.
 
-    The one moment pipeline of the oracle and eigen paths: the sample
-    builds its |psi|^2 and norm once, and psi is differentiated once (the
-    ring's L_z psi serves both `ring_lz_by_quadrature` and <L_z^2>).  The
-    energy is <L_z^2>/2 on the ring, <p^2>/2 plus the oscillator's <x^2>/2
-    otherwise.
+    The one moment pipeline of the oracle and eigen paths: each moment
+    function takes only the sample, which builds its |psi|^2 and norm
+    once.  The energy is <L_z^2>/2 on the ring, <p^2>/2 plus the
+    oscillator's <x^2>/2 otherwise.
     """
     if isinstance(spec, Ring):
-        lz_psi = -1j * spectral_derivative(psi)
-        _, dp = ring_lz_by_quadrature(psi, lz_psi)
+        _, dp, mean_lz2 = ring_lz_by_quadrature(psi)
         _, dq = ring_theta_by_quadrature(psi)
-        mean_lz2 = float(np.real(quad(SampledFunction(psi.grid, np.abs(lz_psi) ** 2))))
         energy = mean_lz2 / 2.0
     else:
         mean_x, var_x = position_moments(psi)

@@ -102,14 +102,12 @@ class SweepRow:
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
-def _meets_bound(product: float, bound: float) -> bool:
-    return product >= bound - BOUND_SLACK * bound
-
-
 def _satisfied_flag(spec: SystemSpec, product: float, bound: float) -> str:
+    """'na' on the ring, which has no Heisenberg check; else whether the
+    product meets the bound within the roundoff slack."""
     if isinstance(spec, Ring):
         return "na"
-    return "true" if _meets_bound(product, bound) else "false"
+    return "true" if product >= bound - BOUND_SLACK * bound else "false"
 
 
 def _row_from_record(
@@ -213,16 +211,24 @@ def verify_rows(cfg: SweepConfig, rows: list[SweepRow]) -> list[str]:
     """Check finiteness, bounds, node laws, and cross-path agreement.
 
     Returns the failures.  The satisfied flag is recomputed from the
-    product and bound fields so a corrupted row cannot slip through on a
-    stale flag.
+    product and bound fields, and each level's disagreement from that
+    level's rows, so a corrupted row cannot slip through on a stale flag
+    or a disagreement computed before the corruption.  A row fails when
+    its stored or its recomputed disagreement exceeds the tolerance or is
+    NaN; the failure names the worse of the two.
     """
+    by_level: dict[int, list[SweepRow]] = {}
+    for row in rows:
+        by_level.setdefault(row.level, []).append(row)
+    units = scales(cfg.system)
+    recomputed = {level: _max_disagreement(group, units) for level, group in by_level.items()}
     failures: list[str] = []
     for row in rows:
         where = f"{row.system} level {row.level} ({row.path})"
         for name in (*_COLUMN_UNITS, "bound"):
             if not math.isfinite(getattr(row, name)):
                 failures.append(f"{where}: {name} is {getattr(row, name)!r}, not finite")
-        if row.system != "ring" and not _meets_bound(row.product, row.bound):
+        if _satisfied_flag(cfg.system, row.product, row.bound) == "false":
             failures.append(
                 f"{where}: product {row.product:.12g} below bound {row.bound:.12g}"
             )
@@ -230,9 +236,15 @@ def verify_rows(cfg: SweepConfig, rows: list[SweepRow]) -> list[str]:
             failures.append(
                 f"{where}: counted {row.nodes_counted} nodes, predicted {row.nodes_predicted}"
             )
-        if row.disagreement is not None and not row.disagreement <= cfg.tol:
+        exceeded = [
+            d
+            for d in (row.disagreement, recomputed[row.level])
+            if d is not None and not d <= cfg.tol
+        ]
+        if exceeded:
+            worst = max(exceeded, key=lambda d: math.inf if math.isnan(d) else d)
             failures.append(
-                f"{where}: cross-path disagreement {row.disagreement:.3e} "
+                f"{where}: cross-path disagreement {worst:.3e} "
                 f"exceeds tolerance {cfg.tol:.3e}"
             )
     return failures

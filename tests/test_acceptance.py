@@ -173,12 +173,12 @@ def test_criterion_6_ring_statistics():
             rho = SampledFunction(grid, ring_density(RING, m, grid.x))
             max_dev, nodeless = density_flatness(rho)
             assert max_dev == 0.0 and nodeless
-            _, dlz = ring_lz_by_quadrature(sample_state(RING, m))
+            _, dlz, _ = ring_lz_by_quadrature(sample_state(RING, m))
             assert dlz <= 1e-10
         c = 1.0 / math.sqrt(2.0)
         pair = RingSuperposition(((1, c), (-1, c)))
         _, by_coeff = ring_lz_stats(RING, pair)
-        _, by_quad = ring_lz_by_quadrature(sample_state(RING, pair))
+        _, by_quad, _ = ring_lz_by_quadrature(sample_state(RING, pair))
         assert abs(by_coeff - 1.0) <= 1e-10
         assert abs(by_quad - 1.0) <= 1e-10
         _, dtheta = ring_theta_by_quadrature(sample_state(RING, 5))

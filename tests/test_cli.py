@@ -200,6 +200,24 @@ class TestVerify:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
+    def test_seeded_ring_corruption_exit_1(self, runner):
+        # ring rows have no Heisenberg check, so only the disagreement,
+        # recomputed from the corrupted rows, can catch the lowered product
+        result = runner.invoke(
+            main,
+            ["verify", "--system", "ring", "--levels", "-3:3",
+             "--paths", "analytic,oracle,eigen", "--tol", "1e-3", "--inject-corruption"],
+        )
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            *(
+                f"FAIL ring level -3 ({path}): cross-path disagreement 2.500e-01 "
+                "exceeds tolerance 1.000e-03"
+                for path in ("analytic", "oracle", "eigen")
+            ),
+            "3 check(s) failed",
+        ]
+
     def test_single_path_exit_2(self, runner):
         result = runner.invoke(
             main,

@@ -26,7 +26,7 @@ from qnodes import (
     solve_lowest,
 )
 from qnodes.eigensolver import _apply, _parity_pairs
-from qnodes.grids import SampledFunction, quad
+from qnodes.grids import quad
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ class TestEigenvectors:
     def test_normalized_and_signed(self, box_result):
         _, result = box_result
         for state in result.states:
-            norm = quad(SampledFunction(state.grid, np.abs(state.values) ** 2))
+            norm = quad(state.grid, np.abs(state.values) ** 2)
             assert norm == pytest.approx(1.0, abs=1e-10)
             lead = np.flatnonzero(np.abs(state.values) > 1e-8)[0]
             assert state.values[lead] > 0
@@ -126,10 +126,8 @@ class TestEigenvectors:
         for i in range(len(result.states)):
             for j in range(i + 1, len(result.states)):
                 overlap = quad(
-                    SampledFunction(
-                        result.states[i].grid,
-                        np.conj(result.states[i].values) * result.states[j].values,
-                    )
+                    result.states[i].grid,
+                    np.conj(result.states[i].values) * result.states[j].values,
                 )
                 assert abs(overlap) < 1e-8
 
@@ -164,7 +162,7 @@ class TestEigenUncertainties:
             assert rec.delta_p == pytest.approx(0.0, abs=1e-8)
             assert rec.nodes_measured == 2 * abs(m)
             assert rec.energy == pytest.approx(ring_energy(spec, m), rel=1e-3, abs=1e-8)
-            norm = quad(SampledFunction(psi.grid, np.abs(psi.values) ** 2))
+            norm = quad(psi.grid, np.abs(psi.values) ** 2)
             assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_out_of_range_index(self, box_result):
@@ -271,7 +269,7 @@ class TestRingMomentumState:
     def test_definite_angular_momentum(self, solved, m):
         spec, result = solved
         psi = ring_momentum_state(result, m)
-        mean, spread = ring_lz_by_quadrature(psi)
+        mean, spread, _ = ring_lz_by_quadrature(psi)
         assert mean == pytest.approx(m, abs=1e-8)
         assert spread <= 1e-8
         assert count_nodes(psi).count == 2 * abs(m)

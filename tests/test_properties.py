@@ -13,7 +13,6 @@ from qnodes import (
     Oscillator,
     Ring,
     RingSuperposition,
-    SampledFunction,
     box_uncertainties,
     oscillator_psi,
     oscillator_uncertainties,
@@ -102,7 +101,7 @@ def test_simpson_exact_for_cubics(coeffs):
     grid = GridSpec(-1.0, 2.0, 51, "open")
     poly = np.polynomial.Polynomial(coeffs)
     exact = poly.integ()(2.0) - poly.integ()(-1.0)
-    got = quad(SampledFunction(grid, poly(grid.x)))
+    got = quad(grid, poly(grid.x))
     assert got == pytest.approx(exact, abs=1e-10)
 
 

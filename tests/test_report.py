@@ -190,6 +190,18 @@ class TestVerifyRows:
         assert failures, "corrupted product must be flagged"
         assert any("below bound" in f for f in failures)
 
+    def test_ring_corruption_detected(self):
+        # the stored disagreement predates the corruption and ring rows have
+        # no bound check: only the recomputed disagreement sees it
+        cfg = SweepConfig(system=Ring(), levels=(0, 1), paths=("analytic", "oracle"))
+        rows = corrupt_first_product(run_sweep(cfg))
+        assert rows[0].disagreement <= cfg.tol
+        assert verify_rows(cfg, rows) == [
+            f"ring level 0 ({path}): cross-path disagreement 2.500e-01 "
+            "exceeds tolerance 1.000e-06"
+            for path in ("analytic", "oracle")
+        ]
+
     def test_impossible_tolerance_fails(self):
         cfg = SweepConfig(
             system=Box(), levels=(1,), paths=("analytic", "oracle"), tol=1e-15

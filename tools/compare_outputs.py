@@ -38,6 +38,7 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
          "--inject-corruption"],
         ["eigensolve", "--system", "box", "--k", "6"],
         ["nodes", "--system", "ring", "--levels", "-3:3"],
+        ["verify", "--system", "box", "--levels", "1:3", "--inject-corruption"],
     )
 )
 
