@@ -59,6 +59,14 @@ class GridSpec:
         return x
 
 
+def _check_count(grid: GridSpec, values: np.ndarray) -> None:
+    """Raise GridError unless `values` holds one value per grid point."""
+    if values.shape != (grid.points,):
+        raise GridError(
+            f"value count {values.shape} does not match grid point count {grid.points}"
+        )
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """Samples of a state (or a density) on a grid, real or complex.
@@ -74,11 +82,7 @@ class SampledFunction:
 
     def __post_init__(self):
         values = np.asarray(self.values)
-        if values.shape != (self.grid.points,):
-            raise GridError(
-                f"value count {values.shape} does not match grid "
-                f"point count {self.grid.points}"
-            )
+        _check_count(self.grid, values)
         values = values.astype(np.result_type(values, 1.0), copy=False).view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -103,8 +107,7 @@ def quad(grid: GridSpec, y: np.ndarray) -> float | complex:
     rectangle rule on periodic grids, which is spectrally accurate for
     smooth periodic integrands.
     """
-    if y.shape != (grid.points,):
-        raise GridError(f"value count {y.shape} does not match grid point count {grid.points}")
+    _check_count(grid, y)
     h = grid.h
     if grid.boundary == "periodic":
         return h * y.sum()
