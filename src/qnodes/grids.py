@@ -90,7 +90,11 @@ class SampledFunction:
     @cached_property
     def density(self) -> np.ndarray:
         """|values|^2, built once per sample and read-only."""
-        density = np.abs(self.values) ** 2
+        if np.iscomplexobj(self.values):
+            density = np.abs(self.values) ** 2
+        else:
+            # equals np.abs(values) ** 2 bit for bit, in one pass
+            density = np.square(self.values)
         density.flags.writeable = False
         return density
 
@@ -117,12 +121,24 @@ def quad(grid: GridSpec, y: np.ndarray) -> float | complex:
 
 @lru_cache(maxsize=64)
 def _fd_weights(offsets: tuple[int, ...], deriv: int) -> np.ndarray:
-    """Finite-difference weights for d^deriv/dx^deriv on integer offsets."""
+    """Finite-difference weights for d^deriv/dx^deriv on integer offsets,
+    read-only because they are cached."""
     k = np.arange(len(offsets))
     a = np.array(offsets, dtype=float) ** k[:, None]
     b = np.zeros(len(offsets))
     b[deriv] = float(math.factorial(deriv))
-    return np.linalg.solve(a, b)
+    weights = np.linalg.solve(a, b)
+    weights.flags.writeable = False
+    return weights
+
+
+@lru_cache(maxsize=8)
+def _edge_rows(deriv: int, width: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """One-sided `width`-point weight rows for the first three points
+    (left) and the last three points (right, outermost first) of a grid."""
+    left = tuple(_fd_weights(tuple(range(-i, width - i)), deriv) for i in range(3))
+    right = tuple(_fd_weights(tuple(range(-(width - 1 - i), i + 1)), deriv) for i in range(3))
+    return left, right
 
 
 _CENTRAL_6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
@@ -146,12 +162,13 @@ def _order6(f: SampledFunction, central: np.ndarray, deriv: int, width: int) -> 
         return out / scale
 
     out = np.empty_like(y)
-    out[3:-3] = np.convolve(y, central[::-1], mode="valid") / scale
+    np.divide(np.convolve(y, central[::-1], mode="valid"), scale, out=out[3:-3])
+    # one row at a time: stacked into a matrix, BLAS changes the last bits
+    left, right = _edge_rows(deriv, width)
+    head, tail = y[:width], y[-width:]
     for i in range(3):
-        w = _fd_weights(tuple(range(-i, width - i)), deriv)
-        out[i] = w @ y[:width] / scale
-        w = _fd_weights(tuple(range(-(width - 1 - i), i + 1)), deriv)
-        out[n - 1 - i] = w @ y[-width:] / scale
+        out[i] = left[i] @ head / scale
+        out[n - 1 - i] = right[i] @ tail / scale
     return out
 
 

@@ -44,7 +44,8 @@ def count_nodes(f: SampledFunction) -> NodeReport:
     if peak == 0.0:
         raise DegenerateError("samples are identically zero")
     eps = ZERO_RTOL * peak
-    significant = np.flatnonzero(magnitude > eps)
+    mask = magnitude > eps
+    significant = np.flatnonzero(mask)
     if significant.size < 3:
         raise DegenerateError("fewer than 3 samples above the zero threshold")
     # Open grids truncate decaying tails, so a mostly-below-threshold sample
@@ -55,18 +56,22 @@ def count_nodes(f: SampledFunction) -> NodeReport:
             "threshold; function is numerically zero on most of the grid"
         )
 
-    ys = y[significant]
-    xs = x[significant]
-    if f.grid.boundary == "periodic":
-        # one full period: close the loop so a zero in the wrap cell counts
-        period = f.grid.upper - f.grid.lower
-        ys = np.append(ys, ys[0])
-        xs = np.append(xs, xs[0] + period)
-    signs = np.sign(ys)
-    flips = np.flatnonzero(signs[:-1] != signs[1:])
-    locations = xs[flips] - ys[flips] * (xs[flips + 1] - xs[flips]) / (
-        ys[flips + 1] - ys[flips]
-    )
+    ys = y[mask]
+    # every significant sample is nonzero, so its sign bit is its sign
+    negative = np.signbit(ys)
+    left = np.flatnonzero(negative[:-1] != negative[1:])
+    period = f.grid.upper - f.grid.lower
+    wrap = f.grid.boundary == "periodic" and negative[-1] != negative[0]
+    if wrap:
+        # one full period: the last significant sample pairs with the first,
+        # one period on, so a zero in the wrap cell counts
+        left = np.append(left, ys.size - 1)
+    right = (left + 1) % ys.size
+    x0, x1 = x[significant[left]], x[significant[right]]
+    if wrap:
+        x1[-1] += period
+    y0, y1 = ys[left], ys[right]
+    locations = x0 - y0 * (x1 - x0) / (y1 - y0)
 
     if f.grid.boundary == "periodic":
         locations = f.grid.lower + (locations - f.grid.lower) % period

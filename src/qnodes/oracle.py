@@ -119,7 +119,10 @@ def position_moments(psi: SampledFunction) -> tuple[float, float]:
     _check_normalized(psi)
     x = psi.grid.x
     mean_x = float(quad(psi.grid, x * psi.density))
-    var_x = float(quad(psi.grid, (x - mean_x) ** 2 * psi.density))
+    spread = x - mean_x
+    np.square(spread, out=spread)
+    spread *= psi.density
+    var_x = float(quad(psi.grid, spread))
     return mean_x, var_x
 
 
@@ -129,7 +132,8 @@ def _gradient(y: np.ndarray, h: float) -> np.ndarray:
     Integer samples are promoted to float64 first, as np.gradient does."""
     y = y.astype(np.result_type(y, 1.0), copy=False)
     out = np.empty_like(y)
-    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
+    interior = np.subtract(y[2:], y[:-2], out=out[1:-1])
+    interior /= 2.0 * h
     out[0] = (y[1] - y[0]) / h
     out[-1] = (y[-1] - y[-2]) / h
     return out
@@ -154,9 +158,10 @@ def momentum_moments(psi: SampledFunction) -> tuple[float, float]:
         mean_p = float(np.real(quad(psi.grid, np.conj(psi.values) * -1j * dpsi)))
         dpsi2, low2 = np.abs(dpsi) ** 2, np.abs(low) ** 2
     else:
-        # for real arrays np.square(a) equals np.abs(a) ** 2 bit for bit
+        # for real arrays np.square(a) equals np.abs(a) ** 2 bit for bit;
+        # both arrays are fresh, so they are squared in place
         mean_p = 0.0
-        dpsi2, low2 = np.square(dpsi), np.square(low)
+        dpsi2, low2 = np.square(dpsi, out=dpsi), np.square(low, out=low)
     mean_p2 = float(np.real(quad(psi.grid, dpsi2)))
     p2_low = float(np.real(quad(psi.grid, low2)))
     if abs(p2_low - mean_p2) > _STENCIL_ORDER_TOL * max(abs(mean_p2), 1.0):

@@ -20,7 +20,7 @@ from .analytic import (
     ring_uncertainties,
 )
 from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_uncertainties, solve_lowest
-from .errors import ConfigError, GridError, QnodesError
+from .errors import ConfigError, DomainError, GridError, QnodesError
 from .model import Box, Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
 from .nodal import count_nodes
 from .oracle import default_grid, record_from_samples, sample_levels
@@ -111,7 +111,12 @@ def _satisfied_flag(spec: SystemSpec, product: float, bound: float) -> str:
 
 
 def _row_from_record(
-    spec: SystemSpec, level: int, rec: UncertaintyRecord, path: str, nodes_counted: int | None
+    spec: SystemSpec,
+    level: int,
+    rec: UncertaintyRecord,
+    path: str,
+    nodes_counted: int | None,
+    disagreement: float | None,
 ) -> SweepRow:
     return SweepRow(
         system=system_tag(spec),
@@ -125,7 +130,7 @@ def _row_from_record(
         bound=rec.bound,
         satisfied=_satisfied_flag(spec, rec.product, rec.bound),
         path=path,
-        disagreement=None,
+        disagreement=disagreement,
     )
 
 
@@ -171,25 +176,46 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
 
 def _sweep_level(spec, units, paths, level, psi, eigen_result) -> list[SweepRow]:
-    per_level: list[SweepRow] = []
+    """The level's rows, each built once with the level's disagreement.
+
+    A compared column that overflows to +-inf in physical units leaves
+    the paths incomparable, so it raises DomainError naming the column.
+    """
     measured = None if psi is None else count_nodes(psi).count
+    # (path, record, nodes counted) in canonical path order
+    results: list[tuple[str, UncertaintyRecord, int | None]] = []
     if "analytic" in paths:
-        rec = _analytic_record(spec, level)
-        per_level.append(_row_from_record(spec, level, rec, "analytic", measured))
+        results.append(("analytic", _analytic_record(spec, level), measured))
     if "oracle" in paths:
-        rec = record_from_samples(spec, level, psi).rescaled(units)
-        per_level.append(_row_from_record(spec, level, rec, "oracle", measured))
+        results.append(("oracle", record_from_samples(spec, level, psi).rescaled(units), measured))
     if "eigen" in paths:
         rec = eigen_uncertainties(spec, eigen_result, level)
-        per_level.append(_row_from_record(spec, level, rec, "eigen", rec.nodes_measured))
-    if len(per_level) >= 2:
-        dis = _max_disagreement(per_level, units)
-        per_level = [replace(r, disagreement=dis) for r in per_level]
-    return per_level
+        results.append(("eigen", rec, rec.nodes_measured))
+    dis = None
+    if len(results) >= 2:
+        dis = _max_disagreement([rec for _, rec, _ in results], units)
+        if math.isnan(dis):
+            _raise_on_overflow(results, units)
+    return [
+        _row_from_record(spec, level, rec, path, nodes, dis) for path, rec, nodes in results
+    ]
 
 
-def _max_disagreement(rows: list[SweepRow], units: Scales) -> float:
-    """Worst relative difference of a compared column between two rows.
+def _raise_on_overflow(results, units: Scales) -> None:
+    """DomainError naming the first compared column that is +-inf."""
+    for path, rec, _ in results:
+        for name, unit in _COLUMN_UNITS.items():
+            value = getattr(rec, name)
+            if math.isinf(value):
+                raise DomainError(
+                    f"{path} {name} overflows to {value!r} at the {unit} scale "
+                    f"{getattr(units, unit)!r}; the paths cannot be compared"
+                )
+
+
+def _max_disagreement(rows, units: Scales) -> float:
+    """Worst relative difference of a compared column between two rows
+    (or records: anything with the compared columns as attributes).
 
     Each denominator is floored at the column's unit, so values far below
     one natural unit are compared absolutely in that unit.  NaN if any

@@ -153,6 +153,16 @@ def test_eigensolve_overflowed_energy_exit_3(runner, fmt):
     assert "inf," not in result.output and "null" not in result.output
 
 
+def test_overflowing_compared_level_exit_2(runner):
+    # the energy scale 1e307 is representable, but E_2 overflows, and two
+    # infinite energies cannot be compared
+    args = ["verify", "--system", "box", "--levels", "1:3", "--paths", "analytic,oracle,eigen",
+            "--tol", "1e-3", "--hbar", "1e19", "--param", "a=1e-90", "--param", "m=1e-89"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "level 2: analytic energy overflows to inf at the energy scale" in result.output
+
+
 class TestVerify:
     def test_box_analytic_oracle_exit_0(self, runner):
         result = runner.invoke(

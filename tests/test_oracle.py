@@ -28,8 +28,9 @@ from qnodes import (
 import qnodes.grids
 import qnodes.oracle
 from qnodes.eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
-from qnodes.grids import derivative, second_derivative
+from qnodes.grids import _edge_rows, _fd_weights, derivative, second_derivative
 from qnodes.oracle import _gradient, default_grid, p2_by_second_derivative, sample_levels
+from qnodes.report import SweepConfig, run_sweep
 
 
 class TestQuad:
@@ -146,6 +147,62 @@ class TestRealSampleShortcut:
     def test_guard_gradient_matches_numpy(self, samples):
         for psi in samples():
             assert np.array_equal(_gradient(psi.values, psi.grid.h), np.gradient(psi.values, psi.grid.h))
+
+
+@pytest.mark.parametrize(
+    "samples", [_sweep_oscillator_samples, _box_eigenvectors], ids=["oscillator-0:200", "box-eigen-40"]
+)
+class TestKernelBits:
+    """The derivative edges and the density against their plain formulas,
+    bit for bit, on the samples the sweeps feed them."""
+
+    @pytest.mark.parametrize(
+        "fn, deriv, width", [(derivative, 1, 7), (second_derivative, 2, 9)], ids=["d1", "d2"]
+    )
+    def test_edge_values_are_single_row_products(self, samples, fn, deriv, width):
+        for psi in samples():
+            y, n, scale = psi.values, psi.grid.points, psi.grid.h**deriv
+            out = fn(psi)
+            for i in range(3):
+                left = _fd_weights(tuple(range(-i, width - i)), deriv)
+                right = _fd_weights(tuple(range(-(width - 1 - i), i + 1)), deriv)
+                assert out[i] == left @ y[:width] / scale
+                assert out[n - 1 - i] == right @ y[-width:] / scale
+
+    def test_real_density_is_abs_squared(self, samples):
+        for psi in samples():
+            assert np.array_equal(psi.density, np.abs(psi.values) ** 2)
+
+
+@pytest.mark.parametrize(
+    "state", [3, -7, RingSuperposition(((0, 0.6), (2, 0.8j)))], ids=["m3", "m-7", "superposition"]
+)
+def test_complex_density_is_abs_squared(state):
+    psi = sample_state(Ring(), state)
+    assert np.iscomplexobj(psi.values)
+    assert np.array_equal(psi.density, np.abs(psi.values) ** 2)
+
+
+def test_sweep_leaves_shared_arrays_read_only(monkeypatch):
+    # the kernels write in place only into fresh temporaries
+    seen = []
+    derivative_ = qnodes.oracle.derivative
+
+    def spy(psi):
+        seen.append(psi)
+        return derivative_(psi)
+
+    monkeypatch.setattr(qnodes.oracle, "derivative", spy)
+    run_sweep(SweepConfig(Oscillator(), tuple(range(21)), ("analytic", "oracle")))
+    run_sweep(SweepConfig(Box(), (1, 2, 3), ("analytic", "oracle", "eigen")))
+    assert len(seen) == 21 + 3 + 3
+    for psi in seen:
+        assert not psi.grid.x.flags.writeable
+        assert not psi.values.flags.writeable
+        assert not psi.density.flags.writeable
+    for deriv, width in ((1, 7), (2, 9)):
+        for rows in _edge_rows(deriv, width):
+            assert all(not w.flags.writeable for w in rows)
 
 
 def test_guard_gradient_promotes_integer_samples():

@@ -4,7 +4,8 @@ Every path computes on the natural-unit system; `scales` is the only code
 that reads hbar or a system parameter, and each record is multiplied by
 its scales once.  So a sweep at any representable parameters is the unit
 sweep times the scales, bit for bit, and parameters whose scales cannot
-be represented fail with DomainError before any row is made.
+be represented fail with DomainError before any row is made.  A level
+whose compared columns overflow fails with DomainError too.
 """
 
 import math
@@ -123,6 +124,7 @@ class TestScales:
 @example(system="ring", hbar=1.0, first=1e-200, second=1.0)
 @example(system="box", hbar=1e-30, first=1.0, second=1.0)
 @example(system="box", hbar=1.0, first=1e6, second=1.0)
+@example(system="box", hbar=1e19, first=1e-90, second=1e-89)  # E_2, E_3 overflow
 def test_rows_are_unit_rows_times_scales(system, hbar, first, second):
     spec = make_spec(system, hbar, first, second)
     cfg = sweep_config(spec, system)
@@ -132,11 +134,19 @@ def test_rows_are_unit_rows_times_scales(system, hbar, first, second):
         with pytest.raises(DomainError):
             run_sweep(cfg)
         return
+    expected = [
+        {name: getattr(unit, name) * getattr(units, scale) for name, scale in COLUMN_UNITS.items()}
+        for unit in unit_rows(system)
+    ]
+    if not all(math.isfinite(v) for columns in expected for v in columns.values()):
+        # a representable scale can still overflow a level's columns
+        with pytest.raises(DomainError, match="overflows"):
+            run_sweep(cfg)
+        return
     rows = run_sweep(cfg)
-    for row, unit in zip(rows, unit_rows(system), strict=True):
-        for name, scale in COLUMN_UNITS.items():
-            expected = getattr(unit, name) * getattr(units, scale)
-            assert getattr(row, name) == expected, (row.level, row.path, name)
+    for row, unit, columns in zip(rows, unit_rows(system), expected, strict=True):
+        for name, value in columns.items():
+            assert getattr(row, name) == value, (row.level, row.path, name)
         for name in EXACT_COLUMNS:
             assert getattr(row, name) == getattr(unit, name), (row.level, row.path, name)
         assert row.disagreement == pytest.approx(unit.disagreement, rel=1e-8, abs=0.0)

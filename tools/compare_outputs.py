@@ -39,6 +39,8 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["eigensolve", "--system", "box", "--k", "6"],
         ["nodes", "--system", "ring", "--levels", "-3:3"],
         ["verify", "--system", "box", "--levels", "1:3", "--inject-corruption"],
+        ["nodes", "--system", "box", "--levels", "1:100"],
+        ["nodes", "--system", "ring", "--levels", "-20:20"],
     )
 )
 
