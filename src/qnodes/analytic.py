@@ -28,6 +28,7 @@ from .model import (
 
 __all__ = [
     "UncertaintyRecord",
+    "COLUMN_UNITS",
     "box_psi",
     "box_energy",
     "box_uncertainties",
@@ -43,6 +44,17 @@ __all__ = [
 
 # Uniform density on an interval of width w has standard deviation w/sqrt(12).
 UNIFORM_THETA_SPREAD = 2.0 * math.pi / math.sqrt(12.0)
+
+
+# Each physical column of a record or sweep row and the `Scales` field
+# it is measured in, in CSV column order.
+COLUMN_UNITS = {
+    "energy": "energy",
+    "delta_q": "length",
+    "delta_p": "momentum",
+    "product": "hbar",
+    "bound": "hbar",
+}
 
 
 @dataclass(frozen=True)
@@ -67,13 +79,15 @@ class UncertaintyRecord:
             raise DomainError("uncertainties must be nonnegative")
 
     def rescaled(self, units: Scales) -> UncertaintyRecord:
-        """This natural-unit record in physical units: the one rescale."""
+        """This natural-unit record in physical units: the one rescale.
+
+        Raises DomainError naming the first column that overflows.
+        """
         return UncertaintyRecord(
-            delta_q=self.delta_q * units.length,
-            delta_p=self.delta_p * units.momentum,
-            product=self.product * units.hbar,
-            bound=self.bound * units.hbar,
-            energy=self.energy * units.energy,
+            **{
+                name: units.rescale(name, getattr(self, name), unit)
+                for name, unit in COLUMN_UNITS.items()
+            },
             nodes_predicted=self.nodes_predicted,
             nodes_measured=self.nodes_measured,
         )
@@ -104,7 +118,7 @@ def _natural_energy(spec, idx: int) -> float:
 
 def box_energy(spec: Box, n: int) -> float:
     """E_n = hbar^2 n^2 pi^2 / (2 m a^2)."""
-    return _natural_energy(spec, validate_state(spec, n)) * scales(spec).energy
+    return scales(spec).rescale("energy", _natural_energy(spec, validate_state(spec, n)), "energy")
 
 
 def box_uncertainties(spec: Box, n: int) -> UncertaintyRecord:
@@ -144,7 +158,7 @@ def ring_state_values(state: int | RingSuperposition, theta) -> np.ndarray:
 
 def ring_energy(spec: Ring, m: int) -> float:
     """E_m = m^2 hbar^2 / (2 I)."""
-    return _natural_energy(spec, validate_state(spec, m)) * scales(spec).energy
+    return scales(spec).rescale("energy", _natural_energy(spec, validate_state(spec, m)), "energy")
 
 
 def ring_density(spec: Ring, m: int, theta):
@@ -161,14 +175,14 @@ def ring_lz_stats(spec: Ring, state: int | RingSuperposition) -> tuple[float, fl
     A definite m state gives (m hbar, 0); a superposition gives the
     discrete mean and standard deviation over the |c_k|^2 distribution.
     """
-    unit = scales(spec).momentum
     if isinstance(state, RingSuperposition):
         weights = [(m, abs(c) ** 2) for m, c in state.terms]
         mean = sum(w * m for m, w in weights)
-        var = sum(w * (m - mean) ** 2 for m, w in weights)
-        return unit * mean, unit * math.sqrt(max(var, 0.0))
-    m = validate_state(spec, state)
-    return unit * m, 0.0
+        spread = math.sqrt(max(sum(w * (m - mean) ** 2 for m, w in weights), 0.0))
+    else:
+        mean, spread = validate_state(spec, state), 0.0
+    rescale = scales(spec).rescale
+    return rescale("mean L_z", mean, "momentum"), rescale("Delta L_z", spread, "momentum")
 
 
 def ring_uncertainties(spec: Ring, m: int) -> UncertaintyRecord:
@@ -195,7 +209,7 @@ def ring_uncertainties(spec: Ring, m: int) -> UncertaintyRecord:
 
 def oscillator_energy(spec: Oscillator, n: int) -> float:
     """E_n = (n + 1/2) hbar omega."""
-    return _natural_energy(spec, validate_state(spec, n)) * scales(spec).energy
+    return scales(spec).rescale("energy", _natural_energy(spec, validate_state(spec, n)), "energy")
 
 
 def oscillator_uncertainties(spec: Oscillator, n: int) -> UncertaintyRecord:

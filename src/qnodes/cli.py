@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical failure (non-convergence, degenerate input, unwritable output).
+Exit codes: 0 success, 1 verification failure, 2 usage/config error
+(a value too large for a double included: a physical value that
+overflows once rescaled, an oscillator level above 200, or an integer
+too large for a float), 3 numerical failure (non-convergence,
+degenerate input, unwritable output).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
@@ -31,14 +33,8 @@ from .report import (
     verify_rows,
 )
 
-_USAGE_ERRORS = (ConfigError, DomainError)
-_NUMERICAL_ERRORS = (
-    GridError,
-    ConvergenceError,
-    DegenerateError,
-    NormalizationError,
-    OverflowError,
-)
+_USAGE_ERRORS = (ConfigError, DomainError, OverflowError)
+_NUMERICAL_ERRORS = (GridError, ConvergenceError, DegenerateError, NormalizationError)
 
 _PARAM_KEYS = {
     "box": {"a": "length", "length": "length", "m": "mass", "mass": "mass"},
@@ -198,21 +194,19 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
         if k < 1:
             raise ConfigError(f"--k must be >= 1, got {k}")
         spec = build_system(system, params, hbar)
-        unit = scales(spec).energy
+        units = scales(spec)
         try:
             grid = default_eigen_grid(spec, k=k, points=grid_points)
         except GridError as exc:
             raise ConfigError(f"grid points {grid_points}: {exc}") from exc
         result = solve_lowest(build_hamiltonian(spec, grid), k)
-        energies = [float(e) * unit for e in result.energies]
-        residuals = [float(r) * unit for r in result.residuals]
-        for i, (e, r) in enumerate(zip(energies, residuals)):
-            for name, value in (("energy", e), ("residual", r)):
-                if not math.isfinite(value):
-                    raise OverflowError(
-                        f"index {i}: {name} {value!r} is not finite after rescaling "
-                        f"by the energy scale {unit!r}"
-                    )
+        energies, residuals = [], []
+        for i, (e, r) in enumerate(zip(result.energies, result.residuals)):
+            try:
+                energies.append(units.rescale("energy", float(e), "energy"))
+                residuals.append(units.rescale("residual", float(r), "energy"))
+            except DomainError as exc:
+                raise DomainError(f"index {i}: {exc}") from exc
         if fmt == "json":
             payload = {"system": system, "energies": energies, "residuals": residuals}
             return json.dumps(payload, indent=2) + "\n"

@@ -4,7 +4,7 @@ Default natural units: hbar = mass = length = omega = inertia = 1, so
 every headline number is dimensionless.  All parameters can be overridden
 at construction time.  `scales` is the only code that reads hbar or a
 system parameter: every numerical path computes in natural units and
-multiplies by these scales once.
+multiplies by these scales once, through `Scales.rescale`.
 """
 
 from __future__ import annotations
@@ -99,6 +99,20 @@ class Scales:
     momentum: float
     energy: float
     hbar: float
+
+    def rescale(self, name: str, value: float, unit: str) -> float:
+        """The natural-unit `value` of quantity `name` times the `unit` scale.
+
+        Raises DomainError, naming the quantity, value and scale, when the
+        product is not finite: no physical row could then be represented.
+        """
+        scale = getattr(self, unit)
+        out = value * scale
+        if not math.isfinite(out):
+            raise DomainError(
+                f"{name} {value!r} overflows to {out!r} at the {unit} scale {scale!r}"
+            )
+        return out
 
 
 def _scale(*factors: tuple[float, int], root: int = 1) -> float:

@@ -14,13 +14,14 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from . import __version__
 from .analytic import (
+    COLUMN_UNITS,
     UncertaintyRecord,
     box_uncertainties,
     oscillator_uncertainties,
     ring_uncertainties,
 )
 from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_uncertainties, solve_lowest
-from .errors import ConfigError, DomainError, GridError, QnodesError
+from .errors import ConfigError, GridError, QnodesError
 from .model import Box, Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
 from .nodal import count_nodes
 from .oracle import default_grid, record_from_samples, sample_levels
@@ -34,16 +35,12 @@ __all__ = [
     "verify_rows",
     "corrupt_first_product",
     "emit",
-    "json_safe",
 ]
 
 PATH_ORDER = ("analytic", "oracle", "eigen")
 
 # Slack on the Heisenberg comparison, relative to the bound: pure roundoff.
 BOUND_SLACK = 1e-12
-
-# Compared columns and the unit (a `Scales` field) each is measured in.
-_COLUMN_UNITS = {"energy": "energy", "delta_q": "length", "delta_p": "momentum", "product": "hbar"}
 
 
 def system_tag(spec: SystemSpec) -> str:
@@ -52,7 +49,10 @@ def system_tag(spec: SystemSpec) -> str:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What to sweep: system, inclusive level list, and computation paths."""
+    """What to sweep: system, inclusive level list, and computation paths.
+
+    `paths` is stored as its distinct names in `PATH_ORDER` order.
+    """
 
     system: SystemSpec
     levels: tuple[int, ...]
@@ -68,13 +68,14 @@ class SweepConfig:
         unknown = set(self.paths) - set(PATH_ORDER)
         if unknown:
             raise ConfigError(f"unknown paths: {sorted(unknown)}")
+        object.__setattr__(self, "paths", tuple(p for p in PATH_ORDER if p in self.paths))
         for level in self.levels:
             try:
                 validate_state(self.system, level)
             except Exception as exc:
                 raise ConfigError(f"level {level} invalid for this system: {exc}") from exc
-        if not self.tol > 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tol}")
         try:
             default_grid(self.system, 0, self.grid_points)
         except GridError as exc:
@@ -147,21 +148,21 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
     Each distinct level is sampled once, on the one grid that resolves the
     top level, `default_grid(spec, max |level|, cfg.grid_points)`.  Every
-    path computes in natural units; each record is rescaled once.
+    path computes in natural units; each record is rescaled once, and a
+    column that overflows raises DomainError naming the level.
     """
     spec = cfg.system
     units = scales(spec)
-    paths = tuple(p for p in PATH_ORDER if p in cfg.paths)
 
     eigen_result = None
-    if "eigen" in paths:
+    if "eigen" in cfg.paths:
         # a level with N predicted nodes needs eigenstates 0 .. N
         k = max(predicted_node_count(spec, l) for l in cfg.levels) + 1
         grid = default_eigen_grid(spec, k=k, points=cfg.grid_points)
         eigen_result = solve_lowest(build_hamiltonian(spec, grid), k)
 
     levels = sorted(set(cfg.levels))
-    if "analytic" in paths or "oracle" in paths:
+    if "analytic" in cfg.paths or "oracle" in cfg.paths:
         grid = default_grid(spec, max(abs(l) for l in levels), cfg.grid_points)
         samples = sample_levels(spec, levels, grid)
     else:
@@ -169,18 +170,14 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     by_level: dict[int, list[SweepRow]] = {}
     for level, psi in samples:
         try:
-            by_level[level] = _sweep_level(spec, units, paths, level, psi, eigen_result)
+            by_level[level] = _sweep_level(spec, units, cfg.paths, level, psi, eigen_result)
         except QnodesError as exc:
             raise type(exc)(f"level {level}: {exc}") from exc
     return [row for level in cfg.levels for row in by_level[level]]
 
 
 def _sweep_level(spec, units, paths, level, psi, eigen_result) -> list[SweepRow]:
-    """The level's rows, each built once with the level's disagreement.
-
-    A compared column that overflows to +-inf in physical units leaves
-    the paths incomparable, so it raises DomainError naming the column.
-    """
+    """The level's rows, each built once with the level's disagreement."""
     measured = None if psi is None else count_nodes(psi).count
     # (path, record, nodes counted) in canonical path order
     results: list[tuple[str, UncertaintyRecord, int | None]] = []
@@ -194,28 +191,14 @@ def _sweep_level(spec, units, paths, level, psi, eigen_result) -> list[SweepRow]
     dis = None
     if len(results) >= 2:
         dis = _max_disagreement([rec for _, rec, _ in results], units)
-        if math.isnan(dis):
-            _raise_on_overflow(results, units)
     return [
         _row_from_record(spec, level, rec, path, nodes, dis) for path, rec, nodes in results
     ]
 
 
-def _raise_on_overflow(results, units: Scales) -> None:
-    """DomainError naming the first compared column that is +-inf."""
-    for path, rec, _ in results:
-        for name, unit in _COLUMN_UNITS.items():
-            value = getattr(rec, name)
-            if math.isinf(value):
-                raise DomainError(
-                    f"{path} {name} overflows to {value!r} at the {unit} scale "
-                    f"{getattr(units, unit)!r}; the paths cannot be compared"
-                )
-
-
 def _max_disagreement(rows, units: Scales) -> float:
-    """Worst relative difference of a compared column between two rows
-    (or records: anything with the compared columns as attributes).
+    """Worst relative difference of a physical column between two rows
+    (or records: anything with the physical columns as attributes).
 
     Each denominator is floored at the column's unit, so values far below
     one natural unit are compared absolutely in that unit.  NaN if any
@@ -224,7 +207,7 @@ def _max_disagreement(rows, units: Scales) -> float:
     worst = 0.0
     for i, a in enumerate(rows):
         for b in rows[i + 1 :]:
-            for name, unit in _COLUMN_UNITS.items():
+            for name, unit in COLUMN_UNITS.items():
                 va, vb = getattr(a, name), getattr(b, name)
                 rel = abs(va - vb) / max(abs(va), abs(vb), getattr(units, unit))
                 if math.isnan(rel):
@@ -251,7 +234,7 @@ def verify_rows(cfg: SweepConfig, rows: list[SweepRow]) -> list[str]:
     failures: list[str] = []
     for row in rows:
         where = f"{row.system} level {row.level} ({row.path})"
-        for name in (*_COLUMN_UNITS, "bound"):
+        for name in COLUMN_UNITS:
             if not math.isfinite(getattr(row, name)):
                 failures.append(f"{where}: {name} is {getattr(row, name)!r}, not finite")
         if _satisfied_flag(cfg.system, row.product, row.bound) == "false":
@@ -295,15 +278,6 @@ def _cell(value) -> str:
     return format(value, "#.12g") if isinstance(value, float) else str(value)
 
 
-def json_safe(value):
-    """`value` with every float that is not finite, at any depth, as None (null)."""
-    if isinstance(value, dict):
-        return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [json_safe(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
 def emit(
     rows: list[SweepRow],
     fmt: str = "csv",
@@ -312,6 +286,7 @@ def emit(
     """Serialize rows as CSV (fixed header, 12 significant digits) or JSON.
 
     The columns and JSON keys are the fields of `SweepRow`, in order.
+    JSON is standard: a value that is not finite raises ValueError.
     """
     if not rows:
         raise ConfigError("no rows to emit")
@@ -320,7 +295,7 @@ def emit(
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {"metadata": metadata or {}, "rows": [asdict(r) for r in rows]}
-        return json.dumps(json_safe(payload), indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     raise ConfigError(f"unknown output format {fmt!r}")
 
 

@@ -6,10 +6,13 @@ import scipy.integrate
 
 from qnodes import (
     Box,
+    Constants,
     DomainError,
     Oscillator,
     Ring,
     RingSuperposition,
+    Scales,
+    UncertaintyRecord,
     box_energy,
     box_psi,
     box_uncertainties,
@@ -292,3 +295,38 @@ class TestOscillator:
         assert rec.delta_q == pytest.approx(math.sqrt(1.5 / 1.0), rel=1e-15)
         assert rec.delta_p == pytest.approx(math.sqrt(1.5), rel=1e-15)
         assert rec.product == pytest.approx(1.5, rel=1e-15)
+
+
+class TestOverflowingValues:
+    """Finite natural-unit values whose physical value is too large for a double."""
+
+    def test_box_energy_raises_domain_error(self):
+        # energy scale 1e307: E_1 ~ 4.9e307 is representable, E_2 is not
+        spec = Box(mass=1e-107, constants=Constants(1e100))
+        assert box_energy(spec, 1) == pytest.approx(0.5 * math.pi**2 * 1e307, rel=1e-15)
+        with pytest.raises(
+            DomainError,
+            match=r"^energy 19\.739208802178716 overflows to inf at the energy scale 1e\+307$",
+        ):
+            box_energy(spec, 2)
+
+    @pytest.mark.parametrize(
+        "energy, spec, level",
+        [
+            (ring_energy, Ring(moment_of_inertia=1e-307), 10),
+            (oscillator_energy, Oscillator(omega=1e307), 18),
+        ],
+    )
+    def test_every_energy_function_raises(self, energy, spec, level):
+        with pytest.raises(DomainError, match="overflows to inf at the energy scale"):
+            energy(spec, level)
+
+    def test_record_names_the_overflowing_column(self):
+        record = UncertaintyRecord(
+            delta_q=1.0, delta_p=2.0, product=2.0, bound=0.5, energy=1.0, nodes_predicted=0
+        )
+        units = Scales(length=1.0, momentum=1e308, energy=1.0, hbar=1.0)
+        with pytest.raises(
+            DomainError, match=r"^delta_p 2\.0 overflows to inf at the momentum scale 1e\+308$"
+        ):
+            record.rescaled(units)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -117,50 +118,76 @@ def test_zero_grid_points_exit_2(runner, args):
     assert "need at least 3 points, got 0" in result.output
 
 
-def _strict_json(text):
-    """Parse standard JSON only: Infinity, -Infinity and NaN are rejected."""
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    return json.loads(text, parse_constant=reject)
-
-
 # the box energy scale is 1e307, so E_5 (and eigensolve's E_2, E_3) overflow to inf
 _OVERFLOW_UNITS = ["--hbar", "1e100", "--param", "m=1e-107"]
+# a representable energy scale of 1e307 at which E_2 and E_3 overflow
+_OVERFLOW_BOX = ["--system", "box", "--hbar", "1e19", "--param", "a=1e-90", "--param", "m=1e-89",
+                 "--levels", "1:3"]
+_HUGE = str(10**400)
 
 
 @pytest.mark.parametrize(
     "args", [["sweep", "--system", "box", "--levels", "5:5"]], ids=["sweep"]
 )
-def test_json_writes_overflowed_value_as_null(runner, args):
-    result = runner.invoke(main, args + _OVERFLOW_UNITS + ["--format", "json"])
-    assert result.exit_code == 0
-    payload = _strict_json(result.output)
-    assert payload["rows"][0]["energy"] is None
-    assert payload["rows"][0]["delta_p"] == pytest.approx(5e100 * np.pi)
-    csv = runner.invoke(main, args + _OVERFLOW_UNITS)
-    assert ",inf," in csv.output
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_single_path_overflowed_value_exit_2(runner, args, fmt):
+    # a single path has nothing to compare, but an infinite energy is still a wrong row
+    result = runner.invoke(main, args + _OVERFLOW_UNITS + ["--format", fmt])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: level 5: energy {25 * np.pi**2 / 2!r} overflows to inf "
+        "at the energy scale 1e+307\n"
+    )
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_eigensolve_overflowed_energy_exit_3(runner, fmt):
+def test_eigensolve_overflowed_energy_exit_2(runner, fmt):
     # levels 1 and 2 overflow once rescaled; no row may be printed as inf or null
     args = ["eigensolve", "--system", "box", "--hbar", "1e100", "--param", "m=1e-107", "--k", "3"]
     result = runner.invoke(main, args + ["--format", fmt])
-    assert result.exit_code == 3
-    assert "index 1: energy inf is not finite" in result.output
-    assert "inf," not in result.output and "null" not in result.output
+    assert result.exit_code == 2
+    assert re.fullmatch(
+        r"error: index 1: energy 19\.739\d+ overflows to inf at the energy scale 1e\+307\n",
+        result.output,
+    )
 
 
 def test_overflowing_compared_level_exit_2(runner):
-    # the energy scale 1e307 is representable, but E_2 overflows, and two
-    # infinite energies cannot be compared
-    args = ["verify", "--system", "box", "--levels", "1:3", "--paths", "analytic,oracle,eigen",
-            "--tol", "1e-3", "--hbar", "1e19", "--param", "a=1e-90", "--param", "m=1e-89"]
+    # the energy scale 1e307 is representable, but E_2 overflows
+    args = ["verify", *_OVERFLOW_BOX, "--paths", "analytic,oracle,eigen", "--tol", "1e-3"]
     result = runner.invoke(main, args)
     assert result.exit_code == 2
-    assert "level 2: analytic energy overflows to inf at the energy scale" in result.output
+    assert "level 2: energy 19.739208802178716 overflows to inf at the energy scale 1e+307" in (
+        result.output
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["eigensolve", "--system", "box", *_OVERFLOW_UNITS, "--k", "3"],
+         r"index 1: energy 19\.739\d+ overflows to inf at the energy scale 1e\+307"),
+        (["verify", *_OVERFLOW_BOX, "--paths", "analytic,oracle,eigen"],
+         r"level 2: energy 19\.739208802178716 overflows to inf at the energy scale 1e\+307"),
+        (["sweep", *_OVERFLOW_BOX],
+         r"level 2: energy 19\.739208802178716 overflows to inf at the energy scale 1e\+307"),
+        (["nodes", "--system", "oscillator", "--levels", "0:201"],
+         r"oscillator_psi supports n <= 200, got 201"),
+        (["sweep", "--system", "ring", "--levels", f"{_HUGE}:{_HUGE}"],
+         r"int too large to convert to float"),
+        (["eigensolve", "--system", "oscillator", "--k", _HUGE],
+         r"int too large to convert to float"),
+    ],
+    ids=["eigensolve", "verify", "sweep", "nodes-n201", "sweep-huge-level", "eigensolve-huge-k"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_value_too_large_for_a_double_exit_2(runner, args, message, fmt):
+    result = runner.invoke(main, args + ["--format", fmt])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # not an uncaught traceback
+    assert result.stdout == ""
+    assert re.fullmatch(f"error: {message}\n", result.stderr)
 
 
 class TestVerify:
@@ -234,6 +261,27 @@ class TestVerify:
             ["verify", "--system", "box", "--levels", "1:3", "--paths", "analytic"],
         )
         assert result.exit_code == 2
+
+    def test_repeated_path_is_one_path_exit_2(self, runner):
+        # oracle against itself compares nothing and would pass any rows
+        result = runner.invoke(
+            main,
+            ["verify", "--system", "box", "--levels", "1:3", "--paths", "oracle,oracle"],
+        )
+        assert result.exit_code == 2
+        assert result.output == "error: verify needs at least two paths to cross-check\n"
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_non_finite_tol_exit_2(self, runner, command, tol):
+        # --tol inf would wave every finite disagreement through
+        result = runner.invoke(
+            main,
+            [command, "--system", "box", "--levels", "1:3", "--tol", tol, "--format", "json"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "tolerance must be positive and finite" in result.stderr
 
     def test_coarse_grid_exit_3(self, runner):
         result = runner.invoke(

@@ -10,6 +10,7 @@ from qnodes import (
     Oscillator,
     Ring,
     RingSuperposition,
+    Scales,
     predicted_node_count,
     validate_state,
 )
@@ -118,3 +119,17 @@ class TestRingSuperposition:
         s = RingSuperposition(((2, 1.0),))
         val = ring_state_values(s, 0.0)
         assert abs(val - 1.0 / math.sqrt(2.0 * math.pi)) < 1e-15
+
+
+class TestRescale:
+    units = Scales(length=2.0, momentum=3.0, energy=1e307, hbar=0.5)
+
+    def test_multiplies_by_the_named_scale(self):
+        assert self.units.rescale("delta_p", 1.5, "momentum") == 4.5
+        assert self.units.rescale("residual", 0.5, "energy") == 5e306
+
+    def test_overflow_names_quantity_value_and_scale(self):
+        with pytest.raises(
+            DomainError, match=r"^residual -20\.0 overflows to -inf at the energy scale 1e\+307$"
+        ):
+            self.units.rescale("residual", -20.0, "energy")

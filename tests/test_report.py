@@ -38,6 +38,15 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(system=Box(), levels=(1,), paths=("magic",))
 
+    def test_paths_stored_distinct_in_canonical_order(self):
+        cfg = SweepConfig(system=Box(), levels=(1,), paths=("eigen", "oracle", "eigen", "oracle"))
+        assert cfg.paths == ("oracle", "eigen")
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-3])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            SweepConfig(system=Box(), levels=(1,), tol=tol)
+
     def test_invalid_level_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(system=Box(), levels=(0, 1))

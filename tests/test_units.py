@@ -4,8 +4,9 @@ Every path computes on the natural-unit system; `scales` is the only code
 that reads hbar or a system parameter, and each record is multiplied by
 its scales once.  So a sweep at any representable parameters is the unit
 sweep times the scales, bit for bit, and parameters whose scales cannot
-be represented fail with DomainError before any row is made.  A level
-whose compared columns overflow fails with DomainError too.
+be represented fail with DomainError before any row is made.  A value
+that overflows once rescaled fails with DomainError too, on every path:
+`Scales.rescale` makes every physical number.
 """
 
 import math

@@ -21,6 +21,9 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 ALL_PATHS = ["--paths", "analytic,oracle,eigen"]
+# a representable box energy scale of 1e307 at which E_2 overflows
+OVERFLOW_BOX = ["--system", "box", "--hbar", "1e19", "--param", "a=1e-90", "--param", "m=1e-89",
+                "--levels", "1:3"]
 
 INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
     tuple(args)
@@ -41,6 +44,9 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["verify", "--system", "box", "--levels", "1:3", "--inject-corruption"],
         ["nodes", "--system", "box", "--levels", "1:100"],
         ["nodes", "--system", "ring", "--levels", "-20:20"],
+        ["eigensolve", "--system", "box", "--hbar", "1e100", "--param", "m=1e-107", "--k", "3"],
+        ["verify", *OVERFLOW_BOX, *ALL_PATHS],
+        ["sweep", *OVERFLOW_BOX],
     )
 )
 
