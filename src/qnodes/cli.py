@@ -125,6 +125,11 @@ def _common_options(fn):
     )(fn)
     fn = click.option("--hbar", type=float, default=1.0, show_default=True)(fn)
     fn = click.option("--grid-points", type=int, default=None)(fn)
+    return fn
+
+
+def _output_options(fn):
+    """`--format` and `--out`, for the commands that write a table."""
     fn = click.option(
         "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv"
     )(fn)
@@ -139,6 +144,7 @@ def main():
 
 @main.command()
 @_common_options
+@_output_options
 @click.option("--levels", required=True, help="Inclusive range LO:HI.")
 @click.option("--paths", default="analytic", show_default=True)
 @click.option("--tol", type=float, default=1e-6, show_default=True)
@@ -162,7 +168,7 @@ def sweep(system, params, hbar, grid_points, fmt, out, levels, paths, tol):
     is_flag=True,
     help="Self-test: lower one product by half its bound before checking.",
 )
-def verify(system, params, hbar, grid_points, fmt, out, levels, paths, tol, inject_corruption):
+def verify(system, params, hbar, grid_points, levels, paths, tol, inject_corruption):
     """Cross-check paths, Heisenberg bounds, and node laws; exit 1 on failure."""
 
     def body():
@@ -186,6 +192,7 @@ def verify(system, params, hbar, grid_points, fmt, out, levels, paths, tol, inje
 
 @main.command()
 @_common_options
+@_output_options
 @click.option("--k", type=int, default=6, show_default=True, help="Number of lowest levels.")
 def eigensolve(system, params, hbar, grid_points, fmt, out, k):
     """Solve the finite-difference Hamiltonian for the lowest levels."""
@@ -199,6 +206,8 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
             grid = default_eigen_grid(spec, k=k, points=grid_points)
         except GridError as exc:
             raise ConfigError(f"grid points {grid_points}: {exc}") from exc
+        except OverflowError as exc:
+            raise DomainError(f"--k {k}: {exc}") from exc
         result = solve_lowest(build_hamiltonian(spec, grid), k)
         energies, residuals = [], []
         for i, (e, r) in enumerate(zip(result.energies, result.residuals)):
@@ -220,6 +229,7 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
 
 @main.command()
 @_common_options
+@_output_options
 @click.option("--levels", required=True, help="Inclusive range LO:HI.")
 def nodes(system, params, hbar, grid_points, fmt, out, levels):
     """Count wavefunction nodes and compare with the predicted law."""

@@ -1,4 +1,5 @@
-"""Uniform grids, composite-Simpson quadrature, and discrete derivatives."""
+"""Uniform grids, composite-Simpson quadrature, discrete derivatives, and
+momentum moments by Parseval."""
 
 from __future__ import annotations
 
@@ -10,7 +11,14 @@ import numpy as np
 
 from .errors import GridError
 
-__all__ = ["GridSpec", "SampledFunction", "quad", "derivative", "spectral_derivative"]
+__all__ = [
+    "GridSpec",
+    "SampledFunction",
+    "quad",
+    "derivative",
+    "spectral_derivative",
+    "spectral_moments",
+]
 
 _BOUNDARIES = ("dirichlet", "periodic", "open")
 
@@ -50,9 +58,16 @@ class GridSpec:
 
     @cached_property
     def x(self) -> np.ndarray:
-        """Grid points, built once per grid and read-only."""
+        """Grid points, built once per grid and read-only.
+
+        Open grids are built as h (j - m) about the centre point m, so a
+        grid centred on 0 is exactly antisymmetric: x[N-1-j] == -x[j].
+        """
         if self.boundary == "periodic":
             x = self.lower + self.h * np.arange(self.points)
+        elif self.boundary == "open":
+            m = self.points // 2
+            x = 0.5 * (self.lower + self.upper) + self.h * np.arange(-m, m + 1)
         else:
             x = np.linspace(self.lower, self.upper, self.points)
         x.flags.writeable = False
@@ -190,3 +205,57 @@ def spectral_derivative(f: SampledFunction) -> np.ndarray:
     length = f.grid.upper - f.grid.lower
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
     return np.fft.ifft(1j * k * np.fft.fft(f.values))
+
+
+@lru_cache(maxsize=16)
+def _parseval_weights(grid: GridSpec, real: bool) -> tuple[np.ndarray, np.ndarray, slice]:
+    """(<p> weights, <p^2> weights, high band) per float of the FFT of one
+    period of samples on `grid`, read-only because they are cached.
+
+    The FFT's complex bins are read as interleaved (re, im) floats, so
+    each weight appears twice.  <p^k> = sum_j w_j v_j^2 with weight
+    (h/M) kappa^k per bin (Parseval, M samples per period); an `rfft` bin
+    other than 0 and M/2 also stands for its mirror bin and counts twice.
+    The high band is the bins with |kappa| above half the Nyquist
+    wavenumber: the tail of an `rfft`, the middle of an `fft`.
+    """
+    m = grid.points if grid.boundary == "periodic" else grid.points - 1
+    if real:
+        k = np.arange(m // 2 + 1, dtype=float)
+        weight = np.where((k == 0) | (2 * k == m), 1.0, 2.0) * grid.h / m
+        high = slice(2 * (m // 4 + 1), None)
+    else:
+        k = np.fft.fftfreq(m, 1.0 / m)
+        weight = np.full(m, grid.h / m)
+        high = slice(2 * (m // 4 + 1), 2 * (m - m // 4))
+    kappa = 2.0 * np.pi / (m * grid.h) * k
+    w1 = np.repeat(weight * kappa, 2)
+    w2 = np.repeat(weight * kappa**2, 2)
+    w1.flags.writeable = False
+    w2.flags.writeable = False
+    return w1, w2, high
+
+
+def spectral_moments(f: SampledFunction) -> tuple[float, float, float]:
+    """(<-i d/dx>, <-d^2/dx^2>, high-band share) of the samples, by Parseval.
+
+    One period of the samples is transformed once: a periodic grid's
+    samples as they are, an open grid's without the duplicate end point
+    (exact for samples that have decayed at both ends).  Real samples take
+    an `rfft` and a first moment of exactly 0.0; complex ones an `fft`.
+    The share is the fraction of the second moment carried by wavenumbers
+    above half the Nyquist wavenumber pi / h; it is at roundoff when a grid
+    of spacing 2h would still resolve the samples.
+    """
+    if f.grid.boundary == "dirichlet":
+        raise GridError("Parseval moments need an open or periodic grid")
+    y = f.values if f.grid.boundary == "periodic" else f.values[:-1]
+    real = not np.iscomplexobj(y)
+    w1, w2, high = _parseval_weights(f.grid, real)
+    v = (np.fft.rfft(y) if real else np.fft.fft(y)).view(np.float64)
+    u = v * w2
+    top = float(v[high] @ u[high])
+    mean_p2 = float(v @ u)
+    mean_p = 0.0 if real else float(v @ (v * w1))
+    share = top / mean_p2 if mean_p2 > 0.0 else 0.0
+    return mean_p, mean_p2, share

@@ -2,7 +2,8 @@
 
 Nothing in this module uses the closed-form moments; states are sampled
 (or handed over as eigenvectors) and every moment is recomputed from
-Simpson quadrature and high-order discrete derivatives.  Grids, samples
+Simpson quadrature, Parseval sums over FFT coefficients, or (between hard
+walls) high-order discrete derivatives.  Grids, samples
 and moments are in the system's natural units (`model.scales`);
 `oracle_uncertainties` rescales its record once.
 """
@@ -22,6 +23,7 @@ from .grids import (
     quad,
     second_derivative,
     spectral_derivative,
+    spectral_moments,
 )
 from .model import (
     Box,
@@ -49,28 +51,45 @@ __all__ = [
 
 # Normalization tolerances: precondition vs hard error.
 _NORM_TOL = 1e-6
-# Stencil-order guard for <p^2>: relative disagreement between the order-6
-# derivative and the order-2 stencil of `_gradient` on the same grid.
+# Stencil-order guard for <p^2> between hard walls: relative disagreement
+# between the order-6 derivative and the order-2 stencil of `_gradient`.
 _STENCIL_ORDER_TOL = 1e-2
+# Resolution guard for <p^2> on open and periodic grids: the largest share
+# of <p^2> that wavenumbers above half the Nyquist wavenumber may carry.
+# Simpson's coarse half T(2h) resolves |psi|^2 only if psi is resolved
+# there, and the position moments' relative error tracks this share
+# (2.1e-6 at a share of 2.7e-6, oscillator 0:200 on 801 points), so the
+# bound keeps them far below the default cross-path tolerance of 1e-6.
+_BAND_SHARE_TOL = 1e-10
+# Open grids: the largest end-sample density, relative to the mean density
+# 1/(upper - lower) of a normalized state, of a sample that has decayed.
+_EDGE_DENSITY_TOL = 1e-16
 
-DEFAULT_POINTS = {Box: 4001, Oscillator: 8001, Ring: 4096}
+# Points of the box and ring grids; the oscillator's follow its half-width.
+DEFAULT_POINTS = {Box: 4001, Ring: 4096}
 
 
 def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> GridSpec:
     """Natural-unit grid suited to the system and quantum number.
 
     The box grid is [0, 1], the ring's [0, 2 pi).  The oscillator
-    half-width is the classical turning point sqrt(2n+1) plus a 10-sigma
-    tail margin.
+    half-width L is the classical turning point sqrt(2n+1) plus a 10-sigma
+    tail margin.  The oscillator is its own Fourier transform, so the same
+    L bounds the wavenumbers of every level up to n and 2L those of its
+    density; by default the oscillator grid takes h <= pi / (2L), the
+    spacing at which Simpson's coarse half T(2h) still resolves the
+    density: 2 ceil(2 L^2 / pi) + 1 points.
     """
+    if isinstance(spec, Oscillator):
+        half_width = max(math.sqrt(2.0 * abs(int(idx)) + 1.0) + 10.0, 12.0)
+        if points is None:
+            points = 2 * math.ceil(2.0 * half_width**2 / math.pi) + 1
+        return GridSpec(-half_width, half_width, points, "open")
     if points is None:
         points = DEFAULT_POINTS[type(spec)]
     if isinstance(spec, Box):
         return GridSpec(0.0, 1.0, points, "dirichlet")
-    if isinstance(spec, Ring):
-        return GridSpec(0.0, 2.0 * math.pi, points, "periodic")
-    half_width = max(math.sqrt(2.0 * abs(int(idx)) + 1.0) + 10.0, 12.0)
-    return GridSpec(-half_width, half_width, points, "open")
+    return GridSpec(0.0, 2.0 * math.pi, points, "periodic")
 
 
 def sample_state(
@@ -90,18 +109,16 @@ def sample_state(
 
 
 def sample_levels(spec: SystemSpec, levels, grid: GridSpec):
-    """Yield (level, sample) for ascending distinct `levels`, all on `grid`.
+    """Iterate (level, sample) for ascending distinct `levels`, all on `grid`.
 
-    Oscillator levels come from one streamed pass of `oscillator_ladder`.
+    Oscillator levels come from one streamed pass of `oscillator_ladder`,
+    whose level range is checked here, before any level is sampled.
     """
     if not isinstance(spec, Oscillator):
-        for level in levels:
-            yield level, sample_state(spec, level, grid)
-        return
+        return ((level, sample_state(spec, level, grid)) for level in levels)
     wanted = set(levels)
-    for n, phi in enumerate(oscillator_ladder(grid.x, max(levels))):
-        if n in wanted:
-            yield n, SampledFunction(grid, phi)
+    ladder = oscillator_ladder(grid.x, max(levels))
+    return ((n, SampledFunction(grid, phi)) for n, phi in enumerate(ladder) if n in wanted)
 
 
 def _check_normalized(psi: SampledFunction) -> None:
@@ -110,15 +127,35 @@ def _check_normalized(psi: SampledFunction) -> None:
         raise NormalizationError(f"state norm^2 is {psi.norm!r}, deviates beyond {_NORM_TOL}")
 
 
+def _folded_mean(psi: SampledFunction) -> float:
+    """Simpson quadrature of x |psi|^2 on an open grid, folded about its
+    centre c: c times the norm plus (h/3) sum_{j<m} w_j (x_j - c)
+    (rho_j - rho_{N-1-j}), with m the centre index and w_j the Simpson
+    weights.  An exactly even density on a grid centred on 0 gives
+    exactly 0.0."""
+    grid, rho = psi.grid, psi.density
+    m = grid.points // 2
+    centre = 0.5 * (grid.lower + grid.upper)
+    t = rho[:m] - rho[:m:-1]
+    t *= grid.x[:m] - centre
+    s = t[0] + 4.0 * t[1::2].sum() + 2.0 * t[2::2].sum()
+    return centre * psi.norm + float(s) * grid.h / 3.0
+
+
 def position_moments(psi: SampledFunction) -> tuple[float, float]:
     """(<x>, Var x) by quadrature of x |psi|^2 and (x - <x>)^2 |psi|^2.
 
-    The variance is integrated about the mean, not taken as <x^2> - <x>^2,
-    which would cancel digits for a state far from the origin.
+    On open grids <x> is folded about the grid centre (`_folded_mean`), so
+    a state of definite parity has <x> exactly 0.0.  The variance is
+    integrated about the mean, not taken as <x^2> - <x>^2, which would
+    cancel digits for a state far from the origin.
     """
     _check_normalized(psi)
     x = psi.grid.x
-    mean_x = float(quad(psi.grid, x * psi.density))
+    if psi.grid.boundary == "open":
+        mean_x = _folded_mean(psi)
+    else:
+        mean_x = float(quad(psi.grid, x * psi.density))
     spread = x - mean_x
     np.square(spread, out=spread)
     spread *= psi.density
@@ -140,18 +177,44 @@ def _gradient(y: np.ndarray, h: float) -> np.ndarray:
 
 
 def momentum_moments(psi: SampledFunction) -> tuple[float, float]:
-    """(<p>, <p^2>) in natural units (hbar = 1) from discrete derivatives.
+    """(<p>, <p^2>) in natural units (hbar = 1).
 
-    <p> is the real part of the quadrature of psi* (-i) psi'.  For real
-    samples that integrand's real part is an exact +-0.0 at every point,
-    so <p> is 0.0 and is not computed.  <p^2> uses the
-    integration-by-parts form integral |psi'|^2, which is nonnegative by
-    construction.  The second moment is recomputed from a low-order
-    derivative stencil and a GridError is raised when the two estimates
-    disagree beyond 1 percent: the grid cannot resolve the state's
-    oscillations.
+    On open and periodic grids both come from one FFT by Parseval
+    (`grids.spectral_moments`); a real sample's <p> is exactly 0.0.  An
+    open-grid sample must have decayed at both ends, and on either grid a
+    GridError is raised when wavenumbers above half the Nyquist wavenumber
+    carry more than `_BAND_SHARE_TOL` of <p^2>: the grid does not resolve
+    the state.
+
+    Between hard walls (Dirichlet grids) <p^2> is the quadrature of
+    |psi'|^2 with the order-6 derivative, and <p> that of psi* (-i) psi'
+    (0.0 for real samples, whose integrand is an exact +-0.0).  A
+    second-order stencil recomputes <p^2>, and a GridError is raised when
+    the two disagree beyond 1 percent.
     """
     _check_normalized(psi)
+    grid = psi.grid
+    if grid.boundary == "dirichlet":
+        return _stencil_momentum_moments(psi)
+    if grid.boundary == "open":
+        edge = max(psi.density[0], psi.density[-1]) * (grid.upper - grid.lower)
+        if edge > _EDGE_DENSITY_TOL:
+            raise GridError(
+                f"state has not decayed at the open grid's ends: end density "
+                f"{edge:.3e} of the mean exceeds {_EDGE_DENSITY_TOL:.0e}"
+            )
+    mean_p, mean_p2, share = spectral_moments(psi)
+    if share > _BAND_SHARE_TOL:
+        raise GridError(
+            "grid too coarse for momentum moments: wavenumbers above half the "
+            f"Nyquist wavenumber carry {share:.3e} of <p^2>, above {_BAND_SHARE_TOL:.0e}"
+        )
+    return mean_p, mean_p2
+
+
+def _stencil_momentum_moments(psi: SampledFunction) -> tuple[float, float]:
+    """(<p>, <p^2>) of a Dirichlet sample by the order-6 derivative, with
+    the stencil-order guard; see `momentum_moments`."""
     dpsi = derivative(psi)
     low = _gradient(psi.values, psi.grid.h)
     if np.iscomplexobj(psi.values):

@@ -21,7 +21,7 @@ from .analytic import (
     ring_uncertainties,
 )
 from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_uncertainties, solve_lowest
-from .errors import ConfigError, GridError, QnodesError
+from .errors import ConfigError, DomainError, GridError, QnodesError
 from .model import Box, Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
 from .nodal import count_nodes
 from .oracle import default_grid, record_from_samples, sample_levels
@@ -149,7 +149,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     Each distinct level is sampled once, on the one grid that resolves the
     top level, `default_grid(spec, max |level|, cfg.grid_points)`.  Every
     path computes in natural units; each record is rescaled once, and a
-    column that overflows raises DomainError naming the level.
+    column that overflows raises DomainError naming the level.  So does a
+    level too large for a float (an OverflowError).
     """
     spec = cfg.system
     units = scales(spec)
@@ -157,8 +158,12 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     eigen_result = None
     if "eigen" in cfg.paths:
         # a level with N predicted nodes needs eigenstates 0 .. N
-        k = max(predicted_node_count(spec, l) for l in cfg.levels) + 1
-        grid = default_eigen_grid(spec, k=k, points=cfg.grid_points)
+        top = max(cfg.levels, key=lambda l: predicted_node_count(spec, l))
+        k = predicted_node_count(spec, top) + 1
+        try:
+            grid = default_eigen_grid(spec, k=k, points=cfg.grid_points)
+        except OverflowError as exc:
+            raise DomainError(f"level {top}: {exc}") from exc
         eigen_result = solve_lowest(build_hamiltonian(spec, grid), k)
 
     levels = sorted(set(cfg.levels))
@@ -168,11 +173,15 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     else:
         samples = ((level, None) for level in levels)
     by_level: dict[int, list[SweepRow]] = {}
-    for level, psi in samples:
+    for level in levels:
+        # the level's sample is drawn inside the try, so its errors name it
         try:
+            _, psi = next(samples)
             by_level[level] = _sweep_level(spec, units, cfg.paths, level, psi, eigen_result)
         except QnodesError as exc:
             raise type(exc)(f"level {level}: {exc}") from exc
+        except OverflowError as exc:
+            raise DomainError(f"level {level}: {exc}") from exc
     return [row for level in cfg.levels for row in by_level[level]]
 
 

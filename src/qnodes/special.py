@@ -19,19 +19,22 @@ MAX_OSCILLATOR_N = 200
 
 
 def oscillator_ladder(x, n_max: int):
-    """Yield the natural-unit eigenfunctions phi_0, ..., phi_{n_max} on `x`.
+    """Iterate the natural-unit eigenfunctions phi_0, ..., phi_{n_max} on `x`.
 
     `x` is in units of the oscillator length sqrt(hbar / m w).  One pass of
     the normalized recurrence
     phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1}, so all
     levels up to n_max cost O(n_max) array steps.  Each yielded array is a
-    fresh object.
+    fresh object.  `n_max` is checked here, before any level is built.
     """
     if n_max < 0:
         raise DomainError(f"quantum number must be >= 0, got {n_max}")
     if n_max > MAX_OSCILLATOR_N:
         raise OverflowError(f"oscillator_psi supports n <= {MAX_OSCILLATOR_N}, got {n_max}")
-    xi = np.asarray(x, dtype=float)
+    return _ladder(np.asarray(x, dtype=float), n_max)
+
+
+def _ladder(xi: np.ndarray, n_max: int):
     phi = (1.0 / np.pi) ** 0.25 * np.exp(-0.5 * xi**2)
     yield phi
     prev = np.zeros_like(phi)

@@ -280,11 +280,12 @@ class TestOscillator:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_expectations_symmetry(self):
-        # <x> = <p> = 0 by parity, so <x^2> = Delta x^2 and <p^2> = Delta p^2
-        mean_x, _ = position_moments(sample_state(self.spec, 2))
-        mean_p, _ = momentum_moments(sample_state(self.spec, 2))
-        assert mean_x == 0.0
-        assert mean_p == 0.0
+        # <x> = <p> = 0 by parity, so <x^2> = Delta x^2 and <p^2> = Delta p^2;
+        # the open grid is exactly antisymmetric, so both are an exact 0.0
+        for n in range(21):
+            psi = sample_state(self.spec, n)
+            assert position_moments(psi)[0] == 0.0, n
+            assert momentum_moments(psi)[0] == 0.0, n
         rec = oscillator_uncertainties(self.spec, 2)
         assert rec.delta_q**2 == pytest.approx(2.5, rel=1e-15)
         assert rec.delta_p**2 == pytest.approx(2.5, rel=1e-15)

@@ -163,27 +163,35 @@ def test_overflowing_compared_level_exit_2(runner):
     )
 
 
+# (id, args, the message after "error: "); every case but `verify` runs
+# once per output format, and `verify` takes no --format
+_TOO_LARGE = [
+    ("eigensolve", ["eigensolve", "--system", "box", *_OVERFLOW_UNITS, "--k", "3"],
+     r"index 1: energy 19\.739\d+ overflows to inf at the energy scale 1e\+307"),
+    ("verify", ["verify", *_OVERFLOW_BOX, "--paths", "analytic,oracle,eigen"],
+     r"level 2: energy 19\.739208802178716 overflows to inf at the energy scale 1e\+307"),
+    ("sweep", ["sweep", *_OVERFLOW_BOX],
+     r"level 2: energy 19\.739208802178716 overflows to inf at the energy scale 1e\+307"),
+    ("nodes-n201", ["nodes", "--system", "oscillator", "--levels", "0:201"],
+     r"oscillator_psi supports n <= 200, got 201"),
+    ("sweep-huge-level", ["sweep", "--system", "ring", "--levels", f"{_HUGE}:{_HUGE}"],
+     rf"level {_HUGE}: int too large to convert to float"),
+    ("eigensolve-huge-k", ["eigensolve", "--system", "oscillator", "--k", _HUGE],
+     rf"--k {_HUGE}: int too large to convert to float"),
+]
+
+
 @pytest.mark.parametrize(
-    "args, message",
+    "args, message, fmt",
     [
-        (["eigensolve", "--system", "box", *_OVERFLOW_UNITS, "--k", "3"],
-         r"index 1: energy 19\.739\d+ overflows to inf at the energy scale 1e\+307"),
-        (["verify", *_OVERFLOW_BOX, "--paths", "analytic,oracle,eigen"],
-         r"level 2: energy 19\.739208802178716 overflows to inf at the energy scale 1e\+307"),
-        (["sweep", *_OVERFLOW_BOX],
-         r"level 2: energy 19\.739208802178716 overflows to inf at the energy scale 1e\+307"),
-        (["nodes", "--system", "oscillator", "--levels", "0:201"],
-         r"oscillator_psi supports n <= 200, got 201"),
-        (["sweep", "--system", "ring", "--levels", f"{_HUGE}:{_HUGE}"],
-         r"int too large to convert to float"),
-        (["eigensolve", "--system", "oscillator", "--k", _HUGE],
-         r"int too large to convert to float"),
+        pytest.param(args, message, fmt, id=f"{fmt}-{name}" if fmt else name)
+        for fmt in ("csv", "json", None)
+        for name, args, message in _TOO_LARGE
+        if (fmt is None) == (name == "verify")
     ],
-    ids=["eigensolve", "verify", "sweep", "nodes-n201", "sweep-huge-level", "eigensolve-huge-k"],
 )
-@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_value_too_large_for_a_double_exit_2(runner, args, message, fmt):
-    result = runner.invoke(main, args + ["--format", fmt])
+    result = runner.invoke(main, args + (["--format", fmt] if fmt else []))
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)  # not an uncaught traceback
     assert result.stdout == ""
@@ -191,6 +199,15 @@ def test_value_too_large_for_a_double_exit_2(runner, args, message, fmt):
 
 
 class TestVerify:
+    @pytest.mark.parametrize("option", [["--format", "json"], ["--out", "v.json"]], ids=["format", "out"])
+    def test_output_options_not_offered_exit_2(self, runner, tmp_path, option, monkeypatch):
+        # verify prints a verdict, not a table: it takes neither option
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["verify", "--system", "box", "--levels", "1:3", *option])
+        assert result.exit_code == 2
+        assert f"No such option '{option[0]}'" in result.output
+        assert not (tmp_path / "v.json").exists()
+
     def test_box_analytic_oracle_exit_0(self, runner):
         result = runner.invoke(
             main,
@@ -274,10 +291,11 @@ class TestVerify:
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_non_finite_tol_exit_2(self, runner, command, tol):
-        # --tol inf would wave every finite disagreement through
+        # --tol inf would wave every finite disagreement through; verify
+        # takes no --format
+        fmt = ["--format", "json"] if command == "sweep" else []
         result = runner.invoke(
-            main,
-            [command, "--system", "box", "--levels", "1:3", "--tol", tol, "--format", "json"],
+            main, [command, "--system", "box", "--levels", "1:3", "--tol", tol, *fmt]
         )
         assert result.exit_code == 2
         assert result.stdout == ""

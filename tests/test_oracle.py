@@ -27,8 +27,9 @@ from qnodes import (
 )
 import qnodes.grids
 import qnodes.oracle
+import qnodes.special
 from qnodes.eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
-from qnodes.grids import _edge_rows, _fd_weights, derivative, second_derivative
+from qnodes.grids import _edge_rows, _fd_weights, _parseval_weights, derivative, second_derivative
 from qnodes.oracle import _gradient, default_grid, p2_by_second_derivative, sample_levels
 from qnodes.report import SweepConfig, run_sweep
 
@@ -116,6 +117,69 @@ class TestMomentumMoments:
         assert p2_by_second_derivative(psi) == pytest.approx(p2, rel=1e-6)
 
 
+def _complex_parseval(psi):
+    """(<p>, <p^2>) of an open-grid sample from the complex FFT of its
+    values without the duplicate end point, summed over every bin."""
+    y = psi.values[:-1].astype(complex)
+    m, h = y.size, psi.grid.h
+    kappa = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
+    power = np.abs(np.fft.fft(y)) ** 2 * h / m
+    return float(np.sum(kappa * power)), float(np.sum(kappa**2 * power))
+
+
+class TestResolutionGuard:
+    """Open and periodic grids: Parseval moments behind a half-band guard."""
+
+    @pytest.mark.parametrize("n, points", [(0, 185), (2, 193), (200, 1149)])
+    def test_oscillator_grid_sized_by_band_limit(self, n, points):
+        grid = default_grid(Oscillator(), n)
+        assert grid.points == points
+        assert grid.h <= math.pi / (2.0 * grid.upper)
+        assert default_grid(Oscillator(), n, 8001).points == 8001
+
+    @pytest.mark.parametrize("points", [185, 801, 1149])
+    def test_open_grid_exactly_antisymmetric(self, points):
+        x = GridSpec(-30.0, 30.0, points, "open").x
+        assert np.array_equal(x[::-1], -x)
+        assert x[points // 2] == 0.0
+
+    def test_default_grid_share_far_below_threshold(self):
+        worst = max(qnodes.grids.spectral_moments(psi)[2] for psi in _sweep_oscillator_samples())
+        assert worst <= 1e-20
+
+    def test_under_resolved_sample_rejected(self):
+        wide = default_grid(Oscillator(), 200)
+        grid = GridSpec(wide.lower, wide.upper, 801, "open")
+        y = list(qnodes.special.oscillator_ladder(grid.x, 200))[-1]
+        psi = SampledFunction(grid, y / math.sqrt(quad(grid, y**2)))
+        with pytest.raises(GridError, match=r"carry \d\.\d{3}e-0\d of <p\^2>, above 1e-10"):
+            momentum_moments(psi)
+
+    def test_undecayed_sample_rejected(self):
+        # a ground state cut off at x = +-3, renormalized on the grid
+        grid = GridSpec(-3.0, 3.0, 201, "open")
+        y = np.exp(-(grid.x**2) / 2.0)
+        psi = SampledFunction(grid, y / math.sqrt(quad(grid, y**2)))
+        with pytest.raises(GridError, match="not decayed"):
+            momentum_moments(psi)
+
+    def test_folded_mean_off_centre(self):
+        # a packet at x = 1.5 on a grid centred on 2: the fold keeps the centre
+        grid = GridSpec(-10.0, 14.0, 801, "open")
+        psi = SampledFunction(grid, np.pi**-0.25 * np.exp(-((grid.x - 1.5) ** 2) / 2.0))
+        mean_x, var_x = position_moments(psi)
+        assert mean_x == pytest.approx(float(quad(grid, grid.x * psi.density)), rel=1e-14)
+        assert mean_x == pytest.approx(1.5, rel=1e-13)
+        assert var_x == pytest.approx(0.5, rel=1e-13)
+
+    def test_periodic_sample_takes_parseval(self):
+        grid = GridSpec(0.0, 2.0 * math.pi, 64, "periodic")
+        psi = SampledFunction(grid, (np.exp(3j * grid.x) + np.exp(-1j * grid.x)) / math.sqrt(4 * math.pi))
+        mean_p, mean_p2 = momentum_moments(psi)
+        assert mean_p == pytest.approx(1.0, rel=1e-13)
+        assert mean_p2 == pytest.approx(5.0, rel=1e-13)
+
+
 def _sweep_oscillator_samples():
     grid = default_grid(Oscillator(), 200)
     return [psi for _, psi in sample_levels(Oscillator(), range(201), grid)]
@@ -130,19 +194,29 @@ def _box_eigenvectors():
 )
 class TestRealSampleShortcut:
     """The real-sample branch of `momentum_moments` against the general
-    formulas, bit for bit, on the samples the sweeps feed it."""
+    formulas on the samples the sweeps feed it: bit for bit against the
+    order-6 products between hard walls, and to roundoff against the full
+    complex FFT on open grids, where a real sample takes an `rfft`."""
 
     def test_mean_p_is_zero(self, samples):
         for psi in samples():
-            dpsi = derivative(psi)
-            general = float(np.real(quad(psi.grid, np.conj(psi.values) * -1j * dpsi)))
-            assert general == 0.0
+            if psi.grid.boundary == "open":
+                general, p2 = _complex_parseval(psi)
+                assert abs(general) <= 1e-14 * math.sqrt(p2)
+            else:
+                dpsi = derivative(psi)
+                general = float(np.real(quad(psi.grid, np.conj(psi.values) * -1j * dpsi)))
+                assert general == 0.0
             assert momentum_moments(psi)[0] == 0.0
 
     def test_mean_p2_matches_general_formula(self, samples):
         for psi in samples():
-            general = float(np.real(quad(psi.grid, np.abs(derivative(psi)) ** 2)))
-            assert momentum_moments(psi)[1] == general
+            if psi.grid.boundary == "open":
+                general = _complex_parseval(psi)[1]
+                assert momentum_moments(psi)[1] == pytest.approx(general, rel=1e-14)
+            else:
+                general = float(np.real(quad(psi.grid, np.abs(derivative(psi)) ** 2)))
+                assert momentum_moments(psi)[1] == general
 
     def test_guard_gradient_matches_numpy(self, samples):
         for psi in samples():
@@ -186,13 +260,13 @@ def test_complex_density_is_abs_squared(state):
 def test_sweep_leaves_shared_arrays_read_only(monkeypatch):
     # the kernels write in place only into fresh temporaries
     seen = []
-    derivative_ = qnodes.oracle.derivative
+    moments_ = qnodes.oracle.momentum_moments
 
     def spy(psi):
         seen.append(psi)
-        return derivative_(psi)
+        return moments_(psi)
 
-    monkeypatch.setattr(qnodes.oracle, "derivative", spy)
+    monkeypatch.setattr(qnodes.oracle, "momentum_moments", spy)
     run_sweep(SweepConfig(Oscillator(), tuple(range(21)), ("analytic", "oracle")))
     run_sweep(SweepConfig(Box(), (1, 2, 3), ("analytic", "oracle", "eigen")))
     assert len(seen) == 21 + 3 + 3
@@ -203,6 +277,9 @@ def test_sweep_leaves_shared_arrays_read_only(monkeypatch):
     for deriv, width in ((1, 7), (2, 9)):
         for rows in _edge_rows(deriv, width):
             assert all(not w.flags.writeable for w in rows)
+    for real in (True, False):
+        weights = _parseval_weights(seen[0].grid, real)[:2]
+        assert all(not w.flags.writeable for w in weights)
 
 
 def test_guard_gradient_promotes_integer_samples():

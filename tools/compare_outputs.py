@@ -47,6 +47,8 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["eigensolve", "--system", "box", "--hbar", "1e100", "--param", "m=1e-107", "--k", "3"],
         ["verify", *OVERFLOW_BOX, *ALL_PATHS],
         ["sweep", *OVERFLOW_BOX],
+        # an oscillator grid too coarse for the top levels
+        ["verify", "--system", "oscillator", "--levels", "0:200", "--grid-points", "801"],
     )
 )
 
