@@ -317,6 +317,21 @@ class TestVerify:
         assert result.exit_code == 3
         assert "level 18" in result.output
 
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_under_resolved_oscillator_grid_exit_3(self, runner, command):
+        # on 801 points the top levels carry too much of <p^2> in the upper
+        # half of the band for Simpson's coarse half to resolve the density
+        args = [command, "--system", "oscillator", "--levels", "0:200", "--grid-points", "801",
+                "--paths", "analytic,oracle"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert re.fullmatch(
+            r"numerical failure: level 187: grid too coarse for momentum moments: wavenumbers "
+            r"above half the Nyquist wavenumber carry 1\.604e-10 of <p\^2>, above 1e-10\n",
+            result.stderr,
+        )
+
 
 class TestUnits:
     """Physical parameters enter only through the unit scales."""
