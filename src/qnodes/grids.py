@@ -208,13 +208,14 @@ def spectral_derivative(f: SampledFunction) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _parseval_weights(grid: GridSpec, real: bool) -> tuple[np.ndarray, np.ndarray, slice]:
-    """(<p> weights, <p^2> weights, high band) per float of the FFT of one
-    period of samples on `grid`, read-only because they are cached.
+def _parseval_weights(grid: GridSpec, real: bool) -> tuple[np.ndarray, ...]:
+    """(weights, kappa, <p> weights, <p^2> weights, high band) per float
+    of the FFT of one period of samples on `grid`, read-only because they
+    are cached.
 
     The FFT's complex bins are read as interleaved (re, im) floats, so
-    each weight appears twice.  <p^k> = sum_j w_j v_j^2 with weight
-    (h/M) kappa^k per bin (Parseval, M samples per period); an `rfft` bin
+    each value appears twice.  <p^k> = sum_j w_j kappa_j^k v_j^2 with
+    weight w = h/M per bin (Parseval, M samples per period); an `rfft` bin
     other than 0 and M/2 also stands for its mirror bin and counts twice.
     The high band is the bins with |kappa| above half the Nyquist
     wavenumber: the tail of an `rfft`, the middle of an `fft`.
@@ -228,34 +229,46 @@ def _parseval_weights(grid: GridSpec, real: bool) -> tuple[np.ndarray, np.ndarra
         k = np.fft.fftfreq(m, 1.0 / m)
         weight = np.full(m, grid.h / m)
         high = slice(2 * (m // 4 + 1), 2 * (m - m // 4))
-    kappa = 2.0 * np.pi / (m * grid.h) * k
-    w1 = np.repeat(weight * kappa, 2)
-    w2 = np.repeat(weight * kappa**2, 2)
-    w1.flags.writeable = False
-    w2.flags.writeable = False
-    return w1, w2, high
+    w0 = np.repeat(weight, 2)
+    kappa = np.repeat(2.0 * np.pi / (m * grid.h) * k, 2)
+    w1 = w0 * kappa
+    w2 = w0 * kappa**2
+    for array in (w0, kappa, w1, w2):
+        array.flags.writeable = False
+    return w0, kappa, w1, w2, high
 
 
-def spectral_moments(f: SampledFunction) -> tuple[float, float, float]:
-    """(<-i d/dx>, <-d^2/dx^2>, high-band share) of the samples, by Parseval.
+def spectral_moments(f: SampledFunction) -> tuple[float, float, float, float]:
+    """(<-i d/dx>, <-d^2/dx^2>, high-band share, centred variance) of the
+    samples, by Parseval.
 
     One period of the samples is transformed once: a periodic grid's
     samples as they are, an open grid's without the duplicate end point
     (exact for samples that have decayed at both ends).  Real samples take
-    an `rfft` and a first moment of exactly 0.0; complex ones an `fft`.
+    an `rfft`, a first moment of exactly 0.0 and a variance equal to the
+    second moment; complex ones an `fft`, and the variance is the centred
+    sum of w (kappa - <kappa>)^2 |c|^2, so a sample of one wavenumber has
+    a variance at roundoff, not the cancellation of <kappa^2> - <kappa>^2.
     The share is the fraction of the second moment carried by wavenumbers
-    above half the Nyquist wavenumber pi / h; it is at roundoff when a grid
-    of spacing 2h would still resolve the samples.
+    above half the Nyquist wavenumber pi / h, the moment floored at one
+    natural unit (hbar^2 = 1) so that a state at rest reads roundoff over
+    1, not roundoff over roundoff.  It is at roundoff when a grid of
+    spacing 2h would still resolve the samples.
     """
     if f.grid.boundary == "dirichlet":
         raise GridError("Parseval moments need an open or periodic grid")
     y = f.values if f.grid.boundary == "periodic" else f.values[:-1]
     real = not np.iscomplexobj(y)
-    w1, w2, high = _parseval_weights(f.grid, real)
+    w0, kappa, w1, w2, high = _parseval_weights(f.grid, real)
     v = (np.fft.rfft(y) if real else np.fft.fft(y)).view(np.float64)
     u = v * w2
     top = float(v[high] @ u[high])
-    mean_p2 = float(v @ u)
-    mean_p = 0.0 if real else float(v @ (v * w1))
-    share = top / mean_p2 if mean_p2 > 0.0 else 0.0
-    return mean_p, mean_p2, share
+    mean2 = float(v @ u)
+    share = top / max(mean2, 1.0)
+    if real:
+        return 0.0, mean2, share, mean2
+    mean = float(v @ (v * w1))
+    centred = kappa - mean
+    np.square(centred, out=centred)
+    centred *= w0
+    return mean, mean2, share, float(v @ (v * centred))

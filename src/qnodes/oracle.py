@@ -11,6 +11,7 @@ and moments are in the system's natural units (`model.scales`);
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .grids import (
     derivative,
     quad,
     second_derivative,
-    spectral_derivative,
     spectral_moments,
 )
 from .model import (
@@ -54,8 +54,9 @@ _NORM_TOL = 1e-6
 # Stencil-order guard for <p^2> between hard walls: relative disagreement
 # between the order-6 derivative and the order-2 stencil of `_gradient`.
 _STENCIL_ORDER_TOL = 1e-2
-# Resolution guard for <p^2> on open and periodic grids: the largest share
-# of <p^2> that wavenumbers above half the Nyquist wavenumber may carry.
+# Resolution guard for <p^2> and <L_z^2> on open and periodic grids: the
+# largest share of the second moment that wavenumbers above half the
+# Nyquist wavenumber may carry.
 # Simpson's coarse half T(2h) resolves |psi|^2 only if psi is resolved
 # there, and the position moments' relative error tracks this share
 # (2.1e-6 at a share of 2.7e-6, oscillator 0:200 on 801 points), so the
@@ -65,8 +66,12 @@ _BAND_SHARE_TOL = 1e-10
 # 1/(upper - lower) of a normalized state, of a sample that has decayed.
 _EDGE_DENSITY_TOL = 1e-16
 
-# Points of the box and ring grids; the oscillator's follow its half-width.
-DEFAULT_POINTS = {Box: 4001, Ring: 4096}
+# Points of the box grid; the oscillator's and the ring's follow their band limits.
+BOX_POINTS = 4001
+# Ring grids: the fewest points per unit of |m| + 1, and the most points
+# the band-limit rule may ask for (|m| up to 131071).
+_RING_POINTS_PER_M = 8
+_MAX_RING_POINTS = 1 << 20
 
 
 def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> GridSpec:
@@ -79,16 +84,32 @@ def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> G
     density; by default the oscillator grid takes h <= pi / (2L), the
     spacing at which Simpson's coarse half T(2h) still resolves the
     density: 2 ceil(2 L^2 / pi) + 1 points.
+
+    A ring state with |m| <= M = |idx| is a trigonometric polynomial, so
+    by default the ring grid takes the smallest power of two N >= 8(M + 1):
+    the density's wavenumbers (at most 2M) then lie below half the Nyquist
+    wavenumber N/2, every Fourier sum is exact, and each node interval
+    holds at least 4 samples.  A power of two keeps the FFT's exact zeros
+    (m = 0 reads 0.0).  A rule asking for more than 2^20 points raises
+    GridError; `points` overrides the rule on every system.
     """
     if isinstance(spec, Oscillator):
         half_width = max(math.sqrt(2.0 * abs(int(idx)) + 1.0) + 10.0, 12.0)
         if points is None:
             points = 2 * math.ceil(2.0 * half_width**2 / math.pi) + 1
         return GridSpec(-half_width, half_width, points, "open")
-    if points is None:
-        points = DEFAULT_POINTS[type(spec)]
     if isinstance(spec, Box):
-        return GridSpec(0.0, 1.0, points, "dirichlet")
+        return GridSpec(0.0, 1.0, BOX_POINTS if points is None else points, "dirichlet")
+    if points is None:
+        top = abs(int(idx))
+        # in floats, as for the oscillator: a level too large for one overflows
+        need = _RING_POINTS_PER_M * (float(top) + 1.0)
+        if need > _MAX_RING_POINTS:
+            raise GridError(
+                f"ring grid for |m| = {top} needs at least {need:.0f} points, "
+                f"above the limit of {_MAX_RING_POINTS}"
+            )
+        points = 1 << (int(need) - 1).bit_length()
     return GridSpec(0.0, 2.0 * math.pi, points, "periodic")
 
 
@@ -98,9 +119,12 @@ def sample_state(
     grid: GridSpec | None = None,
 ) -> SampledFunction:
     """Sample the natural-unit eigenfunction (or ring superposition) on a
-    natural-unit grid."""
+    natural-unit grid, by default the grid of the state's level (for a
+    superposition, of its largest |m|)."""
     if isinstance(spec, Ring):
-        grid = grid or default_grid(spec)
+        if grid is None:
+            ms = [m for m, _ in state.terms] if isinstance(state, RingSuperposition) else [state]
+            grid = default_grid(spec, max(abs(validate_state(spec, m)) for m in ms))
         return SampledFunction(grid, ring_state_values(state, grid.x))
     idx = validate_state(spec, state)
     grid = grid or default_grid(spec, idx)
@@ -203,13 +227,19 @@ def momentum_moments(psi: SampledFunction) -> tuple[float, float]:
                 f"state has not decayed at the open grid's ends: end density "
                 f"{edge:.3e} of the mean exceeds {_EDGE_DENSITY_TOL:.0e}"
             )
-    mean_p, mean_p2, share = spectral_moments(psi)
+    mean_p, mean_p2, share, _ = spectral_moments(psi)
+    _check_band(share, "momentum", "p")
+    return mean_p, mean_p2
+
+
+def _check_band(share: float, quantity: str, symbol: str) -> None:
+    """Raise GridError when the high-band share of <symbol^2> exceeds
+    `_BAND_SHARE_TOL`: the grid does not resolve the state."""
     if share > _BAND_SHARE_TOL:
         raise GridError(
-            "grid too coarse for momentum moments: wavenumbers above half the "
-            f"Nyquist wavenumber carry {share:.3e} of <p^2>, above {_BAND_SHARE_TOL:.0e}"
+            f"grid too coarse for {quantity} moments: wavenumbers above half the "
+            f"Nyquist wavenumber carry {share:.3e} of <{symbol}^2>, above {_BAND_SHARE_TOL:.0e}"
         )
-    return mean_p, mean_p2
 
 
 def _stencil_momentum_moments(psi: SampledFunction) -> tuple[float, float]:
@@ -242,23 +272,40 @@ def p2_by_second_derivative(psi: SampledFunction) -> float:
 
 
 def ring_lz_by_quadrature(psi: SampledFunction) -> tuple[float, float, float]:
-    """(<L_z>, Delta L_z, <L_z^2>) in units of hbar, applying -i d/dtheta
-    spectrally, once.
+    """(<L_z>, Delta L_z, <L_z^2>) in units of hbar, by Parseval from one
+    FFT of the samples (`grids.spectral_moments`): L_z = -i d/dtheta has
+    the integer wavenumbers of the [0, 2 pi) grid as its eigenvalues.
 
-    The spread is computed from the centered state (L_z - <L_z>) psi before
-    squaring so that a definite-m state yields zero to roundoff.  <L_z^2>
-    is the quadrature of |L_z psi|^2, not <L_z>^2 + (Delta L_z)^2, whose
-    last bits differ.
+    Delta L_z is the root of the centred sum of w (kappa - <L_z>)^2 |c|^2,
+    so a definite-m state yields zero to roundoff, and <L_z^2> is the sum
+    of w kappa^2 |c|^2, not <L_z>^2 + (Delta L_z)^2.  A GridError is
+    raised when wavenumbers above half the Nyquist wavenumber carry more
+    than `_BAND_SHARE_TOL` of <L_z^2> (floored at hbar^2): a state with
+    |m| > N/4 on N points aliases, or is not resolved.
     """
     if psi.grid.boundary != "periodic":
         raise GridError("ring L_z statistics need a periodic grid")
     _check_normalized(psi)
-    lz_psi = -1j * spectral_derivative(psi)
-    mean = float(np.real(quad(psi.grid, np.conj(psi.values) * lz_psi)))
-    centered = lz_psi - mean * psi.values
-    var = float(np.real(quad(psi.grid, np.abs(centered) ** 2)))
-    mean2 = float(np.real(quad(psi.grid, np.abs(lz_psi) ** 2)))
+    mean, mean2, share, var = spectral_moments(psi)
+    _check_band(share, "angular momentum", "L_z")
     return mean, math.sqrt(max(var, 0.0)), mean2
+
+
+@lru_cache(maxsize=16)
+def _theta_weights(points: int) -> np.ndarray:
+    """(2, 2 (points // 2 + 1)) weights that take the interleaved (re, im)
+    `rfft` of a density on `points` ring points to the numerators of
+    <theta> and <theta^2> in units of its 0-th coefficient; read-only
+    because they are cached.  Every bin 0 < k < points / 2 is used."""
+    k = np.arange(1, (points + 1) // 2, dtype=float)
+    w = np.zeros((2, 2 * (points // 2 + 1)))
+    w[0, 0] = math.pi
+    w[0, 3 : 2 * k.size + 2 : 2] = 2.0 / k
+    w[1, 0] = 4.0 * math.pi**2 / 3.0
+    w[1, 2 : 2 * k.size + 2 : 2] = 4.0 / k**2
+    w[1, 3 : 2 * k.size + 2 : 2] = 4.0 * math.pi / k
+    w.flags.writeable = False
+    return w
 
 
 def ring_theta_by_quadrature(psi: SampledFunction) -> tuple[float, float]:
@@ -271,28 +318,18 @@ def ring_theta_by_quadrature(psi: SampledFunction) -> tuple[float, float]:
         theta   = pi      - sum_k (2/k) sin(k theta)
         theta^2 = 4 pi^2/3 + sum_k (4/k^2 cos(k theta) - 4 pi/k sin(k theta))
 
-    paired with the density's Fourier coefficients, which the FFT of the
-    samples gives exactly for trigonometric-polynomial densities.
+    paired with the density's Fourier coefficients c_k, which one `rfft` of
+    the real density gives exactly for trigonometric-polynomial densities,
+    through weights cached per point count (`_theta_weights`).  The
+    quadrature's factor h cancels in the ratios to c_0.
     """
     if psi.grid.boundary != "periodic":
         raise GridError("ring theta statistics need a periodic grid")
     if psi.grid.lower != 0.0 or abs(psi.grid.upper - 2.0 * math.pi) > 1e-12:
         raise GridError("theta statistics assume the branch [0, 2 pi)")
-    n = psi.grid.points
-    # c[k] = integral |psi|^2 e^{-i k theta} dtheta, exact below the Nyquist limit
-    c = np.fft.fft(psi.density) * psi.grid.h
-    total = float(np.real(c[0]))
-    k = np.arange(1, n // 2)
-    re = np.real(c[1 : n // 2])
-    im = np.imag(c[1 : n // 2])
-    mean = math.pi * total + float(np.sum(2.0 / k * im))
-    mean2 = (4.0 * math.pi**2 / 3.0) * total + float(
-        np.sum(4.0 / k**2 * re + 4.0 * math.pi / k * im)
-    )
-    mean /= total
-    mean2 /= total
-    var = mean2 - mean**2
-    return mean, math.sqrt(max(var, 0.0))
+    v = np.fft.rfft(psi.density).view(np.float64)
+    mean, mean2 = _theta_weights(psi.grid.points) @ v / v[0]
+    return float(mean), math.sqrt(max(float(mean2 - mean**2), 0.0))
 
 
 def oracle_uncertainties(

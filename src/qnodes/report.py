@@ -148,9 +148,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
     Each distinct level is sampled once, on the one grid that resolves the
     top level, `default_grid(spec, max |level|, cfg.grid_points)`.  Every
-    path computes in natural units; each record is rescaled once, and a
-    column that overflows raises DomainError naming the level.  So does a
-    level too large for a float (an OverflowError).
+    path computes in natural units; each record is rescaled once.  An
+    error raised for a level names it; a column that overflows, or a level
+    too large for a float (an OverflowError), raises DomainError.
     """
     spec = cfg.system
     units = scales(spec)
@@ -162,13 +162,17 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         k = predicted_node_count(spec, top) + 1
         try:
             grid = default_eigen_grid(spec, k=k, points=cfg.grid_points)
-        except OverflowError as exc:
-            raise DomainError(f"level {top}: {exc}") from exc
+        except (QnodesError, OverflowError) as exc:
+            raise _at_level(top, exc) from exc
         eigen_result = solve_lowest(build_hamiltonian(spec, grid), k)
 
     levels = sorted(set(cfg.levels))
     if "analytic" in cfg.paths or "oracle" in cfg.paths:
-        grid = default_grid(spec, max(abs(l) for l in levels), cfg.grid_points)
+        top = max(levels, key=abs)
+        try:
+            grid = default_grid(spec, top, cfg.grid_points)
+        except (QnodesError, OverflowError) as exc:
+            raise _at_level(top, exc) from exc
         samples = sample_levels(spec, levels, grid)
     else:
         samples = ((level, None) for level in levels)
@@ -178,11 +182,17 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         try:
             _, psi = next(samples)
             by_level[level] = _sweep_level(spec, units, cfg.paths, level, psi, eigen_result)
-        except QnodesError as exc:
-            raise type(exc)(f"level {level}: {exc}") from exc
-        except OverflowError as exc:
-            raise DomainError(f"level {level}: {exc}") from exc
+        except (QnodesError, OverflowError) as exc:
+            raise _at_level(level, exc) from exc
     return [row for level in cfg.levels for row in by_level[level]]
+
+
+def _at_level(level: int, exc: Exception) -> QnodesError:
+    """The error to raise for `exc`, naming `level`: a qnodes error keeps
+    its type, and an OverflowError (a level too large for a float) becomes
+    a DomainError."""
+    kind = DomainError if isinstance(exc, OverflowError) else type(exc)
+    return kind(f"level {level}: {exc}")
 
 
 def _sweep_level(spec, units, paths, level, psi, eigen_result) -> list[SweepRow]:

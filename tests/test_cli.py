@@ -342,6 +342,53 @@ class TestVerify:
             result.stderr,
         )
 
+    @pytest.mark.parametrize(
+        "args, level",
+        [
+            # m = 8 sits on the Nyquist bin of 16 points; m = 10 would print energy 18, not 50
+            (["--levels", "8:10", "--paths", "oracle", "--grid-points", "16"], 8),
+            # m = 300 lies above N/4 on the 1024-point eigen grid
+            (["--levels", "300:300", "--paths", "eigen"], 300),
+        ],
+        ids=["oracle-16-points", "eigen-m300"],
+    )
+    def test_aliased_ring_grid_exit_3(self, runner, args, level):
+        result = runner.invoke(main, ["sweep", "--system", "ring", *args])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"numerical failure: level {level}: grid too coarse for angular momentum moments: "
+            "wavenumbers above half the Nyquist wavenumber carry 1.000e+00 of <L_z^2>, above 1e-10\n"
+        )
+
+    def test_ring_grid_limit_exit_3(self, runner):
+        result = runner.invoke(main, ["sweep", "--system", "ring", "--levels", "-200000:-200000"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numerical failure: level -200000: ring grid for |m| = 200000 needs at least "
+            "1600008 points, above the limit of 1048576\n"
+        )
+
+    def test_ring_m0_rows_exactly_zero(self, runner):
+        # the benchmark's ring sweep; on shorter eigen solves the m = 0
+        # eigenvector itself is not exactly constant (Delta L_z 7e-12 at -1:1)
+        result = runner.invoke(
+            main, ["sweep", "--system", "ring", "--levels", "-10:10", "--paths", "analytic,oracle,eigen"]
+        )
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        zero = [r for r in rows if r[1] == "0"]
+        assert [r[10] for r in zero] == ["analytic", "oracle", "eigen"]
+        for r in zero:
+            assert (r[4], r[6], r[7]) == ("0.00000000000",) * 3
+
+    def test_ring_oracle_verifies_at_default_tol(self, runner):
+        result = runner.invoke(
+            main, ["verify", "--system", "ring", "--levels", "-40:40", "--paths", "analytic,oracle"]
+        )
+        assert result.exit_code == 0, result.output
+
 
 class TestUnits:
     """Physical parameters enter only through the unit scales."""

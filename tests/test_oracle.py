@@ -30,7 +30,13 @@ import qnodes.oracle
 import qnodes.special
 from qnodes.eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
 from qnodes.grids import _edge_rows, _fd_weights, _parseval_weights, derivative, second_derivative
-from qnodes.oracle import _gradient, default_grid, p2_by_second_derivative, sample_levels
+from qnodes.oracle import (
+    _gradient,
+    _theta_weights,
+    default_grid,
+    p2_by_second_derivative,
+    sample_levels,
+)
 from qnodes.report import SweepConfig, run_sweep
 
 
@@ -180,6 +186,54 @@ class TestResolutionGuard:
         assert mean_p2 == pytest.approx(5.0, rel=1e-13)
 
 
+class TestRingBandLimit:
+    """Ring grids sized by the largest |m|, and L_z by one Parseval FFT
+    behind the same half-band guard as <p^2>."""
+
+    @pytest.mark.parametrize("top, points", [(0, 8), (1, 16), (3, 32), (10, 128), (20, 256)])
+    def test_ring_grid_sized_by_band_limit(self, top, points):
+        assert default_grid(Ring(), top).points == points
+        assert default_grid(Ring(), -top).points == points
+        assert default_grid(Ring(), top, 4096).points == 4096
+
+    def test_ring_grid_limit(self):
+        assert default_grid(Ring(), 131071).points == 2**20
+        with pytest.raises(GridError, match=r"\|m\| = 131072 needs at least 1048584 points, above the limit of 1048576"):
+            default_grid(Ring(), 131072)
+
+    def test_m0_record_exactly_zero(self):
+        for top in range(65):
+            rec = oracle_uncertainties(Ring(), 0, default_grid(Ring(), top))
+            assert (rec.energy, rec.delta_p, rec.product) == (0.0, 0.0, 0.0), top
+
+    @pytest.mark.parametrize("top", [0, 1, 3, 10, 20, 64])
+    def test_every_level_far_below_threshold(self, top):
+        grid = default_grid(Ring(), top)
+        for m in range(-top, top + 1):
+            assert qnodes.grids.spectral_moments(sample_state(Ring(), m, grid))[2] <= 1e-20, m
+
+    def test_superposition_grid_follows_largest_m(self):
+        state = RingSuperposition(((40, math.sqrt(0.3)), (-40, 1j * math.sqrt(0.7))))
+        psi = sample_state(Ring(), state)
+        assert psi.grid.points == 512
+        mean_q, spread_q, mean2_q = ring_lz_by_quadrature(psi)
+        mean_c, spread_c = ring_lz_stats(Ring(), state)
+        assert mean_q == pytest.approx(mean_c, abs=1e-12)
+        assert spread_q == pytest.approx(spread_c, abs=1e-12)
+        assert mean2_q == pytest.approx(1600.0, rel=1e-14)
+
+    def test_aliased_state_rejected(self):
+        # e^{10 i theta} on 16 points reads as e^{-6 i theta}, above N/4
+        psi = sample_state(Ring(), 10, GridSpec(0.0, 2.0 * math.pi, 16, "periodic"))
+        with pytest.raises(GridError, match=r"carry 1\.000e\+00 of <L_z\^2>, above 1e-10"):
+            ring_lz_by_quadrature(psi)
+
+    def test_theta_weights_read_only(self):
+        psi = sample_state(Ring(), 3)
+        ring_theta_by_quadrature(psi)
+        assert not _theta_weights(psi.grid.points).flags.writeable
+
+
 def _sweep_oscillator_samples():
     grid = default_grid(Oscillator(), 200)
     return [psi for _, psi in sample_levels(Oscillator(), range(201), grid)]
@@ -278,7 +332,7 @@ def test_sweep_leaves_shared_arrays_read_only(monkeypatch):
         for rows in _edge_rows(deriv, width):
             assert all(not w.flags.writeable for w in rows)
     for real in (True, False):
-        weights = _parseval_weights(seen[0].grid, real)[:2]
+        weights = _parseval_weights(seen[0].grid, real)[:-1]
         assert all(not w.flags.writeable for w in weights)
 
 

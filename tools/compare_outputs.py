@@ -49,6 +49,9 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["sweep", *OVERFLOW_BOX],
         # an oscillator grid too coarse for the top levels
         ["verify", "--system", "oscillator", "--levels", "0:200", "--grid-points", "801"],
+        # ring states that alias on their grid: the half-band guard exits 3
+        ["sweep", "--system", "ring", "--levels", "8:10", "--paths", "oracle", "--grid-points", "16"],
+        ["sweep", "--system", "ring", "--levels", "300:300", "--paths", "eigen"],
     )
 )
 
