@@ -96,9 +96,16 @@ class UncertaintyRecord:
 # --- particle in a box ------------------------------------------------------
 
 
-def box_psi(spec: Box, n: int, x):
-    """Normalized box eigenfunction sqrt(2/a) sin(n pi x / a) on [0, a]."""
-    n = validate_state(spec, n)
+def box_psi(spec: Box, n, x):
+    """Normalized box eigenfunction sqrt(2/a) sin(n pi x / a) on [0, a].
+
+    An integer array `n` broadcasts against `x`: an (L, 1) array of
+    quantum numbers gives the (L, x.size) stack of their samples.
+    """
+    if np.ndim(n):
+        n = np.array([validate_state(spec, k) for k in np.ravel(n)]).reshape(np.shape(n))
+    else:
+        n = validate_state(spec, n)
     a = scales(spec).length
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or np.any(x > a):
@@ -145,15 +152,20 @@ def ring_psi(spec: Ring, m: int, theta):
     return out if out.ndim else complex(out)
 
 
-def ring_state_values(state: int | RingSuperposition, theta) -> np.ndarray:
-    """Vectorized amplitude of a definite-m state or a superposition."""
+def ring_state_values(state, theta) -> np.ndarray:
+    """Vectorized amplitude of a definite-m state or a superposition.
+
+    An integer array of m broadcasts against `theta`: an (L, 1) array
+    gives the (L, theta.size) stack of their samples.
+    """
     theta = np.asarray(theta, dtype=float)
     if isinstance(state, RingSuperposition):
         out = np.zeros(theta.shape, dtype=complex)
         for m, c in state.terms:
             out += c * np.exp(1j * m * theta)
         return out / np.sqrt(2.0 * np.pi)
-    return np.exp(1j * int(state) * theta) / np.sqrt(2.0 * np.pi)
+    m = np.asarray(state) if np.ndim(state) else int(state)
+    return np.exp(1j * m * theta) / np.sqrt(2.0 * np.pi)
 
 
 def ring_energy(spec: Ring, m: int) -> float:

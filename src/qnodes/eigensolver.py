@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .analytic import UncertaintyRecord
-from .errors import ConfigError, ConvergenceError, GridError
-from .grids import GridSpec, SampledFunction
+from .errors import ConfigError, ConvergenceError, GridError, QnodesError
+from .grids import GridSpec, SampledFunction, dot, first_failure, quad, raise_first
 from .model import Box, Oscillator, Ring, SystemSpec, scales
-from .nodal import count_nodes
-from .oracle import record_from_samples
+from .nodal import node_counts
+from .oracle import records_from_stack
 
 __all__ = [
     "Hamiltonian",
@@ -37,6 +38,7 @@ __all__ = [
     "build_hamiltonian",
     "solve_lowest",
     "eigen_uncertainties",
+    "eigen_records",
     "ring_momentum_state",
 ]
 
@@ -70,8 +72,9 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Lowest eigenpairs in natural units: ascending energies, normalized
-    sampled states, and residual norms ||H psi - E psi||.
+    """Lowest eigenpairs in natural units: ascending energies, the stack of
+    normalized sampled states (row j is state j), and residual norms
+    ||H psi - E psi||.
 
     States alternate even, odd, even, ... under the mirror; the ring's come
     as [m=0, cos 1, sin 1, cos 2, sin 2, ...].  A +/-m pair, or a doublet
@@ -82,8 +85,13 @@ class EigenResult:
     """
 
     energies: np.ndarray
-    states: list[SampledFunction]
+    stack: SampledFunction
     residuals: np.ndarray
+
+    @cached_property
+    def states(self) -> list[SampledFunction]:
+        """State j as its own sample: row j of `stack`."""
+        return [SampledFunction(self.stack.grid, row) for row in self.stack.values]
 
 
 def default_eigen_grid(spec: SystemSpec, k: int = 6, points: int | None = None) -> GridSpec:
@@ -117,12 +125,13 @@ def build_hamiltonian(spec: SystemSpec, grid: GridSpec) -> Hamiltonian:
 
 
 def _apply(ham: Hamiltonian, v: np.ndarray) -> np.ndarray:
+    """H v for each row of `v`."""
     out = ham.diagonal * v
-    out[:-1] += ham.off_diagonal * v[1:]
-    out[1:] += ham.off_diagonal * v[:-1]
+    out[..., :-1] += ham.off_diagonal * v[..., 1:]
+    out[..., 1:] += ham.off_diagonal * v[..., :-1]
     if ham.periodic:
-        out[0] += ham.off_diagonal * v[-1]
-        out[-1] += ham.off_diagonal * v[0]
+        out[..., 0] += ham.off_diagonal * v[..., -1]
+        out[..., -1] += ham.off_diagonal * v[..., 0]
     return out
 
 
@@ -191,26 +200,28 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     """k lowest eigenpairs, continuum-normalized with a positive leading lobe.
 
     The even and odd mirror blocks are solved (`_parity_pairs`) and every
-    pair is checked against the full operator; see `EigenResult`.
+    pair is checked against the full operator; see `EigenResult`.  The
+    residuals, norms and signs are taken on the whole block of
+    eigenvectors, one row per state.
     """
     dim = ham.diagonal.size
     if not 1 <= k <= dim:
         raise ConfigError(f"requested {k} eigenpairs from a {dim}-dimensional matrix")
     energies, vecs, floors = _parity_pairs(ham, k)
 
-    states = []
-    residuals = np.empty(k)
-    for j in range(k):
-        v = vecs[:, j]
-        residuals[j] = float(np.linalg.norm(_apply(ham, v) - energies[j] * v))
-        full = v
-        if ham.grid.boundary == "dirichlet":
-            full = np.concatenate(([0.0], v, [0.0]))
-        full = full / math.sqrt(SampledFunction(ham.grid, full).norm)
-        lead = np.flatnonzero(np.abs(full) > 1e-8 * np.max(np.abs(full)))[0]
-        if full[lead] < 0:
-            full = -full
-        states.append(SampledFunction(ham.grid, full))
+    # one contiguous row per state: each row's dot products sum as a vector's
+    rows = np.ascontiguousarray(vecs.T)
+    gap = _apply(ham, rows) - energies[:, None] * rows
+    residuals = np.sqrt(dot(gap, gap))
+    full = rows
+    if ham.grid.boundary == "dirichlet":
+        full = np.zeros((k, ham.grid.points))
+        full[:, 1:-1] = rows
+    full /= np.sqrt(np.real(quad(ham.grid, np.square(full))))[:, None]
+    magnitude = np.abs(full)
+    lead = np.argmax(magnitude > 1e-8 * magnitude.max(axis=1)[:, None], axis=1)
+    flip = full[np.arange(k), lead] < 0
+    full[flip] = -full[flip]
 
     scale = max(float(np.max(np.abs(energies))), 1.0)
     if np.any(residuals > _RESIDUAL_TOL * scale):
@@ -219,7 +230,8 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
             f"{_RESIDUAL_TOL * scale:.3e}"
         )
     energies[np.abs(energies) <= floors] = 0.0
-    return EigenResult(energies=energies, states=states, residuals=residuals)
+    stack = SampledFunction(ham.grid, full)
+    return EigenResult(energies=energies, stack=stack, residuals=residuals)
 
 
 def ring_momentum_state(result: EigenResult, m: int) -> SampledFunction:
@@ -233,34 +245,79 @@ def ring_momentum_state(result: EigenResult, m: int) -> SampledFunction:
     """
     if m == 0:
         return result.states[0]
-    first = 2 * abs(m) - 1
-    if first + 1 >= len(result.states):
-        raise GridError(f"need at least {first + 2} solved levels for |m| = {abs(m)}")
-    u = result.states[first].values
-    w = result.states[first + 1].values
-    psi = (u + 1j * math.copysign(1.0, m) * w) / math.sqrt(2.0)
-    return SampledFunction(result.states[first].grid, psi)
+    stack = _ring_momentum_stack(result, np.array([m]))
+    return SampledFunction(stack.grid, stack.values[0])
+
+
+def _ring_momentum_stack(result: EigenResult, ms: np.ndarray) -> SampledFunction:
+    """The stack of `ring_momentum_state` of each nonzero m in `ms`."""
+    first = 2 * np.abs(ms) - 1
+    raise_first((first + 1 >= len(result.energies), lambda row: GridError(
+        f"need at least {first[row] + 2} solved levels for |m| = {abs(ms[row])}"
+    )))
+    states = result.stack.values
+    sign = 1j * np.copysign(1.0, ms)[:, None]
+    psi = (states[first] + sign * states[first + 1]) / math.sqrt(2.0)
+    return SampledFunction(result.stack.grid, psi)
+
+
+def eigen_records(spec: SystemSpec, result: EigenResult, levels) -> list[UncertaintyRecord]:
+    """Natural-unit UncertaintyRecords of the computed eigenstates of
+    `levels` (distinct quantum numbers), from one stack of their states.
+
+    `levels` are quantum numbers: box n >= 1, oscillator n >= 0, ring any
+    integer m (mapped through its degenerate pair).  The energy is the
+    computed eigenvalue; node counts are measured on the states.  An error
+    is that of the first failing level, named by its index in `levels` as
+    the error's `row`.
+    """
+    levels = list(levels)
+    return first_failure(lambda end: _eigen_records(spec, result, levels[:end]), len(levels))
+
+
+def _eigen_records(spec: SystemSpec, result: EigenResult, levels: list) -> list[UncertaintyRecord]:
+    groups = [list(range(len(levels)))]
+    if isinstance(spec, Ring):
+        # m = 0 is a real state and the others complex: a stack each
+        zero = [i for i, m in enumerate(levels) if m == 0]
+        groups = [zero, [i for i, m in enumerate(levels) if m]]
+    records: list = [None] * len(levels)
+    for rows in filter(None, groups):
+        states = [levels[i] for i in rows]
+        try:
+            psi, pos = _eigen_stack(spec, result, states)
+            recs = records_from_stack(spec, states, psi)
+            counts = node_counts(psi)
+        except QnodesError as exc:
+            exc.row = rows[getattr(exc, "row", 0)]
+            raise
+        for i, rec, p, n in zip(rows, recs, pos, counts):
+            records[i] = replace(rec, energy=float(result.energies[p]), nodes_measured=int(n))
+    return records
+
+
+def _eigen_stack(
+    spec: SystemSpec, result: EigenResult, levels
+) -> tuple[SampledFunction, np.ndarray]:
+    """(stack of the states of `levels`, index of each one's energy); a
+    ring's `levels` are all 0 or all nonzero."""
+    levels = np.array(levels)
+    if isinstance(spec, Ring):
+        pos = np.where(levels == 0, 0, 2 * np.abs(levels) - 1)
+        if levels.all():
+            return _ring_momentum_stack(result, levels), pos
+    else:
+        pos = levels - 1 if isinstance(spec, Box) else levels
+        k = len(result.energies)
+        raise_first(((pos < 0) | (pos >= k), lambda row: GridError(
+            f"eigenstate {levels[row]} not among the {k} solved"
+        )))
+    return SampledFunction(result.stack.grid, result.stack.values[pos]), pos
 
 
 def eigen_uncertainties(
     spec: SystemSpec, result: EigenResult, index: int
 ) -> UncertaintyRecord:
-    """Physical UncertaintyRecord for one computed natural-unit eigenstate.
-
-    `index` is the quantum number: box n >= 1, oscillator n >= 0, ring any
-    integer m (mapped through its degenerate pair).  Node counts are
-    measured on the state itself.
-    """
-    if isinstance(spec, Ring):
-        psi = ring_momentum_state(result, index)
-        pos = 0 if index == 0 else 2 * abs(index) - 1
-    else:
-        pos = index - 1 if isinstance(spec, Box) else index
-        if pos < 0 or pos >= len(result.states):
-            raise GridError(f"eigenstate {index} not among the {len(result.states)} solved")
-        psi = result.states[pos]
-    return replace(
-        record_from_samples(spec, index, psi),
-        energy=float(result.energies[pos]),
-        nodes_measured=count_nodes(psi).count,
-    ).rescaled(scales(spec))
+    """Physical UncertaintyRecord for one computed natural-unit eigenstate:
+    the rescaled `eigen_records` of the one quantum number `index`."""
+    return eigen_records(spec, result, [index])[0].rescaled(scales(spec))

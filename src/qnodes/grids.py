@@ -1,5 +1,12 @@
 """Uniform grids, composite-Simpson quadrature, discrete derivatives, and
-momentum moments by Parseval."""
+momentum moments by Parseval.
+
+The unit of work is a stack: the samples of one state, or a (levels,
+points) array of the samples of many states on one grid.  Every integral,
+derivative and moment works along the last axis, row by row with the
+same arithmetic as a single sample, so a stack's results equal its rows'
+bit for bit; one sample gives plain floats, a stack one value per row.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +16,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, QnodesError
 
 __all__ = [
     "GridSpec",
     "SampledFunction",
+    "STACK_BYTES",
+    "stack_rows",
+    "raise_first",
+    "first_failure",
     "quad",
     "derivative",
     "spectral_derivative",
@@ -21,6 +32,16 @@ __all__ = [
 ]
 
 _BOUNDARIES = ("dirichlet", "periodic", "open")
+
+# Memory budget of one stack of samples: it bounds a sweep's peak memory
+# whatever its level range, and keeps each stack's per-row temporaries
+# (density, FFT, derivatives) within a few MiB.
+STACK_BYTES = 1 << 19
+
+
+def stack_rows(bytes_per_row: int) -> int:
+    """Rows of a stack of samples of `bytes_per_row` each: max(1, STACK_BYTES // bytes_per_row)."""
+    return max(1, STACK_BYTES // bytes_per_row)
 
 
 @dataclass(frozen=True)
@@ -75,8 +96,9 @@ class GridSpec:
 
 
 def _check_count(grid: GridSpec, values: np.ndarray) -> None:
-    """Raise GridError unless `values` holds one value per grid point."""
-    if values.shape != (grid.points,):
+    """Raise GridError unless `values` holds one value per grid point, in
+    one row (a sample) or in each row of a stack."""
+    if values.ndim not in (1, 2) or values.shape[-1] != grid.points:
         raise GridError(
             f"value count {values.shape} does not match grid point count {grid.points}"
         )
@@ -84,7 +106,8 @@ def _check_count(grid: GridSpec, values: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Samples of a state (or a density) on a grid, real or complex.
+    """Samples of a state (or a density) on a grid, real or complex: one
+    row of `grid.points` values, or a stack of such rows, one per state.
 
     Only samples are `SampledFunction`s; an integrand is a plain array
     that `quad(grid, values)` integrates.  `values` is a read-only view;
@@ -104,7 +127,7 @@ class SampledFunction:
 
     @cached_property
     def density(self) -> np.ndarray:
-        """|values|^2, built once per sample and read-only."""
+        """|values|^2, built once per sample (or stack) and read-only."""
         if np.iscomplexobj(self.values):
             density = np.abs(self.values) ** 2
         else:
@@ -114,13 +137,93 @@ class SampledFunction:
         return density
 
     @cached_property
-    def norm(self) -> float:
-        """Quadrature of `density`: the squared norm, computed once."""
-        return float(np.real(quad(self.grid, self.density)))
+    def norm(self) -> float | np.ndarray:
+        """Quadrature of `density`: the squared norm, computed once; a
+        read-only array of one norm per row for a stack."""
+        norm = np.real(quad(self.grid, self.density))
+        if norm.ndim == 0:
+            return float(norm)
+        norm.flags.writeable = False
+        return norm
 
 
-def quad(grid: GridSpec, y: np.ndarray) -> float | complex:
-    """Integrate the values `y`, one per point of `grid`, over the grid.
+def per_sample(f: SampledFunction, *values) -> tuple:
+    """`values` computed for `f`: as floats for one sample, as they are
+    (one per row) for a stack."""
+    if f.values.ndim == 2:
+        return values
+    return tuple(float(v) for v in values)
+
+
+def floored(a, floor: float):
+    """max(a, floor) per element, as Python's max: a NaN is kept."""
+    return np.where(a < floor, floor, a)
+
+
+def raise_first(*checks) -> None:
+    """Raise the error of the first row of a stack that fails a check.
+
+    Each check is (failed, error): a boolean per row (a single one for a
+    sample) and a function from a row index to the exception.  A row's
+    checks are taken in argument order, so the error is the one a loop
+    over the rows, checking each row in turn, would raise first.  The
+    exception carries that index as its `row`.
+    """
+    first = None
+    for failed, error in checks:
+        hit = np.flatnonzero(failed)
+        if hit.size and (first is None or hit[0] < first[0]):
+            first = (int(hit[0]), error)
+    if first is not None:
+        row, error = first
+        exc = error(row)
+        exc.row = row
+        raise exc
+
+
+def first_rows(f: SampledFunction, end: int) -> SampledFunction:
+    """The stack of the first `end` rows of `f` (`f` itself if that is all
+    of them, or if `f` is one sample)."""
+    if f.values.ndim == 1 or end == len(f.values):
+        return f
+    return SampledFunction(f.grid, f.values[:end])
+
+
+def first_failure(run, rows: int):
+    """run(rows), or the error of the first failing row of a stack when
+    `run` raises: run(end) computes the first `end` rows.
+
+    An error names its row as its `row` (0 if it names none).  The rows
+    before it are then run again, until a prefix of the stack passes, so
+    the error raised is that of the first failing row and, within it, of
+    its first failing step: the one a loop over the rows would raise.
+    """
+    end, first = rows, None
+    while first is None or end:
+        try:
+            result = run(end)
+        except (QnodesError, OverflowError) as exc:
+            first, end = exc, getattr(exc, "row", 0)
+            continue
+        if first is None:
+            return result
+        break
+    raise first
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products along the last axis.
+
+    A batched (1, n) @ (n, 1) matmul takes BLAS's vector dot for each
+    row, so every row sums in the order `a_row @ b_row` does (`einsum`
+    and a matrix product do not).
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def quad(grid: GridSpec, y: np.ndarray):
+    """Integrate the values `y`, one per point of `grid`, over the grid;
+    a stack of rows gives one integral per row.
 
     Composite Simpson on closed grids (O(h^4) for smooth integrands);
     rectangle rule on periodic grids, which is spectrally accurate for
@@ -129,8 +232,13 @@ def quad(grid: GridSpec, y: np.ndarray) -> float | complex:
     _check_count(grid, y)
     h = grid.h
     if grid.boundary == "periodic":
-        return h * y.sum()
-    s = y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()
+        return h * y.sum(axis=-1)
+    s = (
+        y[..., 0]
+        + y[..., -1]
+        + 4.0 * y[..., 1:-1:2].sum(axis=-1)
+        + 2.0 * y[..., 2:-2:2].sum(axis=-1)
+    )
     return s * h / 3.0
 
 
@@ -166,24 +274,26 @@ def _order6(f: SampledFunction, central: np.ndarray, deriv: int, width: int) -> 
     periodic grids wrap around."""
     y = f.values
     scale = f.grid.h**deriv
-    n = y.size
+    n = y.shape[-1]
     if n < width:
         raise GridError(f"need at least {width} points for the order-6 stencil, got {n}")
     if f.grid.boundary == "periodic":
         out = np.zeros_like(y)
         for k, c in zip(range(-3, 4), central):
             if c:
-                out += c * np.roll(y, -k)
+                out += c * np.roll(y, -k, axis=-1)
         return out / scale
 
     out = np.empty_like(y)
-    np.divide(np.convolve(y, central[::-1], mode="valid"), scale, out=out[3:-3])
-    # one row at a time: stacked into a matrix, BLAS changes the last bits
+    # np.convolve takes one sample at a time
+    for row, dst in zip(y.reshape(-1, n), out.reshape(-1, n)):
+        np.divide(np.convolve(row, central[::-1], mode="valid"), scale, out=dst[3:-3])
+    # one weight row at a time: stacked into a matrix, BLAS changes the last bits
     left, right = _edge_rows(deriv, width)
-    head, tail = y[:width], y[-width:]
+    head, tail = y[..., :width], y[..., -width:]
     for i in range(3):
-        out[i] = left[i] @ head / scale
-        out[n - 1 - i] = right[i] @ tail / scale
+        out[..., i] = dot(head, left[i]) / scale
+        out[..., n - 1 - i] = dot(tail, right[i]) / scale
     return out
 
 
@@ -238,9 +348,9 @@ def _parseval_weights(grid: GridSpec, real: bool) -> tuple[np.ndarray, ...]:
     return w0, kappa, w1, w2, high
 
 
-def spectral_moments(f: SampledFunction) -> tuple[float, float, float, float]:
+def spectral_moments(f: SampledFunction) -> tuple:
     """(<-i d/dx>, <-d^2/dx^2>, high-band share, centred variance) of the
-    samples, by Parseval.
+    samples (per row of a stack), by Parseval.
 
     One period of the samples is transformed once: a periodic grid's
     samples as they are, an open grid's without the duplicate end point
@@ -257,18 +367,18 @@ def spectral_moments(f: SampledFunction) -> tuple[float, float, float, float]:
     """
     if f.grid.boundary == "dirichlet":
         raise GridError("Parseval moments need an open or periodic grid")
-    y = f.values if f.grid.boundary == "periodic" else f.values[:-1]
+    y = f.values if f.grid.boundary == "periodic" else f.values[..., :-1]
     real = not np.iscomplexobj(y)
     w0, kappa, w1, w2, high = _parseval_weights(f.grid, real)
-    v = (np.fft.rfft(y) if real else np.fft.fft(y)).view(np.float64)
+    v = (np.fft.rfft(y, axis=-1) if real else np.fft.fft(y, axis=-1)).view(np.float64)
     u = v * w2
-    top = float(v[high] @ u[high])
-    mean2 = float(v @ u)
-    share = top / max(mean2, 1.0)
+    top = dot(v[..., high], u[..., high])
+    mean2 = dot(v, u)
+    share = top / floored(mean2, 1.0)
     if real:
-        return 0.0, mean2, share, mean2
-    mean = float(v @ (v * w1))
-    centred = kappa - mean
+        return per_sample(f, np.zeros_like(mean2), mean2, share, mean2)
+    mean = dot(v, v * w1)
+    centred = kappa - mean[..., None]
     np.square(centred, out=centred)
     centred *= w0
-    return mean, mean2, share, float(v @ (v * centred))
+    return per_sample(f, mean, mean2, share, dot(v, v * centred))

@@ -6,6 +6,11 @@ Simpson quadrature, Parseval sums over FFT coefficients, or (between hard
 walls) high-order discrete derivatives.  Grids, samples
 and moments are in the system's natural units (`model.scales`);
 `oracle_uncertainties` rescales its record once.
+
+Every moment function takes one sample, giving floats, or a stack of
+samples (`grids.SampledFunction`), giving one value per row, bit for bit
+the row's own.  A guard that fails raises for the stack's first failing
+row, with that row's message, and names the row in the error's `row`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,12 @@ from .grids import (
     GridSpec,
     SampledFunction,
     derivative,
+    first_failure,
+    first_rows,
+    floored,
+    per_sample,
     quad,
+    raise_first,
     second_derivative,
     spectral_moments,
 )
@@ -35,7 +45,7 @@ from .model import (
     scales,
     validate_state,
 )
-from .special import oscillator_ladder, oscillator_psi
+from .special import oscillator_psi, oscillator_stacks
 
 __all__ = [
     "default_grid",
@@ -132,23 +142,33 @@ def sample_state(
     return SampledFunction(grid, psi(type(spec)(), idx, grid.x))
 
 
-def sample_levels(spec: SystemSpec, levels, grid: GridSpec):
-    """Iterate (level, sample) for ascending distinct `levels`, all on `grid`.
+def sample_levels(spec: SystemSpec, stacks, grid: GridSpec):
+    """Iterate one stack of samples on `grid` per list of levels in
+    `stacks`, row i holding level i of its list; the levels ascend and
+    are distinct across all lists.
 
-    Oscillator levels come from one streamed pass of `oscillator_ladder`,
+    A box or ring stack is sampled by one broadcast call.  Oscillator
+    levels come from one streamed ladder pass (`special.oscillator_stacks`),
     whose level range is checked here, before any level is sampled.
     """
-    if not isinstance(spec, Oscillator):
-        return ((level, sample_state(spec, level, grid)) for level in levels)
-    wanted = set(levels)
-    ladder = oscillator_ladder(grid.x, max(levels))
-    return ((n, SampledFunction(grid, phi)) for n, phi in enumerate(ladder) if n in wanted)
+    stacks = [list(levels) for levels in stacks]
+    if isinstance(spec, Oscillator):
+        return (SampledFunction(grid, rows) for rows in oscillator_stacks(grid.x, stacks))
+    psi = box_psi if isinstance(spec, Box) else ring_state_values
+    natural = (type(spec)(),) if isinstance(spec, Box) else ()
+    return (
+        SampledFunction(grid, psi(*natural, np.array(levels)[:, None], grid.x))
+        for levels in stacks
+    )
 
 
-def _check_normalized(psi: SampledFunction) -> None:
-    """Raise NormalizationError unless the quadrature of |psi|^2 is 1."""
-    if abs(psi.norm - 1.0) > _NORM_TOL:
-        raise NormalizationError(f"state norm^2 is {psi.norm!r}, deviates beyond {_NORM_TOL}")
+def _norm_check(psi: SampledFunction):
+    """The `raise_first` check that the quadrature of |psi|^2 is 1 (a
+    NormalizationError)."""
+    norm = np.atleast_1d(psi.norm)
+    return np.abs(norm - 1.0) > _NORM_TOL, lambda row: NormalizationError(
+        f"state norm^2 is {float(norm[row])!r}, deviates beyond {_NORM_TOL}"
+    )
 
 
 def _folded_mean(psi: SampledFunction) -> float:
@@ -160,13 +180,13 @@ def _folded_mean(psi: SampledFunction) -> float:
     grid, rho = psi.grid, psi.density
     m = grid.points // 2
     centre = 0.5 * (grid.lower + grid.upper)
-    t = rho[:m] - rho[:m:-1]
+    t = rho[..., :m] - rho[..., :m:-1]
     t *= grid.x[:m] - centre
-    s = t[0] + 4.0 * t[1::2].sum() + 2.0 * t[2::2].sum()
-    return centre * psi.norm + float(s) * grid.h / 3.0
+    s = t[..., 0] + 4.0 * t[..., 1::2].sum(axis=-1) + 2.0 * t[..., 2::2].sum(axis=-1)
+    return centre * psi.norm + s * grid.h / 3.0
 
 
-def position_moments(psi: SampledFunction) -> tuple[float, float]:
+def position_moments(psi: SampledFunction) -> tuple:
     """(<x>, Var x) by quadrature of x |psi|^2 and (x - <x>)^2 |psi|^2.
 
     On open grids <x> is folded about the grid centre (`_folded_mean`), so
@@ -174,17 +194,16 @@ def position_moments(psi: SampledFunction) -> tuple[float, float]:
     integrated about the mean, not taken as <x^2> - <x>^2, which would
     cancel digits for a state far from the origin.
     """
-    _check_normalized(psi)
+    raise_first(_norm_check(psi))
     x = psi.grid.x
     if psi.grid.boundary == "open":
         mean_x = _folded_mean(psi)
     else:
-        mean_x = float(quad(psi.grid, x * psi.density))
-    spread = x - mean_x
+        mean_x = quad(psi.grid, x * psi.density)
+    spread = x - np.asarray(mean_x)[..., None]
     np.square(spread, out=spread)
     spread *= psi.density
-    var_x = float(quad(psi.grid, spread))
-    return mean_x, var_x
+    return per_sample(psi, mean_x, quad(psi.grid, spread))
 
 
 def _gradient(y: np.ndarray, h: float) -> np.ndarray:
@@ -193,14 +212,14 @@ def _gradient(y: np.ndarray, h: float) -> np.ndarray:
     Integer samples are promoted to float64 first, as np.gradient does."""
     y = y.astype(np.result_type(y, 1.0), copy=False)
     out = np.empty_like(y)
-    interior = np.subtract(y[2:], y[:-2], out=out[1:-1])
+    interior = np.subtract(y[..., 2:], y[..., :-2], out=out[..., 1:-1])
     interior /= 2.0 * h
-    out[0] = (y[1] - y[0]) / h
-    out[-1] = (y[-1] - y[-2]) / h
+    out[..., 0] = (y[..., 1] - y[..., 0]) / h
+    out[..., -1] = (y[..., -1] - y[..., -2]) / h
     return out
 
 
-def momentum_moments(psi: SampledFunction) -> tuple[float, float]:
+def momentum_moments(psi: SampledFunction) -> tuple:
     """(<p>, <p^2>) in natural units (hbar = 1).
 
     On open and periodic grids both come from one FFT by Parseval
@@ -216,53 +235,56 @@ def momentum_moments(psi: SampledFunction) -> tuple[float, float]:
     second-order stencil recomputes <p^2>, and a GridError is raised when
     the two disagree beyond 1 percent.
     """
-    _check_normalized(psi)
     grid = psi.grid
     if grid.boundary == "dirichlet":
         return _stencil_momentum_moments(psi)
+    checks = [_norm_check(psi)]
     if grid.boundary == "open":
-        edge = max(psi.density[0], psi.density[-1]) * (grid.upper - grid.lower)
-        if edge > _EDGE_DENSITY_TOL:
-            raise GridError(
-                f"state has not decayed at the open grid's ends: end density "
-                f"{edge:.3e} of the mean exceeds {_EDGE_DENSITY_TOL:.0e}"
-            )
+        rho = psi.density
+        edge = np.atleast_1d(np.maximum(rho[..., 0], rho[..., -1]) * (grid.upper - grid.lower))
+        undecayed = edge > _EDGE_DENSITY_TOL, lambda row: GridError(
+            f"state has not decayed at the open grid's ends: end density "
+            f"{float(edge[row]):.3e} of the mean exceeds {_EDGE_DENSITY_TOL:.0e}"
+        )
+        checks.append(undecayed)
     mean_p, mean_p2, share, _ = spectral_moments(psi)
-    _check_band(share, "momentum", "p")
+    raise_first(*checks, _band_check(share, "momentum", "p"))
     return mean_p, mean_p2
 
 
-def _check_band(share: float, quantity: str, symbol: str) -> None:
-    """Raise GridError when the high-band share of <symbol^2> exceeds
-    `_BAND_SHARE_TOL`: the grid does not resolve the state."""
-    if share > _BAND_SHARE_TOL:
-        raise GridError(
-            f"grid too coarse for {quantity} moments: wavenumbers above half the "
-            f"Nyquist wavenumber carry {share:.3e} of <{symbol}^2>, above {_BAND_SHARE_TOL:.0e}"
-        )
+def _band_check(share, quantity: str, symbol: str):
+    """The `raise_first` check that the high-band share of <symbol^2> is
+    at most `_BAND_SHARE_TOL`; above it the grid does not resolve the
+    state (a GridError)."""
+    share = np.atleast_1d(share)
+    return share > _BAND_SHARE_TOL, lambda row: GridError(
+        f"grid too coarse for {quantity} moments: wavenumbers above half the "
+        f"Nyquist wavenumber carry {float(share[row]):.3e} of <{symbol}^2>, "
+        f"above {_BAND_SHARE_TOL:.0e}"
+    )
 
 
-def _stencil_momentum_moments(psi: SampledFunction) -> tuple[float, float]:
-    """(<p>, <p^2>) of a Dirichlet sample by the order-6 derivative, with
+def _stencil_momentum_moments(psi: SampledFunction) -> tuple:
+    """(<p>, <p^2>) of Dirichlet samples by the order-6 derivative, with
     the stencil-order guard; see `momentum_moments`."""
     dpsi = derivative(psi)
     low = _gradient(psi.values, psi.grid.h)
     if np.iscomplexobj(psi.values):
-        mean_p = float(np.real(quad(psi.grid, np.conj(psi.values) * -1j * dpsi)))
+        mean_p = np.real(quad(psi.grid, np.conj(psi.values) * -1j * dpsi))
         dpsi2, low2 = np.abs(dpsi) ** 2, np.abs(low) ** 2
     else:
         # for real arrays np.square(a) equals np.abs(a) ** 2 bit for bit;
         # both arrays are fresh, so they are squared in place
-        mean_p = 0.0
+        mean_p = np.zeros(dpsi.shape[:-1])
         dpsi2, low2 = np.square(dpsi, out=dpsi), np.square(low, out=low)
-    mean_p2 = float(np.real(quad(psi.grid, dpsi2)))
-    p2_low = float(np.real(quad(psi.grid, low2)))
-    if abs(p2_low - mean_p2) > _STENCIL_ORDER_TOL * max(abs(mean_p2), 1.0):
-        raise GridError(
-            "grid too coarse for momentum moments: stencil-order "
-            f"disagreement {abs(p2_low - mean_p2):.3e} on <p^2> = {mean_p2:.6e}"
-        )
-    return mean_p, mean_p2
+    mean_p2 = np.real(quad(psi.grid, dpsi2))
+    gap, p2 = np.atleast_1d(np.abs(np.real(quad(psi.grid, low2)) - mean_p2), mean_p2)
+    stencil = gap > _STENCIL_ORDER_TOL * floored(np.abs(p2), 1.0), lambda row: GridError(
+        "grid too coarse for momentum moments: stencil-order "
+        f"disagreement {float(gap[row]):.3e} on <p^2> = {float(p2[row]):.6e}"
+    )
+    raise_first(_norm_check(psi), stencil)
+    return per_sample(psi, mean_p, mean_p2)
 
 
 def p2_by_second_derivative(psi: SampledFunction) -> float:
@@ -285,10 +307,9 @@ def ring_lz_by_quadrature(psi: SampledFunction) -> tuple[float, float, float]:
     """
     if psi.grid.boundary != "periodic":
         raise GridError("ring L_z statistics need a periodic grid")
-    _check_normalized(psi)
     mean, mean2, share, var = spectral_moments(psi)
-    _check_band(share, "angular momentum", "L_z")
-    return mean, math.sqrt(max(var, 0.0)), mean2
+    raise_first(_norm_check(psi), _band_check(share, "angular momentum", "L_z"))
+    return per_sample(psi, mean, np.sqrt(floored(var, 0.0)), mean2)
 
 
 @lru_cache(maxsize=16)
@@ -327,9 +348,16 @@ def ring_theta_by_quadrature(psi: SampledFunction) -> tuple[float, float]:
         raise GridError("ring theta statistics need a periodic grid")
     if psi.grid.lower != 0.0 or abs(psi.grid.upper - 2.0 * math.pi) > 1e-12:
         raise GridError("theta statistics assume the branch [0, 2 pi)")
-    v = np.fft.rfft(psi.density).view(np.float64)
-    mean, mean2 = _theta_weights(psi.grid.points) @ v / v[0]
-    return float(mean), math.sqrt(max(float(mean2 - mean**2), 0.0))
+    v = np.fft.rfft(psi.density, axis=-1).view(np.float64)
+    moments = np.matmul(_theta_weights(psi.grid.points), v[..., None])[..., 0] / v[..., :1]
+    mean, mean2 = moments[..., 0], moments[..., 1]
+    return per_sample(psi, mean, np.sqrt(floored(mean2 - _pow2(mean), 0.0)))
+
+
+def _pow2(a):
+    """a**2 by C pow, as the scalar `a**2` of one sample: on an array,
+    `**2` and `np.square` multiply, which differs in the last bit."""
+    return np.float_power(a, 2)
 
 
 def oracle_uncertainties(
@@ -348,13 +376,29 @@ def oracle_uncertainties(
 def record_from_samples(
     spec: SystemSpec, state: int | RingSuperposition, psi: SampledFunction
 ) -> UncertaintyRecord:
-    """Natural-unit UncertaintyRecord of the natural-unit samples `psi`.
+    """Natural-unit UncertaintyRecord of the natural-unit samples `psi`:
+    `records_from_stack` of one sample."""
+    return records_from_stack(spec, [state], psi)[0]
+
+
+def records_from_stack(spec: SystemSpec, states, psi: SampledFunction) -> list[UncertaintyRecord]:
+    """Natural-unit UncertaintyRecords of the natural-unit samples `psi`,
+    one per state in `states`: `psi` is one sample of the one state, or a
+    stack whose row i samples states[i].
 
     The one moment pipeline of the oracle and eigen paths: each moment
-    function takes only the sample, which builds its |psi|^2 and norm
-    once.  The energy is <L_z^2>/2 on the ring, <p^2>/2 plus the
-    oscillator's <x^2>/2 otherwise.
+    function takes the whole stack once, which builds its |psi|^2 and
+    norms once.  The energy is <L_z^2>/2 on the ring, <p^2>/2 plus the
+    oscillator's <x^2>/2 otherwise.  An error is that of the first failing
+    state, named by its index as the error's `row`.
     """
+    states = list(states)
+    return first_failure(
+        lambda end: _records(spec, states[:end], first_rows(psi, end)), len(states)
+    )
+
+
+def _records(spec: SystemSpec, states: list, psi: SampledFunction) -> list[UncertaintyRecord]:
     if isinstance(spec, Ring):
         _, dp, mean_lz2 = ring_lz_by_quadrature(psi)
         _, dq = ring_theta_by_quadrature(psi)
@@ -362,17 +406,22 @@ def record_from_samples(
     else:
         mean_x, var_x = position_moments(psi)
         mean_p, mean_p2 = momentum_moments(psi)
-        dq = math.sqrt(max(var_x, 0.0))
-        dp = math.sqrt(max(mean_p2 - mean_p**2, 0.0))
+        dq = np.sqrt(floored(var_x, 0.0))
+        dp = np.sqrt(floored(mean_p2 - _pow2(mean_p), 0.0))
         energy = mean_p2 / 2.0
         if isinstance(spec, Oscillator):
-            energy += 0.5 * (var_x + mean_x**2)
-    nodes = -1 if isinstance(state, RingSuperposition) else predicted_node_count(spec, state)
-    return UncertaintyRecord(
-        delta_q=dq,
-        delta_p=dp,
-        product=dq * dp,
-        bound=0.5,
-        energy=energy,
-        nodes_predicted=nodes,
-    )
+            energy += 0.5 * (var_x + _pow2(mean_x))
+    columns = np.atleast_1d(dq, dp, dq * dp, energy)
+    return [
+        UncertaintyRecord(
+            delta_q=float(q),
+            delta_p=float(p),
+            product=float(qp),
+            bound=0.5,
+            energy=float(e),
+            nodes_predicted=(
+                -1 if isinstance(state, RingSuperposition) else predicted_node_count(spec, state)
+            ),
+        )
+        for state, q, p, qp, e in zip(states, *columns)
+    ]

@@ -20,11 +20,12 @@ from .analytic import (
     oscillator_uncertainties,
     ring_uncertainties,
 )
-from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_uncertainties, solve_lowest
+from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_records, solve_lowest
 from .errors import ConfigError, DomainError, GridError, QnodesError
+from .grids import first_failure, first_rows, stack_rows
 from .model import Box, Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
-from .nodal import count_nodes
-from .oracle import default_grid, record_from_samples, sample_levels
+from .nodal import node_counts
+from .oracle import default_grid, records_from_stack, sample_levels
 
 __all__ = [
     "SweepConfig",
@@ -147,13 +148,19 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per (level, path), in `cfg.levels` order then canonical path order.
 
     Each distinct level is sampled once, on the one grid that resolves the
-    top level, `default_grid(spec, max |level|, cfg.grid_points)`.  Every
-    path computes in natural units; each record is rescaled once.  An
-    error raised for a level names it; a column that overflows, or a level
-    too large for a float (an OverflowError), raises DomainError.
+    top level, `default_grid(spec, max |level|, cfg.grid_points)`.  The
+    distinct levels are taken in ascending stacks, as many per stack as
+    `grids.stack_rows` allows for the largest row of the sweep's grids:
+    each path takes a stack's moments and node counts in one pass, and
+    only the rows are assembled level by level.  Every path computes in
+    natural units; each record is rescaled once.  An error raised for a
+    level names it, and is the one a level-by-level sweep would raise
+    first; a column that overflows, or a level too large for a float (an
+    OverflowError), raises DomainError.
     """
     spec = cfg.system
     units = scales(spec)
+    grids = []
 
     eigen_result = None
     if "eigen" in cfg.paths:
@@ -161,29 +168,29 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         top = max(cfg.levels, key=lambda l: predicted_node_count(spec, l))
         k = predicted_node_count(spec, top) + 1
         try:
-            grid = default_eigen_grid(spec, k=k, points=cfg.grid_points)
+            eigen_grid = default_eigen_grid(spec, k=k, points=cfg.grid_points)
         except (QnodesError, OverflowError) as exc:
             raise _at_level(top, exc) from exc
-        eigen_result = solve_lowest(build_hamiltonian(spec, grid), k)
+        eigen_result = solve_lowest(build_hamiltonian(spec, eigen_grid), k)
+        grids.append(eigen_grid)
 
     levels = sorted(set(cfg.levels))
-    if "analytic" in cfg.paths or "oracle" in cfg.paths:
+    sampled = "analytic" in cfg.paths or "oracle" in cfg.paths
+    if sampled:
         top = max(levels, key=abs)
         try:
             grid = default_grid(spec, top, cfg.grid_points)
         except (QnodesError, OverflowError) as exc:
             raise _at_level(top, exc) from exc
-        samples = sample_levels(spec, levels, grid)
-    else:
-        samples = ((level, None) for level in levels)
+        grids.append(grid)
+    # ring samples are complex
+    itemsize = 16 if isinstance(spec, Ring) else 8
+    rows = stack_rows(itemsize * max(g.points for g in grids))
+    stacks = [levels[i : i + rows] for i in range(0, len(levels), rows)]
+    samples = sample_levels(spec, stacks, grid) if sampled else (None for _ in stacks)
     by_level: dict[int, list[SweepRow]] = {}
-    for level in levels:
-        # the level's sample is drawn inside the try, so its errors name it
-        try:
-            _, psi = next(samples)
-            by_level[level] = _sweep_level(spec, units, cfg.paths, level, psi, eigen_result)
-        except (QnodesError, OverflowError) as exc:
-            raise _at_level(level, exc) from exc
+    for stack, psi in zip(stacks, samples):
+        by_level.update(_sweep_stack(spec, units, cfg.paths, stack, psi, eigen_result))
     return [row for level in cfg.levels for row in by_level[level]]
 
 
@@ -195,24 +202,63 @@ def _at_level(level: int, exc: Exception) -> QnodesError:
     return kind(f"level {level}: {exc}")
 
 
-def _sweep_level(spec, units, paths, level, psi, eigen_result) -> list[SweepRow]:
-    """The level's rows, each built once with the level's disagreement."""
-    measured = None if psi is None else count_nodes(psi).count
-    # (path, record, nodes counted) in canonical path order
-    results: list[tuple[str, UncertaintyRecord, int | None]] = []
+def _sweep_stack(spec, units, paths, levels, psi, eigen_result) -> dict[int, list[SweepRow]]:
+    """Each level's rows, for the ascending `levels` sampled in the stack
+    `psi` (None when no path needs samples); an error is that of the first
+    failing level (`grids.first_failure`) and names it."""
+
+    def run(end):
+        part = None if psi is None else first_rows(psi, end)
+        return _stack_rows(spec, units, paths, levels[:end], part, eigen_result)
+
+    try:
+        return first_failure(run, len(levels))
+    except (QnodesError, OverflowError) as exc:
+        raise _at_level(levels[getattr(exc, "row", 0)], exc) from exc
+
+
+def _stack_rows(spec, units, paths, levels, psi, eigen_result) -> dict[int, list[SweepRow]]:
+    """Each level's rows, each built once with the level's disagreement.
+
+    The steps run in a level's order (node count, closed forms, oracle
+    record, eigen record), each over the whole stack.
+    """
+    measured = [None] * len(levels) if psi is None else node_counts(psi).tolist()
+    # (path, record per level, nodes counted per level) in canonical path order
+    columns = []
     if "analytic" in paths:
-        results.append(("analytic", _analytic_record(spec, level), measured))
+        analytic = _each(levels, lambda level: _analytic_record(spec, level))
+        columns.append(("analytic", analytic, measured))
     if "oracle" in paths:
-        results.append(("oracle", record_from_samples(spec, level, psi).rescaled(units), measured))
+        natural = records_from_stack(spec, levels, psi)
+        columns.append(("oracle", _each(natural, lambda rec: rec.rescaled(units)), measured))
     if "eigen" in paths:
-        rec = eigen_uncertainties(spec, eigen_result, level)
-        results.append(("eigen", rec, rec.nodes_measured))
-    dis = None
-    if len(results) >= 2:
-        dis = _max_disagreement([rec for _, rec, _ in results], units)
-    return [
-        _row_from_record(spec, level, rec, path, nodes, dis) for path, rec, nodes in results
-    ]
+        natural = eigen_records(spec, eigen_result, levels)
+        records = _each(natural, lambda rec: rec.rescaled(units))
+        columns.append(("eigen", records, [rec.nodes_measured for rec in records]))
+    out = {}
+    for i, level in enumerate(levels):
+        results = [(path, records[i], nodes[i]) for path, records, nodes in columns]
+        dis = None
+        if len(results) >= 2:
+            dis = _max_disagreement([rec for _, rec, _ in results], units)
+        out[level] = [
+            _row_from_record(spec, level, rec, path, nodes, dis) for path, rec, nodes in results
+        ]
+    return out
+
+
+def _each(items, make) -> list:
+    """[make(item) for item in items]; an error names the item's index as
+    its `row`."""
+    out = []
+    for row, item in enumerate(items):
+        try:
+            out.append(make(item))
+        except (QnodesError, OverflowError) as exc:
+            exc.row = row
+            raise
+    return out
 
 
 def _max_disagreement(rows, units: Scales) -> float:

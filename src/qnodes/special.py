@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError
 from .model import Oscillator, scales
 
-__all__ = ["oscillator_ladder", "oscillator_psi", "MAX_OSCILLATOR_N"]
+__all__ = ["oscillator_ladder", "oscillator_stacks", "oscillator_psi", "MAX_OSCILLATOR_N"]
 
 MAX_OSCILLATOR_N = 200
 
@@ -44,6 +44,28 @@ def _ladder(xi: np.ndarray, n_max: int):
             phi,
         )
         yield phi
+
+
+def oscillator_stacks(x, stacks):
+    """Iterate one (len(levels), x.size) array per list of levels in
+    `stacks`, from one pass of `oscillator_ladder` up to the last level:
+    the ladder writes level levels[i] into row i.  The levels ascend and
+    are distinct across all lists; the level range is checked here,
+    before any level is built.
+    """
+    x = np.asarray(x, dtype=float)
+    ladder = enumerate(oscillator_ladder(x, stacks[-1][-1]))
+    return (_fill(ladder, levels, x.size) for levels in stacks)
+
+
+def _fill(ladder, levels, points: int) -> np.ndarray:
+    out = np.empty((len(levels), points))
+    for row, level in enumerate(levels):
+        for n, phi in ladder:
+            if n == level:
+                out[row] = phi
+                break
+    return out
 
 
 def oscillator_psi(spec: Oscillator, n: int, x):

@@ -31,6 +31,7 @@ import qnodes.special
 from qnodes.eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
 from qnodes.grids import _edge_rows, _fd_weights, _parseval_weights, derivative, second_derivative
 from qnodes.oracle import (
+    BOX_POINTS,
     _gradient,
     _theta_weights,
     default_grid,
@@ -236,7 +237,8 @@ class TestRingBandLimit:
 
 def _sweep_oscillator_samples():
     grid = default_grid(Oscillator(), 200)
-    return [psi for _, psi in sample_levels(Oscillator(), range(201), grid)]
+    (stack,) = sample_levels(Oscillator(), [range(201)], grid)
+    return [SampledFunction(grid, row) for row in stack.values]
 
 
 def _box_eigenvectors():
@@ -312,7 +314,8 @@ def test_complex_density_is_abs_squared(state):
 
 
 def test_sweep_leaves_shared_arrays_read_only(monkeypatch):
-    # the kernels write in place only into fresh temporaries
+    # the kernels write in place only into fresh temporaries; momentum
+    # moments are taken once per stack, whose rows are the sweep's levels
     seen = []
     moments_ = qnodes.oracle.momentum_moments
 
@@ -323,11 +326,12 @@ def test_sweep_leaves_shared_arrays_read_only(monkeypatch):
     monkeypatch.setattr(qnodes.oracle, "momentum_moments", spy)
     run_sweep(SweepConfig(Oscillator(), tuple(range(21)), ("analytic", "oracle")))
     run_sweep(SweepConfig(Box(), (1, 2, 3), ("analytic", "oracle", "eigen")))
-    assert len(seen) == 21 + 3 + 3
+    assert [psi.values.shape[0] for psi in seen] == [21, 3, 3]
     for psi in seen:
         assert not psi.grid.x.flags.writeable
         assert not psi.values.flags.writeable
         assert not psi.density.flags.writeable
+        assert not psi.norm.flags.writeable
     for deriv, width in ((1, 7), (2, 9)):
         for rows in _edge_rows(deriv, width):
             assert all(not w.flags.writeable for w in rows)
@@ -339,6 +343,11 @@ def test_sweep_leaves_shared_arrays_read_only(monkeypatch):
 def test_guard_gradient_promotes_integer_samples():
     y = np.array([0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8])
     assert np.array_equal(_gradient(y, 0.3), np.gradient(y, 0.3))
+
+
+def _box_stack(levels):
+    (stack,) = sample_levels(Box(), [levels], default_grid(Box()))
+    return stack
 
 
 class TestSampleOwnsDensity:
@@ -356,6 +365,24 @@ class TestSampleOwnsDensity:
         assert np.array_equal(psi.density, np.abs(psi.values) ** 2)
         assert psi.norm == psi.norm == pytest.approx(1.0, abs=1e-12)
         assert len(calls) == 1
+
+    def test_stack_density_and_norms_built_once(self, monkeypatch):
+        # one |psi|^2 and one quadrature for the whole stack, a norm per row
+        stack = _box_stack([1, 2, 5])
+        calls = []
+        quad_ = qnodes.grids.quad
+
+        def counted(grid, y):
+            calls.append(y)
+            return quad_(grid, y)
+
+        monkeypatch.setattr(qnodes.grids, "quad", counted)
+        assert stack.density is stack.density
+        assert np.array_equal(stack.density, np.abs(stack.values) ** 2)
+        assert stack.norm is stack.norm
+        assert len(calls) == 1 and calls[0].shape == (3, BOX_POINTS)
+        rows = [SampledFunction(stack.grid, row) for row in stack.values]
+        assert stack.norm.tolist() == [psi.norm for psi in rows]
 
     def test_density_and_norm_read_only(self):
         psi = sample_state(Box(), 2)
@@ -503,6 +530,26 @@ class TestOneMomentPipeline:
         for module in (qnodes.grids, qnodes.oracle):
             monkeypatch.setattr(module, "quad", counted)
         qnodes.oracle.record_from_samples(spec, state, psi)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "spec, levels", [(Box(), [1, 3, 4]), (Oscillator(), [0, 4, 9]), (Ring(), [-2, 0, 5])]
+    )
+    def test_norm_checked_once_per_stack(self, monkeypatch, spec, levels):
+        # a stack's records take one quadrature of its |psi|^2, all rows at once
+        (stack,) = sample_levels(spec, [levels], default_grid(spec, max(levels, key=abs)))
+        density = np.abs(stack.values) ** 2
+        calls = []
+        quad_ = qnodes.grids.quad
+
+        def counted(grid, y):
+            if np.array_equal(y, density):
+                calls.append(y)
+            return quad_(grid, y)
+
+        for module in (qnodes.grids, qnodes.oracle):
+            monkeypatch.setattr(module, "quad", counted)
+        assert len(qnodes.oracle.records_from_stack(spec, levels, stack)) == 3
         assert len(calls) == 1
 
     @pytest.mark.parametrize("spec, state", [(Box(), 3), (Oscillator(), 4)])

@@ -3,9 +3,11 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import qnodes.oracle
+import qnodes.special
 from qnodes import (
     Box,
     ConfigError,
@@ -160,7 +162,7 @@ class TestOneGridSweep:
 
     def test_oscillator_levels_come_from_one_ladder_pass(self, monkeypatch):
         passes = []
-        ladder = qnodes.oracle.oscillator_ladder
+        ladder = qnodes.special.oscillator_ladder
 
         def counted(x, n_max):
             passes.append(n_max)
@@ -169,24 +171,33 @@ class TestOneGridSweep:
         def forbidden(*args):
             raise AssertionError("sweep restarted the recurrence")
 
-        monkeypatch.setattr(qnodes.oracle, "oscillator_ladder", counted)
+        # `special.oscillator_stacks` runs the ladder into the rows of each stack
+        monkeypatch.setattr(qnodes.special, "oscillator_ladder", counted)
         monkeypatch.setattr(qnodes.oracle, "oscillator_psi", forbidden)
         cfg = SweepConfig(system=Oscillator(), levels=(3, 20, 3, 0), paths=("analytic", "oracle"))
         rows = run_sweep(cfg)
         assert passes == [20]
         assert [r.level for r in rows] == [3, 3, 20, 20, 3, 3, 0, 0]
+        # one pass also when the levels fill several stacks
+        run_sweep(SweepConfig(system=Oscillator(), levels=tuple(range(201)), paths=("oracle",)))
+        assert passes == [20, 200]
 
     def test_box_levels_sampled_once_each(self, monkeypatch):
+        # a stack is sampled by one broadcast call, one level per row
         calls = []
-        sample = qnodes.oracle.sample_state
+        sample = qnodes.oracle.box_psi
 
-        def counted(spec, state, grid=None):
-            calls.append(state)
-            return sample(spec, state, grid)
+        def counted(spec, n, x):
+            calls.append(np.ravel(n).tolist())
+            return sample(spec, n, x)
 
-        monkeypatch.setattr(qnodes.oracle, "sample_state", counted)
+        def forbidden(*args):
+            raise AssertionError("sweep sampled a level on its own")
+
+        monkeypatch.setattr(qnodes.oracle, "box_psi", counted)
+        monkeypatch.setattr(qnodes.oracle, "sample_state", forbidden)
         run_sweep(SweepConfig(system=Box(), levels=(2, 1, 2, 5), paths=("analytic", "oracle")))
-        assert calls == [1, 2, 5]
+        assert calls == [[1, 2, 5]]
 
 
 class TestVerifyRows:

@@ -13,12 +13,18 @@ per metric, the number of pairs the change won, and the run environment
 of both sides.  The run length (`run_seconds`) and which direction of
 each metric is better (`end_to_end`) come from the change's
 BENCHMARK.json.  Standard library only.
+
+Both sides import their own code from source in every run: the runs
+write no bytecode, and a checkout that already holds a `__pycache__` is
+refused before the first run, because importing cached bytecode sets up
+0.02-0.04 s faster and would skew `setup_s` toward that side.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -38,11 +44,19 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def bytecode_caches(checkout: Path) -> list[Path]:
+    """The `__pycache__` directories of a checkout, outside `.git`."""
+    caches = checkout.rglob("__pycache__")
+    return sorted(p for p in caches if ".git" not in p.relative_to(checkout).parts)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run of `bench/run.py`; returns the metrics of its record."""
+    """One untraced run of `bench/run.py`, writing no bytecode; returns
+    the metrics of its record."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
     record = json.loads((checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
@@ -92,6 +106,13 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in checkouts.items():
+        caches = bytecode_caches(checkout)
+        if caches:
+            raise SystemExit(
+                f"{side} checkout {checkout} holds bytecode caches, so it would import faster "
+                f"than a checkout without them; remove them first: {' '.join(map(str, caches))}"
+            )
     result = {
         "command": ["python3", "tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])],
         "seconds": seconds,

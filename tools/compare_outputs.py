@@ -52,6 +52,10 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         # ring states that alias on their grid: the half-band guard exits 3
         ["sweep", "--system", "ring", "--levels", "8:10", "--paths", "oracle", "--grid-points", "16"],
         ["sweep", "--system", "ring", "--levels", "300:300", "--paths", "eigen"],
+        # level ranges that fill more than one stack of samples
+        ["sweep", "--system", "box", "--levels", "1:150", "--paths", "analytic,oracle"],
+        ["sweep", "--system", "oscillator", "--levels", "0:200", "--paths", "analytic,oracle",
+         "--format", "json"],
     )
 )
 
