@@ -6,10 +6,13 @@ points, and the oscillator lives on a truncated open interval where the
 state has decayed below roundoff.  Each matrix commutes with its mirror
 (x -> a - x, x -> -x, theta -> -theta), so it splits into an even and an
 odd symmetric tridiagonal block of about half the size, each solved for
-about half the levels by bisection plus inverse iteration
-(`scipy.linalg.eigh_tridiagonal`).  The m-th levels of the ring's even
-(cos) and odd (sin) blocks are the degenerate +/-m pair (symmetry
-reduction: Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3).
+about half the levels (`scipy.linalg.eigh_tridiagonal`).  Bisection runs
+only to a fixed tolerance in natural energy units, which tells the levels
+apart; inverse iteration converges the vectors from it, and each energy is
+the vector's Rayleigh quotient (Parlett, *The Symmetric Eigenvalue
+Problem*, SIAM 1998, ch. 4).  The m-th levels of the ring's even (cos) and
+odd (sin) blocks are the degenerate +/-m pair (symmetry reduction:
+Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3).
 
 Grids, Hamiltonians, energies and states are in the system's natural
 units (`model.scales`); `eigen_uncertainties` rescales its record once.
@@ -43,6 +46,9 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-8
+# absolute, in natural energy units: same-parity levels are at least ~0.47
+# apart on every grid, while ||T||_1 grows as 1/h^2
+_BISECTION_TOL = 1e-4
 
 DEFAULT_EIGEN_POINTS = {Box: 2001, Oscillator: 2001, Ring: 1024}
 
@@ -79,9 +85,11 @@ class EigenResult:
     States alternate even, odd, even, ... under the mirror; the ring's come
     as [m=0, cos 1, sin 1, cos 2, sin 2, ...].  A +/-m pair, or a doublet
     split below roundoff, is solved in two blocks, so its energies may be
-    out of order by roundoff.  An energy within the absolute tolerance of
-    the block bisection that found it (eps times the block's 1-norm) of
-    zero, as the ring's m = 0, is exactly 0.0: its digits are roundoff.
+    out of order by roundoff.  An energy within the roundoff floor of its
+    block's Rayleigh quotient (eps times the block's 1-norm) of zero is
+    exactly 0.0: its digits are roundoff.  Where the operator maps the
+    constant vector to exactly zero (the ring), that state is the constant,
+    so the ring's m = 0 is exact however few levels are solved.
     """
 
     energies: np.ndarray
@@ -138,14 +146,28 @@ def _apply(ham: Hamiltonian, v: np.ndarray) -> np.ndarray:
 def _lowest_tridiagonal(
     diagonal: np.ndarray, off: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """`count` lowest eigenpairs of T and the bisection's tolerance eps ||T||_1 (dstebz)."""
+    """`count` lowest eigenpairs of T, and the energies' roundoff floor eps ||T||_1.
+
+    Bisection (`dstebz`) runs only to the absolute `_BISECTION_TOL`: that
+    fixes which level is which, and inverse iteration (`dstein`) converges
+    each vector from it.  Each energy is then the Rayleigh quotient
+    v.Tv / v.v of its vector, whose error is quadratic in the vector's; its
+    roundoff, not the bisection, sets the floor.
+    """
     rows = np.abs(diagonal) + np.pad(np.abs(off), (0, 1)) + np.pad(np.abs(off), (1, 0))
     try:
-        energies, vecs = scipy.linalg.eigh_tridiagonal(
-            diagonal, off, select="i", select_range=(0, count - 1)
+        coarse, vecs = scipy.linalg.eigh_tridiagonal(
+            diagonal, off, select="i", select_range=(0, count - 1), tol=_BISECTION_TOL
         )
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    # (T - w) v about the bisected w: the quotient's sum then carries only
+    # the small residual, not terms of size ||T||_1
+    gap = diagonal[:, None] * vecs
+    gap[:-1] += off[:, None] * vecs[1:]
+    gap[1:] += off[:, None] * vecs[:-1]
+    gap -= coarse * vecs
+    energies = coarse + np.einsum("ij,ij->j", vecs, gap) / np.einsum("ij,ij->j", vecs, vecs)
     return energies, vecs, np.finfo(float).eps * float(rows.max())
 
 
@@ -158,7 +180,8 @@ def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.
     If the last unknown couples to its own mirror, the even diagonal gains +c
     there and the odd -c.  Open chains alternate [even 0, odd 0, even 1, ...]
     (ascending: a Jacobi matrix's levels alternate in parity); the ring is
-    [m=0, cos 1, sin 1, ...].  Returns energies, unit vectors, block tolerances.
+    [m=0, cos 1, sin 1, ...].  Returns the Rayleigh-quotient energies, unit
+    vectors and each energy's block floor; see `EigenResult` for a zero energy.
     """
     n, c = ham.diagonal.size, ham.off_diagonal
     root2 = math.sqrt(2.0)
@@ -180,20 +203,26 @@ def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.
 
     # unfold by mirror symmetry: chain point j takes unknown min(j, mirror(j));
     # in place where possible, as these temporaries set a sweep's peak memory
-    energies, floors, vecs = np.empty(k), np.empty(k), np.empty((n, k))
+    energies, floors, rows = np.empty(k), np.empty(k), np.empty((k, n))
     energies[even_slot], floors[even_slot] = even_e, even_tol
     even_v *= np.where(own, 1.0, 1.0 / root2)[:, None]
-    vecs[:, even_slot] = even_v[fold]
+    rows[even_slot] = even_v.T[:, fold]
     if n_odd:
         odd_e, odd_v, odd_tol = _lowest_tridiagonal(odd_diag, np.full(odd_diag.size - 1, c), n_odd)
-        padded = np.zeros((half, n_odd))
-        padded[~own] = odd_v
+        padded = np.zeros((n_odd, half))
+        padded[:, ~own] = odd_v.T
         padded /= root2
-        odd_v = padded[fold]
-        odd_v *= np.sign(mirror - j)[:, None]
+        odd_v = padded[:, fold]
+        odd_v *= np.sign(mirror - j)
         energies[~even_slot], floors[~even_slot] = odd_e, odd_tol
-        vecs[:, ~even_slot] = odd_v
-    return energies, vecs, floors
+        rows[~even_slot] = odd_v
+
+    # a zero energy within roundoff of an exact constant null vector is that vector
+    zero = np.abs(energies) <= floors
+    if zero.any() and not _apply(ham, np.ones(n)).any():
+        rows[zero] = 1.0 / math.sqrt(n)
+        energies[zero] = 0.0
+    return energies, rows.T, floors
 
 
 def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
@@ -209,9 +238,12 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
         raise ConfigError(f"requested {k} eigenpairs from a {dim}-dimensional matrix")
     energies, vecs, floors = _parity_pairs(ham, k)
 
-    # one contiguous row per state: each row's dot products sum as a vector's
+    # one contiguous row per state, as `_parity_pairs` builds them: each
+    # row's dot products sum as a vector's
     rows = np.ascontiguousarray(vecs.T)
-    gap = _apply(ham, rows) - energies[:, None] * rows
+    # the residual in place in H v: these k x n temporaries set a solve's peak memory
+    gap = _apply(ham, rows)
+    gap -= energies[:, None] * rows
     residuals = np.sqrt(dot(gap, gap))
     full = rows
     if ham.grid.boundary == "dirichlet":
@@ -221,7 +253,8 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     magnitude = np.abs(full)
     lead = np.argmax(magnitude > 1e-8 * magnitude.max(axis=1)[:, None], axis=1)
     flip = full[np.arange(k), lead] < 0
-    full[flip] = -full[flip]
+    # in place: a copy of the flipped rows would set the solve's peak memory
+    np.negative(full, out=full, where=flip[:, None])
 
     scale = max(float(np.max(np.abs(energies))), 1.0)
     if np.any(residuals > _RESIDUAL_TOL * scale):

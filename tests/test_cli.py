@@ -371,8 +371,7 @@ class TestVerify:
         )
 
     def test_ring_m0_rows_exactly_zero(self, runner):
-        # the benchmark's ring sweep; on shorter eigen solves the m = 0
-        # eigenvector itself is not exactly constant (Delta L_z 7e-12 at -1:1)
+        # the benchmark's ring sweep, on all three paths
         result = runner.invoke(
             main, ["sweep", "--system", "ring", "--levels", "-10:10", "--paths", "analytic,oracle,eigen"]
         )
@@ -382,6 +381,20 @@ class TestVerify:
         assert [r[10] for r in zero] == ["analytic", "oracle", "eigen"]
         for r in zero:
             assert (r[4], r[6], r[7]) == ("0.00000000000",) * 3
+
+    @pytest.mark.parametrize("levels", ["-1:1", "0:0", "-3:3", "-10:10"])
+    def test_ring_m0_eigen_row_exact_on_any_sweep(self, runner, levels):
+        # the eigen solve's m = 0 state is the exact constant null vector,
+        # however few levels the sweep solves for
+        result = runner.invoke(
+            main, ["sweep", "--system", "ring", "--levels", levels, "--paths", "analytic,eigen"]
+        )
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        analytic, eigen = [r for r in rows if r[1] == "0"]
+        assert (analytic[10], eigen[10]) == ("analytic", "eigen")
+        assert (eigen[6], eigen[7]) == ("0.00000000000",) * 2
+        assert eigen[5] == analytic[5]
 
     def test_ring_oracle_verifies_at_default_tol(self, runner):
         result = runner.invoke(

@@ -25,7 +25,7 @@ from qnodes import (
     ring_momentum_state,
     solve_lowest,
 )
-from qnodes.eigensolver import _apply, _parity_pairs
+from qnodes.eigensolver import _BISECTION_TOL, _apply, _lowest_tridiagonal, _parity_pairs
 from qnodes.grids import quad
 
 
@@ -409,8 +409,9 @@ class TestZeroEnergyFloor:
 
     @pytest.mark.parametrize("points", [1023, 1024])
     def test_floor_is_the_bisected_blocks_norm(self, points):
-        # dstebz bisects each block to eps ||T||_1; the even block's sqrt 2
-        # couplings make its norm (3 + sqrt 2) t, not the full ring's 4 t
+        # each block's floor is eps ||T||_1, its Rayleigh quotients' roundoff;
+        # the even block's sqrt 2 couplings make its norm (3 + sqrt 2) t, not
+        # the full ring's 4 t
         ham = build_hamiltonian(Ring(), default_eigen_grid(Ring(), points=points))
         t, eps = -ham.off_diagonal, np.finfo(float).eps
         energies, _, floors = _parity_pairs(ham, 5)
@@ -418,3 +419,124 @@ class TestZeroEnergyFloor:
         assert floors[2] == pytest.approx(eps * 4.0 * t, rel=1e-15)
         np.testing.assert_array_equal(floors[1::2], floors[0])
         assert abs(energies[0]) <= floors[0]
+
+
+# (system, levels, grid points or None for the default eigen grid)
+_BISECTION_CASES = [
+    (Box(), 40, None), (Box(), 200, None), (Box(), 1999, None), (Box(), 9, 11),
+    (Box(), 40, 20001), (Oscillator(), 201, None), (Oscillator(), 41, 20001),
+    (Oscillator(), 15, 31), (Oscillator(), 2001, 2001), (Ring(), 1, None), (Ring(), 3, None),
+    (Ring(), 21, None), (Ring(), 8, 8), (Ring(), 1024, 1024), (Ring(), 201, 4096),
+]
+
+
+def _case_id(case):
+    spec, k, points = case
+    return f"{type(spec).__name__.lower()}-k{k}-{points or 'default'}"
+
+
+def _parity_blocks(monkeypatch, ham, k):
+    """(diagonal, off-diagonal, level count) of each block `_parity_pairs` solves."""
+    real, blocks = scipy.linalg.eigh_tridiagonal, []
+
+    def spy(diagonal, off, **kwargs):
+        blocks.append((diagonal.copy(), off.copy(), kwargs["select_range"][1] + 1))
+        return real(diagonal, off, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        _parity_pairs(ham, k)
+    return blocks
+
+
+class TestNaturalUnitBisection:
+    """Blocks are bisected to `_BISECTION_TOL`, not to eps ||T||_1, and their
+    energies are the Rayleigh quotients of the inverse-iteration vectors."""
+
+    @pytest.mark.parametrize("case", _BISECTION_CASES, ids=_case_id)
+    def test_blocks_match_the_full_tolerance_bisection(self, monkeypatch, case):
+        spec, k, points = case
+        ham = build_hamiltonian(spec, default_eigen_grid(spec, k, points))
+        for diagonal, off, count in _parity_blocks(monkeypatch, ham, k):
+            energies, vecs, floor = _lowest_tridiagonal(diagonal, off, count)
+            ref_e, ref_v = scipy.linalg.eigh_tridiagonal(
+                diagonal, off, select="i", select_range=(0, count - 1)
+            )
+            vecs = vecs * np.sign(np.sum(vecs * ref_v, axis=0))
+            assert np.max(np.abs(vecs - ref_v)) <= 1e-10
+            # the reference bisection and the quotient are each within about
+            # eps ||T||_1 of the true level (1.1 and 0.4 floors on the full
+            # 1999-unknown box), so they may differ by up to twice that
+            assert np.max(np.abs(energies - ref_e)) <= 2.0 * floor
+
+    @pytest.mark.parametrize(
+        "case", [c for c in _BISECTION_CASES if not isinstance(c[0], Oscillator)], ids=_case_id
+    )
+    def test_energies_meet_the_exact_discrete_spectrum(self, case):
+        # box (2/h^2) sin^2(n pi h / 2); ring (2/h^2) sin^2(m h / 2), each
+        # |m| > 0 twice, as [m = 0, cos 1, sin 1, ...]; the formula itself
+        # carries a few eps of relative roundoff near the top of the band
+        spec, k, points = case
+        ham = build_hamiltonian(spec, default_eigen_grid(spec, k, points))
+        h = ham.grid.h
+        if isinstance(spec, Box):
+            modes = np.arange(1, k + 1) * np.pi * h / 2.0
+        else:
+            modes = ((np.arange(k) + 1) // 2) * h / 2.0
+        exact = (2.0 / h**2) * np.sin(modes) ** 2
+        norm1 = float(np.max(np.abs(ham.diagonal))) + 2.0 * abs(ham.off_diagonal)
+        energies = solve_lowest(ham, k).energies
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(energies, exact, rtol=4.0 * eps, atol=eps * norm1)
+
+    def test_fine_box_spectrum_beats_the_bisection(self):
+        # on 20001 points eps ||T||_1 is 1.8e-7; the full-tolerance bisection
+        # was 0.40 of that off the exact levels, the quotients are 1e-4 of it
+        ham = build_hamiltonian(Box(), default_eigen_grid(Box(), points=20001))
+        h = ham.grid.h
+        exact = (2.0 / h**2) * np.sin(np.arange(1, 41) * np.pi * h / 2.0) ** 2
+        norm1 = float(np.max(np.abs(ham.diagonal))) + 2.0 * abs(ham.off_diagonal)
+        result = solve_lowest(ham, 40)
+        np.testing.assert_allclose(
+            result.energies, exact, rtol=0.0, atol=0.25 * np.finfo(float).eps * norm1
+        )
+
+    def test_tolerance_is_absolute_in_natural_units(self, monkeypatch):
+        real, seen = scipy.linalg.eigh_tridiagonal, []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        for points in (11, 2001, 20001):
+            solve_lowest(build_hamiltonian(Box(), default_eigen_grid(Box(), points=points)), 4)
+        assert seen == [_BISECTION_TOL] * 6
+
+
+class TestConstantNullVector:
+    """A zero energy on an operator that maps the constant to exactly zero
+    is taken as the constant itself."""
+
+    @pytest.mark.parametrize("points", [8, 9, 1023, 1024])
+    @pytest.mark.parametrize("k", [1, 3, 21])
+    def test_ring_ground_state_is_exactly_constant(self, points, k):
+        ham = build_hamiltonian(Ring(), default_eigen_grid(Ring(), points=points))
+        k = min(k, points)
+        result = solve_lowest(ham, k)
+        ground = result.states[0].values
+        assert result.energies[0] == 0.0 and result.residuals[0] == 0.0
+        assert np.all(ground == ground[0]) and ground[0] > 0.0
+
+    def test_floored_level_without_a_constant_null_vector_keeps_its_vector(self):
+        # the box shifted so that its ground level sits at zero: the energy
+        # is floored, but the walls keep the constant from being a null vector
+        ham = build_hamiltonian(Box(), default_eigen_grid(Box(), points=201))
+        h = ham.grid.h
+        shifted = Hamiltonian(ham.grid, ham.diagonal - (2.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2)
+        assert np.any(_apply(shifted, np.ones(shifted.diagonal.size)))
+        result = solve_lowest(shifted, 3)
+        assert result.energies[0] == 0.0
+        np.testing.assert_allclose(
+            result.states[0].values, np.sqrt(2.0) * np.sin(np.pi * ham.grid.x), atol=1e-12
+        )

@@ -56,6 +56,10 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["sweep", "--system", "box", "--levels", "1:150", "--paths", "analytic,oracle"],
         ["sweep", "--system", "oscillator", "--levels", "0:200", "--paths", "analytic,oracle",
          "--format", "json"],
+        # a ring sweep whose eigen solve holds three levels: m = 0 is the exact constant
+        ["sweep", "--system", "ring", "--levels", "-1:1", *ALL_PATHS],
+        # the bisection tolerance on a fine grid
+        ["eigensolve", "--system", "box", "--k", "6", "--grid-points", "20001"],
     )
 )
 
