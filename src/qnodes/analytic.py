@@ -2,9 +2,10 @@
 
 Everything here is an exact expression evaluated in double precision, with
 no quadrature and no grid; the independent numerical checks, ring Delta
-theta by quadrature included, live in `oracle` and `eigensolver`.  Each
-closed form is written in natural units and multiplied by the system's
-`scales` once.
+theta by quadrature included, live in `oracle` and `eigensolver`.  The
+closed forms are written in natural units, as one column per quantity
+over an array of levels (`uncertainty_columns`), and multiplied by the
+system's `scales` once; the one-level functions take one row of them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .model import (
     Ring,
     RingSuperposition,
     Scales,
+    SystemSpec,
     predicted_node_count,
     scales,
     validate_state,
@@ -29,6 +31,7 @@ from .model import (
 __all__ = [
     "UncertaintyRecord",
     "COLUMN_UNITS",
+    "uncertainty_columns",
     "box_psi",
     "box_energy",
     "box_uncertainties",
@@ -78,8 +81,13 @@ class UncertaintyRecord:
         if self.delta_q < 0 or self.delta_p < 0:
             raise DomainError("uncertainties must be nonnegative")
 
+    @classmethod
+    def from_columns(cls, columns, row: int = 0, **nodes) -> UncertaintyRecord:
+        """Row `row` of `columns` (an array per COLUMN_UNITS name), with `nodes`."""
+        return cls(**{name: float(columns[name][row]) for name in COLUMN_UNITS}, **nodes)
+
     def rescaled(self, units: Scales) -> UncertaintyRecord:
-        """This natural-unit record in physical units: the one rescale.
+        """This natural-unit record in physical units, by `Scales.rescale`.
 
         Raises DomainError naming the first column that overflows.
         """
@@ -93,6 +101,57 @@ class UncertaintyRecord:
         )
 
 
+def level_floats(levels) -> np.ndarray:
+    """float(k) of each integer k in `levels`; one too large for a float
+    raises OverflowError naming its index as the error's `row`."""
+    out = []
+    for k in levels:
+        try:
+            out.append(float(k))
+        except OverflowError as exc:
+            exc.row = len(out)
+            raise
+    return np.array(out)
+
+
+def uncertainty_columns(spec: SystemSpec, levels) -> dict[str, np.ndarray]:
+    """Natural-unit closed forms of the quantum numbers `levels`, an array
+    per name of COLUMN_UNITS (see the one-level functions below).
+
+    Each element takes the float operations of the scalar expression: n^2
+    is an exact integer, rounded once.  A level too large for a float
+    raises OverflowError naming its index as the error's `row`.
+    """
+    levels = [validate_state(spec, k) for k in levels]
+    if isinstance(spec, Box):
+        n2 = level_floats([n * n for n in levels])
+        with np.errstate(over="ignore"):  # inf, as in floats: `Scales.rescale` rejects it
+            dq = np.sqrt(1.0 / 12.0 - 1.0 / (2.0 * n2 * math.pi**2))
+            dp = level_floats(levels) * math.pi
+            product, energy = dq * dp, n2 * math.pi**2 / 2.0
+    elif isinstance(spec, Ring):
+        energy = level_floats([m * m for m in levels]) / 2.0
+        dq = np.full(len(levels), UNIFORM_THETA_SPREAD)
+        dp = product = np.zeros(len(levels))
+    else:
+        product = energy = level_floats(levels) + 0.5
+        dq = dp = np.sqrt(product)
+    bound = np.full(len(levels), 0.5)
+    return {"energy": energy, "delta_q": dq, "delta_p": dp, "product": product, "bound": bound}
+
+
+def _record(spec: SystemSpec, idx: int) -> UncertaintyRecord:
+    """The physical record of the level `idx`."""
+    return UncertaintyRecord.from_columns(
+        uncertainty_columns(spec, [idx]), nodes_predicted=predicted_node_count(spec, idx)
+    ).rescaled(scales(spec))
+
+
+def _energy(spec: SystemSpec, idx: int) -> float:
+    natural = uncertainty_columns(spec, [idx])["energy"][0]
+    return scales(spec).rescale("energy", natural, "energy")
+
+
 # --- particle in a box ------------------------------------------------------
 
 
@@ -103,7 +162,9 @@ def box_psi(spec: Box, n, x):
     quantum numbers gives the (L, x.size) stack of their samples.
     """
     if np.ndim(n):
-        n = np.array([validate_state(spec, k) for k in np.ravel(n)]).reshape(np.shape(n))
+        # as floats, which the product with x takes anyway: an integer
+        # beyond int64 would make an array of Python objects
+        n = level_floats([validate_state(spec, k) for k in np.ravel(n)]).reshape(np.shape(n))
     else:
         n = validate_state(spec, n)
     a = scales(spec).length
@@ -114,33 +175,14 @@ def box_psi(spec: Box, n, x):
     return out if out.ndim else float(out)
 
 
-def _natural_energy(spec, idx: int) -> float:
-    """n^2 pi^2 / 2 (box), m^2 / 2 (ring) or n + 1/2 (oscillator)."""
-    if isinstance(spec, Box):
-        return idx**2 * math.pi**2 / 2.0
-    if isinstance(spec, Ring):
-        return idx**2 / 2.0
-    return idx + 0.5
-
-
 def box_energy(spec: Box, n: int) -> float:
     """E_n = hbar^2 n^2 pi^2 / (2 m a^2)."""
-    return scales(spec).rescale("energy", _natural_energy(spec, validate_state(spec, n)), "energy")
+    return _energy(spec, n)
 
 
 def box_uncertainties(spec: Box, n: int) -> UncertaintyRecord:
     """Delta x = a sqrt(1/12 - 1/(2 n^2 pi^2)), Delta p = hbar n pi / a."""
-    n = validate_state(spec, n)
-    dx = math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * n**2 * math.pi**2))
-    dp = n * math.pi
-    return UncertaintyRecord(
-        delta_q=dx,
-        delta_p=dp,
-        product=dx * dp,
-        bound=0.5,
-        energy=_natural_energy(spec, n),
-        nodes_predicted=predicted_node_count(spec, n),
-    ).rescaled(scales(spec))
+    return _record(spec, n)
 
 
 # --- particle on a ring -----------------------------------------------------
@@ -164,13 +206,13 @@ def ring_state_values(state, theta) -> np.ndarray:
         for m, c in state.terms:
             out += c * np.exp(1j * m * theta)
         return out / np.sqrt(2.0 * np.pi)
-    m = np.asarray(state) if np.ndim(state) else int(state)
+    m = level_floats(np.ravel(state)).reshape(np.shape(state)) if np.ndim(state) else int(state)
     return np.exp(1j * m * theta) / np.sqrt(2.0 * np.pi)
 
 
 def ring_energy(spec: Ring, m: int) -> float:
     """E_m = m^2 hbar^2 / (2 I)."""
-    return scales(spec).rescale("energy", _natural_energy(spec, validate_state(spec, m)), "energy")
+    return _energy(spec, m)
 
 
 def ring_density(spec: Ring, m: int, theta):
@@ -205,15 +247,7 @@ def ring_uncertainties(spec: Ring, m: int) -> UncertaintyRecord:
     while the naive Delta theta stays finite, so callers must treat the
     bound column as informational only.
     """
-    m = validate_state(spec, m)
-    return UncertaintyRecord(
-        delta_q=UNIFORM_THETA_SPREAD,
-        delta_p=0.0,
-        product=0.0,
-        bound=0.5,
-        energy=_natural_energy(spec, m),
-        nodes_predicted=predicted_node_count(spec, m),
-    ).rescaled(scales(spec))
+    return _record(spec, m)
 
 
 # --- harmonic oscillator ----------------------------------------------------
@@ -221,18 +255,9 @@ def ring_uncertainties(spec: Ring, m: int) -> UncertaintyRecord:
 
 def oscillator_energy(spec: Oscillator, n: int) -> float:
     """E_n = (n + 1/2) hbar omega."""
-    return scales(spec).rescale("energy", _natural_energy(spec, validate_state(spec, n)), "energy")
+    return _energy(spec, n)
 
 
 def oscillator_uncertainties(spec: Oscillator, n: int) -> UncertaintyRecord:
     """Delta x Delta p = hbar (n + 1/2); equality with the bound at n = 0."""
-    n = validate_state(spec, n)
-    spread = math.sqrt(n + 0.5)
-    return UncertaintyRecord(
-        delta_q=spread,
-        delta_p=spread,
-        product=n + 0.5,
-        bound=0.5,
-        energy=_natural_energy(spec, n),
-        nodes_predicted=predicted_node_count(spec, n),
-    ).rescaled(scales(spec))
+    return _record(spec, n)

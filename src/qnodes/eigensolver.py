@@ -21,18 +21,18 @@ units (`model.scales`); `eigen_uncertainties` rescales its record once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .analytic import UncertaintyRecord
+from .analytic import COLUMN_UNITS, UncertaintyRecord
 from .errors import ConfigError, ConvergenceError, GridError, QnodesError
 from .grids import GridSpec, SampledFunction, dot, first_failure, quad, raise_first
-from .model import Box, Oscillator, Ring, SystemSpec, scales
+from .model import Box, Oscillator, Ring, SystemSpec, predicted_node_count, scales
 from .nodal import node_counts
-from .oracle import records_from_stack
+from .oracle import columns_from_stack
 
 __all__ = [
     "Hamiltonian",
@@ -41,7 +41,7 @@ __all__ = [
     "build_hamiltonian",
     "solve_lowest",
     "eigen_uncertainties",
-    "eigen_records",
+    "eigen_columns",
     "ring_momentum_state",
 ]
 
@@ -294,39 +294,40 @@ def _ring_momentum_stack(result: EigenResult, ms: np.ndarray) -> SampledFunction
     return SampledFunction(result.stack.grid, psi)
 
 
-def eigen_records(spec: SystemSpec, result: EigenResult, levels) -> list[UncertaintyRecord]:
-    """Natural-unit UncertaintyRecords of the computed eigenstates of
-    `levels` (distinct quantum numbers), from one stack of their states.
+def eigen_columns(spec: SystemSpec, result: EigenResult, levels) -> dict[str, np.ndarray]:
+    """Natural-unit columns of the computed eigenstates of `levels`
+    (distinct quantum numbers), from one stack of their states: those of
+    `oracle.columns_from_stack`, with the computed eigenvalues as the
+    energy, and the node counts measured on the states as "nodes".
 
     `levels` are quantum numbers: box n >= 1, oscillator n >= 0, ring any
-    integer m (mapped through its degenerate pair).  The energy is the
-    computed eigenvalue; node counts are measured on the states.  An error
-    is that of the first failing level, named by its index in `levels` as
-    the error's `row`.
+    integer m (mapped through its degenerate pair).  An error is that of
+    the first failing level, named by its index in `levels` as the
+    error's `row`.
     """
     levels = list(levels)
-    return first_failure(lambda end: _eigen_records(spec, result, levels[:end]), len(levels))
+    return first_failure(lambda end: _eigen_columns(spec, result, levels[:end]), len(levels))
 
 
-def _eigen_records(spec: SystemSpec, result: EigenResult, levels: list) -> list[UncertaintyRecord]:
+def _eigen_columns(spec: SystemSpec, result: EigenResult, levels: list) -> dict[str, np.ndarray]:
     groups = [list(range(len(levels)))]
     if isinstance(spec, Ring):
         # m = 0 is a real state and the others complex: a stack each
         zero = [i for i, m in enumerate(levels) if m == 0]
         groups = [zero, [i for i, m in enumerate(levels) if m]]
-    records: list = [None] * len(levels)
+    out = {name: np.empty(len(levels)) for name in COLUMN_UNITS}
+    out["nodes"] = np.empty(len(levels), dtype=int)
     for rows in filter(None, groups):
-        states = [levels[i] for i in rows]
         try:
-            psi, pos = _eigen_stack(spec, result, states)
-            recs = records_from_stack(spec, states, psi)
-            counts = node_counts(psi)
+            psi, pos = _eigen_stack(spec, result, [levels[i] for i in rows])
+            columns = columns_from_stack(spec, psi)
+            columns |= {"energy": result.energies[pos], "nodes": node_counts(psi)}
         except QnodesError as exc:
             exc.row = rows[getattr(exc, "row", 0)]
             raise
-        for i, rec, p, n in zip(rows, recs, pos, counts):
-            records[i] = replace(rec, energy=float(result.energies[p]), nodes_measured=int(n))
-    return records
+        for name, values in columns.items():
+            out[name][rows] = values
+    return out
 
 
 def _eigen_stack(
@@ -352,5 +353,8 @@ def eigen_uncertainties(
     spec: SystemSpec, result: EigenResult, index: int
 ) -> UncertaintyRecord:
     """Physical UncertaintyRecord for one computed natural-unit eigenstate:
-    the rescaled `eigen_records` of the one quantum number `index`."""
-    return eigen_records(spec, result, [index])[0].rescaled(scales(spec))
+    the rescaled `eigen_columns` of the one quantum number `index`."""
+    columns = eigen_columns(spec, result, [index])
+    measured = int(columns["nodes"][0])
+    nodes = {"nodes_predicted": predicted_node_count(spec, index), "nodes_measured": measured}
+    return UncertaintyRecord.from_columns(columns, **nodes).rescaled(scales(spec))

@@ -4,7 +4,8 @@ Default natural units: hbar = mass = length = omega = inertia = 1, so
 every headline number is dimensionless.  All parameters can be overridden
 at construction time.  `scales` is the only code that reads hbar or a
 system parameter: every numerical path computes in natural units and
-multiplies by these scales once, through `Scales.rescale`.
+multiplies by these scales once, through `Scales.rescale`, one column of
+values at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError, NormalizationError
 
@@ -100,19 +103,26 @@ class Scales:
     energy: float
     hbar: float
 
-    def rescale(self, name: str, value: float, unit: str) -> float:
-        """The natural-unit `value` of quantity `name` times the `unit` scale.
+    def rescale(self, name: str, value, unit: str):
+        """The natural-unit `value` (a float or an array) of quantity `name`
+        times the `unit` scale.
 
-        Raises DomainError, naming the quantity, value and scale, when the
-        product is not finite: no physical row could then be represented.
+        Raises DomainError, naming the quantity, value and scale, for the
+        first product that is not finite, and its index as the error's
+        `row`: no physical row could then be represented.
         """
         scale = getattr(self, unit)
-        out = value * scale
-        if not math.isfinite(out):
-            raise DomainError(
-                f"{name} {value!r} overflows to {out!r} at the {unit} scale {scale!r}"
+        with np.errstate(over="ignore"):  # an overflow raises below
+            out = np.multiply(value, scale)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            exc = DomainError(
+                f"{name} {np.ravel(value)[bad[0]].item()!r} overflows to "
+                f"{out.flat[bad[0]].item()!r} at the {unit} scale {scale!r}"
             )
-        return out
+            exc.row = int(bad[0])
+            raise exc
+        return out if out.ndim else float(out)
 
 
 def _scale(*factors: tuple[float, int], root: int = 1) -> float:

@@ -11,6 +11,8 @@ Every moment function takes one sample, giving floats, or a stack of
 samples (`grids.SampledFunction`), giving one value per row, bit for bit
 the row's own.  A guard that fails raises for the stack's first failing
 row, with that row's message, and names the row in the error's `row`.
+`columns_from_stack` turns a stack's moments into one array per column
+of a record; `record_from_samples` is its one-sample form.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "momentum_moments",
     "oracle_uncertainties",
     "record_from_samples",
+    "columns_from_stack",
     "ring_lz_by_quadrature",
     "ring_theta_by_quadrature",
 ]
@@ -376,29 +379,27 @@ def oracle_uncertainties(
 def record_from_samples(
     spec: SystemSpec, state: int | RingSuperposition, psi: SampledFunction
 ) -> UncertaintyRecord:
-    """Natural-unit UncertaintyRecord of the natural-unit samples `psi`:
-    `records_from_stack` of one sample."""
-    return records_from_stack(spec, [state], psi)[0]
+    """Natural-unit UncertaintyRecord of the natural-unit sample `psi` of
+    `state`: the one row of `columns_from_stack`."""
+    nodes = -1 if isinstance(state, RingSuperposition) else predicted_node_count(spec, state)
+    return UncertaintyRecord.from_columns(columns_from_stack(spec, psi), nodes_predicted=nodes)
 
 
-def records_from_stack(spec: SystemSpec, states, psi: SampledFunction) -> list[UncertaintyRecord]:
-    """Natural-unit UncertaintyRecords of the natural-unit samples `psi`,
-    one per state in `states`: `psi` is one sample of the one state, or a
-    stack whose row i samples states[i].
+def columns_from_stack(spec: SystemSpec, psi: SampledFunction) -> dict[str, np.ndarray]:
+    """Natural-unit columns of the natural-unit samples `psi` (one sample,
+    or a stack of one per row): an array per `analytic.COLUMN_UNITS` name.
 
     The one moment pipeline of the oracle and eigen paths: each moment
     function takes the whole stack once, which builds its |psi|^2 and
     norms once.  The energy is <L_z^2>/2 on the ring, <p^2>/2 plus the
-    oscillator's <x^2>/2 otherwise.  An error is that of the first failing
-    state, named by its index as the error's `row`.
+    oscillator's <x^2>/2 otherwise; the bound is 1/2.  An error is that of
+    the first failing row, named by its index as the error's `row`.
     """
-    states = list(states)
-    return first_failure(
-        lambda end: _records(spec, states[:end], first_rows(psi, end)), len(states)
-    )
+    rows = len(psi.values) if psi.values.ndim == 2 else 1
+    return first_failure(lambda end: _columns(spec, first_rows(psi, end)), rows)
 
 
-def _records(spec: SystemSpec, states: list, psi: SampledFunction) -> list[UncertaintyRecord]:
+def _columns(spec: SystemSpec, psi: SampledFunction) -> dict[str, np.ndarray]:
     if isinstance(spec, Ring):
         _, dp, mean_lz2 = ring_lz_by_quadrature(psi)
         _, dq = ring_theta_by_quadrature(psi)
@@ -411,17 +412,6 @@ def _records(spec: SystemSpec, states: list, psi: SampledFunction) -> list[Uncer
         energy = mean_p2 / 2.0
         if isinstance(spec, Oscillator):
             energy += 0.5 * (var_x + _pow2(mean_x))
-    columns = np.atleast_1d(dq, dp, dq * dp, energy)
-    return [
-        UncertaintyRecord(
-            delta_q=float(q),
-            delta_p=float(p),
-            product=float(qp),
-            bound=0.5,
-            energy=float(e),
-            nodes_predicted=(
-                -1 if isinstance(state, RingSuperposition) else predicted_node_count(spec, state)
-            ),
-        )
-        for state, q, p, qp, e in zip(states, *columns)
-    ]
+    dq, dp, product, energy = np.atleast_1d(dq, dp, dq * dp, energy)
+    bound = np.full(energy.shape, 0.5)
+    return {"energy": energy, "delta_q": dq, "delta_p": dp, "product": product, "bound": bound}

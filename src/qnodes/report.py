@@ -3,7 +3,10 @@
 A sweep evaluates each requested level along up to three independent
 paths (closed forms, quadrature oracle, finite-difference eigensolver),
 checks the Heisenberg bound where it applies, and serializes the result
-as CSV or JSON with deterministic formatting.
+as CSV or JSON with deterministic formatting.  Each path carries its
+results as one array per column over a stack of levels; they are
+rescaled, compared across paths and flagged a column at a time, and the
+rows are built once, at the end.
 """
 
 from __future__ import annotations
@@ -12,20 +15,16 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
+import numpy as np
+
 from . import __version__
-from .analytic import (
-    COLUMN_UNITS,
-    UncertaintyRecord,
-    box_uncertainties,
-    oscillator_uncertainties,
-    ring_uncertainties,
-)
-from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_records, solve_lowest
+from .analytic import COLUMN_UNITS, level_floats, uncertainty_columns
+from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_columns, solve_lowest
 from .errors import ConfigError, DomainError, GridError, QnodesError
 from .grids import first_failure, first_rows, stack_rows
-from .model import Box, Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
+from .model import Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
 from .nodal import node_counts
-from .oracle import default_grid, records_from_stack, sample_levels
+from .oracle import columns_from_stack, default_grid, sample_levels
 
 __all__ = [
     "SweepConfig",
@@ -104,44 +103,14 @@ class SweepRow:
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
-def _satisfied_flag(spec: SystemSpec, product: float, bound: float) -> str:
-    """'na' on the ring, which has no Heisenberg check; else whether the
-    product meets the bound within the roundoff slack."""
+def _satisfied_flags(spec: SystemSpec, product: np.ndarray, bound: np.ndarray) -> list[str]:
+    """Per element, 'na' on the ring, which has no Heisenberg check; else
+    whether the product meets the bound within the roundoff slack."""
     if isinstance(spec, Ring):
-        return "na"
-    return "true" if product >= bound - BOUND_SLACK * bound else "false"
-
-
-def _row_from_record(
-    spec: SystemSpec,
-    level: int,
-    rec: UncertaintyRecord,
-    path: str,
-    nodes_counted: int | None,
-    disagreement: float | None,
-) -> SweepRow:
-    return SweepRow(
-        system=system_tag(spec),
-        level=level,
-        nodes_predicted=rec.nodes_predicted,
-        nodes_counted=nodes_counted,
-        energy=rec.energy,
-        delta_q=rec.delta_q,
-        delta_p=rec.delta_p,
-        product=rec.product,
-        bound=rec.bound,
-        satisfied=_satisfied_flag(spec, rec.product, rec.bound),
-        path=path,
-        disagreement=disagreement,
-    )
-
-
-def _analytic_record(spec: SystemSpec, level: int) -> UncertaintyRecord:
-    if isinstance(spec, Box):
-        return box_uncertainties(spec, level)
-    if isinstance(spec, Ring):
-        return ring_uncertainties(spec, level)
-    return oscillator_uncertainties(spec, level)
+        return ["na"] * len(product)
+    # an infinite bound makes a NaN threshold, which no product meets
+    with np.errstate(invalid="ignore"):
+        return np.where(product >= bound - BOUND_SLACK * bound, "true", "false").tolist()
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
@@ -151,12 +120,12 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     top level, `default_grid(spec, max |level|, cfg.grid_points)`.  The
     distinct levels are taken in ascending stacks, as many per stack as
     `grids.stack_rows` allows for the largest row of the sweep's grids:
-    each path takes a stack's moments and node counts in one pass, and
-    only the rows are assembled level by level.  Every path computes in
-    natural units; each record is rescaled once.  An error raised for a
-    level names it, and is the one a level-by-level sweep would raise
-    first; a column that overflows, or a level too large for a float (an
-    OverflowError), raises DomainError.
+    each path takes a stack's moments and node counts in one pass, as an
+    array per column, rescaled once; the disagreements and rows are made
+    last, over all levels.  Every path computes in natural units.  An
+    error raised for a level names it, and is the one a level-by-level
+    sweep would raise first; a column that overflows, or a level too
+    large for a float (an OverflowError), raises DomainError.
     """
     spec = cfg.system
     units = scales(spec)
@@ -176,6 +145,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
     levels = sorted(set(cfg.levels))
     sampled = "analytic" in cfg.paths or "oracle" in cfg.paths
+    too_large = None
     if sampled:
         top = max(levels, key=abs)
         try:
@@ -183,15 +153,26 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         except (QnodesError, OverflowError) as exc:
             raise _at_level(top, exc) from exc
         grids.append(grid)
+        try:
+            level_floats(levels)
+        except OverflowError as exc:  # unsampled: the levels below it are swept first
+            too_large, levels = _at_level(levels[exc.row], exc), levels[: exc.row]
     # ring samples are complex
     itemsize = 16 if isinstance(spec, Ring) else 8
     rows = stack_rows(itemsize * max(g.points for g in grids))
     stacks = [levels[i : i + rows] for i in range(0, len(levels), rows)]
     samples = sample_levels(spec, stacks, grid) if sampled else (None for _ in stacks)
-    by_level: dict[int, list[SweepRow]] = {}
-    for stack, psi in zip(stacks, samples):
-        by_level.update(_sweep_stack(spec, units, cfg.paths, stack, psi, eigen_result))
-    return [row for level in cfg.levels for row in by_level[level]]
+    parts = [
+        _sweep_stack(spec, units, cfg.paths, stack, psi, eigen_result)
+        for stack, psi in zip(stacks, samples)
+    ]
+    if too_large is not None:
+        raise too_large
+    columns = {
+        path: [np.concatenate(c, axis=-1) for c in zip(*(part[path] for part in parts))]
+        for path in cfg.paths
+    }
+    return _rows(spec, units, cfg.levels, levels, columns)
 
 
 def _at_level(level: int, exc: Exception) -> QnodesError:
@@ -202,14 +183,28 @@ def _at_level(level: int, exc: Exception) -> QnodesError:
     return kind(f"level {level}: {exc}")
 
 
-def _sweep_stack(spec, units, paths, levels, psi, eigen_result) -> dict[int, list[SweepRow]]:
-    """Each level's rows, for the ascending `levels` sampled in the stack
-    `psi` (None when no path needs samples); an error is that of the first
-    failing level (`grids.first_failure`) and names it."""
+def _sweep_stack(spec, units, paths, levels, psi, eigen_result) -> dict[str, tuple]:
+    """Each path's (physical (column, level) array in `COLUMN_UNITS` order,
+    node counts) for the ascending `levels` sampled in the stack `psi`
+    (None when no path needs samples).  The steps run in a level's order
+    (node count, then each path's columns and rescale), each over the
+    whole stack; an error is that of the first failing level
+    (`grids.first_failure`) and names it."""
 
     def run(end):
         part = None if psi is None else first_rows(psi, end)
-        return _stack_rows(spec, units, paths, levels[:end], part, eigen_result)
+        counted = None if part is None else node_counts(part)
+        natural = {
+            "analytic": lambda: uncertainty_columns(spec, levels[:end]),
+            "oracle": lambda: columns_from_stack(spec, part),
+            "eigen": lambda: eigen_columns(spec, eigen_result, levels[:end]),
+        }
+        out = {}
+        for path in paths:
+            c = natural[path]()
+            physical = [units.rescale(name, c[name], unit) for name, unit in COLUMN_UNITS.items()]
+            out[path] = np.array(physical), c.get("nodes", counted)
+        return out
 
     try:
         return first_failure(run, len(levels))
@@ -217,67 +212,54 @@ def _sweep_stack(spec, units, paths, levels, psi, eigen_result) -> dict[int, lis
         raise _at_level(levels[getattr(exc, "row", 0)], exc) from exc
 
 
-def _stack_rows(spec, units, paths, levels, psi, eigen_result) -> dict[int, list[SweepRow]]:
-    """Each level's rows, each built once with the level's disagreement.
-
-    The steps run in a level's order (node count, closed forms, oracle
-    record, eigen record), each over the whole stack.
-    """
-    measured = [None] * len(levels) if psi is None else node_counts(psi).tolist()
-    # (path, record per level, nodes counted per level) in canonical path order
-    columns = []
-    if "analytic" in paths:
-        analytic = _each(levels, lambda level: _analytic_record(spec, level))
-        columns.append(("analytic", analytic, measured))
-    if "oracle" in paths:
-        natural = records_from_stack(spec, levels, psi)
-        columns.append(("oracle", _each(natural, lambda rec: rec.rescaled(units)), measured))
-    if "eigen" in paths:
-        natural = eigen_records(spec, eigen_result, levels)
-        records = _each(natural, lambda rec: rec.rescaled(units))
-        columns.append(("eigen", records, [rec.nodes_measured for rec in records]))
-    out = {}
-    for i, level in enumerate(levels):
-        results = [(path, records[i], nodes[i]) for path, records, nodes in columns]
-        dis = None
-        if len(results) >= 2:
-            dis = _max_disagreement([rec for _, rec, _ in results], units)
-        out[level] = [
-            _row_from_record(spec, level, rec, path, nodes, dis) for path, rec, nodes in results
-        ]
-    return out
+def _rows(spec, units, order, levels, columns) -> list[SweepRow]:
+    """The rows of the levels in `order`, from each path's (physical
+    columns, node counts) over the ascending, distinct `levels`."""
+    disagreement = [None] * len(levels)
+    if len(columns) >= 2:
+        values = np.hstack([v for v, _ in columns.values()])
+        groups = np.tile(np.arange(len(levels)), len(columns))
+        disagreement = _max_disagreement(values, groups, units).tolist()
+    # each path's (nodes counted, physical columns..., satisfied) per level
+    cells = {}
+    for path, (values, nodes) in columns.items():
+        *_, product, bound = values
+        flags = _satisfied_flags(spec, product, bound)
+        cells[path] = list(zip(nodes.tolist(), *values.tolist(), flags))
+    index = {level: i for i, level in enumerate(levels)}
+    predicted = [predicted_node_count(spec, level) for level in levels]
+    tag, rows = system_tag(spec), []
+    for level in order:
+        i = index[level]
+        for path in columns:
+            rows.append(SweepRow(tag, level, predicted[i], *cells[path][i], path, disagreement[i]))
+    return rows
 
 
-def _each(items, make) -> list:
-    """[make(item) for item in items]; an error names the item's index as
-    its `row`."""
-    out = []
-    for row, item in enumerate(items):
-        try:
-            out.append(make(item))
-        except (QnodesError, OverflowError) as exc:
-            exc.row = row
-            raise
-    return out
-
-
-def _max_disagreement(rows, units: Scales) -> float:
-    """Worst relative difference of a physical column between two rows
-    (or records: anything with the physical columns as attributes).
+def _max_disagreement(values: np.ndarray, groups, units: Scales) -> np.ndarray:
+    """Per group, the worst relative difference of a physical column
+    between two of its rows: `values` is a (column, row) array in
+    `COLUMN_UNITS` order, and `groups` numbers the group (0, 1, ...) of
+    each row.
 
     Each denominator is floored at the column's unit, so values far below
-    one natural unit are compared absolutely in that unit.  NaN if any
-    difference is NaN.
+    one natural unit are compared absolutely in that unit.  A group is NaN
+    if any of its differences is NaN, and 0.0 if it has one row.
     """
-    worst = 0.0
-    for i, a in enumerate(rows):
-        for b in rows[i + 1 :]:
-            for name, unit in COLUMN_UNITS.items():
-                va, vb = getattr(a, name), getattr(b, name)
-                rel = abs(va - vb) / max(abs(va), abs(vb), getattr(units, unit))
-                if math.isnan(rel):
-                    return math.nan
-                worst = max(worst, rel)
+    groups = np.asarray(groups, dtype=int)
+    order = np.argsort(groups, kind="stable")
+    sorted_groups = groups[order]
+    floors = np.array([getattr(units, unit) for unit in COLUMN_UNITS.values()])[:, None]
+    worst = np.zeros(np.max(groups, initial=-1) + 1)
+    # pair each row with the one `step` places on in `order`, while any pair shares a group
+    for step in range(1, len(order)):
+        same = sorted_groups[step:] == sorted_groups[:-step]
+        if not same.any():
+            break
+        a, b = values[:, order[:-step][same]], values[:, order[step:][same]]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN give NaN, as floats do
+            rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floors)
+            np.maximum.at(worst, sorted_groups[step:][same], rel.max(axis=0))
     return worst
 
 
@@ -291,36 +273,27 @@ def verify_rows(cfg: SweepConfig, rows: list[SweepRow]) -> list[str]:
     its stored or its recomputed disagreement exceeds the tolerance or is
     NaN; the failure names the worse of the two.
     """
-    by_level: dict[int, list[SweepRow]] = {}
-    for row in rows:
-        by_level.setdefault(row.level, []).append(row)
-    units = scales(cfg.system)
-    recomputed = {level: _max_disagreement(group, units) for level, group in by_level.items()}
+    values = np.array([[getattr(r, n) for r in rows] for n in COLUMN_UNITS], dtype=float)
+    index: dict[int, int] = {}
+    groups = [index.setdefault(row.level, len(index)) for row in rows]
+    recomputed = _max_disagreement(values, groups, scales(cfg.system))[groups].tolist()
+    finite = np.isfinite(values).T.tolist()
+    *_, product, bound = values
+    satisfied = _satisfied_flags(cfg.system, product, bound)
     failures: list[str] = []
-    for row in rows:
-        where = f"{row.system} level {row.level} ({row.path})"
-        for name in COLUMN_UNITS:
-            if not math.isfinite(getattr(row, name)):
-                failures.append(f"{where}: {name} is {getattr(row, name)!r}, not finite")
-        if _satisfied_flag(cfg.system, row.product, row.bound) == "false":
-            failures.append(
-                f"{where}: product {row.product:.12g} below bound {row.bound:.12g}"
-            )
+    for row, row_finite, flag, dis in zip(rows, finite, satisfied, recomputed):
+        names = [name for name, ok in zip(COLUMN_UNITS, row_finite) if not ok]
+        found = [f"{name} is {getattr(row, name)!r}, not finite" for name in names]
+        if flag == "false":
+            found.append(f"product {row.product:.12g} below bound {row.bound:.12g}")
         if row.nodes_counted is not None and row.nodes_counted != row.nodes_predicted:
-            failures.append(
-                f"{where}: counted {row.nodes_counted} nodes, predicted {row.nodes_predicted}"
-            )
-        exceeded = [
-            d
-            for d in (row.disagreement, recomputed[row.level])
-            if d is not None and not d <= cfg.tol
-        ]
+            found.append(f"counted {row.nodes_counted} nodes, predicted {row.nodes_predicted}")
+        exceeded = [d for d in (row.disagreement, dis) if d is not None and not d <= cfg.tol]
         if exceeded:
             worst = max(exceeded, key=lambda d: math.inf if math.isnan(d) else d)
-            failures.append(
-                f"{where}: cross-path disagreement {worst:.3e} "
-                f"exceeds tolerance {cfg.tol:.3e}"
-            )
+            found.append(f"cross-path disagreement {worst:.3e} exceeds tolerance {cfg.tol:.3e}")
+        where = f"{row.system} level {row.level} ({row.path})"
+        failures += [f"{where}: {line}" for line in found]
     return failures
 
 
@@ -359,7 +332,8 @@ def emit(
         lines = [CSV_HEADER] + [",".join(map(_cell, vars(r).values())) for r in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {"metadata": metadata or {}, "rows": [asdict(r) for r in rows]}
+        # a row's fields are all scalars: its __dict__ is what asdict copies
+        payload = {"metadata": metadata or {}, "rows": [dict(vars(r)) for r in rows]}
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     raise ConfigError(f"unknown output format {fmt!r}")
 

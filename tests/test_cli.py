@@ -178,6 +178,11 @@ _TOO_LARGE = [
      r"oscillator_psi supports n <= 200, got 201"),
     ("sweep-huge-level", ["sweep", "--system", "ring", "--levels", f"{_HUGE}:{_HUGE}"],
      rf"level {_HUGE}: int too large to convert to float"),
+    # the box grid does not depend on the level: sampling meets it first
+    ("sweep-box-huge-level", ["sweep", "--system", "box", "--levels", f"{_HUGE}:{_HUGE}"],
+     rf"level {_HUGE}: int too large to convert to float"),
+    ("nodes-box-huge-level", ["nodes", "--system", "box", "--levels", f"{_HUGE}:{_HUGE}"],
+     rf"level {_HUGE}: int too large to convert to float"),
     ("eigensolve-huge-k", ["eigensolve", "--system", "oscillator", "--k", _HUGE],
      rf"--k {_HUGE}: int too large to convert to float"),
 ]

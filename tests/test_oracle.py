@@ -549,7 +549,7 @@ class TestOneMomentPipeline:
 
         for module in (qnodes.grids, qnodes.oracle):
             monkeypatch.setattr(module, "quad", counted)
-        assert len(qnodes.oracle.records_from_stack(spec, levels, stack)) == 3
+        assert len(qnodes.oracle.columns_from_stack(spec, stack)["energy"]) == 3
         assert len(calls) == 1
 
     @pytest.mark.parametrize("spec, state", [(Box(), 3), (Oscillator(), 4)])

@@ -7,12 +7,18 @@ grid, a guard that fails inside a stack with the error a level-by-level
 sweep raises, and a sweep's peak memory with its level count.
 """
 
+import functools
 import math
+import re
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qnodes.report
 from qnodes import (
@@ -24,26 +30,38 @@ from qnodes import (
     Ring,
     SampledFunction,
     SweepConfig,
+    UncertaintyRecord,
+    Constants,
+    DomainError,
+    Scales,
+    box_uncertainties,
     count_nodes,
+    eigen_uncertainties,
+    oracle_uncertainties,
+    oscillator_uncertainties,
+    ring_uncertainties,
     run_sweep,
     sample_state,
     scales,
 )
+from qnodes.analytic import COLUMN_UNITS, uncertainty_columns
 from qnodes.eigensolver import (
     _apply,
     _parity_pairs,
     build_hamiltonian,
     default_eigen_grid,
-    eigen_records,
+    eigen_columns,
     ring_momentum_state,
     solve_lowest,
 )
 from qnodes.grids import STACK_BYTES, quad, stack_rows
 from qnodes.model import predicted_node_count
 from qnodes.nodal import _nodes, node_counts
-from qnodes.oracle import default_grid, record_from_samples, records_from_stack, sample_levels
+from qnodes.report import _max_disagreement
+from qnodes.oracle import columns_from_stack, default_grid, record_from_samples, sample_levels
 
 ALL = ("analytic", "oracle", "eigen")
+CLOSED_FORMS = {Box: box_uncertainties, Ring: ring_uncertainties, Oscillator: oscillator_uncertainties}
 FIELDS = ("energy", "delta_q", "delta_p", "product", "bound", "nodes_predicted")
 
 SWEEPS = {
@@ -104,7 +122,7 @@ def test_sweep_rows_equal_single_sample_functions(name):
             counted = count_nodes(psi).count
             rec = record_from_samples(spec, level, psi).rescaled(units)
             if row.path == "analytic":
-                rec = qnodes.report._analytic_record(spec, level)
+                rec = CLOSED_FORMS[type(spec)](spec, level)
         for field in FIELDS:
             assert getattr(row, field) == getattr(rec, field), (level, row.path, field)
         assert row.nodes_counted == counted, (level, row.path)
@@ -150,11 +168,18 @@ def test_eigen_block_equals_per_state_loop(spec, k):
                 u, w = result.states[2 * abs(m) - 1].values, result.states[2 * abs(m)].values
                 psi = (u + 1j * math.copysign(1.0, m) * w) / math.sqrt(2.0)
                 assert np.array_equal(ring_momentum_state(result, m).values, psi), m
-    # and the stacked records are each state's own
+    # and the stacked columns are each state's own record
     levels = {Box: range(1, k + 1), Oscillator: range(k), Ring: range(-(k // 2), k // 2 + 1)}
     levels = levels[type(spec)]
-    for level, rec in zip(levels, eigen_records(spec, result, levels)):
+    columns = eigen_columns(spec, result, levels)
+    for i, level in enumerate(levels):
         psi, pos = _eigen_state(spec, result, level)
+        rec = UncertaintyRecord.from_columns(
+            columns,
+            i,
+            nodes_predicted=predicted_node_count(spec, level),
+            nodes_measured=int(columns["nodes"][i]),
+        )
         assert rec == replace(
             record_from_samples(spec, level, psi),
             energy=float(result.energies[pos]),
@@ -184,7 +209,7 @@ class TestFirstFailingLevel:
             record_from_samples(Oscillator(), 1, SampledFunction(grid, ripple))
         assert "of <p^2>, above 1e-10" in str(single.value)
         with pytest.raises(GridError) as stacked:
-            records_from_stack(Oscillator(), [0, 1, 2], stack)
+            columns_from_stack(Oscillator(), stack)
         assert str(stacked.value) == str(single.value)
         assert stacked.value.row == 1
 
@@ -194,7 +219,7 @@ class TestFirstFailingLevel:
         with pytest.raises(NormalizationError) as single:
             record_from_samples(Oscillator(), 1, SampledFunction(grid, 1.1 * good[1]))
         with pytest.raises(NormalizationError) as stacked:
-            records_from_stack(Oscillator(), [0, 1, 2], stack)
+            columns_from_stack(Oscillator(), stack)
         assert str(stacked.value) == str(single.value)
         assert stacked.value.row == 1
 
@@ -237,3 +262,231 @@ def test_peak_memory_stops_growing_with_the_level_count():
     # six times the levels (12 stacks, not 2) add less than one stack's
     # samples: only the result rows grow
     assert large - small < STACK_BYTES
+
+
+# --- columns against the one-level forms ----------------------------------------
+
+SYSTEMS = {"box": Box, "ring": Ring, "oscillator": Oscillator}
+PARAM = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+def _spec(system, hbar, first, second):
+    constants = Constants(hbar=hbar)
+    if system == "box":
+        return Box(length=first, mass=second, constants=constants)
+    if system == "ring":
+        return Ring(moment_of_inertia=first, constants=constants)
+    return Oscillator(mass=first, omega=second, constants=constants)
+
+
+def _physical(spec, columns):
+    units = scales(spec)
+    return {name: units.rescale(name, columns[name], unit) for name, unit in COLUMN_UNITS.items()}
+
+
+def _assert_rows_equal(columns, records):
+    for i, rec in enumerate(records):
+        for name in COLUMN_UNITS:
+            assert columns[name][i] == getattr(rec, name), (i, name)
+
+
+def _levels(system):
+    """Distinct small levels of `system`."""
+    lo = {"box": 1, "ring": -30, "oscillator": 0}[system]
+    return st.lists(st.integers(lo, 30), min_size=1, max_size=6, unique=True)
+
+
+def _scalar_closed_forms(system, n):
+    """The scalar closed forms, in natural units and COLUMN_UNITS order,
+    on the Python integer n: the reference for the columns."""
+    if system == "box":
+        dx = math.sqrt(1.0 / 12.0 - 1.0 / (2.0 * n**2 * math.pi**2))
+        dp = n * math.pi
+        return n**2 * math.pi**2 / 2.0, dx, dp, dx * dp, 0.5
+    if system == "ring":
+        return n**2 / 2.0, 2.0 * math.pi / math.sqrt(12.0), 0.0, 0.0, 0.5
+    spread = math.sqrt(n + 0.5)
+    return n + 0.5, spread, spread, n + 0.5, 0.5
+
+
+@settings(max_examples=60, deadline=None)
+# squares beyond int64 (n > 3037000499) and levels beyond 2^53
+@example(system="box", hbar=1.0, first=1.0, second=1.0, ks=[0, 3037000500, 2**53, 10**15])
+@example(system="ring", hbar=1.0, first=1.0, second=1.0, ks=[0, 3037000500, 2**53, 10**15])
+@example(system="oscillator", hbar=1.0, first=1.0, second=1.0, ks=[0, 2**53 + 1, 10**15])
+@given(
+    system=st.sampled_from(list(SYSTEMS)),
+    hbar=PARAM,
+    first=PARAM,
+    second=PARAM,
+    ks=st.lists(st.integers(0, 10**15), min_size=1, max_size=6, unique=True),
+)
+def test_closed_form_columns_equal_the_one_level_forms(system, hbar, first, second, ks):
+    spec = _spec(system, hbar, first, second)
+    # box levels start at 1; ring levels of either sign
+    levels = [k + 1 if system == "box" else k for k in ks]
+    if system == "ring":
+        levels = [k if i % 2 else -k for i, k in enumerate(levels)]
+    natural = uncertainty_columns(spec, levels)
+    for i, level in enumerate(levels):
+        got = tuple(natural[name][i] for name in COLUMN_UNITS)
+        assert got == _scalar_closed_forms(system, level), level
+    columns = _physical(spec, natural)
+    _assert_rows_equal(columns, [CLOSED_FORMS[type(spec)](spec, level) for level in levels])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), system=st.sampled_from(list(SYSTEMS)), hbar=PARAM, first=PARAM, second=PARAM)
+def test_oracle_columns_equal_oracle_uncertainties(data, system, hbar, first, second):
+    spec = _spec(system, hbar, first, second)
+    levels = sorted(data.draw(_levels(system)))
+    grid = default_grid(spec, max(levels, key=abs))
+    (stack,) = sample_levels(spec, [levels], grid)
+    columns = _physical(spec, columns_from_stack(spec, stack))
+    _assert_rows_equal(columns, [oracle_uncertainties(spec, level, grid) for level in levels])
+
+
+@functools.cache
+def _natural_eigen(system):
+    spec = SYSTEMS[system]()
+    k = 61 if system == "ring" else 31
+    return solve_lowest(build_hamiltonian(spec, default_eigen_grid(spec, k)), k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), system=st.sampled_from(list(SYSTEMS)), hbar=PARAM, first=PARAM, second=PARAM)
+def test_eigen_columns_equal_eigen_uncertainties(data, system, hbar, first, second):
+    spec = _spec(system, hbar, first, second)
+    levels = data.draw(_levels(system))
+    result = _natural_eigen(system)
+    natural = eigen_columns(spec, result, levels)
+    records = [eigen_uncertainties(spec, result, level) for level in levels]
+    _assert_rows_equal(_physical(spec, natural), records)
+    assert natural["nodes"].tolist() == [rec.nodes_measured for rec in records]
+
+
+# --- the cross-path disagreement over columns ---------------------------------
+
+
+def _scalar_disagreement(rows, units):
+    """The level-by-level loop over rows (tuples in COLUMN_UNITS order)
+    that the column form replaces."""
+    worst = 0.0
+    for i, a in enumerate(rows):
+        for b in rows[i + 1 :]:
+            for va, vb, unit in zip(a, b, COLUMN_UNITS.values()):
+                rel = abs(va - vb) / max(abs(va), abs(vb), getattr(units, unit))
+                if math.isnan(rel):
+                    return math.nan
+                worst = max(worst, rel)
+    return worst
+
+
+VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-300, 1.0, 1.0 + 2**-52, math.inf, -math.inf, math.nan]),
+)
+UNIT = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@example(rows=[(0, (1.0,) * 5)], floors=(1.0,) * 4)  # a one-row level is 0.0
+@example(rows=[(0, (1e-20,) * 5), (0, (3e-20,) * 5)], floors=(1.0,) * 4)  # floored
+@example(rows=[(0, (math.inf,) * 5), (0, (1.0,) * 5), (1, (1.0,) * 5)], floors=(1.0,) * 4)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 4), st.tuples(*[VALUE] * 5)), min_size=1, max_size=12),
+    floors=st.tuples(UNIT, UNIT, UNIT, UNIT),
+)
+def test_column_disagreement_equals_the_scalar_loop(rows, floors):
+    units = Scales(*floors)
+    # number the groups 0, 1, ... in order of first appearance
+    index = {}
+    groups = [index.setdefault(g, len(index)) for g, _ in rows]
+    values = np.array([v for _, v in rows], dtype=float).T
+    got = _max_disagreement(values, groups, units)
+    for g, group in enumerate(index):
+        want = _scalar_disagreement([v for h, v in rows if h == group], units)
+        assert got[g] == want or (math.isnan(got[g]) and math.isnan(want)), (g, got[g], want)
+
+
+# --- an overflow on any path names the first failing level --------------------
+
+
+def _inflated(function, row, column):
+    """`function`, with `column` of its columns' row `row` raised to the
+    largest double."""
+
+    def inflated(*args):
+        columns = function(*args)
+        if len(columns[column]) > row:
+            columns[column][row] = sys.float_info.max
+        return columns
+
+    return inflated
+
+
+# Box(length=0.5) has an energy scale of 4 and a momentum scale of 2:
+# the largest double overflows in either
+OVERFLOWS = {
+    column: rf"{column} {re.escape(repr(sys.float_info.max))} overflows to inf at the {scale}"
+    for column, scale in (("energy", r"energy scale 4\.0"), ("delta_p", r"momentum scale 2\.0"))
+}
+PATCHED = {"analytic": "uncertainty_columns", "oracle": "columns_from_stack", "eigen": "eigen_columns"}
+
+
+@pytest.mark.parametrize(
+    "inflate, level, column",
+    [
+        ([("oracle", 3, "energy")], 4, "energy"),
+        ([("eigen", 2, "delta_p")], 3, "delta_p"),
+        ([("oracle", 3, "energy"), ("eigen", 1, "delta_p")], 2, "delta_p"),
+        ([("oracle", 1, "energy"), ("eigen", 3, "delta_p")], 2, "energy"),
+        # within a level, the paths in order, and each path's columns in order
+        ([("oracle", 2, "energy"), ("eigen", 2, "delta_p")], 3, "energy"),
+        ([("analytic", 2, "delta_p"), ("oracle", 2, "energy")], 3, "delta_p"),
+        ([("eigen", 2, "delta_p"), ("eigen", 2, "energy")], 3, "energy"),
+    ],
+)
+def test_column_overflow_names_the_first_failing_level(monkeypatch, inflate, level, column):
+    for path, row, name in inflate:
+        function = getattr(qnodes.report, PATCHED[path])
+        monkeypatch.setattr(qnodes.report, PATCHED[path], _inflated(function, row, name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as raised:
+            run_sweep(SweepConfig(Box(length=0.5), tuple(range(1, 7)), ALL))
+    assert re.fullmatch(rf"level {level}: {OVERFLOWS[column]}", str(raised.value))
+
+
+def test_rescale_of_a_level_comes_before_the_next_path_guard(monkeypatch):
+    # level 3's closed forms overflow, and its oracle moments fail a guard:
+    # the closed forms come first, as in a level-by-level sweep
+    def guarded(spec, psi):
+        if len(psi.values) > 2:
+            raise _row_error(2)
+        return columns_from_stack(spec, psi)
+
+    inflated = _inflated(uncertainty_columns, 2, "delta_p")
+    monkeypatch.setattr(qnodes.report, "uncertainty_columns", inflated)
+    monkeypatch.setattr(qnodes.report, "columns_from_stack", guarded)
+    with pytest.raises(DomainError) as raised:
+        run_sweep(SweepConfig(Box(length=0.5), tuple(range(1, 7)), ("analytic", "oracle")))
+    assert re.fullmatch(rf"level 3: {OVERFLOWS['delta_p']}", str(raised.value))
+
+
+def _row_error(row):
+    exc = GridError("grid too coarse")
+    exc.row = row
+    return exc
+
+
+def test_level_too_large_for_a_float_after_a_failing_level():
+    # the first level fails in its closed forms (n^2 is too large for a
+    # float), the second already in sampling: the first one's error is raised
+    first, second = 10**200, 10**400
+    with pytest.raises(DomainError) as alone:
+        run_sweep(SweepConfig(Box(), (first,)))
+    with pytest.raises(DomainError) as both:
+        run_sweep(SweepConfig(Box(), (second, first)))
+    assert str(both.value) == str(alone.value)
+    assert str(alone.value).startswith(f"level {first}: ")

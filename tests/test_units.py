@@ -13,6 +13,7 @@ import math
 from dataclasses import replace
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -162,7 +163,8 @@ class TestScaledChecks:
         )
         analytic, oracle = run_sweep(cfg)
         bad = replace(oracle, energy=2.0 * oracle.energy, delta_p=2.0 * oracle.delta_p)
-        dis = _max_disagreement([analytic, bad], scales(cfg.system))
+        values = np.array([[getattr(r, name) for r in (analytic, bad)] for name in COLUMN_UNITS])
+        (dis,) = _max_disagreement(values, [0, 0], scales(cfg.system))
         assert dis == pytest.approx(0.5, rel=1e-6)
         rows = [replace(r, disagreement=dis) for r in (analytic, bad)]
         assert any("disagreement" in f for f in verify_rows(cfg, rows))

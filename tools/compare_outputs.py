@@ -60,6 +60,13 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["sweep", "--system", "ring", "--levels", "-1:1", *ALL_PATHS],
         # the bisection tolerance on a fine grid
         ["eigensolve", "--system", "box", "--k", "6", "--grid-points", "20001"],
+        # row shapes the column code builds: one path (no disagreement, `na`),
+        # two paths without the closed forms (JSON floats), and the bench's
+        # `osc-ladder` operation as a command
+        ["sweep", "--system", "ring", "--levels", "-10:10", "--paths", "analytic"],
+        ["sweep", "--system", "box", "--levels", "1:20", "--paths", "oracle,eigen",
+         "--format", "json"],
+        ["verify", "--system", "oscillator", "--levels", "0:200"],
     )
 )
 
