@@ -205,6 +205,8 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
         try:
             grid = default_eigen_grid(spec, k=k, points=grid_points)
         except GridError as exc:
+            if grid_points is None:  # the default grid's rule, past its limit
+                raise
             raise ConfigError(f"grid points {grid_points}: {exc}") from exc
         except OverflowError as exc:
             raise DomainError(f"--k {k}: {exc}") from exc

@@ -1,18 +1,24 @@
 """Finite-difference Hamiltonians and a formula-free eigenpair oracle.
 
-The three systems are discretized with the standard three-point Laplacian:
-hard walls drop the boundary points (box), the ring couples first and last
-points, and the oscillator lives on a truncated open interval where the
-state has decayed below roundoff.  Each matrix commutes with its mirror
-(x -> a - x, x -> -x, theta -> -theta), so it splits into an even and an
-odd symmetric tridiagonal block of about half the size, each solved for
-about half the levels (`scipy.linalg.eigh_tridiagonal`).  Bisection runs
+The three systems are discretized with the order-6 central Laplacian
+(Fornberg, *Math. Comp.* 51, 1988): hard walls close it with
+odd-reflection ghost points (box), the ring's operator is circulant, and
+the oscillator lives on a truncated open interval where the state has
+decayed below roundoff.  Each operator commutes with its mirror
+(x -> a - x, theta -> -theta, x -> -x), so it folds into an even and an
+odd block of about half the size.  The three-point operator's tridiagonal
+blocks label the levels (`scipy.linalg.eigh_tridiagonal`): bisection runs
 only to a fixed tolerance in natural energy units, which tells the levels
-apart; inverse iteration converges the vectors from it, and each energy is
-the vector's Rayleigh quotient (Parlett, *The Symmetric Eigenvalue
-Problem*, SIAM 1998, ch. 4).  The m-th levels of the ring's even (cos) and
-odd (sin) blocks are the degenerate +/-m pair (symmetry reduction:
-Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3).
+apart, and inverse iteration gives each a vector.  Each energy is that
+vector's Rayleigh quotient on the order-6 operator.  The box's and the
+ring's three-point vectors are discrete sine and Fourier modes, exact
+eigenvectors of the order-6 operator as well; a level whose residual
+still misses `_RESIDUAL_TOL` (the oscillator's) takes Rayleigh-quotient
+iteration steps in its order-6 block, one banded solve each (Parlett,
+*The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 4).  The m-th levels of
+the ring's even (cos) and odd (sin) blocks are the degenerate +/-m pair
+(symmetry reduction: Trefethen, *Spectral Methods in MATLAB*, SIAM 2000,
+ch. 3).
 
 Grids, Hamiltonians, energies and states are in the system's natural
 units (`model.scales`); `eigen_uncertainties` rescales its record once.
@@ -49,23 +55,50 @@ _RESIDUAL_TOL = 1e-8
 # absolute, in natural energy units: same-parity levels are at least ~0.47
 # apart on every grid, while ||T||_1 grows as 1/h^2
 _BISECTION_TOL = 1e-4
+# Rayleigh-quotient iteration converges cubically: on its default grid an
+# oscillator level meets `_RESIDUAL_TOL` in one step from its three-point
+# vector
+_MAX_REFINEMENTS = 4
 
-DEFAULT_EIGEN_POINTS = {Box: 2001, Oscillator: 2001, Ring: 1024}
+# -(1/2) d^2/dq^2 as integer central weights over a denominator times h^2:
+# the three-point stencil, and the order-6 one (Fornberg's
+# [2, -27, 270, -490, 270, -27, 2] / 180).  `_apply` takes the order-6
+# weights' partial sums on the first differences f(q + h) - f(q), so a
+# constant's differences, and so its image, are exactly zero.
+_KINETIC_2 = (np.array([-1.0, 2.0, -1.0]), 2.0)
+_KINETIC_6 = (np.array([-2.0, 27.0, -270.0, 490.0, -270.0, 27.0, -2.0]), 360.0)
+_STEP_WEIGHTS_6 = np.cumsum(-_KINETIC_6[0])[:-1]
+
+# Default eigen grids: the largest relative energy error (kappa h)^6 / 560
+# of the order-6 operator at the top level's wavenumber kappa, far below
+# the default cross-path tolerance of 1e-6, so kappa h <= 0.133
+_GRID_ERROR = 1e-8
+_MAX_KAPPA_H = (560.0 * _GRID_ERROR) ** (1.0 / 6.0)
+# and the most points the rule may ask for (2^13 intervals): a solve holds
+# a few (levels, points) arrays, and 347 box or ring levels fill 23 MB each
+_MAX_EIGEN_POINTS = (1 << 13) + 1
 
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Symmetric discretization of -(1/2) d^2/dq^2 + V(q) in natural units.
+    """-(1/2) d^2/dq^2 + V(q) in natural units, to order 6, on the unknowns
+    of `grid`.
 
-    `diagonal` holds 1/h^2 + V(q_i) per unknown; `off_diagonal` is the
-    uniform coupling -1/(2 h^2).  A periodic grid adds the two corner
-    couplings and makes the mirror j -> N - j, not N - 1 - j; `solve_lowest`
-    folds the (mirror-symmetric) matrix by it.  `grid` is the full state
-    grid (for the box this includes the wall points the matrix excludes).
+    `potential` holds V(q_i) per unknown: every grid point, or the box's
+    interior points (its walls are not unknowns).  `diagonal` and
+    `off_diagonal` are the three-point operator's, 1/h^2 + V(q_i) and
+    -1/(2 h^2), whose tridiagonal blocks label the levels.  A periodic
+    grid makes the mirror j -> N - j, not N - 1 - j; `solve_lowest` folds
+    the (mirror-symmetric) operator by it.  `grid` is the full state grid
+    (for the box this includes the wall points).
     """
 
     grid: GridSpec
-    diagonal: np.ndarray
+    potential: np.ndarray
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return 1.0 / self.grid.h**2 + self.potential
 
     @property
     def off_diagonal(self) -> float:
@@ -75,21 +108,41 @@ class Hamiltonian:
     def periodic(self) -> bool:
         return self.grid.boundary == "periodic"
 
+    @cached_property
+    def halo(self) -> tuple[np.ndarray, np.ndarray]:
+        """(unknown, sign) of each chain position -3 .. n + 2, n unknowns:
+        position j holds sign * v[unknown].  The ring wraps around, the
+        box reflects oddly in its walls (sign 0 on a wall), and the
+        oscillator's chain is zero beyond its ends."""
+        n = self.potential.size
+        j = np.arange(-3, n + 3)
+        if self.periodic:
+            return j % n, np.ones(j.size)
+        if self.grid.boundary == "open":
+            return np.clip(j, 0, n - 1), ((j >= 0) & (j < n)).astype(float)
+        # unknown u is point u + 1 of n + 1 intervals: the odd, periodic extension
+        period = 2 * (n + 1)
+        point = (j + 1) % period
+        beyond = point > n + 1
+        point = np.where(beyond, period - point, point)
+        sign = np.where(beyond, -1.0, 1.0) * ((point > 0) & (point <= n))
+        return np.clip(point - 1, 0, n - 1), sign
+
 
 @dataclass(frozen=True)
 class EigenResult:
     """Lowest eigenpairs in natural units: ascending energies, the stack of
     normalized sampled states (row j is state j), and residual norms
-    ||H psi - E psi||.
+    ||H psi - E psi|| on the order-6 operator.
 
     States alternate even, odd, even, ... under the mirror; the ring's come
     as [m=0, cos 1, sin 1, cos 2, sin 2, ...].  A +/-m pair, or a doublet
     split below roundoff, is solved in two blocks, so its energies may be
-    out of order by roundoff.  An energy within the roundoff floor of its
-    block's Rayleigh quotient (eps times the block's 1-norm) of zero is
-    exactly 0.0: its digits are roundoff.  Where the operator maps the
-    constant vector to exactly zero (the ring), that state is the constant,
-    so the ring's m = 0 is exact however few levels are solved.
+    out of order by roundoff.  An energy within the roundoff floor of a
+    Rayleigh quotient (eps times the operator's 1-norm) of zero is exactly
+    0.0: its digits are roundoff.  Where the operator maps the constant
+    vector to exactly zero (the ring), that state is the constant, so the
+    ring's m = 0 is exact however few levels are solved.
     """
 
     energies: np.ndarray
@@ -103,152 +156,264 @@ class EigenResult:
 
 
 def default_eigen_grid(spec: SystemSpec, k: int = 6, points: int | None = None) -> GridSpec:
-    """Natural-unit grid suited to resolving the k lowest levels."""
-    if points is None:
-        points = DEFAULT_EIGEN_POINTS[type(spec)]
+    """Natural-unit grid on which the order-6 operator resolves the k
+    lowest levels.
+
+    The box's grid is [0, 1], the ring's [0, 2 pi) and the oscillator's
+    [-L, L], L = max(sqrt(2k+1) + 8, 12).  By default a grid takes the
+    fewest intervals, a power of two, for which the relative energy error
+    (kappa h)^6 / 560 at the top level's largest wavenumber kappa is at
+    most `_GRID_ERROR`: kappa = k pi on the box (2^p + 1 points),
+    floor(k/2) (at least 1) on the ring (2^p points) and sqrt(2k+1) on the
+    oscillator (2^p + 1 points).  A rule asking for more than
+    `_MAX_EIGEN_POINTS` points raises GridError; `points` overrides the
+    rule.
+    """
+    # in floats: a k too large for one overflows
+    top = float(k)
     if isinstance(spec, Box):
-        return GridSpec(0.0, 1.0, points, "dirichlet")
-    if isinstance(spec, Ring):
-        return GridSpec(0.0, 2.0 * math.pi, points, "periodic")
-    half_width = max(math.sqrt(2.0 * k + 1.0) + 8.0, 12.0)
-    return GridSpec(-half_width, half_width, points, "open")
+        lower, upper, boundary, kappa = 0.0, 1.0, "dirichlet", math.pi * top
+    elif isinstance(spec, Ring):
+        lower, upper, boundary, kappa = 0.0, 2.0 * math.pi, "periodic", max(top // 2.0, 1.0)
+    else:
+        kappa = math.sqrt(2.0 * top + 1.0)
+        upper = max(kappa + 8.0, 12.0)
+        lower, boundary = -upper, "open"
+    if points is None:
+        need = math.ceil((upper - lower) * kappa / _MAX_KAPPA_H)
+        intervals = 1 << (need - 1).bit_length()
+        points = intervals if boundary == "periodic" else intervals + 1
+        if points > _MAX_EIGEN_POINTS:
+            raise GridError(
+                f"{type(spec).__name__.lower()} eigen grid for {k} levels needs "
+                f"{points} points, above the limit of {_MAX_EIGEN_POINTS}"
+            )
+    return GridSpec(lower, upper, points, boundary)
 
 
 def build_hamiltonian(spec: SystemSpec, grid: GridSpec) -> Hamiltonian:
-    """Three-point finite-difference Hamiltonian on the natural-unit `grid`.
-
-    The hopping is t = 1/(2 h^2); the oscillator adds V = x^2/2.
-    """
+    """Order-6 finite-difference Hamiltonian on the natural-unit `grid`:
+    no potential on the box's interior points or the ring, V = x^2/2 on
+    the oscillator's points."""
     boundary = {Box: "dirichlet", Ring: "periodic", Oscillator: "open"}[type(spec)]
     if grid.boundary != boundary:
         raise GridError(f"{type(spec).__name__.lower()} Hamiltonian needs a {boundary} grid")
-    t = 1.0 / (2.0 * grid.h**2)
     if isinstance(spec, Box):
-        diag = np.full(grid.points - 2, 2.0 * t)
+        potential = np.zeros(grid.points - 2)
     elif isinstance(spec, Ring):
-        diag = np.full(grid.points, 2.0 * t)
+        potential = np.zeros(grid.points)
     else:
-        diag = 2.0 * t + 0.5 * grid.x**2
-    return Hamiltonian(grid, diag)
+        potential = 0.5 * grid.x**2
+    return Hamiltonian(grid, potential)
 
 
 def _apply(ham: Hamiltonian, v: np.ndarray) -> np.ndarray:
-    """H v for each row of `v`."""
-    out = ham.diagonal * v
-    out[..., :-1] += ham.off_diagonal * v[..., 1:]
-    out[..., 1:] += ham.off_diagonal * v[..., :-1]
-    if ham.periodic:
-        out[..., 0] += ham.off_diagonal * v[..., -1]
-        out[..., -1] += ham.off_diagonal * v[..., 0]
-    return out
+    """H v with the order-6 operator, for `v` one state or a stack of them.
+
+    The integer weights come first, one correlation per row on the first
+    differences of its padded chain (`Hamiltonian.halo`), then one scale
+    by 1/(360 h^2): row by row, so a stack's rows equal its states' bit
+    for bit.
+    """
+    rows = np.atleast_2d(v)
+    n = rows.shape[1]
+    index, sign = ham.halo
+    padded = np.empty((len(rows), n + 6))
+    padded[:, 3:-3] = rows
+    padded[:, :3] = rows[:, index[:3]] * sign[:3]
+    padded[:, -3:] = rows[:, index[-3:]] * sign[-3:]
+    out = np.empty_like(padded[:, :n])
+    for row, steps in zip(out, np.diff(padded)):
+        row[:] = np.correlate(steps, _STEP_WEIGHTS_6, "valid")
+    out *= 1.0 / (_KINETIC_6[1] * ham.grid.h**2)
+    out += ham.potential * rows
+    return out.reshape(v.shape)
 
 
-def _lowest_tridiagonal(
-    diagonal: np.ndarray, off: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """`count` lowest eigenpairs of T, and the energies' roundoff floor eps ||T||_1.
+class _Mirror:
+    """The mirror j -> N - j (mod N) of a periodic chain of N unknowns, else
+    j -> N - 1 - j, and the even and odd blocks it folds an operator into.
+
+    Unknowns a <= mirror(a) carry the blocks.  Even-block unknown a is the
+    unit vector (e_a + e_mirror(a))/sqrt 2, or e_a if a is its own mirror;
+    odd-block unknowns are (e_a - e_mirror(a))/sqrt 2, over the unknowns
+    with a partner.  Unfolded, a unit block vector is a unit chain vector.
+    """
+
+    def __init__(self, n: int, periodic: bool):
+        j = np.arange(n)
+        mirror = (n - j) % n if periodic else n - 1 - j
+        self.fold = np.minimum(j, mirror)
+        # +1 before the mirror, -1 beyond it, 0 on a self-mirrored unknown
+        self.side = np.sign(mirror - j)
+        self.paired = self.side[: int(self.fold.max()) + 1] != 0
+        self.odd_index = np.cumsum(self.paired) - 1
+
+    def bands(self, ham: Hamiltonian, kinetic) -> tuple[np.ndarray, np.ndarray]:
+        """The even and odd blocks of `ham` with the `kinetic` stencil, each
+        in `scipy.linalg.solve_banded`'s (3, 3) storage (A[i, j] at
+        [3 + i - j, j]).
+
+        Block entry (a, b) sums the chain rows a over the columns that fold
+        to b, times sqrt 2 on a paired row and 1/sqrt 2 on a paired column
+        (even), or times the column's side (odd).  Folding moves no column
+        further than its offset, so the blocks keep the stencil's width.
+        """
+        stencil, denominator = kinetic
+        index, sign = ham.halo
+        a = np.arange(self.paired.size)
+        scale = 1.0 / (denominator * ham.grid.h**2)
+        reach = len(stencil) // 2
+        cols = np.concatenate([index[a + 3 + d] for d in range(-reach, reach + 1)])
+        values = np.concatenate([w * scale * sign[a + 3 + d] for d, w in enumerate(stencil, -reach)])
+        values[reach * a.size : (reach + 1) * a.size] += ham.potential[: a.size]
+        rows = np.tile(a, len(stencil))
+        b, side, paired = self.fold[cols], self.side[cols], self.paired[rows]
+        even = np.zeros((7, a.size))
+        np.add.at(even, (3 + rows - b, b), values * math.sqrt(2.0) ** (paired * 1 - (side != 0)))
+        keep = paired & (side != 0)
+        r, c = self.odd_index[rows[keep]], self.odd_index[b[keep]]
+        odd = np.zeros((7, int(np.count_nonzero(self.paired))))
+        np.add.at(odd, (3 + r - c, c), values[keep] * side[keep])
+        return even, odd
+
+    def unfold(self, vecs: np.ndarray, odd: bool) -> np.ndarray:
+        """Chain vectors of the block vectors `vecs`, one per row."""
+        if odd:
+            padded = np.zeros((len(vecs), self.paired.size))
+            padded[:, self.paired] = vecs
+            return padded[:, self.fold] * (self.side / math.sqrt(2.0))
+        return vecs[:, self.fold] * np.where(self.paired, 1.0 / math.sqrt(2.0), 1.0)[self.fold]
+
+    def restrict(self, rows: np.ndarray, odd: bool) -> np.ndarray:
+        """Block vectors, up to scale, of the mirror-symmetric (even) or
+        antisymmetric (odd) chain vectors `rows`."""
+        block = rows[:, : self.paired.size]
+        if odd:
+            return block[:, self.paired]
+        return block * np.where(self.paired, math.sqrt(2.0), 1.0)
+
+
+def _bisect(diagonal: np.ndarray, off: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` lowest levels of the tridiagonal T and their unit
+    vectors, one per row.
 
     Bisection (`dstebz`) runs only to the absolute `_BISECTION_TOL`: that
     fixes which level is which, and inverse iteration (`dstein`) converges
-    each vector from it.  Each energy is then the Rayleigh quotient
-    v.Tv / v.v of its vector, whose error is quadratic in the vector's; its
-    roundoff, not the bisection, sets the floor.
+    each vector from it.
     """
-    rows = np.abs(diagonal) + np.pad(np.abs(off), (0, 1)) + np.pad(np.abs(off), (1, 0))
     try:
         coarse, vecs = scipy.linalg.eigh_tridiagonal(
             diagonal, off, select="i", select_range=(0, count - 1), tol=_BISECTION_TOL
         )
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
-    # (T - w) v about the bisected w: the quotient's sum then carries only
-    # the small residual, not terms of size ||T||_1
-    gap = diagonal[:, None] * vecs
-    gap[:-1] += off[:, None] * vecs[1:]
-    gap[1:] += off[:, None] * vecs[:-1]
-    gap -= coarse * vecs
-    energies = coarse + np.einsum("ij,ij->j", vecs, gap) / np.einsum("ij,ij->j", vecs, vecs)
-    return energies, vecs, np.finfo(float).eps * float(rows.max())
+    return coarse, vecs.T
 
 
-def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _quotients(ham: Hamiltonian, rows: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order-6 Rayleigh quotients w + v.(H - w)v / v.v of the `rows` about
+    the `shifts` w, and their residual norms ||H v - E v||.
+
+    About w, the quotient's sum carries only (H - w) v, not terms of size
+    ||H||_1; its error is quadratic in the vector's.
+    """
+    image = _apply(ham, rows)
+    gap = image - shifts[:, None] * rows
+    energies = shifts + dot(rows, gap) / dot(rows, rows)
+    image -= energies[:, None] * rows
+    return energies, np.sqrt(dot(image, image))
+
+
+def _inverse_iteration(band: np.ndarray, vecs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """One step of inverse iteration per row of `vecs`, shifted by its
+    entry of `shifts`, in the (3, 3)-banded block `band`: the unit
+    solutions y of (B - shift) y = v."""
+    shifted = band.copy()
+    out = np.empty_like(vecs)
+    for i, (v, shift) in enumerate(zip(vecs, shifts)):
+        shifted[3] = band[3] - shift
+        try:
+            y = scipy.linalg.solve_banded((3, 3), shifted, v, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"inverse iteration failed: {exc}") from exc
+        out[i] = y / math.sqrt(float(y @ y))
+    return out
+
+
+def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """k lowest eigenpairs from the even and odd mirror blocks, unfolded.
 
-    The mirror is j -> N - j (mod N) on a periodic chain of N unknowns, else
-    j -> N - 1 - j; unknowns j <= mirror(j) carry the blocks.  Couplings to a
-    self-mirrored unknown carry sqrt 2 in the even block, which it alone joins.
-    If the last unknown couples to its own mirror, the even diagonal gains +c
-    there and the odd -c.  Open chains alternate [even 0, odd 0, even 1, ...]
-    (ascending: a Jacobi matrix's levels alternate in parity); the ring is
-    [m=0, cos 1, sin 1, ...].  Returns the Rayleigh-quotient energies, unit
-    vectors and each energy's block floor; see `EigenResult` for a zero energy.
+    The three-point operator's blocks label the levels (`_bisect`).  Open
+    chains alternate [even 0, odd 0, even 1, ...] (ascending: a Jacobi
+    matrix's levels alternate in parity); the ring is [m=0, cos 1, sin 1,
+    ...].  Each energy is its vector's order-6 Rayleigh quotient, and a
+    level whose residual misses `_RESIDUAL_TOL` takes up to
+    `_MAX_REFINEMENTS` Rayleigh-quotient iteration steps in its order-6
+    block.  Returns the energies, the unit chain vectors (one per row),
+    their residual norms on the full operator, and the quotients' roundoff
+    floor eps ||H||_1; see `EigenResult` for a zero energy.
     """
-    n, c = ham.diagonal.size, ham.off_diagonal
-    root2 = math.sqrt(2.0)
-    j = np.arange(n)
-    mirror = (n - j) % n if ham.periodic else n - 1 - j
-    fold = np.minimum(j, mirror)
-    half = int(fold.max()) + 1
-    own = mirror[:half] == j[:half]
-    even_diag = ham.diagonal[:half].copy()
-    even_off = np.where(own[:-1] | own[1:], c * root2, c)
-    odd_diag = ham.diagonal[:half][~own]
-    if mirror[half - 1] == half:
-        even_diag[-1] += c
-        odd_diag[-1] -= c
+    n = ham.potential.size
+    mirror = _Mirror(n, ham.periodic)
     slot = np.arange(k)
-    even_slot = (slot % 2 == int(ham.periodic)) | (slot == 0)
-    n_odd = k - int(np.count_nonzero(even_slot))
-    even_e, even_v, even_tol = _lowest_tridiagonal(even_diag, even_off, k - n_odd)
+    even = (slot % 2 == int(ham.periodic)) | (slot == 0)
+    blocks = [(even, False), (~even, True)]
+    rows, shifts = np.empty((k, n)), np.empty(k)
+    for (slots, odd), band in zip(blocks, mirror.bands(ham, _KINETIC_2)):
+        if slots.any():
+            shifts[slots], vecs = _bisect(band[3], band[4, :-1], int(np.count_nonzero(slots)))
+            rows[slots] = mirror.unfold(vecs, odd)
+    energies, residuals = _quotients(ham, rows, shifts)
 
-    # unfold by mirror symmetry: chain point j takes unknown min(j, mirror(j));
-    # in place where possible, as these temporaries set a sweep's peak memory
-    energies, floors, rows = np.empty(k), np.empty(k), np.empty((k, n))
-    energies[even_slot], floors[even_slot] = even_e, even_tol
-    even_v *= np.where(own, 1.0, 1.0 / root2)[:, None]
-    rows[even_slot] = even_v.T[:, fold]
-    if n_odd:
-        odd_e, odd_v, odd_tol = _lowest_tridiagonal(odd_diag, np.full(odd_diag.size - 1, c), n_odd)
-        padded = np.zeros((n_odd, half))
-        padded[:, ~own] = odd_v.T
-        padded /= root2
-        odd_v = padded[:, fold]
-        odd_v *= np.sign(mirror - j)
-        energies[~even_slot], floors[~even_slot] = odd_e, odd_tol
-        rows[~even_slot] = odd_v
+    order6 = start = None
+    for _ in range(_MAX_REFINEMENTS):
+        tol = _RESIDUAL_TOL * max(float(np.max(np.abs(energies))), 1.0)
+        todo = residuals > tol
+        if not todo.any():
+            break
+        if start is None:
+            order6, start = mirror.bands(ham, _KINETIC_6), rows.copy()
+        for (slots, odd), band in zip(blocks, order6):
+            redo = todo & slots
+            if redo.any():
+                vecs = _inverse_iteration(band, mirror.restrict(rows[redo], odd), energies[redo])
+                rows[redo] = mirror.unfold(vecs, odd)
+        energies[todo], residuals[todo] = _quotients(ham, rows[todo], energies[todo])
+    if start is not None:
+        # a refined vector must keep its three-point vector as its largest
+        # component: then no two levels can converge to one eigenvector
+        overlap = np.abs(dot(rows, start))
+        raise_first(((overlap <= math.sqrt(0.5)) & (residuals <= tol), lambda j: ConvergenceError(
+            f"eigenpair {j} left its three-point level in refinement (overlap "
+            f"{overlap[j]:.3f}): the grid is too coarse for it"
+        )))
 
     # a zero energy within roundoff of an exact constant null vector is that vector
-    zero = np.abs(energies) <= floors
+    stencil = _KINETIC_6[0] / (_KINETIC_6[1] * ham.grid.h**2)
+    norm1 = np.max(np.abs(ham.potential + stencil[3])) + np.sum(np.abs(stencil)) - abs(stencil[3])
+    floor = np.finfo(float).eps * float(norm1)
+    zero = np.abs(energies) <= floor
     if zero.any() and not _apply(ham, np.ones(n)).any():
         rows[zero] = 1.0 / math.sqrt(n)
-        energies[zero] = 0.0
-    return energies, rows.T, floors
+        energies[zero] = residuals[zero] = 0.0
+    return energies, rows, residuals, floor
 
 
 def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     """k lowest eigenpairs, continuum-normalized with a positive leading lobe.
 
     The even and odd mirror blocks are solved (`_parity_pairs`) and every
-    pair is checked against the full operator; see `EigenResult`.  The
-    residuals, norms and signs are taken on the whole block of
-    eigenvectors, one row per state.
+    pair is checked against the full order-6 operator; see `EigenResult`.
+    The norms and signs are taken on the whole block of eigenvectors, one
+    row per state.
     """
-    dim = ham.diagonal.size
+    dim = ham.potential.size
     if not 1 <= k <= dim:
         raise ConfigError(f"requested {k} eigenpairs from a {dim}-dimensional matrix")
-    energies, vecs, floors = _parity_pairs(ham, k)
-
-    # one contiguous row per state, as `_parity_pairs` builds them: each
-    # row's dot products sum as a vector's
-    rows = np.ascontiguousarray(vecs.T)
-    # the residual in place in H v: these k x n temporaries set a solve's peak memory
-    gap = _apply(ham, rows)
-    gap -= energies[:, None] * rows
-    residuals = np.sqrt(dot(gap, gap))
-    full = rows
+    energies, full, residuals, floor = _parity_pairs(ham, k)
     if ham.grid.boundary == "dirichlet":
-        full = np.zeros((k, ham.grid.points))
-        full[:, 1:-1] = rows
+        full = np.pad(full, ((0, 0), (1, 1)))
     full /= np.sqrt(np.real(quad(ham.grid, np.square(full))))[:, None]
     magnitude = np.abs(full)
     lead = np.argmax(magnitude > 1e-8 * magnitude.max(axis=1)[:, None], axis=1)
@@ -262,7 +427,7 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
             f"eigenpair residual {residuals.max():.3e} exceeds "
             f"{_RESIDUAL_TOL * scale:.3e}"
         )
-    energies[np.abs(energies) <= floors] = 0.0
+    energies[np.abs(energies) <= floor] = 0.0
     stack = SampledFunction(ham.grid, full)
     return EigenResult(energies=energies, stack=stack, residuals=residuals)
 

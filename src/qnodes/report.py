@@ -272,21 +272,33 @@ def verify_rows(cfg: SweepConfig, rows: list[SweepRow]) -> list[str]:
     or a disagreement computed before the corruption.  A row fails when
     its stored or its recomputed disagreement exceeds the tolerance or is
     NaN; the failure names the worse of the two.
+
+    Each check runs over a column at once; messages are formatted only
+    for the rows that fail one.
     """
     values = np.array([[getattr(r, n) for r in rows] for n in COLUMN_UNITS], dtype=float)
     index: dict[int, int] = {}
     groups = [index.setdefault(row.level, len(index)) for row in rows]
-    recomputed = _max_disagreement(values, groups, scales(cfg.system))[groups].tolist()
-    finite = np.isfinite(values).T.tolist()
+    recomputed = _max_disagreement(values, groups, scales(cfg.system))[groups]
+    finite = np.isfinite(values)
     *_, product, bound = values
-    satisfied = _satisfied_flags(cfg.system, product, bound)
+    below = np.array(_satisfied_flags(cfg.system, product, bound), dtype=str) == "false"
+    miscounted = np.array(
+        [r.nodes_counted is not None and r.nodes_counted != r.nodes_predicted for r in rows], dtype=bool
+    )
+    stored = np.array([r.disagreement for r in rows], dtype=float)
+    has_stored = np.array([r.disagreement is not None for r in rows], dtype=bool)
+    # `not d <= tol`: a NaN disagreement fails
+    wide = (has_stored & ~(stored <= cfg.tol)) | ~(recomputed <= cfg.tol)
+    failing = ~finite.all(axis=0) | below | miscounted | wide
     failures: list[str] = []
-    for row, row_finite, flag, dis in zip(rows, finite, satisfied, recomputed):
-        names = [name for name, ok in zip(COLUMN_UNITS, row_finite) if not ok]
+    for i in np.flatnonzero(failing).tolist():
+        row, dis = rows[i], float(recomputed[i])
+        names = [name for name, ok in zip(COLUMN_UNITS, finite[:, i]) if not ok]
         found = [f"{name} is {getattr(row, name)!r}, not finite" for name in names]
-        if flag == "false":
+        if below[i]:
             found.append(f"product {row.product:.12g} below bound {row.bound:.12g}")
-        if row.nodes_counted is not None and row.nodes_counted != row.nodes_predicted:
+        if miscounted[i]:
             found.append(f"counted {row.nodes_counted} nodes, predicted {row.nodes_predicted}")
         exceeded = [d for d in (row.disagreement, dis) if d is not None and not d <= cfg.tol]
         if exceeded:

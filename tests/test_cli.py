@@ -85,10 +85,23 @@ class TestSweep:
     def test_eigen_request_beyond_grid_exit_2(self, runner):
         result = runner.invoke(
             main,
-            ["sweep", "--system", "ring", "--levels", "0:600", "--paths", "analytic,eigen"],
+            ["sweep", "--system", "ring", "--levels", "0:600", "--paths", "analytic,eigen",
+             "--grid-points", "1024"],
         )
         assert result.exit_code == 2
         assert "1201" in result.output
+
+    def test_eigen_grid_rule_beyond_its_limit_exit_3(self, runner):
+        result = runner.invoke(
+            main,
+            ["sweep", "--system", "ring", "--levels", "0:600", "--paths", "analytic,eigen"],
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numerical failure: level 600: ring eigen grid for 1201 levels needs 32768 points, "
+            "above the limit of 8193\n"
+        )
 
     @pytest.mark.parametrize("param", ["a=inf", "a=nan", "m=-inf"])
     def test_non_finite_param_exit_2_without_warnings(self, runner, param):
@@ -247,6 +260,19 @@ class TestVerify:
         )
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "system, levels, rows",
+        [("box", "1:100", 300), ("oscillator", "0:40", 123), ("ring", "-20:20", 123)],
+    )
+    def test_three_paths_agree_at_the_default_tolerance(self, runner, system, levels, rows):
+        # the order-6 eigen path meets the closed forms and the oracle at
+        # --tol 1e-6
+        result = runner.invoke(
+            main, ["verify", "--system", system, "--levels", levels, "--paths", "analytic,oracle,eigen"]
+        )
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == f"all checks passed for {rows} rows\n"
+
     def test_impossible_tolerance_exit_1(self, runner):
         result = runner.invoke(
             main,
@@ -352,8 +378,8 @@ class TestVerify:
         [
             # m = 8 sits on the Nyquist bin of 16 points; m = 10 would print energy 18, not 50
             (["--levels", "8:10", "--paths", "oracle", "--grid-points", "16"], 8),
-            # m = 300 lies above N/4 on the 1024-point eigen grid
-            (["--levels", "300:300", "--paths", "eigen"], 300),
+            # m = 300 lies above N/4 on a 1024-point eigen grid
+            (["--levels", "300:300", "--paths", "eigen", "--grid-points", "1024"], 300),
         ],
         ids=["oracle-16-points", "eigen-m300"],
     )
@@ -503,6 +529,15 @@ class TestEigensolve:
         )
         assert result.exit_code == 2
         assert "odd point count" in result.output
+
+    def test_grid_rule_beyond_its_limit_exit_3(self, runner):
+        result = runner.invoke(main, ["eigensolve", "--system", "box", "--k", "700"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numerical failure: box eigen grid for 700 levels needs 32769 points, "
+            "above the limit of 8193\n"
+        )
 
     def test_k_beyond_grid_exit_2(self, runner):
         result = runner.invoke(

@@ -25,8 +25,35 @@ from qnodes import (
     ring_momentum_state,
     solve_lowest,
 )
-from qnodes.eigensolver import _BISECTION_TOL, _apply, _lowest_tridiagonal, _parity_pairs
+from qnodes.eigensolver import (
+    _BISECTION_TOL,
+    _GRID_ERROR,
+    _KINETIC_2,
+    _MAX_EIGEN_POINTS,
+    _Mirror,
+    _apply,
+    _bisect,
+    _parity_pairs,
+)
 from qnodes.grids import quad
+
+# -(1/2) d^2/dq^2 to order 6, times 360 h^2, at offsets 0, 1, 2, 3
+_ORDER6 = np.array([490.0, -270.0, 27.0, -2.0])
+
+
+def _order6_levels(theta, h):
+    """The order-6 operator's eigenvalue on the mode of phase step theta:
+    its symbol (490 - 540 cos theta + 54 cos 2 theta - 4 cos 3 theta) / (360 h^2),
+    written with 1 - cos d theta = 2 sin^2(d theta / 2), which does not
+    cancel to roundoff at small theta."""
+    s = np.sin
+    return (270.0 * s(theta / 2) ** 2 - 27.0 * s(theta) ** 2 + 2.0 * s(1.5 * theta) ** 2) / (90.0 * h**2)
+
+
+def _three_point_norm1(ham):
+    """||T||_1 of the three-point operator: the spectrum tests' absolute
+    tolerances are eps ||T||_1."""
+    return float(np.max(np.abs(ham.diagonal))) + 2.0 * abs(ham.off_diagonal)
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +74,54 @@ def ring_result():
     return spec, solve_lowest(build_hamiltonian(spec, default_eigen_grid(spec, 9)), 9)
 
 
+class TestDefaultEigenGrid:
+    """The fewest 2^p intervals whose order-6 error (kappa h)^6 / 560 at the
+    top level meets `_GRID_ERROR`."""
+
+    @pytest.mark.parametrize(
+        "spec, k, points",
+        [(Box(), 40, 1025), (Box(), 100, 4097), (Ring(), 21, 512), (Ring(), 41, 1024),
+         (Ring(), 1, 64), (Oscillator(), 41, 4097), (Oscillator(), 6, 1025)],
+        ids=["box-40", "box-100", "ring-21", "ring-41", "ring-1", "oscillator-41", "oscillator-6"],
+    )
+    def test_rule_sizes(self, spec, k, points):
+        grid = default_eigen_grid(spec, k)
+        assert grid.points == points
+        intervals = points if grid.boundary == "periodic" else points - 1
+        kappa = {Box: k * np.pi, Ring: max(k // 2, 1), Oscillator: math.sqrt(2 * k + 1)}[type(spec)]
+        # the error target is met, and not on half as many intervals
+        assert (kappa * grid.h) ** 6 / 560.0 <= _GRID_ERROR < (2.0 * kappa * grid.h) ** 6 / 560.0
+
+    @pytest.mark.parametrize("spec", [Box(), Ring(), Oscillator()], ids=["box", "ring", "oscillator"])
+    def test_grid_points_override_the_rule(self, spec):
+        points = 1001 if spec.__class__ is not Ring else 1000
+        assert default_eigen_grid(spec, 40, points).points == points
+        assert default_eigen_grid(spec, 4000, points).points == points
+
+    def test_oscillator_extent_is_unchanged(self):
+        assert default_eigen_grid(Oscillator(), 6).upper == 12.0
+        assert default_eigen_grid(Oscillator(), 40).upper == math.sqrt(81.0) + 8.0
+
+    @pytest.mark.parametrize(
+        "spec, k, message",
+        [(Box(), 700, "box eigen grid for 700 levels needs 32769 points"),
+         (Ring(), 1201, "ring eigen grid for 1201 levels needs 32768 points"),
+         (Oscillator(), 500, "oscillator eigen grid for 500 levels needs 32769 points")],
+        ids=["box", "ring", "oscillator"],
+    )
+    def test_rule_above_the_cap_is_a_grid_error(self, spec, k, message):
+        with pytest.raises(GridError, match=f"{message}, above the limit of {_MAX_EIGEN_POINTS}"):
+            default_eigen_grid(spec, k)
+
+
 class TestBuildHamiltonian:
     def test_box_structure(self):
         ham = build_hamiltonian(Box(), GridSpec(0.0, 1.0, 11, "dirichlet"))
         # walls excluded: 9 interior unknowns, zero potential
-        assert ham.diagonal.shape == (9,)
+        assert ham.potential.shape == ham.diagonal.shape == (9,)
+        assert not ham.potential.any()
         h = 0.1
+        # the three-point operator, whose blocks label the levels
         np.testing.assert_allclose(ham.diagonal, 1.0 / h**2)
         assert ham.off_diagonal == pytest.approx(-0.5 / h**2)
         assert not ham.periodic
@@ -62,14 +131,28 @@ class TestBuildHamiltonian:
         assert ham.periodic
         v = np.zeros(8)
         v[0] = 1.0
-        out = _apply(ham, v)
-        assert out[-1] == ham.off_diagonal != 0.0
+        out = _apply(ham, v) * (360.0 * ham.grid.h**2)
+        # the seven-point stencil wraps around both ends
+        np.testing.assert_allclose(out, [490, -270, 27, -2, 0, -2, 27, -270], rtol=1e-14)
+        assert out[-1] == out[1] and out[-3] == out[3]
+
+    @pytest.mark.parametrize("points", [3, 5, 9, 65])
+    def test_box_ghost_points_make_sine_modes_exact(self, points):
+        # odd reflection in the walls: every sine mode is an eigenvector,
+        # with the stencil's symbol as its eigenvalue
+        grid = GridSpec(0.0, 1.0, points, "dirichlet")
+        ham = build_hamiltonian(Box(), grid)
+        n = np.arange(1, points - 1)
+        modes = np.sin(np.pi * n[:, None] * grid.x[1:-1])
+        expected = _order6_levels(n * np.pi * grid.h, grid.h)[:, None] * modes
+        np.testing.assert_allclose(_apply(ham, modes), expected, atol=1e-12 * expected.max())
 
     def test_oscillator_potential_on_diagonal(self):
         grid = GridSpec(-12.0, 12.0, 101, "open")
         ham = build_hamiltonian(Oscillator(), grid)
         kinetic = 1.0 / grid.h**2
         np.testing.assert_allclose(ham.diagonal - kinetic, 0.5 * grid.x**2, atol=1e-12)
+        np.testing.assert_array_equal(ham.potential, 0.5 * grid.x**2)
 
     def test_topology_mismatch(self):
         with pytest.raises(GridError):
@@ -103,13 +186,16 @@ class TestEnergies:
 
     @pytest.mark.parametrize("factor", [2])
     def test_convergence_order(self, factor):
+        # order 6, observed on grids coarse enough that the error of level 3
+        # (1.2e-6 and 1.8e-8) sits far above the roundoff floor (~1e-13)
         spec = Box()
         errs = []
-        for points in (501, 1001):
+        for points in (33, 32 * factor + 1):
             grid = GridSpec(0.0, spec.length, points, "dirichlet")
             res = solve_lowest(build_hamiltonian(spec, grid), 3)
             errs.append(abs(res.energies[2] - box_energy(spec, 3)) / box_energy(spec, 3))
-        assert errs[0] / errs[1] >= 3.5
+        assert errs[1] > 1e-10
+        assert math.log(errs[0] / errs[1], factor) >= 5.0
 
 
 class TestEigenvectors:
@@ -190,10 +276,23 @@ class TestSolverFailure:
 
 
 def _dense_energies(ham):
-    """Ascending spectrum of the full matrix, periodic corners included."""
-    n = ham.diagonal.size
-    coupling = np.eye(n, k=1) + (np.eye(n, k=n - 1) if ham.periodic else 0.0)
-    mat = np.diag(ham.diagonal) + ham.off_diagonal * (coupling + coupling.T)
+    """Ascending spectrum of the full order-6 matrix, built from its
+    stencil: circulant on the ring, with odd-reflection ghost points f(-p)
+    = -f(p) and f(J + p) = -f(J - p) between the box's walls (unknown u is
+    point u + 1 of J = n + 1 intervals), truncated on the oscillator."""
+    n = ham.potential.size
+    i, j = np.indices((n, n))
+
+    def weight(offset):
+        return np.where(np.abs(offset) <= 3, _ORDER6[np.minimum(np.abs(offset), 3)], 0.0)
+
+    if ham.periodic:
+        kinetic = sum(weight(i - j + s * n) for s in range(-2, 3))
+    elif ham.grid.boundary == "dirichlet":
+        kinetic = weight(i - j) - weight(i + j + 2) - weight(2 * n - i - j)
+    else:
+        kinetic = weight(i - j)
+    mat = kinetic / (360.0 * ham.grid.h**2) + np.diag(ham.potential)
     return np.linalg.eigh(mat)[0]
 
 
@@ -294,13 +393,23 @@ def _open_hamiltonian(spec, points):
     return build_hamiltonian(spec, default_eigen_grid(spec, points=points))
 
 
-OPEN_CHAINS = [(Box(), p) for p in (3, 5, 7, 9, 65, 2001)] + [
-    (Oscillator(), p) for p in (5, 7, 65, 2001)
+# (system, grid points, the levels solved, the states checked for the
+# node law): every box level; on coarse oscillator grids the top levels'
+# three-point vectors are far from any one order-6 eigenvector, and
+# solving them fails loudly (`test_unresolved_levels_fail_loudly`).  The
+# order-6 operator is not a Jacobi matrix, so the node law holds only for
+# states the grid resolves: on 5 and 7 points (h = 6 and 4, wider than the
+# ground state) each state ripples at the far edges, at 1e-3 of its peak.
+OPEN_CHAINS = [(Box(), p, p - 2, (p - 2) // 2) for p in (3, 5, 7, 9, 65, 2001)] + [
+    (Oscillator(), 5, 5, 0),
+    (Oscillator(), 7, 7, 0),
+    (Oscillator(), 65, 13, 13),
+    (Oscillator(), 2001, 1000, 1000),
 ]
 
 
 def _chain_id(case):
-    spec, points = case
+    spec, points, *_ = case
     return f"{type(spec).__name__.lower()}-{points}"
 
 
@@ -309,19 +418,18 @@ class TestMirrorParitySolve:
 
     @pytest.fixture(scope="class", params=OPEN_CHAINS, ids=_chain_id)
     def chain(self, request):
-        spec, points = request.param
+        spec, points, levels, nodes = request.param
         ham = _open_hamiltonian(spec, points)
-        dim = ham.diagonal.size
         reference = _dense_energies(ham)
         scale = max(float(np.max(np.abs(reference))), 1.0)
-        return ham, reference, scale, solve_lowest(ham, dim)
+        return ham, reference, scale, solve_lowest(ham, levels), nodes
 
     def test_energies_match_dense_reference(self, chain):
-        ham, reference, scale, _ = chain
-        dim = ham.diagonal.size
+        ham, reference, scale, result, _ = chain
+        levels = len(result.energies)
         # every k up to 65 points; the edges, both parities of k and the
         # benchmark's 40 levels on the 2001-point grids
-        ks = range(1, dim + 1) if dim <= 65 else (1, 2, 3, 21, 40, dim)
+        ks = range(1, levels + 1) if levels <= 65 else (1, 2, 3, 21, 40, levels)
         for k in ks:
             result = solve_lowest(ham, k)
             assert len(result.states) == k
@@ -330,7 +438,7 @@ class TestMirrorParitySolve:
             )
 
     def test_states_alternate_even_odd(self, chain):
-        ham, _, _, result = chain
+        result = chain[3]
         for j, state in enumerate(result.states):
             expected = -state.values if j % 2 else state.values
             np.testing.assert_allclose(
@@ -338,8 +446,8 @@ class TestMirrorParitySolve:
             )
 
     def test_energies_ascend(self, chain):
-        ham, _, scale, result = chain
-        dim = ham.diagonal.size
+        ham, _, scale, result, _ = chain
+        dim = ham.potential.size
         steps = np.diff(result.energies)
         # the levels a grid resolves (two or more samples per half-wave)
         # ascend strictly; at the top of a coarse oscillator grid, states
@@ -351,9 +459,8 @@ class TestMirrorParitySolve:
             assert np.all(steps > 0.0)
 
     def test_state_j_has_j_nodes(self, chain):
-        ham, _, _, result = chain
-        dim = ham.diagonal.size
-        for j in range(dim // 2):
+        _, _, _, result, nodes = chain
+        for j in range(nodes):
             assert count_nodes(result.states[j]).count == j
 
     @pytest.mark.parametrize("spec", [Box(), Oscillator()], ids=["box", "oscillator"])
@@ -363,23 +470,58 @@ class TestMirrorParitySolve:
         ham = _open_hamiltonian(spec, 65)
         grid = ham.grid
         x = grid.x[1:-1] if grid.boundary == "dirichlet" else grid.x
-        skewed = Hamiltonian(grid, ham.diagonal + 0.5 * x)
+        skewed = Hamiltonian(grid, ham.potential + 0.5 * x)
         with pytest.raises(ConvergenceError, match="residual"):
             solve_lowest(skewed, 4)
+
+    @pytest.mark.parametrize("spec, k", [(Box(), 40), (Ring(), 21), (Oscillator(), 21)],
+                             ids=["box", "ring", "oscillator"])
+    def test_only_the_oscillator_refines(self, monkeypatch, spec, k):
+        # box and ring three-point vectors are discrete sine and Fourier
+        # modes, eigenvectors of the order-6 operator too: their residuals
+        # meet the tolerance with no banded solve.  An oscillator level
+        # takes one step of Rayleigh-quotient iteration.
+        real, solves = scipy.linalg.solve_banded, []
+
+        def spy(*args, **kwargs):
+            solves.append(args[1].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", spy)
+        result = solve_lowest(build_hamiltonian(spec, default_eigen_grid(spec, k)), k)
+        assert len(solves) == (k if isinstance(spec, Oscillator) else 0)
+        assert np.all(result.residuals <= 1e-8 * np.max(np.abs(result.energies)))
+
+    def test_unresolved_levels_fail_loudly(self):
+        # 65 points on [-12, 12] resolve 13 oscillator levels; for every k
+        # the solve meets the dense order-6 spectrum or raises, never
+        # returning a level twice or out of place
+        ham = _open_hamiltonian(Oscillator(), 65)
+        reference = _dense_energies(ham)
+        scale = float(np.max(np.abs(reference)))
+        failed = []
+        for k in range(1, 66):
+            try:
+                energies = solve_lowest(ham, k).energies
+            except ConvergenceError:
+                failed.append(k)
+                continue
+            np.testing.assert_allclose(energies, reference[:k], rtol=0.0, atol=1e-12 * scale)
+        assert failed and min(failed) > 13
 
 
 class TestExactDiscreteSpectrum:
     def test_box_levels_match_discrete_eigenvalues(self):
-        # the 3-point Laplacian with Dirichlet walls has the exact spectrum
-        # (2/h^2) sin^2(n pi h / 2); the solver must reach it to the
-        # bisection's absolute tolerance eps ||H||_1, which separates
-        # solver error from the O(h^2) discretization gap
-        ham = build_hamiltonian(Box(), default_eigen_grid(Box()))
-        assert ham.diagonal.size == 1999
+        # the order-6 Laplacian with odd-reflection walls has the exact
+        # spectrum `_order6_levels(n pi h, h)`; the solver must reach it to
+        # eps ||T||_1 of the three-point operator, which separates solver
+        # error from the O(h^6) discretization gap
+        ham = build_hamiltonian(Box(), default_eigen_grid(Box(), 40))
+        assert ham.potential.size == 1023
         h = ham.grid.h
         n = np.arange(1, 41)
-        exact = (2.0 / h**2) * np.sin(n * np.pi * h / 2.0) ** 2
-        norm1 = float(np.max(np.abs(ham.diagonal))) + 2.0 * abs(ham.off_diagonal)
+        exact = _order6_levels(n * np.pi * h, h)
+        norm1 = _three_point_norm1(ham)
         result = solve_lowest(ham, 40)
         np.testing.assert_allclose(
             result.energies, exact, rtol=0.0, atol=np.finfo(float).eps * norm1
@@ -408,23 +550,32 @@ class TestZeroEnergyFloor:
         assert energies[1] > 0.4 and energies[-1] > 0.4
 
     @pytest.mark.parametrize("points", [1023, 1024])
-    def test_floor_is_the_bisected_blocks_norm(self, points):
-        # each block's floor is eps ||T||_1, its Rayleigh quotients' roundoff;
-        # the even block's sqrt 2 couplings make its norm (3 + sqrt 2) t, not
-        # the full ring's 4 t
+    def test_floor_is_the_operators_norm(self, points):
+        # the floor is eps ||H||_1, the order-6 Rayleigh quotients'
+        # roundoff: each row of the ring's stencil sums |weights| to 1088
         ham = build_hamiltonian(Ring(), default_eigen_grid(Ring(), points=points))
-        t, eps = -ham.off_diagonal, np.finfo(float).eps
-        energies, _, floors = _parity_pairs(ham, 5)
-        assert floors[0] == pytest.approx(eps * (3.0 + math.sqrt(2.0)) * t, rel=1e-15)
-        assert floors[2] == pytest.approx(eps * 4.0 * t, rel=1e-15)
-        np.testing.assert_array_equal(floors[1::2], floors[0])
-        assert abs(energies[0]) <= floors[0]
+        eps = np.finfo(float).eps
+        energies, rows, _, floor = _parity_pairs(ham, 5)
+        assert floor == pytest.approx(eps * 1088.0 / (360.0 * ham.grid.h**2), rel=1e-15)
+        # the raw quotient of the bisected m = 0 vector is within it
+        ground = _bisected_ground(ham)
+        assert abs(float(ground @ _apply(ham, ground))) <= floor
+        assert energies[0] == 0.0
+
+
+def _bisected_ground(ham):
+    """The unit vector inverse iteration gives the ring's even block's lowest
+    three-point level, unfolded."""
+    mirror = _Mirror(ham.potential.size, ham.periodic)
+    even, _ = mirror.bands(ham, _KINETIC_2)
+    _, vecs = _bisect(even[3], even[4, :-1], 1)
+    return mirror.unfold(vecs, False)[0]
 
 
 # (system, levels, grid points or None for the default eigen grid)
 _BISECTION_CASES = [
-    (Box(), 40, None), (Box(), 200, None), (Box(), 1999, None), (Box(), 9, 11),
-    (Box(), 40, 20001), (Oscillator(), 201, None), (Oscillator(), 41, 20001),
+    (Box(), 40, None), (Box(), 200, None), (Box(), 1999, 2001), (Box(), 9, 11),
+    (Box(), 40, 20001), (Oscillator(), 201, 2001), (Oscillator(), 41, 20001),
     (Oscillator(), 15, 31), (Oscillator(), 2001, 2001), (Ring(), 1, None), (Ring(), 3, None),
     (Ring(), 21, None), (Ring(), 8, 8), (Ring(), 1024, 1024), (Ring(), 201, 4096),
 ]
@@ -435,67 +586,62 @@ def _case_id(case):
     return f"{type(spec).__name__.lower()}-k{k}-{points or 'default'}"
 
 
-def _parity_blocks(monkeypatch, ham, k):
-    """(diagonal, off-diagonal, level count) of each block `_parity_pairs` solves."""
-    real, blocks = scipy.linalg.eigh_tridiagonal, []
-
-    def spy(diagonal, off, **kwargs):
-        blocks.append((diagonal.copy(), off.copy(), kwargs["select_range"][1] + 1))
-        return real(diagonal, off, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
-        _parity_pairs(ham, k)
-    return blocks
+def _parity_blocks(ham, k):
+    """(diagonal, off-diagonal, level count) of each three-point block
+    `_parity_pairs` bisects."""
+    mirror = _Mirror(ham.potential.size, ham.periodic)
+    even = np.arange(k) % 2 == int(ham.periodic)
+    even[0] = True
+    counts = (int(np.count_nonzero(even)), int(np.count_nonzero(~even)))
+    blocks = mirror.bands(ham, _KINETIC_2)
+    return [(b[3], b[4, :-1], count) for b, count in zip(blocks, counts) if count]
 
 
 class TestNaturalUnitBisection:
     """Blocks are bisected to `_BISECTION_TOL`, not to eps ||T||_1, and their
-    energies are the Rayleigh quotients of the inverse-iteration vectors."""
+    energies are the order-6 Rayleigh quotients of the inverse-iteration
+    vectors."""
 
     @pytest.mark.parametrize("case", _BISECTION_CASES, ids=_case_id)
-    def test_blocks_match_the_full_tolerance_bisection(self, monkeypatch, case):
+    def test_blocks_match_the_full_tolerance_bisection(self, case):
         spec, k, points = case
         ham = build_hamiltonian(spec, default_eigen_grid(spec, k, points))
-        for diagonal, off, count in _parity_blocks(monkeypatch, ham, k):
-            energies, vecs, floor = _lowest_tridiagonal(diagonal, off, count)
+        for diagonal, off, count in _parity_blocks(ham, k):
+            coarse, vecs = _bisect(diagonal, off, count)
             ref_e, ref_v = scipy.linalg.eigh_tridiagonal(
                 diagonal, off, select="i", select_range=(0, count - 1)
             )
-            vecs = vecs * np.sign(np.sum(vecs * ref_v, axis=0))
+            vecs = vecs.T * np.sign(np.sum(vecs.T * ref_v, axis=0))
             assert np.max(np.abs(vecs - ref_v)) <= 1e-10
-            # the reference bisection and the quotient are each within about
-            # eps ||T||_1 of the true level (1.1 and 0.4 floors on the full
-            # 1999-unknown box), so they may differ by up to twice that
-            assert np.max(np.abs(energies - ref_e)) <= 2.0 * floor
+            assert np.max(np.abs(coarse - ref_e)) <= _BISECTION_TOL
 
     @pytest.mark.parametrize(
         "case", [c for c in _BISECTION_CASES if not isinstance(c[0], Oscillator)], ids=_case_id
     )
     def test_energies_meet_the_exact_discrete_spectrum(self, case):
-        # box (2/h^2) sin^2(n pi h / 2); ring (2/h^2) sin^2(m h / 2), each
-        # |m| > 0 twice, as [m = 0, cos 1, sin 1, ...]; the formula itself
+        # the order-6 symbol at theta = n pi h (box) or m h (ring, each
+        # |m| > 0 twice, as [m = 0, cos 1, sin 1, ...]); the formula itself
         # carries a few eps of relative roundoff near the top of the band
         spec, k, points = case
         ham = build_hamiltonian(spec, default_eigen_grid(spec, k, points))
         h = ham.grid.h
         if isinstance(spec, Box):
-            modes = np.arange(1, k + 1) * np.pi * h / 2.0
+            theta = np.arange(1, k + 1) * np.pi * h
         else:
-            modes = ((np.arange(k) + 1) // 2) * h / 2.0
-        exact = (2.0 / h**2) * np.sin(modes) ** 2
-        norm1 = float(np.max(np.abs(ham.diagonal))) + 2.0 * abs(ham.off_diagonal)
+            theta = ((np.arange(k) + 1) // 2) * h
+        exact = _order6_levels(theta, h)
+        norm1 = _three_point_norm1(ham)
         energies = solve_lowest(ham, k).energies
         eps = np.finfo(float).eps
         np.testing.assert_allclose(energies, exact, rtol=4.0 * eps, atol=eps * norm1)
 
     def test_fine_box_spectrum_beats_the_bisection(self):
-        # on 20001 points eps ||T||_1 is 1.8e-7; the full-tolerance bisection
-        # was 0.40 of that off the exact levels, the quotients are 1e-4 of it
+        # on 20001 points eps ||T||_1 is 1.8e-7; a full-tolerance bisection
+        # is about 0.4 of that off its levels, the quotients far less
         ham = build_hamiltonian(Box(), default_eigen_grid(Box(), points=20001))
         h = ham.grid.h
-        exact = (2.0 / h**2) * np.sin(np.arange(1, 41) * np.pi * h / 2.0) ** 2
-        norm1 = float(np.max(np.abs(ham.diagonal))) + 2.0 * abs(ham.off_diagonal)
+        exact = _order6_levels(np.arange(1, 41) * np.pi * h, h)
+        norm1 = _three_point_norm1(ham)
         result = solve_lowest(ham, 40)
         np.testing.assert_allclose(
             result.energies, exact, rtol=0.0, atol=0.25 * np.finfo(float).eps * norm1
@@ -533,8 +679,8 @@ class TestConstantNullVector:
         # is floored, but the walls keep the constant from being a null vector
         ham = build_hamiltonian(Box(), default_eigen_grid(Box(), points=201))
         h = ham.grid.h
-        shifted = Hamiltonian(ham.grid, ham.diagonal - (2.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2)
-        assert np.any(_apply(shifted, np.ones(shifted.diagonal.size)))
+        shifted = Hamiltonian(ham.grid, ham.potential - _order6_levels(np.pi * h, h))
+        assert np.any(_apply(shifted, np.ones(shifted.potential.size)))
         result = solve_lowest(shifted, 3)
         assert result.energies[0] == 0.0
         np.testing.assert_allclose(

@@ -12,6 +12,7 @@ from qnodes import (
     Box,
     ConfigError,
     Constants,
+    GridError,
     Oscillator,
     Ring,
     SweepConfig,
@@ -62,12 +63,22 @@ class TestSweepConfig:
         SweepConfig(system=Ring(), levels=(1,), paths=("oracle", "eigen"), grid_points=2000)
 
     @pytest.mark.parametrize(
-        "spec, levels",
-        [(Ring(), tuple(range(0, 601))), (Box(), tuple(range(1, 2001)))],
+        "spec, levels, points",
+        [(Ring(), tuple(range(0, 601)), 1024), (Box(), tuple(range(1, 2001)), 2001)],
     )
-    def test_eigen_request_beyond_grid_rejected(self, spec, levels):
-        cfg = SweepConfig(system=spec, levels=levels, paths=("analytic", "eigen"))
+    def test_eigen_request_beyond_grid_rejected(self, spec, levels, points):
+        cfg = SweepConfig(system=spec, levels=levels, paths=("analytic", "eigen"), grid_points=points)
         with pytest.raises(ConfigError, match="eigenpairs"):
+            run_sweep(cfg)
+
+    @pytest.mark.parametrize(
+        "spec, levels, message",
+        [(Ring(), tuple(range(0, 601)), "level 600: ring eigen grid for 1201 levels needs 32768"),
+         (Box(), tuple(range(1, 2001)), "level 2000: box eigen grid for 2000 levels needs 65537")],
+    )
+    def test_eigen_grid_rule_beyond_its_limit_rejected(self, spec, levels, message):
+        cfg = SweepConfig(system=spec, levels=levels, paths=("analytic", "eigen"))
+        with pytest.raises(GridError, match=message):
             run_sweep(cfg)
 
 

@@ -151,7 +151,9 @@ def test_rows_are_unit_rows_times_scales(system, hbar, first, second):
             assert getattr(row, name) == value, (row.level, row.path, name)
         for name in EXACT_COLUMNS:
             assert getattr(row, name) == getattr(unit, name), (row.level, row.path, name)
-        assert row.disagreement == pytest.approx(unit.disagreement, rel=1e-8, abs=0.0)
+        # each rescaled column rounds by up to half an ulp, so the
+        # disagreement (a relative difference) carries a few eps absolute
+        assert row.disagreement == pytest.approx(unit.disagreement, rel=1e-8, abs=1e-15)
 
 
 class TestScaledChecks:

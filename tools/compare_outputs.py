@@ -51,7 +51,8 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["verify", "--system", "oscillator", "--levels", "0:200", "--grid-points", "801"],
         # ring states that alias on their grid: the half-band guard exits 3
         ["sweep", "--system", "ring", "--levels", "8:10", "--paths", "oracle", "--grid-points", "16"],
-        ["sweep", "--system", "ring", "--levels", "300:300", "--paths", "eigen"],
+        ["sweep", "--system", "ring", "--levels", "300:300", "--paths", "eigen", "--grid-points",
+         "1024"],
         # level ranges that fill more than one stack of samples
         ["sweep", "--system", "box", "--levels", "1:150", "--paths", "analytic,oracle"],
         ["sweep", "--system", "oscillator", "--levels", "0:200", "--paths", "analytic,oracle",
@@ -67,6 +68,10 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["sweep", "--system", "box", "--levels", "1:20", "--paths", "oracle,eigen",
          "--format", "json"],
         ["verify", "--system", "oscillator", "--levels", "0:200"],
+        # three-path verify at the default --tol 1e-6
+        ["verify", "--system", "box", "--levels", "1:100", *ALL_PATHS],
+        ["verify", "--system", "oscillator", "--levels", "0:40", *ALL_PATHS],
+        ["verify", "--system", "ring", "--levels", "-20:20", *ALL_PATHS],
     )
 )
 
