@@ -15,7 +15,8 @@ ring's three-point vectors are discrete sine and Fourier modes, exact
 eigenvectors of the order-6 operator as well; a level whose residual
 still misses `_RESIDUAL_TOL` (the oscillator's) takes Rayleigh-quotient
 iteration steps in its order-6 block, one banded solve each (Parlett,
-*The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 4).  The m-th levels of
+*The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 4); at the top of a
+grid too coarse for that, a block is solved dense.  The m-th levels of
 the ring's even (cos) and odd (sin) blocks are the degenerate +/-m pair
 (symmetry reduction: Trefethen, *Spectral Methods in MATLAB*, SIAM 2000,
 ch. 3).
@@ -77,6 +78,9 @@ _MAX_KAPPA_H = (560.0 * _GRID_ERROR) ** (1.0 / 6.0)
 # and the most points the rule may ask for (2^13 intervals): a solve holds
 # a few (levels, points) arrays, and 347 box or ring levels fill 23 MB each
 _MAX_EIGEN_POINTS = (1 << 13) + 1
+# the oscillator's kappa per p_max: over a classical orbit,
+# <p^8> / <p^2> = (35/64) p_max^6
+_OSCILLATOR_MEAN_P6 = (35.0 / 128.0) ** (1.0 / 6.0)
 
 
 @dataclass(frozen=True)
@@ -85,12 +89,12 @@ class Hamiltonian:
     of `grid`.
 
     `potential` holds V(q_i) per unknown: every grid point, or the box's
-    interior points (its walls are not unknowns).  `diagonal` and
-    `off_diagonal` are the three-point operator's, 1/h^2 + V(q_i) and
-    -1/(2 h^2), whose tridiagonal blocks label the levels.  A periodic
-    grid makes the mirror j -> N - j, not N - 1 - j; `solve_lowest` folds
-    the (mirror-symmetric) operator by it.  `grid` is the full state grid
-    (for the box this includes the wall points).
+    interior points (its walls are not unknowns).  `diagonal` is the
+    three-point operator's, 1/h^2 + V(q_i), one entry per unknown (the
+    benchmark's tracer reads its size).  A periodic grid makes the mirror
+    j -> N - j, not N - 1 - j; `solve_lowest` folds the (mirror-symmetric)
+    operator by it.  `grid` is the full state grid (for the box this
+    includes the wall points).
     """
 
     grid: GridSpec
@@ -99,10 +103,6 @@ class Hamiltonian:
     @property
     def diagonal(self) -> np.ndarray:
         return 1.0 / self.grid.h**2 + self.potential
-
-    @property
-    def off_diagonal(self) -> float:
-        return -1.0 / (2.0 * self.grid.h**2)
 
     @property
     def periodic(self) -> bool:
@@ -162,12 +162,14 @@ def default_eigen_grid(spec: SystemSpec, k: int = 6, points: int | None = None) 
     The box's grid is [0, 1], the ring's [0, 2 pi) and the oscillator's
     [-L, L], L = max(sqrt(2k+1) + 8, 12).  By default a grid takes the
     fewest intervals, a power of two, for which the relative energy error
-    (kappa h)^6 / 560 at the top level's largest wavenumber kappa is at
-    most `_GRID_ERROR`: kappa = k pi on the box (2^p + 1 points),
-    floor(k/2) (at least 1) on the ring (2^p points) and sqrt(2k+1) on the
-    oscillator (2^p + 1 points).  A rule asking for more than
-    `_MAX_EIGEN_POINTS` points raises GridError; `points` overrides the
-    rule.
+    (kappa h)^6 / 560 of the top level is at most `_GRID_ERROR`.  On the
+    box (2^p + 1 points) and the ring (2^p points) the top level is one
+    wavenumber, kappa = k pi and floor(k/2) (at least 1).  The oscillator's
+    (2^p + 1 points) spreads over momenta up to p_max = sqrt(2k+1); its
+    error h^6 <p^8> / (1120 <p^2>) is, over the classical momentum
+    distribution, (kappa h)^6 / 560 with kappa = (35/128)^(1/6) p_max.  A
+    rule asking for more than `_MAX_EIGEN_POINTS` points raises GridError;
+    `points` overrides the rule.
     """
     # in floats: a k too large for one overflows
     top = float(k)
@@ -176,9 +178,9 @@ def default_eigen_grid(spec: SystemSpec, k: int = 6, points: int | None = None) 
     elif isinstance(spec, Ring):
         lower, upper, boundary, kappa = 0.0, 2.0 * math.pi, "periodic", max(top // 2.0, 1.0)
     else:
-        kappa = math.sqrt(2.0 * top + 1.0)
-        upper = max(kappa + 8.0, 12.0)
-        lower, boundary = -upper, "open"
+        p_max = math.sqrt(2.0 * top + 1.0)
+        upper = max(p_max + 8.0, 12.0)
+        lower, boundary, kappa = -upper, "open", _OSCILLATOR_MEAN_P6 * p_max
     if points is None:
         need = math.ceil((upper - lower) * kappa / _MAX_KAPPA_H)
         intervals = 1 << (need - 1).bit_length()
@@ -341,6 +343,20 @@ def _inverse_iteration(band: np.ndarray, vecs: np.ndarray, shifts: np.ndarray) -
     return out
 
 
+def _dense_lowest(band: np.ndarray, count: int) -> np.ndarray:
+    """The `count` lowest unit eigenvectors, one per row, of the (3, 3)-banded
+    block `band`, solved as a dense matrix."""
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for offset in range(-3, 4):
+        j = np.arange(max(0, -offset), min(n, n - offset))
+        dense[j + offset, j] = band[3 + offset, j]
+    try:
+        return scipy.linalg.eigh(dense, subset_by_index=(0, count - 1))[1].T
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
+
+
 def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """k lowest eigenpairs from the even and odd mirror blocks, unfolded.
 
@@ -350,9 +366,13 @@ def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.
     ...].  Each energy is its vector's order-6 Rayleigh quotient, and a
     level whose residual misses `_RESIDUAL_TOL` takes up to
     `_MAX_REFINEMENTS` Rayleigh-quotient iteration steps in its order-6
-    block.  Returns the energies, the unit chain vectors (one per row),
-    their residual norms on the full operator, and the quotients' roundoff
-    floor eps ||H||_1; see `EigenResult` for a zero energy.
+    block.  A block where a level still misses the tolerance, or strays
+    from its three-point vector, takes its levels from a dense solve of its
+    order-6 matrix: the top of a coarse grid, where the two operators'
+    levels differ by more than their spacing.  Returns the energies, the
+    unit chain vectors (one per row), their residual norms on the full
+    operator, and the quotients' roundoff floor eps ||H||_1; see
+    `EigenResult` for a zero energy.
     """
     n = ham.potential.size
     mirror = _Mirror(n, ham.periodic)
@@ -381,13 +401,14 @@ def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.
                 rows[redo] = mirror.unfold(vecs, odd)
         energies[todo], residuals[todo] = _quotients(ham, rows[todo], energies[todo])
     if start is not None:
-        # a refined vector must keep its three-point vector as its largest
-        # component: then no two levels can converge to one eigenvector
-        overlap = np.abs(dot(rows, start))
-        raise_first(((overlap <= math.sqrt(0.5)) & (residuals <= tol), lambda j: ConvergenceError(
-            f"eigenpair {j} left its three-point level in refinement (overlap "
-            f"{overlap[j]:.3f}): the grid is too coarse for it"
-        )))
+        # a refined vector must meet the tolerance and keep its three-point
+        # vector as its largest component, so that no two levels converge to
+        # one eigenvector; on a grid too coarse for that, a block is solved whole
+        lost = (residuals > tol) | (np.abs(dot(rows, start)) <= math.sqrt(0.5))
+        for (slots, odd), band in zip(blocks, order6):
+            if (lost & slots).any():
+                rows[slots] = mirror.unfold(_dense_lowest(band, int(np.count_nonzero(slots))), odd)
+                energies[slots], residuals[slots] = _quotients(ham, rows[slots], energies[slots])
 
     # a zero energy within roundoff of an exact constant null vector is that vector
     stencil = _KINETIC_6[0] / (_KINETIC_6[1] * ham.grid.h**2)

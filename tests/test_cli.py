@@ -103,6 +103,32 @@ class TestSweep:
             "above the limit of 8193\n"
         )
 
+    @pytest.mark.parametrize("points", [None, "1024"])
+    def test_default_eigen_reach_on_the_ring(self, runner, points):
+        # the rule resolves |m| <= 173 within its limit; above it an eigen
+        # level takes --grid-points (at 1024 points, |m| <= 256 as before)
+        args = ["sweep", "--system", "ring", "--levels", "174:174", "--paths", "analytic,eigen"]
+        result = runner.invoke(main, args + (["--grid-points", points] if points else []))
+        if points:
+            assert result.exit_code == 0, result.stderr
+            return
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "numerical failure: level 174: ring eigen grid for 349 levels needs 16384 points, "
+            "above the limit of 8193\n"
+        )
+        below = runner.invoke(main, args[:4] + ["173:173"] + args[5:])
+        assert below.exit_code == 0, below.stderr
+
+    def test_oscillator_eigen_reaches_its_top_level(self, runner):
+        # levels 0 .. 200, the oscillator's supported range, fit the rule's
+        # limit: the eigen path solves them on 8193 points
+        result = runner.invoke(
+            main, ["verify", "--system", "oscillator", "--levels", "0:200", "--paths", "analytic,oracle,eigen"]
+        )
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == "all checks passed for 603 rows\n"
+
     @pytest.mark.parametrize("param", ["a=inf", "a=nan", "m=-inf"])
     def test_non_finite_param_exit_2_without_warnings(self, runner, param):
         with warnings.catch_warnings():
@@ -538,6 +564,27 @@ class TestEigensolve:
             "numerical failure: box eigen grid for 700 levels needs 32769 points, "
             "above the limit of 8193\n"
         )
+
+    @pytest.mark.parametrize("system, k, points", [("box", 347, 8193), ("ring", 347, 8192),
+                                                   ("oscillator", 248, 8193)])
+    def test_default_reach(self, runner, system, k, points):
+        # the most levels the rule resolves within its limit; one more
+        # needs twice the points and exits 3, unless --grid-points is given
+        reached = runner.invoke(main, ["eigensolve", "--system", system, "--k", str(k), "--format", "json"])
+        assert reached.exit_code == 0, reached.stderr
+        assert len(json.loads(reached.stdout)["energies"]) == k
+        beyond = runner.invoke(main, ["eigensolve", "--system", system, "--k", str(k + 1)])
+        assert beyond.exit_code == 3
+        twice = 2 * points - (system != "ring")
+        assert beyond.stderr == (
+            f"numerical failure: {system} eigen grid for {k + 1} levels needs {twice} points, "
+            f"above the limit of 8193\n"
+        )
+        override = "2001" if system != "ring" else "1024"
+        given = runner.invoke(
+            main, ["eigensolve", "--system", system, "--k", str(k + 1), "--grid-points", override]
+        )
+        assert given.exit_code == 0, given.stderr
 
     def test_k_beyond_grid_exit_2(self, runner):
         result = runner.invoke(

@@ -151,9 +151,12 @@ def test_rows_are_unit_rows_times_scales(system, hbar, first, second):
             assert getattr(row, name) == value, (row.level, row.path, name)
         for name in EXACT_COLUMNS:
             assert getattr(row, name) == getattr(unit, name), (row.level, row.path, name)
-        # each rescaled column rounds by up to half an ulp, so the
-        # disagreement (a relative difference) carries a few eps absolute
-        assert row.disagreement == pytest.approx(unit.disagreement, rel=1e-8, abs=1e-15)
+        # rescaling rounds a and b by half an ulp each, which moves
+        # |a - b| / max(|a|, |b|, unit) by at most eps beside its own few
+        # eps relative: an absolute eps is the least that can hold where
+        # the paths agree to 1e-8
+        eps = np.finfo(float).eps
+        assert row.disagreement == pytest.approx(unit.disagreement, rel=1e-8, abs=eps)
 
 
 class TestScaledChecks:
