@@ -4,8 +4,8 @@ solvable 1D quantum systems, with independent numerical verification.
 Three computation paths answer the same questions and must agree:
 
 - `analytic`: closed-form energies and uncertainties,
-- `oracle`: Simpson quadrature, Parseval sums and (between hard walls)
-  discrete derivatives on sampled states,
+- `oracle`: Simpson quadrature and Fourier, sine and cosine series of
+  sampled states,
 - `eigensolver`: finite-difference Hamiltonians rediscovering the
   eigenstates, energies, and node counts from scratch.
 """

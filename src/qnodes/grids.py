@@ -1,5 +1,5 @@
 """Uniform grids, composite-Simpson quadrature, discrete derivatives, and
-momentum moments by Parseval.
+momentum moments by Parseval (FFT, or a sine series between hard walls).
 
 The unit of work is a stack: the samples of one state, or a (levels,
 points) array of the samples of many states on one grid.  Every integral,
@@ -242,10 +242,9 @@ def quad(grid: GridSpec, y: np.ndarray):
     return s * h / 3.0
 
 
-@lru_cache(maxsize=64)
 def _fd_weights(offsets: tuple[int, ...], deriv: int) -> np.ndarray:
     """Finite-difference weights for d^deriv/dx^deriv on integer offsets,
-    read-only because they are cached."""
+    read-only because `_edge_rows` caches them."""
     k = np.arange(len(offsets))
     a = np.array(offsets, dtype=float) ** k[:, None]
     b = np.zeros(len(offsets))
@@ -255,31 +254,29 @@ def _fd_weights(offsets: tuple[int, ...], deriv: int) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=8)
-def _edge_rows(deriv: int, width: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """One-sided `width`-point weight rows for the first three points
-    (left) and the last three points (right, outermost first) of a grid."""
-    left = tuple(_fd_weights(tuple(range(-i, width - i)), deriv) for i in range(3))
-    right = tuple(_fd_weights(tuple(range(-(width - 1 - i), i + 1)), deriv) for i in range(3))
+@lru_cache(maxsize=1)
+def _edge_rows() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """One-sided 7-point weight rows for the first three points (left) and
+    the last three points (right, outermost first) of a grid."""
+    left = tuple(_fd_weights(tuple(range(-i, 7 - i)), 1) for i in range(3))
+    right = tuple(_fd_weights(tuple(range(-(6 - i), i + 1)), 1) for i in range(3))
     return left, right
 
 
 _CENTRAL_6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_CENTRAL_6_SECOND = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 
 
-def _order6(f: SampledFunction, central: np.ndarray, deriv: int, width: int) -> np.ndarray:
-    """d^deriv/dx^deriv: 7-point central stencil inside, one-sided
-    `width`-point stencils at the three points of each non-periodic edge;
-    periodic grids wrap around."""
-    y = f.values
-    scale = f.grid.h**deriv
+def derivative(f: SampledFunction) -> np.ndarray:
+    """First derivative of sampled values, order-6 accurate: 7-point
+    central stencil inside, one-sided 7-point stencils at the three points
+    of each non-periodic edge; periodic grids wrap around."""
+    y, scale, width = f.values, f.grid.h, 7
     n = y.shape[-1]
     if n < width:
         raise GridError(f"need at least {width} points for the order-6 stencil, got {n}")
     if f.grid.boundary == "periodic":
         out = np.zeros_like(y)
-        for k, c in zip(range(-3, 4), central):
+        for k, c in zip(range(-3, 4), _CENTRAL_6):
             if c:
                 out += c * np.roll(y, -k, axis=-1)
         return out / scale
@@ -287,24 +284,14 @@ def _order6(f: SampledFunction, central: np.ndarray, deriv: int, width: int) -> 
     out = np.empty_like(y)
     # np.convolve takes one sample at a time
     for row, dst in zip(y.reshape(-1, n), out.reshape(-1, n)):
-        np.divide(np.convolve(row, central[::-1], mode="valid"), scale, out=dst[3:-3])
+        np.divide(np.convolve(row, _CENTRAL_6[::-1], mode="valid"), scale, out=dst[3:-3])
     # one weight row at a time: stacked into a matrix, BLAS changes the last bits
-    left, right = _edge_rows(deriv, width)
+    left, right = _edge_rows()
     head, tail = y[..., :width], y[..., -width:]
     for i in range(3):
         out[..., i] = dot(head, left[i]) / scale
         out[..., n - 1 - i] = dot(tail, right[i]) / scale
     return out
-
-
-def derivative(f: SampledFunction) -> np.ndarray:
-    """First derivative of sampled values, order-6 accurate (7-point edges)."""
-    return _order6(f, _CENTRAL_6, 1, 7)
-
-
-def second_derivative(f: SampledFunction) -> np.ndarray:
-    """Second derivative, order-6 interior stencil with 9-point one-sided edges."""
-    return _order6(f, _CENTRAL_6_SECOND, 2, 9)
 
 
 def spectral_derivative(f: SampledFunction) -> np.ndarray:
@@ -328,13 +315,16 @@ def _parseval_weights(grid: GridSpec, real: bool) -> tuple[np.ndarray, ...]:
     weight w = h/M per bin (Parseval, M samples per period); an `rfft` bin
     other than 0 and M/2 also stands for its mirror bin and counts twice.
     The high band is the bins with |kappa| above half the Nyquist
-    wavenumber: the tail of an `rfft`, the middle of an `fft`.
+    wavenumber: the tail of an `rfft`, the middle of an `fft`.  A Dirichlet
+    grid is half the period of its odd extension: its weights are halved,
+    and its high band starts at half the Nyquist wavenumber, k = J/2.
     """
-    m = grid.points if grid.boundary == "periodic" else grid.points - 1
+    walls = grid.boundary == "dirichlet"
+    m = grid.points if grid.boundary == "periodic" else (grid.points - 1) * (2 if walls else 1)
     if real:
         k = np.arange(m // 2 + 1, dtype=float)
-        weight = np.where((k == 0) | (2 * k == m), 1.0, 2.0) * grid.h / m
-        high = slice(2 * (m // 4 + 1), None)
+        weight = np.where((k == 0) | (2 * k == m), 1.0, 2.0) * grid.h / m * (0.5 if walls else 1.0)
+        high = slice(2 * (m // 4 if walls else m // 4 + 1), None)
     else:
         k = np.fft.fftfreq(m, 1.0 / m)
         weight = np.full(m, grid.h / m)
@@ -354,21 +344,26 @@ def spectral_moments(f: SampledFunction) -> tuple:
 
     One period of the samples is transformed once: a periodic grid's
     samples as they are, an open grid's without the duplicate end point
-    (exact for samples that have decayed at both ends).  Real samples take
-    an `rfft`, a first moment of exactly 0.0 and a variance equal to the
-    second moment; complex ones an `fft`, and the variance is the centred
-    sum of w (kappa - <kappa>)^2 |c|^2, so a sample of one wavenumber has
-    a variance at roundoff, not the cancellation of <kappa^2> - <kappa>^2.
-    The share is the fraction of the second moment carried by wavenumbers
-    above half the Nyquist wavenumber pi / h, the moment floored at one
-    natural unit (hbar^2 = 1) so that a state at rest reads roundoff over
-    1, not roundoff over roundoff.  It is at roundoff when a grid of
-    spacing 2h would still resolve the samples.
+    (exact for samples that have decayed at both ends), or a Dirichlet
+    grid's real samples as the odd extension of the interior (zero at the
+    walls), whose `rfft` gives their DST-I.  Real samples take an `rfft`, a
+    first moment of exactly 0.0 and a variance equal to the second moment;
+    complex ones an `fft`, and the variance is the centred sum of
+    w (kappa - <kappa>)^2 |c|^2, so a sample of one wavenumber has a
+    variance at roundoff, not the cancellation of <kappa^2> - <kappa>^2.
+    The share is the fraction of the second moment carried by the high
+    band (`_parseval_weights`), the moment floored at one natural unit
+    (hbar^2 = 1) so that a state at rest reads roundoff over 1, not
+    roundoff over roundoff.  It is at roundoff when a grid of spacing 2h
+    would still resolve the samples.
     """
-    if f.grid.boundary == "dirichlet":
-        raise GridError("Parseval moments need an open or periodic grid")
     y = f.values if f.grid.boundary == "periodic" else f.values[..., :-1]
     real = not np.iscomplexobj(y)
+    if f.grid.boundary == "dirichlet":
+        if not real:
+            raise GridError("Dirichlet samples must be real: a complex <p> has no sine-series form")
+        y = np.concatenate([y, -f.values[..., :0:-1]], axis=-1)
+        y[..., :: f.grid.points - 1] = 0.0
     w0, kappa, w1, w2, high = _parseval_weights(f.grid, real)
     v = (np.fft.rfft(y, axis=-1) if real else np.fft.fft(y, axis=-1)).view(np.float64)
     u = v * w2

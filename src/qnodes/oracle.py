@@ -1,9 +1,11 @@
 """Grid-based verification path: expectation values by quadrature.
 
 Nothing in this module uses the closed-form moments; states are sampled
-(or handed over as eigenvectors) and every moment is recomputed from
-Simpson quadrature, Parseval sums over FFT coefficients, or (between hard
-walls) high-order discrete derivatives.  Grids, samples
+(or handed over as eigenvectors) on band-limited grids, and every moment
+is recomputed from Simpson quadrature or from series coefficients that
+one FFT gives: Fourier series on open and periodic grids, and between
+the box's walls the sine series of the samples (DST-I) for <p^2> and the
+cosine series of the density (DCT-I) for <x> and Var x.  Grids, samples
 and moments are in the system's natural units (`model.scales`);
 `oracle_uncertainties` rescales its record once.
 
@@ -27,14 +29,13 @@ from .errors import GridError, NormalizationError
 from .grids import (
     GridSpec,
     SampledFunction,
-    derivative,
+    dot,
     first_failure,
     first_rows,
     floored,
     per_sample,
     quad,
     raise_first,
-    second_derivative,
     spectral_moments,
 )
 from .model import (
@@ -53,6 +54,7 @@ __all__ = [
     "default_grid",
     "sample_state",
     "sample_levels",
+    "alias_check",
     "position_moments",
     "momentum_moments",
     "oracle_uncertainties",
@@ -64,12 +66,8 @@ __all__ = [
 
 # Normalization tolerances: precondition vs hard error.
 _NORM_TOL = 1e-6
-# Stencil-order guard for <p^2> between hard walls: relative disagreement
-# between the order-6 derivative and the order-2 stencil of `_gradient`.
-_STENCIL_ORDER_TOL = 1e-2
-# Resolution guard for <p^2> and <L_z^2> on open and periodic grids: the
-# largest share of the second moment that wavenumbers above half the
-# Nyquist wavenumber may carry.
+# Resolution guard for <p^2> and <L_z^2>: the largest share of the second
+# moment that wavenumbers above half the Nyquist wavenumber may carry.
 # Simpson's coarse half T(2h) resolves |psi|^2 only if psi is resolved
 # there, and the position moments' relative error tracks this share
 # (2.1e-6 at a share of 2.7e-6, oscillator 0:200 on 801 points), so the
@@ -79,12 +77,10 @@ _BAND_SHARE_TOL = 1e-10
 # 1/(upper - lower) of a normalized state, of a sample that has decayed.
 _EDGE_DENSITY_TOL = 1e-16
 
-# Points of the box grid; the oscillator's and the ring's follow their band limits.
-BOX_POINTS = 4001
-# Ring grids: the fewest points per unit of |m| + 1, and the most points
-# the band-limit rule may ask for (|m| up to 131071).
-_RING_POINTS_PER_M = 8
-_MAX_RING_POINTS = 1 << 20
+# Ring and box grids: the fewest points (ring) or intervals (box) per unit
+# of |m| + 1 or n + 1, and the most the rule may ask for (|m|, n <= 131071).
+_POINTS_PER_LEVEL = 8
+_MAX_BAND_POINTS = 1 << 20
 
 
 def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> GridSpec:
@@ -103,27 +99,32 @@ def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> G
     the density's wavenumbers (at most 2M) then lie below half the Nyquist
     wavenumber N/2, every Fourier sum is exact, and each node interval
     holds at least 4 samples.  A power of two keeps the FFT's exact zeros
-    (m = 0 reads 0.0).  A rule asking for more than 2^20 points raises
-    GridError; `points` overrides the rule on every system.
+    (m = 0 reads 0.0).  A box state with n <= M is a sine polynomial, and
+    the box grid takes the same rule in intervals: J >= 8(M + 1), J + 1
+    points, on which the sine and cosine series of the state and its
+    density are exact.  A rule asking for more than 2^20 points or
+    intervals raises GridError; `points` overrides the rule everywhere.
     """
     if isinstance(spec, Oscillator):
         half_width = max(math.sqrt(2.0 * abs(int(idx)) + 1.0) + 10.0, 12.0)
         if points is None:
             points = 2 * math.ceil(2.0 * half_width**2 / math.pi) + 1
         return GridSpec(-half_width, half_width, points, "open")
-    if isinstance(spec, Box):
-        return GridSpec(0.0, 1.0, BOX_POINTS if points is None else points, "dirichlet")
+    ring = isinstance(spec, Ring)
     if points is None:
         top = abs(int(idx))
         # in floats, as for the oscillator: a level too large for one overflows
-        need = _RING_POINTS_PER_M * (float(top) + 1.0)
-        if need > _MAX_RING_POINTS:
+        need = _POINTS_PER_LEVEL * (float(top) + 1.0)
+        if need > _MAX_BAND_POINTS:
+            system, symbol, unit = ("ring", "|m|", "points") if ring else ("box", "n", "intervals")
             raise GridError(
-                f"ring grid for |m| = {top} needs at least {need:.0f} points, "
-                f"above the limit of {_MAX_RING_POINTS}"
+                f"{system} grid for {symbol} = {top} needs at least {need:.0f} {unit}, "
+                f"above the limit of {_MAX_BAND_POINTS}"
             )
-        points = 1 << (int(need) - 1).bit_length()
-    return GridSpec(0.0, 2.0 * math.pi, points, "periodic")
+        points = (1 << (int(need) - 1).bit_length()) + (not ring)
+    if ring:
+        return GridSpec(0.0, 2.0 * math.pi, points, "periodic")
+    return GridSpec(0.0, 1.0, points, "dirichlet")
 
 
 def sample_state(
@@ -133,14 +134,15 @@ def sample_state(
 ) -> SampledFunction:
     """Sample the natural-unit eigenfunction (or ring superposition) on a
     natural-unit grid, by default the grid of the state's level (for a
-    superposition, of its largest |m|)."""
+    superposition, of its largest |m|); a level it aliases raises GridError."""
     if isinstance(spec, Ring):
-        if grid is None:
-            ms = [m for m, _ in state.terms] if isinstance(state, RingSuperposition) else [state]
-            grid = default_grid(spec, max(abs(validate_state(spec, m)) for m in ms))
+        ms = [m for m, _ in state.terms] if isinstance(state, RingSuperposition) else [state]
+        grid = grid or default_grid(spec, max(abs(validate_state(spec, m)) for m in ms))
+        raise_first(alias_check(spec, ms, grid))
         return SampledFunction(grid, ring_state_values(state, grid.x))
     idx = validate_state(spec, state)
     grid = grid or default_grid(spec, idx)
+    raise_first(alias_check(spec, [idx], grid))
     psi = box_psi if isinstance(spec, Box) else oscillator_psi
     return SampledFunction(grid, psi(type(spec)(), idx, grid.x))
 
@@ -162,6 +164,20 @@ def sample_levels(spec: SystemSpec, stacks, grid: GridSpec):
     return (
         SampledFunction(grid, psi(*natural, np.array(levels)[:, None], grid.x))
         for levels in stacks
+    )
+
+
+def alias_check(spec: SystemSpec, levels, grid: GridSpec):
+    """The `raise_first` check that `grid` samples each of `levels` below
+    its Nyquist wavenumber (a GridError naming the level): beyond it, a
+    ring or box level reads as a lower one, where no band guard sees it."""
+    ring = isinstance(spec, Ring)
+    first = grid.points // 2 + 1 if ring else grid.points - 1  # the lowest aliased level
+    symbol = "|m|" if ring else "n"
+    aliased = [abs(m) >= first and not isinstance(spec, Oscillator) for m in levels]
+    return np.array(aliased, dtype=bool), lambda row: GridError(
+        f"grid too coarse: the {grid.points}-point {type(spec).__name__.lower()} grid aliases "
+        f"{symbol} = {abs(levels[row])} (every {symbol} >= {first})"
     )
 
 
@@ -189,58 +205,66 @@ def _folded_mean(psi: SampledFunction) -> float:
     return centre * psi.norm + s * grid.h / 3.0
 
 
+@lru_cache(maxsize=16)
+def _cosine_weights(points: int) -> np.ndarray:
+    """(2, 2 points) weights that take the interleaved `rfft` of the even
+    extension of a box density on `points` points, its DCT-I c_0 ... c_J,
+    to c_0 <u - 1/2> and c_0 <(u - 1/2)^2>, u in [0, 1]; read-only because
+    cached.  The density's cosine interpolant is (c_0 + 2 sum_{0<j<J} c_j
+    cos j pi u + c_J cos J pi u) / 2J, and the integral of (u - 1/2)^p
+    cos j pi u over [0, 1] is ((-1)^j - 1) / (j pi)^2 for p = 1 and
+    ((-1)^j + 1) / (j pi)^2 for p = 2 (1/12 at j = 0)."""
+    j = np.arange(1, points, dtype=float)
+    inner = np.where(j < points - 1, 2.0, 1.0) / (j * math.pi) ** 2
+    w = np.zeros((2, 2 * points))
+    w[:, 2::2] = ((-1.0) ** j + np.array([[-1.0], [1.0]])) * inner
+    w[1, 0] = 1.0 / 12.0
+    w.flags.writeable = False
+    return w
+
+
 def position_moments(psi: SampledFunction) -> tuple:
     """(<x>, Var x) by quadrature of x |psi|^2 and (x - <x>)^2 |psi|^2.
 
     On open grids <x> is folded about the grid centre (`_folded_mean`), so
     a state of definite parity has <x> exactly 0.0.  The variance is
     integrated about the mean, not taken as <x^2> - <x>^2, which would
-    cancel digits for a state far from the origin.
+    cancel digits for a state far from the origin.  Between hard walls both
+    pair one DCT-I of the density with the cosine series of x - c and
+    (x - c)^2 about the centre c (`_cosine_weights`): exact below J/2 on J
+    intervals, where Simpson's end terms hold x |psi|^2 at O(h^4).
     """
     raise_first(_norm_check(psi))
-    x = psi.grid.x
-    if psi.grid.boundary == "open":
+    grid, rho = psi.grid, psi.density
+    if grid.boundary == "dirichlet":
+        even = np.concatenate([rho, rho[..., -2:0:-1]], axis=-1)
+        v, w = np.fft.rfft(even, axis=-1).view(np.float64), _cosine_weights(grid.points)
+        mean_u, mean_u2 = dot(v, w[0]) / v[..., 0], dot(v, w[1]) / v[..., 0]
+        span = grid.upper - grid.lower
+        mean_x = grid.lower + span * (0.5 + mean_u)
+        return per_sample(psi, mean_x, span**2 * (mean_u2 - _pow2(mean_u)))
+    if grid.boundary == "open":
         mean_x = _folded_mean(psi)
     else:
-        mean_x = quad(psi.grid, x * psi.density)
-    spread = x - np.asarray(mean_x)[..., None]
+        mean_x = quad(grid, grid.x * rho)
+    spread = grid.x - np.asarray(mean_x)[..., None]
     np.square(spread, out=spread)
-    spread *= psi.density
-    return per_sample(psi, mean_x, quad(psi.grid, spread))
-
-
-def _gradient(y: np.ndarray, h: float) -> np.ndarray:
-    """np.gradient(y, h) on a uniform grid, bit for bit: central
-    differences inside, first-order one-sided differences at the edges.
-    Integer samples are promoted to float64 first, as np.gradient does."""
-    y = y.astype(np.result_type(y, 1.0), copy=False)
-    out = np.empty_like(y)
-    interior = np.subtract(y[..., 2:], y[..., :-2], out=out[..., 1:-1])
-    interior /= 2.0 * h
-    out[..., 0] = (y[..., 1] - y[..., 0]) / h
-    out[..., -1] = (y[..., -1] - y[..., -2]) / h
-    return out
+    spread *= rho
+    return per_sample(psi, mean_x, quad(grid, spread))
 
 
 def momentum_moments(psi: SampledFunction) -> tuple:
     """(<p>, <p^2>) in natural units (hbar = 1).
 
-    On open and periodic grids both come from one FFT by Parseval
-    (`grids.spectral_moments`); a real sample's <p> is exactly 0.0.  An
-    open-grid sample must have decayed at both ends, and on either grid a
-    GridError is raised when wavenumbers above half the Nyquist wavenumber
-    carry more than `_BAND_SHARE_TOL` of <p^2>: the grid does not resolve
-    the state.
-
-    Between hard walls (Dirichlet grids) <p^2> is the quadrature of
-    |psi'|^2 with the order-6 derivative, and <p> that of psi* (-i) psi'
-    (0.0 for real samples, whose integrand is an exact +-0.0).  A
-    second-order stencil recomputes <p^2>, and a GridError is raised when
-    the two disagree beyond 1 percent.
+    Both come from one FFT by Parseval (`grids.spectral_moments`), of the
+    odd extension between hard walls: <p^2> = sum_k (k pi / L)^2 b_k^2 L/2
+    over the sine coefficients b_k on a box of width L.  A real sample's
+    <p> is exactly 0.0.  An open-grid sample must have decayed at both
+    ends, and a GridError is raised when wavenumbers above half the
+    Nyquist wavenumber carry more than `_BAND_SHARE_TOL` of <p^2>: the
+    grid does not resolve the state.
     """
     grid = psi.grid
-    if grid.boundary == "dirichlet":
-        return _stencil_momentum_moments(psi)
     checks = [_norm_check(psi)]
     if grid.boundary == "open":
         rho = psi.density
@@ -265,35 +289,6 @@ def _band_check(share, quantity: str, symbol: str):
         f"Nyquist wavenumber carry {float(share[row]):.3e} of <{symbol}^2>, "
         f"above {_BAND_SHARE_TOL:.0e}"
     )
-
-
-def _stencil_momentum_moments(psi: SampledFunction) -> tuple:
-    """(<p>, <p^2>) of Dirichlet samples by the order-6 derivative, with
-    the stencil-order guard; see `momentum_moments`."""
-    dpsi = derivative(psi)
-    low = _gradient(psi.values, psi.grid.h)
-    if np.iscomplexobj(psi.values):
-        mean_p = np.real(quad(psi.grid, np.conj(psi.values) * -1j * dpsi))
-        dpsi2, low2 = np.abs(dpsi) ** 2, np.abs(low) ** 2
-    else:
-        # for real arrays np.square(a) equals np.abs(a) ** 2 bit for bit;
-        # both arrays are fresh, so they are squared in place
-        mean_p = np.zeros(dpsi.shape[:-1])
-        dpsi2, low2 = np.square(dpsi, out=dpsi), np.square(low, out=low)
-    mean_p2 = np.real(quad(psi.grid, dpsi2))
-    gap, p2 = np.atleast_1d(np.abs(np.real(quad(psi.grid, low2)) - mean_p2), mean_p2)
-    stencil = gap > _STENCIL_ORDER_TOL * floored(np.abs(p2), 1.0), lambda row: GridError(
-        "grid too coarse for momentum moments: stencil-order "
-        f"disagreement {float(gap[row]):.3e} on <p^2> = {float(p2[row]):.6e}"
-    )
-    raise_first(_norm_check(psi), stencil)
-    return per_sample(psi, mean_p, mean_p2)
-
-
-def p2_by_second_derivative(psi: SampledFunction) -> float:
-    """Cross-check form <p^2> = -integral psi* psi'' (natural units)."""
-    d2 = second_derivative(psi)
-    return -float(np.real(quad(psi.grid, np.conj(psi.values) * d2)))
 
 
 def ring_lz_by_quadrature(psi: SampledFunction) -> tuple[float, float, float]:

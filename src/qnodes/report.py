@@ -21,10 +21,10 @@ from . import __version__
 from .analytic import COLUMN_UNITS, level_floats, uncertainty_columns
 from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_columns, solve_lowest
 from .errors import ConfigError, DomainError, GridError, QnodesError
-from .grids import first_failure, first_rows, stack_rows
+from .grids import first_failure, first_rows, raise_first, stack_rows
 from .model import Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
 from .nodal import node_counts
-from .oracle import columns_from_stack, default_grid, sample_levels
+from .oracle import alias_check, columns_from_stack, default_grid, sample_levels
 
 __all__ = [
     "SweepConfig",
@@ -147,16 +147,16 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     sampled = "analytic" in cfg.paths or "oracle" in cfg.paths
     too_large = None
     if sampled:
-        top = max(levels, key=abs)
+        try:
+            level_floats(levels)
+        except OverflowError as exc:  # unsampled: the levels below it are swept first
+            too_large, levels = _at_level(levels[exc.row], exc), levels[: exc.row]
+        top = max(levels, key=abs, default=0)
         try:
             grid = default_grid(spec, top, cfg.grid_points)
         except (QnodesError, OverflowError) as exc:
             raise _at_level(top, exc) from exc
         grids.append(grid)
-        try:
-            level_floats(levels)
-        except OverflowError as exc:  # unsampled: the levels below it are swept first
-            too_large, levels = _at_level(levels[exc.row], exc), levels[: exc.row]
     # ring samples are complex
     itemsize = 16 if isinstance(spec, Ring) else 8
     rows = stack_rows(itemsize * max(g.points for g in grids))
@@ -187,12 +187,14 @@ def _sweep_stack(spec, units, paths, levels, psi, eigen_result) -> dict[str, tup
     """Each path's (physical (column, level) array in `COLUMN_UNITS` order,
     node counts) for the ascending `levels` sampled in the stack `psi`
     (None when no path needs samples).  The steps run in a level's order
-    (node count, then each path's columns and rescale), each over the
-    whole stack; an error is that of the first failing level
-    (`grids.first_failure`) and names it."""
+    (the grid's aliasing check, node count, then each path's columns and
+    rescale), each over the whole stack; an error is that of the first
+    failing level (`grids.first_failure`) and names it."""
 
     def run(end):
         part = None if psi is None else first_rows(psi, end)
+        if part is not None:
+            raise_first(alias_check(spec, levels[:end], part.grid))
         counted = None if part is None else node_counts(part)
         natural = {
             "analytic": lambda: uncertainty_columns(spec, levels[:end]),

@@ -233,9 +233,10 @@ def test_criterion_8_cli_contract():
             == 1
         )
         assert verify_exit(["--system", "box", "--levels", "0:3"]) == 2
+        # on 50 intervals levels from 25 on lie at or above half the Nyquist wavenumber
         assert (
             verify_exit(
-                ["--system", "box", "--levels", "18:20", "--grid-points", "51"]
+                ["--system", "box", "--levels", "25:27", "--grid-points", "51"]
             )
             == 3
         )

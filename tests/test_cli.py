@@ -300,9 +300,10 @@ class TestVerify:
         assert result.stdout == f"all checks passed for {rows} rows\n"
 
     def test_impossible_tolerance_exit_1(self, runner):
+        # box 1:3 agrees to ~2e-16 across the closed forms and the oracle
         result = runner.invoke(
             main,
-            ["verify", "--system", "box", "--levels", "1:3", "--tol", "1e-15"],
+            ["verify", "--system", "box", "--levels", "1:3", "--tol", "1e-17"],
         )
         assert result.exit_code == 1
 
@@ -369,6 +370,7 @@ class TestVerify:
         assert "tolerance must be positive and finite" in result.stderr
 
     def test_coarse_grid_exit_3(self, runner):
+        # on 50 intervals n = 26 lies above half the Nyquist wavenumber
         result = runner.invoke(
             main,
             [
@@ -376,13 +378,36 @@ class TestVerify:
                 "--system",
                 "box",
                 "--levels",
-                "18:20",
+                "26:28",
                 "--grid-points",
                 "51",
             ],
         )
         assert result.exit_code == 3
-        assert "level 18" in result.output
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numerical failure: level 26: grid too coarse for momentum moments: wavenumbers "
+            "above half the Nyquist wavenumber carry 1.000e+00 of <p^2>, above 1e-10\n"
+        )
+
+    def test_resolved_level_on_a_coarse_grid_meets_the_closed_forms(self, runner):
+        # n = 20 lies below half the Nyquist wavenumber of 50 intervals
+        args = ["sweep", "--system", "box", "--levels", "20:20", "--paths", "analytic,oracle"]
+        coarse = runner.invoke(main, args + ["--grid-points", "51"])
+        assert coarse.exit_code == 0
+        (analytic, oracle) = [line.split(",") for line in coarse.stdout.splitlines()[1:]]
+        for a, o in zip(analytic[4:8], oracle[4:8]):
+            assert float(o) == pytest.approx(float(a), rel=1e-13)
+
+    def test_box_eigenvectors_to_level_200_pass(self, runner):
+        # the DST's half-band guard accepts eigenvectors whose <p^2> is exact
+        result = runner.invoke(
+            main,
+            ["verify", "--system", "box", "--levels", "1:200", "--paths", "analytic,eigen",
+             "--tol", "1e-1", "--grid-points", "2001"],
+        )
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == "all checks passed for 400 rows\n"
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_under_resolved_oscillator_grid_exit_3(self, runner, command):
@@ -416,6 +441,30 @@ class TestVerify:
         assert result.stderr == (
             f"numerical failure: level {level}: grid too coarse for angular momentum moments: "
             "wavenumbers above half the Nyquist wavenumber carry 1.000e+00 of <L_z^2>, above 1e-10\n"
+        )
+
+    @pytest.mark.parametrize(
+        "system, level, points, message",
+        [
+            # e^{14 i theta} on 16 points reads as m = -2, energy 2 in place of 98
+            ("ring", 14, 16, "the 16-point ring grid aliases |m| = 14 (every |m| >= 9)"),
+            # sin(90 pi x) on 50 intervals reads as -sin(10 pi x)
+            ("box", 90, 51, "the 51-point box grid aliases n = 90 (every n >= 50)"),
+        ],
+        ids=["ring-14-on-16", "box-90-on-51"],
+    )
+    @pytest.mark.parametrize("paths", ["oracle", "analytic"])
+    def test_level_beyond_nyquist_exit_3(self, runner, system, level, points, message, paths):
+        # the samples lie in the low band, where the half-band guard cannot see them
+        result = runner.invoke(
+            main,
+            ["sweep", "--system", system, "--levels", f"{level}:{level}", "--paths", paths,
+             "--grid-points", str(points)],
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"numerical failure: level {level}: grid too coarse: {message}\n"
         )
 
     def test_ring_grid_limit_exit_3(self, runner):

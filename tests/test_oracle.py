@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnodes import (
     Box,
@@ -29,13 +32,12 @@ import qnodes.grids
 import qnodes.oracle
 import qnodes.special
 from qnodes.eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
-from qnodes.grids import _edge_rows, _fd_weights, _parseval_weights, derivative, second_derivative
+from qnodes.grids import _edge_rows, _fd_weights, _parseval_weights, derivative, spectral_moments
 from qnodes.oracle import (
-    BOX_POINTS,
-    _gradient,
+    _cosine_weights,
     _theta_weights,
+    columns_from_stack,
     default_grid,
-    p2_by_second_derivative,
     sample_levels,
 )
 from qnodes.report import SweepConfig, run_sweep
@@ -113,25 +115,135 @@ class TestMomentumMoments:
         assert mean_p2 == pytest.approx(0.5, abs=1e-8)
 
     def test_coarse_grid_rejected(self):
-        psi = sample_state(Box(), 18, GridSpec(0.0, 1.0, 51, "dirichlet"))
-        with pytest.raises(GridError):
-            momentum_moments(psi)
+        # on 50 intervals n = 25 and above put all of <p^2> at or above
+        # half the Nyquist wavenumber; n = 20 lies below it and is exact
+        grid = GridSpec(0.0, 1.0, 51, "dirichlet")
+        with pytest.raises(GridError, match=r"carry 1\.000e\+00 of <p\^2>, above 1e-10"):
+            momentum_moments(sample_state(Box(), 30, grid))
+        assert momentum_moments(sample_state(Box(), 20, grid))[1] == pytest.approx(
+            (20.0 * np.pi) ** 2, rel=1e-14
+        )
 
     @pytest.mark.parametrize("n", [1, 3, 8])
-    def test_two_p2_forms_agree(self, n):
-        psi = sample_state(Box(), n)
-        _, p2 = momentum_moments(psi)
-        assert p2_by_second_derivative(psi) == pytest.approx(p2, rel=1e-6)
+    def test_p2_is_the_sine_series_sum(self, n):
+        _, p2 = momentum_moments(sample_state(Box(), n))
+        assert p2 == pytest.approx((n * np.pi) ** 2, rel=1e-14)
+
+    def test_complex_dirichlet_sample_rejected(self):
+        psi = sample_state(Box(), 2)
+        with pytest.raises(GridError, match="Dirichlet samples must be real"):
+            momentum_moments(SampledFunction(psi.grid, psi.values * 1j))
 
 
 def _complex_parseval(psi):
-    """(<p>, <p^2>) of an open-grid sample from the complex FFT of its
-    values without the duplicate end point, summed over every bin."""
-    y = psi.values[:-1].astype(complex)
-    m, h = y.size, psi.grid.h
+    """(<p>, <p^2>) of a real open-grid or Dirichlet sample from the
+    complex FFT of one period, summed over every bin: the values without
+    the duplicate end point, or the odd extension of the interior, whose
+    period holds the grid twice."""
+    y = psi.values.astype(complex)
+    m, h, half = y.size - 1, psi.grid.h, 1.0
+    if psi.grid.boundary == "dirichlet":
+        y = np.concatenate([[0.0], y[1:-1], [0.0], -y[-2:0:-1]])
+        m, half = 2 * m, 0.5
+    else:
+        y = y[:-1]
     kappa = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
-    power = np.abs(np.fft.fft(y)) ** 2 * h / m
+    power = np.abs(np.fft.fft(y)) ** 2 * h / m * half
     return float(np.sum(kappa * power)), float(np.sum(kappa**2 * power))
+
+
+def _dirichlet_reference(grid, y):
+    """(<p^2>, high-band share, <x>, Var x) of real samples `y` on a
+    Dirichlet grid, from scipy's DST-I of the interior samples and DCT-I
+    of the density: psi = sum_k b_k sin k pi u and |psi|^2 = a_0 / 2 +
+    sum_j a_j cos j pi u (a_J halved), u = (x - lower) / L."""
+    j, length = grid.points - 1, grid.upper - grid.lower
+    k = np.arange(1, j)
+    b = scipy.fft.dst(y[1:-1], type=1) / j
+    power = (k * np.pi / length) ** 2 * b**2 * length / 2.0
+    p2 = power.sum()
+    share = power[k >= j / 2].sum() / max(p2, 1.0)
+    a = scipy.fft.dct(y**2, type=1) / j
+    a[-1] /= 2.0
+    jj = np.arange(1, j + 1)
+    u1 = np.sum(a[1:] * ((-1.0) ** jj - 1.0) / (jj * np.pi) ** 2)
+    u2 = a[0] / 24.0 + np.sum(a[1:] * ((-1.0) ** jj + 1.0) / (jj * np.pi) ** 2)
+    mean_u, mean_u2 = u1 / (a[0] / 2.0), u2 / (a[0] / 2.0)
+    mean_x = grid.lower + length * (0.5 + mean_u)
+    return p2, share, mean_x, length**2 * (mean_u2 - mean_u**2)
+
+
+class TestSineAndCosineSeries:
+    """Dirichlet moments: numpy's `rfft` of the odd and even extensions
+    against scipy's DST-I and DCT-I, and stacks against their rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.floats(-2.0, 2.0),
+        st.floats(0.1, 5.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_moments_match_scipy_transforms(self, half, lower, length, seed):
+        grid = GridSpec(lower, lower + length, 2 * half + 1, "dirichlet")
+        y = np.random.default_rng(seed).standard_normal(grid.points)
+        y[0] = y[-1] = 0.0
+        y /= math.sqrt(quad(grid, y**2))
+        psi = SampledFunction(grid, y)
+        p2, share, mean_x, var_x = _dirichlet_reference(grid, y)
+        _, got_p2, got_share, _ = spectral_moments(psi)
+        got_mean, got_var = position_moments(psi)
+        assert got_p2 == pytest.approx(p2, rel=1e-12)
+        assert got_share == pytest.approx(share, rel=1e-10, abs=1e-15)
+        assert got_mean == pytest.approx(mean_x, rel=1e-12, abs=1e-12 * length)
+        assert got_var == pytest.approx(var_x, rel=1e-10, abs=1e-12 * length**2)
+
+    @pytest.mark.parametrize("source", ["samples", "eigenvectors"])
+    def test_stack_rows_equal_single_samples(self, source):
+        if source == "samples":
+            (stack,) = sample_levels(Box(), [range(1, 41)], default_grid(Box(), 40))
+        else:
+            stack = solve_lowest(build_hamiltonian(Box(), default_eigen_grid(Box(), 40)), 40).stack
+        columns = columns_from_stack(Box(), stack)
+        stacked = (*position_moments(stack), *momentum_moments(stack))
+        for i, row in enumerate(stack.values):
+            psi = SampledFunction(stack.grid, row)
+            single = (*position_moments(psi), *momentum_moments(psi))
+            assert [float(v[i]) for v in stacked] == list(single), i
+            record = qnodes.oracle.record_from_samples(Box(), i + 1, psi)
+            for name, values in columns.items():
+                assert values[i] == getattr(record, name), (i, name)
+
+    def test_default_grid_rows_match_closed_forms(self):
+        rows = run_sweep(SweepConfig(Box(), tuple(range(1, 101)), ("analytic", "oracle")))
+        analytic, oracle = rows[0::2], rows[1::2]
+        for a, o in zip(analytic, oracle):
+            for field in ("energy", "delta_q", "delta_p", "product"):
+                want, got = getattr(a, field), getattr(o, field)
+                assert abs(got - want) <= 1e-14 * abs(want), (a.level, field)
+
+    @pytest.mark.parametrize("top, points", [(1, 17), (7, 65), (40, 513), (100, 1025), (131071, 2**20 + 1)])
+    def test_box_grid_sized_by_band_limit(self, top, points):
+        assert default_grid(Box(), top).points == points
+        assert default_grid(Box(), top, 4001).points == 4001
+
+    def test_box_grid_limit(self):
+        with pytest.raises(GridError, match=r"n = 131072 needs at least 1048584 intervals, above the limit of 1048576"):
+            default_grid(Box(), 131072)
+
+    @pytest.mark.parametrize(
+        "spec, level, points, message",
+        [
+            (Ring(), 14, 16, r"the 16-point ring grid aliases \|m\| = 14 \(every \|m\| >= 9\)"),
+            (Ring(), -9, 17, r"the 17-point ring grid aliases \|m\| = 9 \(every \|m\| >= 9\)"),
+            (Box(), 50, 51, r"the 51-point box grid aliases n = 50 \(every n >= 50\)"),
+            (Box(), 90, 51, r"the 51-point box grid aliases n = 90 \(every n >= 50\)"),
+        ],
+        ids=["ring-14-on-16", "ring-9-on-17", "box-50-on-51", "box-90-on-51"],
+    )
+    def test_aliased_level_rejected_when_sampled(self, spec, level, points, message):
+        with pytest.raises(GridError, match=message):
+            sample_state(spec, level, default_grid(spec, 0, points))
 
 
 class TestResolutionGuard:
@@ -224,8 +336,12 @@ class TestRingBandLimit:
         assert mean2_q == pytest.approx(1600.0, rel=1e-14)
 
     def test_aliased_state_rejected(self):
-        # e^{10 i theta} on 16 points reads as e^{-6 i theta}, above N/4
-        psi = sample_state(Ring(), 10, GridSpec(0.0, 2.0 * math.pi, 16, "periodic"))
+        # e^{10 i theta} on 16 points reads as e^{-6 i theta}, above N/4;
+        # `sample_state` refuses the level (beyond N/2), its samples do not pass
+        grid = GridSpec(0.0, 2.0 * math.pi, 16, "periodic")
+        with pytest.raises(GridError, match=r"aliases \|m\| = 10 \(every \|m\| >= 9\)"):
+            sample_state(Ring(), 10, grid)
+        (psi,) = sample_levels(Ring(), [[10]], grid)
         with pytest.raises(GridError, match=r"carry 1\.000e\+00 of <L_z\^2>, above 1e-10"):
             ring_lz_by_quadrature(psi)
 
@@ -250,33 +366,20 @@ def _box_eigenvectors():
 )
 class TestRealSampleShortcut:
     """The real-sample branch of `momentum_moments` against the general
-    formulas on the samples the sweeps feed it: bit for bit against the
-    order-6 products between hard walls, and to roundoff against the full
-    complex FFT on open grids, where a real sample takes an `rfft`."""
+    formula on the samples the sweeps feed it: to roundoff against the
+    full complex FFT of one period (of the odd extension between hard
+    walls), where a real sample takes an `rfft`."""
 
     def test_mean_p_is_zero(self, samples):
         for psi in samples():
-            if psi.grid.boundary == "open":
-                general, p2 = _complex_parseval(psi)
-                assert abs(general) <= 1e-14 * math.sqrt(p2)
-            else:
-                dpsi = derivative(psi)
-                general = float(np.real(quad(psi.grid, np.conj(psi.values) * -1j * dpsi)))
-                assert general == 0.0
+            general, p2 = _complex_parseval(psi)
+            assert abs(general) <= 1e-14 * math.sqrt(p2)
             assert momentum_moments(psi)[0] == 0.0
 
     def test_mean_p2_matches_general_formula(self, samples):
         for psi in samples():
-            if psi.grid.boundary == "open":
-                general = _complex_parseval(psi)[1]
-                assert momentum_moments(psi)[1] == pytest.approx(general, rel=1e-14)
-            else:
-                general = float(np.real(quad(psi.grid, np.abs(derivative(psi)) ** 2)))
-                assert momentum_moments(psi)[1] == general
-
-    def test_guard_gradient_matches_numpy(self, samples):
-        for psi in samples():
-            assert np.array_equal(_gradient(psi.values, psi.grid.h), np.gradient(psi.values, psi.grid.h))
+            general = _complex_parseval(psi)[1]
+            assert momentum_moments(psi)[1] == pytest.approx(general, rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -286,9 +389,7 @@ class TestKernelBits:
     """The derivative edges and the density against their plain formulas,
     bit for bit, on the samples the sweeps feed them."""
 
-    @pytest.mark.parametrize(
-        "fn, deriv, width", [(derivative, 1, 7), (second_derivative, 2, 9)], ids=["d1", "d2"]
-    )
+    @pytest.mark.parametrize("fn, deriv, width", [(derivative, 1, 7)], ids=["d1"])
     def test_edge_values_are_single_row_products(self, samples, fn, deriv, width):
         for psi in samples():
             y, n, scale = psi.values, psi.grid.points, psi.grid.h**deriv
@@ -332,17 +433,12 @@ def test_sweep_leaves_shared_arrays_read_only(monkeypatch):
         assert not psi.values.flags.writeable
         assert not psi.density.flags.writeable
         assert not psi.norm.flags.writeable
-    for deriv, width in ((1, 7), (2, 9)):
-        for rows in _edge_rows(deriv, width):
-            assert all(not w.flags.writeable for w in rows)
-    for real in (True, False):
-        weights = _parseval_weights(seen[0].grid, real)[:-1]
+    for rows in _edge_rows():
+        assert all(not w.flags.writeable for w in rows)
+    for grid, real in ((seen[0].grid, True), (seen[0].grid, False), (seen[1].grid, True)):
+        weights = _parseval_weights(grid, real)[:-1]
         assert all(not w.flags.writeable for w in weights)
-
-
-def test_guard_gradient_promotes_integer_samples():
-    y = np.array([0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8])
-    assert np.array_equal(_gradient(y, 0.3), np.gradient(y, 0.3))
+    assert not _cosine_weights(seen[1].grid.points).flags.writeable
 
 
 def _box_stack(levels):
@@ -380,7 +476,7 @@ class TestSampleOwnsDensity:
         assert stack.density is stack.density
         assert np.array_equal(stack.density, np.abs(stack.values) ** 2)
         assert stack.norm is stack.norm
-        assert len(calls) == 1 and calls[0].shape == (3, BOX_POINTS)
+        assert len(calls) == 1 and calls[0].shape == (3, stack.grid.points)
         rows = [SampledFunction(stack.grid, row) for row in stack.values]
         assert stack.norm.tolist() == [psi.norm for psi in rows]
 
@@ -403,16 +499,22 @@ class TestSampleOwnsDensity:
 
 class TestIntegerSamples:
     """Integer samples are promoted once, when sampled: every derivative
-    matches the same values given as floats."""
+    and spectral moment matches the same values given as floats."""
 
     y = np.array([0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8])
 
-    @pytest.mark.parametrize("op", [derivative, second_derivative])
+    @pytest.mark.parametrize("op", [derivative])
     def test_open_grid(self, op):
         grid = GridSpec(0.0, 3.0, 13, "open")
         got = op(SampledFunction(grid, self.y))
         assert got.dtype == np.float64
         assert np.array_equal(got, op(SampledFunction(grid, self.y.astype(float))))
+
+    @pytest.mark.parametrize("boundary", ["open", "dirichlet"])
+    def test_spectral_moments(self, boundary):
+        grid = GridSpec(0.0, 3.0, 13, boundary)
+        got = spectral_moments(SampledFunction(grid, self.y))
+        assert got == spectral_moments(SampledFunction(grid, self.y.astype(float)))
 
     def test_periodic_grid(self):
         grid = GridSpec(0.0, 3.0, 12, "periodic")
@@ -502,17 +604,20 @@ class TestOracleVsAnalytic:
 
 
 class TestOneMomentPipeline:
-    def test_one_derivative_per_momentum_moment(self, monkeypatch):
+    @pytest.mark.parametrize("moments", [momentum_moments, position_moments])
+    def test_one_transform_per_box_moment(self, monkeypatch, moments):
+        # one DST-I of the samples, or one DCT-I of the density
         calls = []
-        derivative = qnodes.oracle.derivative
+        rfft = np.fft.rfft
 
-        def counted(f):
-            calls.append(f)
-            return derivative(f)
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return rfft(a, *args, **kwargs)
 
-        monkeypatch.setattr(qnodes.oracle, "derivative", counted)
-        momentum_moments(sample_state(Box(), 3))
-        assert len(calls) == 1
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        psi = sample_state(Box(), 3)
+        moments(psi)
+        assert calls == [(2 * (psi.grid.points - 1),)]
 
     @pytest.mark.parametrize("spec, state", [(Box(), 3), (Oscillator(), 4), (Ring(), -2)])
     def test_norm_checked_once_per_record(self, monkeypatch, spec, state):

@@ -236,10 +236,13 @@ class TestVerifyRows:
         ]
 
     def test_impossible_tolerance_fails(self):
+        # the spectral box oracle meets the closed forms to ~2e-16
         cfg = SweepConfig(
-            system=Box(), levels=(1,), paths=("analytic", "oracle"), tol=1e-15
+            system=Box(), levels=(1,), paths=("analytic", "oracle"), tol=1e-17
         )
-        failures = verify_rows(cfg, run_sweep(cfg))
+        rows = run_sweep(cfg)
+        assert rows[0].disagreement > cfg.tol
+        failures = verify_rows(cfg, rows)
         assert any("disagreement" in f for f in failures)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

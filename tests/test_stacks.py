@@ -66,14 +66,14 @@ FIELDS = ("energy", "delta_q", "delta_p", "product", "bound", "nodes_predicted")
 
 SWEEPS = {
     "box-1:150": (Box(), range(1, 151), ("analytic", "oracle")),
-    "box-1:40": (Box(length=1.7, mass=0.6), range(1, 41), ALL),
+    "box-1:70": (Box(length=1.7, mass=0.6), range(1, 71), ALL),
     "oscillator-0:200": (Oscillator(), range(201), ("analytic", "oracle")),
     "oscillator-0:60": (Oscillator(mass=1.7, omega=0.6), range(61), ALL),
     "ring-70:70": (Ring(moment_of_inertia=0.7), range(-70, 71), ALL),
     "ring-10:10": (Ring(), range(-10, 11), ALL),
 }
 # each of these needs at least two stacks
-MULTI_STACK = ("box-1:150", "box-1:40", "oscillator-0:200", "ring-70:70")
+MULTI_STACK = ("box-1:150", "box-1:70", "oscillator-0:200", "ring-70:70")
 
 
 def _rows_per_stack(spec, levels, paths):
@@ -255,10 +255,12 @@ def _peak_traced_bytes(cfg) -> int:
 
 
 def test_peak_memory_stops_growing_with_the_level_count():
-    rows = stack_rows(8 * default_grid(Box()).points)
+    # a pinned grid keeps the stack size fixed as the level count grows
+    points = 4001
+    rows = stack_rows(8 * points)
     paths = ("analytic", "oracle")
-    small = _peak_traced_bytes(SweepConfig(Box(), tuple(range(1, 2 * rows + 1)), paths))
-    large = _peak_traced_bytes(SweepConfig(Box(), tuple(range(1, 12 * rows + 1)), paths))
+    small = _peak_traced_bytes(SweepConfig(Box(), tuple(range(1, 2 * rows + 1)), paths, points))
+    large = _peak_traced_bytes(SweepConfig(Box(), tuple(range(1, 12 * rows + 1)), paths, points))
     # six times the levels (12 stacks, not 2) add less than one stack's
     # samples: only the result rows grow
     assert large - small < STACK_BYTES
@@ -481,12 +483,13 @@ def _row_error(row):
 
 
 def test_level_too_large_for_a_float_after_a_failing_level():
-    # the first level fails in its closed forms (n^2 is too large for a
-    # float), the second already in sampling: the first one's error is raised
+    # the first level fails at its grid (above the band-limit rule's 2^20
+    # intervals), the second is too large for a float: the first one's
+    # error is raised
     first, second = 10**200, 10**400
-    with pytest.raises(DomainError) as alone:
+    with pytest.raises(GridError) as alone:
         run_sweep(SweepConfig(Box(), (first,)))
-    with pytest.raises(DomainError) as both:
+    with pytest.raises(GridError) as both:
         run_sweep(SweepConfig(Box(), (second, first)))
     assert str(both.value) == str(alone.value)
     assert str(alone.value).startswith(f"level {first}: ")

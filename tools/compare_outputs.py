@@ -72,6 +72,10 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["verify", "--system", "box", "--levels", "1:100", *ALL_PATHS],
         ["verify", "--system", "oscillator", "--levels", "0:40", *ALL_PATHS],
         ["verify", "--system", "ring", "--levels", "-20:20", *ALL_PATHS],
+        # the box oracle's sine and cosine series, and box eigenvectors to level 200
+        ["sweep", "--system", "box", "--levels", "1:100", *ALL_PATHS],
+        ["verify", "--system", "box", "--levels", "1:200", "--paths", "analytic,eigen",
+         "--tol", "1e-1", "--grid-points", "2001"],
     )
 )
 
