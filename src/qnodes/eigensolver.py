@@ -12,14 +12,16 @@ only to a fixed tolerance in natural energy units, which tells the levels
 apart, and inverse iteration gives each a vector.  Each energy is that
 vector's Rayleigh quotient on the order-6 operator.  The box's and the
 ring's three-point vectors are discrete sine and Fourier modes, exact
-eigenvectors of the order-6 operator as well; a level whose residual
-still misses `_RESIDUAL_TOL` (the oscillator's) takes Rayleigh-quotient
-iteration steps in its order-6 block, one banded solve each (Parlett,
-*The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 4); at the top of a
-grid too coarse for that, a block is solved dense.  The m-th levels of
-the ring's even (cos) and odd (sin) blocks are the degenerate +/-m pair
-(symmetry reduction: Trefethen, *Spectral Methods in MATLAB*, SIAM 2000,
-ch. 3).
+eigenvectors of the order-6 operator as well.  A block in which a level
+misses `_RESIDUAL_TOL` (the oscillator's) takes one Rayleigh-Ritz step:
+its levels and the next `_GUARD_LEVELS` three-point vectors span a
+subspace, and the order-6 operator's lowest eigenpairs in it replace the
+levels (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 11).
+A block in which a level still misses (on a coarse grid) takes the step
+on all of its three-point vectors: the dense order-6 block.  The m-th
+levels of the ring's even (cos) and odd (sin) blocks are the degenerate
++/-m pair (symmetry reduction: Trefethen, *Spectral Methods in MATLAB*,
+SIAM 2000, ch. 3).
 
 Grids, Hamiltonians, energies and states are in the system's natural
 units (`model.scales`); `eigen_uncertainties` rescales its record once.
@@ -56,10 +58,9 @@ _RESIDUAL_TOL = 1e-8
 # absolute, in natural energy units: same-parity levels are at least ~0.47
 # apart on every grid, while ||T||_1 grows as 1/h^2
 _BISECTION_TOL = 1e-4
-# Rayleigh-quotient iteration converges cubically: on its default grid an
-# oscillator level meets `_RESIDUAL_TOL` in one step from its three-point
-# vector
-_MAX_REFINEMENTS = 4
+# the three-point levels a Rayleigh-Ritz step adds above a block's own: on
+# its default grid every oscillator level then meets `_RESIDUAL_TOL`
+_GUARD_LEVELS = 6
 
 # -(1/2) d^2/dq^2 as integer central weights over a denominator times h^2:
 # the three-point stencil, and the order-6 one (Fornberg's
@@ -133,7 +134,10 @@ class Hamiltonian:
 class EigenResult:
     """Lowest eigenpairs in natural units: ascending energies, the stack of
     normalized sampled states (row j is state j), and residual norms
-    ||H psi - E psi|| on the order-6 operator.
+    ||H psi - E psi|| on the order-6 operator.  Box and ring states are
+    three-point eigenvectors; the oscillator's are the Ritz vectors of a
+    Rayleigh-Ritz step in their parity block (`_parity_pairs`), orthonormal
+    to roundoff.
 
     States alternate even, odd, even, ... under the mirror; the ring's come
     as [m=0, cos 1, sin 1, cos 2, sin 2, ...].  A +/-m pair, or a doublet
@@ -251,17 +255,17 @@ class _Mirror:
         self.paired = self.side[: int(self.fold.max()) + 1] != 0
         self.odd_index = np.cumsum(self.paired) - 1
 
-    def bands(self, ham: Hamiltonian, kinetic) -> tuple[np.ndarray, np.ndarray]:
-        """The even and odd blocks of `ham` with the `kinetic` stencil, each
-        in `scipy.linalg.solve_banded`'s (3, 3) storage (A[i, j] at
-        [3 + i - j, j]).
+    def bands(self, ham: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
+        """The even and odd blocks of `ham` with the three-point stencil
+        `_KINETIC_2`, each tridiagonal in (1, 1)-banded storage (A[i, j] at
+        [1 + i - j, j]).
 
         Block entry (a, b) sums the chain rows a over the columns that fold
         to b, times sqrt 2 on a paired row and 1/sqrt 2 on a paired column
         (even), or times the column's side (odd).  Folding moves no column
         further than its offset, so the blocks keep the stencil's width.
         """
-        stencil, denominator = kinetic
+        stencil, denominator = _KINETIC_2
         index, sign = ham.halo
         a = np.arange(self.paired.size)
         scale = 1.0 / (denominator * ham.grid.h**2)
@@ -271,12 +275,13 @@ class _Mirror:
         values[reach * a.size : (reach + 1) * a.size] += ham.potential[: a.size]
         rows = np.tile(a, len(stencil))
         b, side, paired = self.fold[cols], self.side[cols], self.paired[rows]
-        even = np.zeros((7, a.size))
-        np.add.at(even, (3 + rows - b, b), values * math.sqrt(2.0) ** (paired * 1 - (side != 0)))
+        even = np.zeros((len(stencil), a.size))
+        weights = math.sqrt(2.0) ** (paired * 1 - (side != 0))
+        np.add.at(even, (reach + rows - b, b), values * weights)
         keep = paired & (side != 0)
         r, c = self.odd_index[rows[keep]], self.odd_index[b[keep]]
-        odd = np.zeros((7, int(np.count_nonzero(self.paired))))
-        np.add.at(odd, (3 + r - c, c), values[keep] * side[keep])
+        odd = np.zeros((len(stencil), int(np.count_nonzero(self.paired))))
+        np.add.at(odd, (reach + r - c, c), values[keep] * side[keep])
         return even, odd
 
     def unfold(self, vecs: np.ndarray, odd: bool) -> np.ndarray:
@@ -287,26 +292,20 @@ class _Mirror:
             return padded[:, self.fold] * (self.side / math.sqrt(2.0))
         return vecs[:, self.fold] * np.where(self.paired, 1.0 / math.sqrt(2.0), 1.0)[self.fold]
 
-    def restrict(self, rows: np.ndarray, odd: bool) -> np.ndarray:
-        """Block vectors, up to scale, of the mirror-symmetric (even) or
-        antisymmetric (odd) chain vectors `rows`."""
-        block = rows[:, : self.paired.size]
-        if odd:
-            return block[:, self.paired]
-        return block * np.where(self.paired, math.sqrt(2.0), 1.0)
 
-
-def _bisect(diagonal: np.ndarray, off: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `count` lowest levels of the tridiagonal T and their unit
-    vectors, one per row.
+def _bisect(band: np.ndarray, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels `first` .. `stop` - 1 (ascending from 0) of the tridiagonal
+    `band`, in (1, 1)-banded storage, and their unit vectors, one per row.
 
     Bisection (`dstebz`) runs only to the absolute `_BISECTION_TOL`: that
     fixes which level is which, and inverse iteration (`dstein`) converges
-    each vector from it.
+    each vector from it.  An empty range bisects nothing.
     """
+    if stop == first:
+        return np.empty(0), np.empty((0, band.shape[1]))
     try:
         coarse, vecs = scipy.linalg.eigh_tridiagonal(
-            diagonal, off, select="i", select_range=(0, count - 1), tol=_BISECTION_TOL
+            band[1], band[2, :-1], select="i", select_range=(first, stop - 1), tol=_BISECTION_TOL
         )
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
@@ -327,34 +326,18 @@ def _quotients(ham: Hamiltonian, rows: np.ndarray, shifts: np.ndarray) -> tuple[
     return energies, np.sqrt(dot(image, image))
 
 
-def _inverse_iteration(band: np.ndarray, vecs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """One step of inverse iteration per row of `vecs`, shifted by its
-    entry of `shifts`, in the (3, 3)-banded block `band`: the unit
-    solutions y of (B - shift) y = v."""
-    shifted = band.copy()
-    out = np.empty_like(vecs)
-    for i, (v, shift) in enumerate(zip(vecs, shifts)):
-        shifted[3] = band[3] - shift
-        try:
-            y = scipy.linalg.solve_banded((3, 3), shifted, v, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"inverse iteration failed: {exc}") from exc
-        out[i] = y / math.sqrt(float(y @ y))
-    return out
-
-
-def _dense_lowest(band: np.ndarray, count: int) -> np.ndarray:
-    """The `count` lowest unit eigenvectors, one per row, of the (3, 3)-banded
-    block `band`, solved as a dense matrix."""
-    n = band.shape[1]
-    dense = np.zeros((n, n))
-    for offset in range(-3, 4):
-        j = np.arange(max(0, -offset), min(n, n - offset))
-        dense[j + offset, j] = band[3 + offset, j]
+def _ritz(ham: Hamiltonian, basis: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """One Rayleigh-Ritz step: the `count` lowest eigenpairs of the order-6
+    operator within the span of the orthonormal chain vectors `basis`, one
+    per row.  Returns the unit Ritz vectors (one per row), their quotients
+    about the Ritz values (`_quotients`) and their residual norms."""
     try:
-        return scipy.linalg.eigh(dense, subset_by_index=(0, count - 1))[1].T
+        gram = basis @ _apply(ham, basis).T
+        values, coeffs = scipy.linalg.eigh(gram, subset_by_index=(0, count - 1))
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolver failed: {exc}") from exc
+        raise ConvergenceError(f"Rayleigh-Ritz eigensolver failed: {exc}") from exc
+    rows = coeffs.T @ basis
+    return rows, *_quotients(ham, rows, values)
 
 
 def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -363,52 +346,39 @@ def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.
     The three-point operator's blocks label the levels (`_bisect`).  Open
     chains alternate [even 0, odd 0, even 1, ...] (ascending: a Jacobi
     matrix's levels alternate in parity); the ring is [m=0, cos 1, sin 1,
-    ...].  Each energy is its vector's order-6 Rayleigh quotient, and a
-    level whose residual misses `_RESIDUAL_TOL` takes up to
-    `_MAX_REFINEMENTS` Rayleigh-quotient iteration steps in its order-6
-    block.  A block where a level still misses the tolerance, or strays
-    from its three-point vector, takes its levels from a dense solve of its
-    order-6 matrix: the top of a coarse grid, where the two operators'
-    levels differ by more than their spacing.  Returns the energies, the
-    unit chain vectors (one per row), their residual norms on the full
-    operator, and the quotients' roundoff floor eps ||H||_1; see
-    `EigenResult` for a zero energy.
+    ...].  Each energy is its vector's order-6 Rayleigh quotient.  A block
+    in which a level misses `_RESIDUAL_TOL` takes a Rayleigh-Ritz step
+    (`_ritz`) on its three-point vectors and the next `_GUARD_LEVELS`; if a
+    level still misses, it takes the step on all of the block's three-point
+    vectors, which span it: the dense solve of its order-6 matrix, which a
+    coarse grid needs, where the three-point vectors are far from the
+    order-6 ones.  Ritz vectors are orthonormal, so no two levels can take
+    one eigenvector.  Returns the energies, the unit chain vectors (one
+    per row), their residual norms on the full operator, and the
+    quotients' roundoff floor eps ||H||_1; see `EigenResult` for a zero
+    energy.
     """
     n = ham.potential.size
     mirror = _Mirror(n, ham.periodic)
     slot = np.arange(k)
     even = (slot % 2 == int(ham.periodic)) | (slot == 0)
-    blocks = [(even, False), (~even, True)]
-    rows, shifts = np.empty((k, n)), np.empty(k)
-    for (slots, odd), band in zip(blocks, mirror.bands(ham, _KINETIC_2)):
-        if slots.any():
-            shifts[slots], vecs = _bisect(band[3], band[4, :-1], int(np.count_nonzero(slots)))
-            rows[slots] = mirror.unfold(vecs, odd)
+    blocks = list(zip((even, ~even), (False, True), mirror.bands(ham)))
+    rows, shifts, bases = np.empty((k, n)), np.empty(k), []
+    for slots, odd, band in blocks:
+        shifts[slots], vecs = _bisect(band, 0, int(np.count_nonzero(slots)))
+        rows[slots] = mirror.unfold(vecs, odd)
+        bases.append(vecs)
     energies, residuals = _quotients(ham, rows, shifts)
 
-    order6 = start = None
-    for _ in range(_MAX_REFINEMENTS):
-        tol = _RESIDUAL_TOL * max(float(np.max(np.abs(energies))), 1.0)
-        todo = residuals > tol
-        if not todo.any():
-            break
-        if start is None:
-            order6, start = mirror.bands(ham, _KINETIC_6), rows.copy()
-        for (slots, odd), band in zip(blocks, order6):
-            redo = todo & slots
-            if redo.any():
-                vecs = _inverse_iteration(band, mirror.restrict(rows[redo], odd), energies[redo])
-                rows[redo] = mirror.unfold(vecs, odd)
-        energies[todo], residuals[todo] = _quotients(ham, rows[todo], energies[todo])
-    if start is not None:
-        # a refined vector must meet the tolerance and keep its three-point
-        # vector as its largest component, so that no two levels converge to
-        # one eigenvector; on a grid too coarse for that, a block is solved whole
-        lost = (residuals > tol) | (np.abs(dot(rows, start)) <= math.sqrt(0.5))
-        for (slots, odd), band in zip(blocks, order6):
-            if (lost & slots).any():
-                rows[slots] = mirror.unfold(_dense_lowest(band, int(np.count_nonzero(slots))), odd)
-                energies[slots], residuals[slots] = _quotients(ham, rows[slots], energies[slots])
+    for (slots, odd, band), vecs in zip(blocks, bases):
+        count, size = len(vecs), band.shape[1]
+        for stop in sorted({min(count + _GUARD_LEVELS, size), size}):
+            tol = _RESIDUAL_TOL * max(float(np.max(np.abs(energies))), 1.0)
+            if not np.any(residuals[slots] > tol):
+                break
+            vecs = np.concatenate([vecs, _bisect(band, len(vecs), stop)[1]])
+            ritz = _ritz(ham, mirror.unfold(vecs, odd), count)
+            rows[slots], energies[slots], residuals[slots] = ritz
 
     # a zero energy within roundoff of an exact constant null vector is that vector
     stencil = _KINETIC_6[0] / (_KINETIC_6[1] * ham.grid.h**2)

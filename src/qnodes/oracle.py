@@ -232,7 +232,9 @@ def position_moments(psi: SampledFunction) -> tuple:
     cancel digits for a state far from the origin.  Between hard walls both
     pair one DCT-I of the density with the cosine series of x - c and
     (x - c)^2 about the centre c (`_cosine_weights`): exact below J/2 on J
-    intervals, where Simpson's end terms hold x |psi|^2 at O(h^4).
+    intervals, where Simpson's end terms hold x |psi|^2 at O(h^4).  On a
+    periodic grid x is not periodic, and both are the Fourier-series
+    moments of `ring_theta_by_quadrature`, on the branch [0, 2 pi) only.
     """
     raise_first(_norm_check(psi))
     grid, rho = psi.grid, psi.density
@@ -243,10 +245,9 @@ def position_moments(psi: SampledFunction) -> tuple:
         span = grid.upper - grid.lower
         mean_x = grid.lower + span * (0.5 + mean_u)
         return per_sample(psi, mean_x, span**2 * (mean_u2 - _pow2(mean_u)))
-    if grid.boundary == "open":
-        mean_x = _folded_mean(psi)
-    else:
-        mean_x = quad(grid, grid.x * rho)
+    if grid.boundary == "periodic":
+        return per_sample(psi, *_theta_moments(psi))
+    mean_x = _folded_mean(psi)
     spread = grid.x - np.asarray(mean_x)[..., None]
     np.square(spread, out=spread)
     spread *= rho
@@ -344,12 +345,20 @@ def ring_theta_by_quadrature(psi: SampledFunction) -> tuple[float, float]:
     """
     if psi.grid.boundary != "periodic":
         raise GridError("ring theta statistics need a periodic grid")
+    mean, var = _theta_moments(psi)
+    return per_sample(psi, mean, np.sqrt(var))
+
+
+def _theta_moments(psi: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(<theta>, Var theta) of samples on a periodic grid, from the Fourier
+    series of theta on the branch [0, 2 pi) (`ring_theta_by_quadrature`);
+    a GridError on any other branch."""
     if psi.grid.lower != 0.0 or abs(psi.grid.upper - 2.0 * math.pi) > 1e-12:
         raise GridError("theta statistics assume the branch [0, 2 pi)")
     v = np.fft.rfft(psi.density, axis=-1).view(np.float64)
     moments = np.matmul(_theta_weights(psi.grid.points), v[..., None])[..., 0] / v[..., :1]
     mean, mean2 = moments[..., 0], moments[..., 1]
-    return per_sample(psi, mean, np.sqrt(floored(mean2 - _pow2(mean), 0.0)))
+    return mean, floored(mean2 - _pow2(mean), 0.0)
 
 
 def _pow2(a):

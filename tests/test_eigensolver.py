@@ -28,8 +28,10 @@ from qnodes import (
 from qnodes.eigensolver import (
     _BISECTION_TOL,
     _GRID_ERROR,
+    _GUARD_LEVELS,
     _KINETIC_2,
     _MAX_EIGEN_POINTS,
+    _RESIDUAL_TOL,
     _Mirror,
     _apply,
     _bisect,
@@ -141,14 +143,19 @@ class TestBuildHamiltonian:
         h = 0.1
         # the three-point operator's blocks, which label the levels: 1/h^2
         # on the diagonal, -1/(2 h^2) couplings (sqrt 2 times that into the
-        # self-mirrored middle unknown), nothing beyond them
-        even, odd = _Mirror(9, False).bands(ham, _KINETIC_2)
-        for block in (even, odd):
-            np.testing.assert_allclose(block[3], 1.0 / h**2)
-            np.testing.assert_array_equal(block[2, 1:], block[4, :-1])
-            assert not block[[0, 1, 5, 6]].any()
-        np.testing.assert_allclose(even[4, :-1], [-0.5 / h**2] * 3 + [-math.sqrt(0.5) / h**2])
-        np.testing.assert_allclose(odd[4, :-1], -0.5 / h**2)
+        # self-mirrored middle unknown), nothing beyond them: each block is
+        # the whole three-point matrix folded onto its unit vectors
+        mirror = _Mirror(9, False)
+        even, odd = mirror.bands(ham)
+        chain = (np.eye(9) - 0.5 * np.eye(9, k=1) - 0.5 * np.eye(9, k=-1)) / h**2
+        for block, parity in ((even, False), (odd, True)):
+            np.testing.assert_allclose(block[1], 1.0 / h**2)
+            np.testing.assert_array_equal(block[0, 1:], block[2, :-1])
+            dense = np.diag(block[1]) + np.diag(block[0, 1:], 1) + np.diag(block[2, :-1], -1)
+            units = mirror.unfold(np.eye(block.shape[1]), parity)
+            np.testing.assert_allclose(dense, units @ chain @ units.T, rtol=0.0, atol=1e-12 / h**2)
+        np.testing.assert_allclose(even[2, :-1], [-0.5 / h**2] * 3 + [-math.sqrt(0.5) / h**2])
+        np.testing.assert_allclose(odd[2, :-1], -0.5 / h**2)
 
     def test_ring_corner_coupling(self):
         ham = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, 8, "periodic"))
@@ -177,9 +184,9 @@ class TestBuildHamiltonian:
         np.testing.assert_array_equal(ham.potential, 0.5 * grid.x**2)
         # unknowns 0 .. 50 carry the blocks; each block diagonal is 1/h^2 + V
         kinetic = 1.0 / grid.h**2
-        even, odd = _Mirror(101, False).bands(ham, _KINETIC_2)
-        np.testing.assert_allclose(even[3] - kinetic, 0.5 * grid.x[:51] ** 2, atol=1e-12)
-        np.testing.assert_allclose(odd[3] - kinetic, 0.5 * grid.x[:50] ** 2, atol=1e-12)
+        even, odd = _Mirror(101, False).bands(ham)
+        np.testing.assert_allclose(even[1] - kinetic, 0.5 * grid.x[:51] ** 2, atol=1e-12)
+        np.testing.assert_allclose(odd[1] - kinetic, 0.5 * grid.x[:50] ** 2, atol=1e-12)
 
     def test_topology_mismatch(self):
         with pytest.raises(GridError):
@@ -293,6 +300,16 @@ class TestSolverFailure:
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
         ham = build_hamiltonian(spec, default_eigen_grid(spec, 4))
         with pytest.raises(ConvergenceError, match="did not converge"):
+            solve_lowest(ham, 4)
+
+    def test_rayleigh_ritz_failure_is_a_convergence_error(self, monkeypatch):
+        # only the oscillator's blocks take the step's dense eigensolve
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        ham = build_hamiltonian(Oscillator(), default_eigen_grid(Oscillator(), 4))
+        with pytest.raises(ConvergenceError, match="Rayleigh-Ritz eigensolver failed: the algorithm"):
             solve_lowest(ham, 4)
 
     @pytest.mark.parametrize("k", [0, -1])
@@ -501,13 +518,17 @@ class TestMirrorParitySolve:
         with pytest.raises(ConvergenceError, match="residual"):
             solve_lowest(skewed, 4)
 
-    @pytest.mark.parametrize("spec, k", [(Box(), 40), (Ring(), 21), (Oscillator(), 21)],
-                             ids=["box", "ring", "oscillator"])
+    @pytest.mark.parametrize("spec, k", [
+        (Box(), 40), (Ring(), 21), (Oscillator(), 6), (Oscillator(), 21), (Oscillator(), 41),
+        (Oscillator(), 201),
+    ], ids=["box", "ring", "oscillator-6", "oscillator-21", "oscillator-41", "oscillator-201"])
     def test_only_the_oscillator_refines(self, monkeypatch, spec, k):
         # box and ring three-point vectors are discrete sine and Fourier
         # modes, eigenvectors of the order-6 operator too: their residuals
-        # meet the tolerance with no banded solve.  An oscillator level
-        # takes one step of Rayleigh-quotient iteration.
+        # meet the tolerance with no Rayleigh-Ritz step.  On its default
+        # grid each oscillator block takes one step, on its own levels and
+        # `_GUARD_LEVELS` more, which meets the tolerance with a margin of
+        # 100; nothing solves a banded system.
         real, solves = scipy.linalg.solve_banded, []
 
         def spy(*args, **kwargs):
@@ -515,28 +536,39 @@ class TestMirrorParitySolve:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "solve_banded", spy)
-        dense = _spy_dense(monkeypatch)
+        steps = _spy_ritz(monkeypatch)
         result = solve_lowest(build_hamiltonian(spec, default_eigen_grid(spec, k)), k)
-        assert len(solves) == (k if isinstance(spec, Oscillator) else 0)
-        assert not dense
-        assert np.all(result.residuals <= 1e-8 * np.max(np.abs(result.energies)))
+        assert not solves
+        if isinstance(spec, Oscillator):
+            assert steps == [(k + 1) // 2 + _GUARD_LEVELS, k // 2 + _GUARD_LEVELS]
+        else:
+            assert not steps
+        tol = _RESIDUAL_TOL * np.max(np.abs(result.energies))
+        assert np.all(result.residuals <= 1e-2 * tol)
 
-    def test_only_a_coarse_grids_top_is_solved_dense(self, monkeypatch):
-        # 65 points on [-12, 12]: iteration from the three-point vectors
-        # converges the 13 lowest oscillator levels; above them the two
-        # operators' levels differ by more than their spacing, and a block
-        # is solved dense (every k meets the dense order-6 spectrum:
-        # `test_energies_match_dense_reference`)
+    def test_a_coarse_grid_takes_the_whole_block_step(self, monkeypatch):
+        # 65 points on [-12, 12] (h = 0.375): the guard step leaves the
+        # 13 lowest oscillator levels residuals up to 2e-2, so each block
+        # takes the step once more on all of its three-point vectors,
+        # its dense order-6 solve (every k meets the dense order-6 spectrum:
+        # `test_energies_match_dense_reference`).  Where the guard step
+        # spans the whole block already, it is the only step.
         ham = _open_hamiltonian(Oscillator(), 65)
-        dense = _spy_dense(monkeypatch)
+        steps = _spy_ritz(monkeypatch)
         solve_lowest(ham, 13)
-        assert not dense
+        assert steps == [7 + _GUARD_LEVELS, 33, 6 + _GUARD_LEVELS, 32]
+        steps.clear()
         solve_lowest(ham, 65)
-        assert dense == [33, 32]
+        assert steps == [33, 32]
+        # on 513 points (h = 0.047) the guard step alone meets the tolerance
+        steps.clear()
+        solve_lowest(_open_hamiltonian(Oscillator(), 513), 13)
+        assert steps == [7 + _GUARD_LEVELS, 6 + _GUARD_LEVELS]
 
 
-def _spy_dense(monkeypatch):
-    """The sizes of the dense blocks `solve_lowest` solves from now on."""
+def _spy_ritz(monkeypatch):
+    """The basis sizes of the Rayleigh-Ritz steps `solve_lowest` takes from
+    now on, one dense eigensolve each."""
     real, sizes = scipy.linalg.eigh, []
 
     def spy(a, *args, **kwargs):
@@ -604,8 +636,8 @@ def _bisected_ground(ham):
     """The unit vector inverse iteration gives the ring's even block's lowest
     three-point level, unfolded."""
     mirror = _Mirror(ham.potential.size, ham.periodic)
-    even, _ = mirror.bands(ham, _KINETIC_2)
-    _, vecs = _bisect(even[3], even[4, :-1], 1)
+    even, _ = mirror.bands(ham)
+    _, vecs = _bisect(even, 0, 1)
     return mirror.unfold(vecs, False)[0]
 
 
@@ -624,14 +656,15 @@ def _case_id(case):
 
 
 def _parity_blocks(monkeypatch, ham, k):
-    """(diagonal, off-diagonal, level count, coarse levels, vectors) of each
-    three-point block `_parity_pairs` bisects, as the bisection returned them."""
+    """(diagonal, off-diagonal, level index range, coarse levels, vectors) of
+    each bisection `_parity_pairs` runs on a three-point block, as the
+    bisection returned them."""
     real, blocks = scipy.linalg.eigh_tridiagonal, []
 
     def spy(diagonal, off, **kwargs):
         coarse, vecs = real(diagonal, off, **kwargs)
-        count = kwargs["select_range"][1] + 1
-        blocks.append((diagonal.copy(), off.copy(), count, coarse.copy(), vecs.copy()))
+        levels = kwargs["select_range"]
+        blocks.append((diagonal.copy(), off.copy(), levels, coarse.copy(), vecs.copy()))
         return coarse, vecs
 
     with monkeypatch.context() as patch:
@@ -661,9 +694,9 @@ class TestNaturalUnitBisection:
     def test_blocks_match_the_full_tolerance_bisection(self, monkeypatch, case):
         spec, k, points = case
         ham = build_hamiltonian(spec, default_eigen_grid(spec, k, points))
-        for diagonal, off, count, coarse, vecs in _parity_blocks(monkeypatch, ham, k):
+        for diagonal, off, levels, coarse, vecs in _parity_blocks(monkeypatch, ham, k):
             ref_e, ref_v = scipy.linalg.eigh_tridiagonal(
-                diagonal, off, select="i", select_range=(0, count - 1)
+                diagonal, off, select="i", select_range=levels
             )
             assert np.max(np.abs(coarse - ref_e)) <= _BISECTION_TOL
             vecs = vecs * np.sign(np.sum(vecs * ref_v, axis=0))

@@ -101,6 +101,24 @@ class TestPositionMoments:
         with pytest.raises(NormalizationError):
             position_moments(SampledFunction(g, 2.0 * np.ones(101)))
 
+    @pytest.mark.parametrize("m, points", [(3, 32), (10, 128)])
+    def test_ring_takes_the_theta_series(self, m, points):
+        # theta is not periodic: the rectangle rule gives <theta> = pi - pi/32
+        # on 32 points; the Fourier series of theta on [0, 2 pi) is exact
+        psi = sample_state(Ring(), m)
+        assert psi.grid.points == points
+        mean, var = position_moments(psi)
+        assert mean == pytest.approx(math.pi, rel=1e-12)
+        assert var == pytest.approx(math.pi**2 / 3.0, rel=1e-12)
+        theta_mean, spread = ring_theta_by_quadrature(psi)
+        assert (mean, math.sqrt(var)) == (theta_mean, spread)
+
+    def test_ring_off_its_branch_rejected(self):
+        grid = GridSpec(-math.pi, math.pi, 32, "periodic")
+        psi = SampledFunction(grid, np.full(32, 1.0 / math.sqrt(2.0 * math.pi)))
+        with pytest.raises(GridError, match="branch"):
+            position_moments(psi)
+
 
 class TestMomentumMoments:
     def test_box_ground_p2(self):

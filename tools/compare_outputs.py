@@ -76,6 +76,10 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["sweep", "--system", "box", "--levels", "1:100", *ALL_PATHS],
         ["verify", "--system", "box", "--levels", "1:200", "--paths", "analytic,eigen",
          "--tol", "1e-1", "--grid-points", "2001"],
+        # oscillator eigen residuals: a default grid, and a grid whose every
+        # level takes its block's whole Rayleigh-Ritz step
+        ["eigensolve", "--system", "oscillator", "--k", "21"],
+        ["eigensolve", "--system", "oscillator", "--k", "65", "--grid-points", "65"],
     )
 )
 
