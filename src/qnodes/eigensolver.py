@@ -13,12 +13,13 @@ apart, and inverse iteration gives each a vector.  Each energy is that
 vector's Rayleigh quotient on the order-6 operator.  The box's and the
 ring's three-point vectors are discrete sine and Fourier modes, exact
 eigenvectors of the order-6 operator as well.  A block in which a level
-misses `_RESIDUAL_TOL` (the oscillator's) takes one Rayleigh-Ritz step:
+misses `_RESIDUAL_TOL` (the oscillator's) takes a Rayleigh-Ritz step:
 its levels and the next `_GUARD_LEVELS` three-point vectors span a
 subspace, and the order-6 operator's lowest eigenpairs in it replace the
 levels (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 11).
-A block in which a level still misses (on a coarse grid) takes the step
-on all of its three-point vectors: the dense order-6 block.  The m-th
+On a coarse grid, while a level misses, the step is taken again with
+twice the guard, up to all of the block's three-point vectors: the dense
+order-6 block.  The m-th
 levels of the ring's even (cos) and odd (sin) blocks are the degenerate
 +/-m pair (symmetry reduction: Trefethen, *Spectral Methods in MATLAB*,
 SIAM 2000, ch. 3).
@@ -58,8 +59,8 @@ _RESIDUAL_TOL = 1e-8
 # absolute, in natural energy units: same-parity levels are at least ~0.47
 # apart on every grid, while ||T||_1 grows as 1/h^2
 _BISECTION_TOL = 1e-4
-# the three-point levels a Rayleigh-Ritz step adds above a block's own: on
-# its default grid every oscillator level then meets `_RESIDUAL_TOL`
+# the three-point levels a Rayleigh-Ritz step first adds above a block's
+# own: on its default grid every oscillator level then meets `_RESIDUAL_TOL`
 _GUARD_LEVELS = 6
 
 # -(1/2) d^2/dq^2 as integer central weights over a denominator times h^2:
@@ -348,11 +349,11 @@ def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.
     matrix's levels alternate in parity); the ring is [m=0, cos 1, sin 1,
     ...].  Each energy is its vector's order-6 Rayleigh quotient.  A block
     in which a level misses `_RESIDUAL_TOL` takes a Rayleigh-Ritz step
-    (`_ritz`) on its three-point vectors and the next `_GUARD_LEVELS`; if a
-    level still misses, it takes the step on all of the block's three-point
-    vectors, which span it: the dense solve of its order-6 matrix, which a
-    coarse grid needs, where the three-point vectors are far from the
-    order-6 ones.  Ritz vectors are orthonormal, so no two levels can take
+    (`_ritz`) on its three-point vectors and the next `_GUARD_LEVELS`.  A
+    coarse grid's three-point vectors are further from the order-6 ones:
+    while a level misses, the step is taken again with a guard twice as
+    large, up to all of the block's three-point vectors, which span it (the
+    dense solve of its order-6 matrix).  Ritz vectors are orthonormal, so no two levels can take
     one eigenvector.  Returns the energies, the unit chain vectors (one
     per row), their residual norms on the full operator, and the
     quotients' roundoff floor eps ||H||_1; see `EigenResult` for a zero
@@ -372,7 +373,8 @@ def _parity_pairs(ham: Hamiltonian, k: int) -> tuple[np.ndarray, np.ndarray, np.
 
     for (slots, odd, band), vecs in zip(blocks, bases):
         count, size = len(vecs), band.shape[1]
-        for stop in sorted({min(count + _GUARD_LEVELS, size), size}):
+        stops = {min(count + (_GUARD_LEVELS << i), size) for i in range(size.bit_length())}
+        for stop in sorted(stops):
             tol = _RESIDUAL_TOL * max(float(np.max(np.abs(energies))), 1.0)
             if not np.any(residuals[slots] > tol):
                 break

@@ -546,24 +546,38 @@ class TestMirrorParitySolve:
         tol = _RESIDUAL_TOL * np.max(np.abs(result.energies))
         assert np.all(result.residuals <= 1e-2 * tol)
 
-    def test_a_coarse_grid_takes_the_whole_block_step(self, monkeypatch):
-        # 65 points on [-12, 12] (h = 0.375): the guard step leaves the
-        # 13 lowest oscillator levels residuals up to 2e-2, so each block
-        # takes the step once more on all of its three-point vectors,
-        # its dense order-6 solve (every k meets the dense order-6 spectrum:
-        # `test_energies_match_dense_reference`).  Where the guard step
-        # spans the whole block already, it is the only step.
+    def test_only_a_coarse_grids_top_is_solved_dense(self, monkeypatch):
+        # 65 points on [-12, 12] (h = 0.375): the 6- and 12-level guards
+        # leave the 13 lowest oscillator levels residuals of up to 2e5 and
+        # 30 times the tolerance, the 24-level one 1e-5 of it: the guard
+        # doubles until it meets it, below the whole block of 33 or 32.
+        # Where the first step spans the whole block already, it is the
+        # only step, the block's dense order-6 solve (every k meets the
+        # dense order-6 spectrum: `test_energies_match_dense_reference`).
         ham = _open_hamiltonian(Oscillator(), 65)
         steps = _spy_ritz(monkeypatch)
         solve_lowest(ham, 13)
-        assert steps == [7 + _GUARD_LEVELS, 33, 6 + _GUARD_LEVELS, 32]
+        assert not {33, 32} & set(steps)
+        assert steps == [count + (_GUARD_LEVELS << i) for count in (7, 6) for i in range(3)]
         steps.clear()
         solve_lowest(ham, 65)
         assert steps == [33, 32]
-        # on 513 points (h = 0.047) the guard step alone meets the tolerance
+        # on 513 points (h = 0.047) the first guard step meets the tolerance
         steps.clear()
         solve_lowest(_open_hamiltonian(Oscillator(), 513), 13)
         assert steps == [7 + _GUARD_LEVELS, 6 + _GUARD_LEVELS]
+
+    def test_a_coarser_grid_than_the_rule_doubles_the_guard_once(self, monkeypatch):
+        # k = 100 on 1025 points, half the rule's 2049: the 6-level guard
+        # leaves residuals of 50 times the tolerance, the 12-level one
+        # 3e-4 of it; no step spans a whole block of 513 or 512 levels
+        spec = Oscillator()
+        ham = build_hamiltonian(spec, default_eigen_grid(spec, 100, points=1025))
+        steps = _spy_ritz(monkeypatch)
+        result = solve_lowest(ham, 100)
+        assert steps == [50 + (_GUARD_LEVELS << i) for i in range(2)] * 2
+        tol = _RESIDUAL_TOL * np.max(np.abs(result.energies))
+        assert np.all(result.residuals <= 1e-2 * tol)
 
 
 def _spy_ritz(monkeypatch):
