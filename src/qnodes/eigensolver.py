@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .analytic import COLUMN_UNITS, UncertaintyRecord
 from .errors import ConfigError, ConvergenceError, GridError, QnodesError
@@ -304,6 +303,8 @@ def _bisect(band: np.ndarray, first: int, stop: int) -> tuple[np.ndarray, np.nda
     """
     if stop == first:
         return np.empty(0), np.empty((0, band.shape[1]))
+    import scipy.linalg
+
     try:
         coarse, vecs = scipy.linalg.eigh_tridiagonal(
             band[1], band[2, :-1], select="i", select_range=(first, stop - 1), tol=_BISECTION_TOL
@@ -332,6 +333,8 @@ def _ritz(ham: Hamiltonian, basis: np.ndarray, count: int) -> tuple[np.ndarray, 
     operator within the span of the orthonormal chain vectors `basis`, one
     per row.  Returns the unit Ritz vectors (one per row), their quotients
     about the Ritz values (`_quotients`) and their residual norms."""
+    import scipy.linalg
+
     try:
         gram = basis @ _apply(ham, basis).T
         values, coeffs = scipy.linalg.eigh(gram, subset_by_index=(0, count - 1))

@@ -198,7 +198,11 @@ def validate_state(spec: SystemSpec, idx: int) -> int:
 
     Box requires n >= 1, oscillator n >= 0, ring accepts any integer m.
     """
-    if idx != int(idx):
+    try:
+        integral = idx == int(idx)
+    except (ValueError, OverflowError):  # int() of a NaN or an infinity
+        integral = False
+    if not integral:
         raise DomainError(f"quantum number must be an integer, got {idx!r}")
     idx = int(idx)
     if isinstance(spec, Box) and idx < 1:

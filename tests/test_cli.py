@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -584,6 +588,59 @@ class TestLapackFailure:
         result = runner.invoke(main, args)
         assert result.exit_code == 3
         assert "numerical failure:" in result.output
+
+
+_SCIPY_PROBE = """
+import json, sys
+import qnodes.cli
+try:
+    if sys.argv[1:]:
+        qnodes.cli.main(sys.argv[1:], standalone_mode=False)
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(args):
+    """The scipy modules loaded once `qnodes.cli` has run `args` in a fresh
+    interpreter; pytest's own process has long imported scipy.linalg."""
+    src = Path(__import__("qnodes").__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+class TestScipyImport:
+    """scipy is imported by the eigen path's first solve, not by `import qnodes`."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [],
+            ["verify", "--system", "oscillator", "--levels", "0:8"],
+            ["nodes", "--system", "box", "--levels", "1:6"],
+            ["sweep", "--system", "ring", "--levels", "-3:3", "--paths", "analytic,oracle"],
+        ],
+        ids=["import", "verify", "nodes", "sweep"],
+    )
+    def test_commands_without_the_eigen_path_load_no_scipy(self, args):
+        assert _scipy_modules_after(args) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eigensolve", "--system", "box", "--k", "3"],
+            ["verify", "--system", "box", "--levels", "1:3", "--paths", "analytic,eigen"],
+        ],
+        ids=["eigensolve", "verify-eigen"],
+    )
+    def test_the_eigen_path_loads_scipy_linalg(self, args):
+        assert "scipy.linalg" in _scipy_modules_after(args)
 
 
 class TestEigensolve:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qnodes import (
@@ -14,7 +15,7 @@ from qnodes import (
     predicted_node_count,
     validate_state,
 )
-from qnodes.analytic import ring_state_values
+from qnodes.analytic import box_uncertainties, ring_state_values
 
 
 class TestConstruction:
@@ -53,6 +54,11 @@ class TestConstruction:
         assert spec.constants.hbar == 0.5
 
 
+non_finite = pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=["nan", "inf", "-inf", "np-nan"]
+)
+
+
 class TestValidateState:
     def test_box_smallest_valid_index(self):
         assert validate_state(Box(), 1) == 1
@@ -69,6 +75,16 @@ class TestValidateState:
         assert validate_state(Oscillator(), 0) == 0
         with pytest.raises(DomainError):
             validate_state(Oscillator(), -1)
+
+    @non_finite
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(DomainError, match="quantum number must be an integer, got"):
+            validate_state(Box(), value)
+
+    @non_finite
+    def test_non_finite_rejected_by_public_functions(self, value):
+        with pytest.raises(DomainError, match="quantum number must be an integer, got"):
+            box_uncertainties(Box(), value)
 
     def test_idempotent(self):
         spec = Ring()
