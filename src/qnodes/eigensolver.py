@@ -9,10 +9,12 @@ decayed below roundoff.  Each operator commutes with its mirror
 odd block of about half the size.  The three-point operator's tridiagonal
 blocks label the levels (`scipy.linalg.eigh_tridiagonal`): bisection runs
 only to a fixed tolerance in natural energy units, which tells the levels
-apart, and inverse iteration gives each a vector.  Each energy is that
-vector's Rayleigh quotient on the order-6 operator.  The box's and the
-ring's three-point vectors are discrete sine and Fourier modes, exact
-eigenvectors of the order-6 operator as well.  A block in which a level
+apart, and inverse iteration gives each a vector (scipy is imported at the
+first solve, so `import qnodes` and the commands without the eigen path
+never load it).  Each energy is that vector's Rayleigh quotient on the
+order-6 operator.  The box's and the ring's three-point vectors are
+discrete sine and Fourier modes, exact eigenvectors of the order-6
+operator as well.  A block in which a level
 misses `_RESIDUAL_TOL` (the oscillator's) takes a Rayleigh-Ritz step:
 its levels and the next `_GUARD_LEVELS` three-point vectors span a
 subspace, and the order-6 operator's lowest eigenpairs in it replace the

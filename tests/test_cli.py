@@ -604,8 +604,7 @@ finally:
 def _scipy_modules_after(args):
     """The scipy modules loaded once `qnodes.cli` has run `args` in a fresh
     interpreter; pytest's own process has long imported scipy.linalg."""
-    src = Path(__import__("qnodes").__file__).resolve().parents[1]
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     run = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, *args],
