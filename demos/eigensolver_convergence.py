@@ -1,16 +1,19 @@
-"""Finite-difference spectra converge at order 6 to the exact energies.
+"""Fourier-grid spectra: exact for the box and the ring, exponentially
+convergent for the oscillator.
 
-The three Hamiltonians are discretized with the order-6 seven-point
-Laplacian and diagonalized.  The relative energy error of a level with
-wavenumber kappa is about (kappa h)^6 / 560, so halving the grid spacing
-should cut it by about 2^6 = 64x.  The default eigen grid already puts the
-six lowest levels within 3e-10, where the smallest errors reach roundoff,
-so the tables start from a grid with 4x its spacing and halve that: they
-show the measured ratios for the six lowest levels of each system, plus a
-check that the computed eigenstates carry the right number of nodes.  The
-ring's m = 0 level is exactly 0 and has no discretization error: its
-computed energy is roundoff, so the table shows its absolute error and no
-ratio.
+The eigen path's kinetic matrix is T = F^-1 diag(k^2/2) F over one period
+of the grid, the limit of central finite differences as the stencil's
+order grows.  Every sampled sine (box) or Fourier (ring) mode a grid holds
+is an exact eigenvector of it, so the six lowest box and ring energies are
+exact to roundoff on any grid that holds level 6: the first table solves
+them on grids from the fewest points that hold them up to twice the
+default.  The oscillator's states are not band-limited, so its energies
+converge only as the points widen the grid's band, but exponentially: the
+second table shows the largest relative error of its six lowest levels
+falling with the points on the default grid's extent.  The ring's m = 0
+level is exactly 0, so the tables show absolute errors for the box and
+the ring.  The last line checks the node counts of the computed box
+states.
 """
 
 import numpy as np
@@ -28,44 +31,36 @@ from qnodes import (
     solve_lowest,
 )
 
-
-def exact_levels(spec, k):
-    if isinstance(spec, Box):
-        return [box_energy(spec, n) for n in range(1, k + 1)]
-    if isinstance(spec, Oscillator):
-        return [oscillator_energy(spec, n) for n in range(k)]
-    ms = sorted(range(-k, k + 1), key=lambda m: (m * m, m < 0))
-    return [ring_energy(spec, m) for m in ms[:k]]
-
-
-def spaced(grid, factor):
-    """Points of `grid` with its spacing times `factor`."""
-    if grid.boundary == "periodic":
-        return int(factor * grid.points)
-    return int(factor * (grid.points - 1)) + 1
-
-
 k = 6
-for spec in (Box(), Oscillator(), Ring()):
-    name = type(spec).__name__
-    exact = np.array(exact_levels(spec, k))
-    default = default_eigen_grid(spec, k)
-    coarse = default_eigen_grid(spec, k, spaced(default, 1 / 4))
-    errors = {}
-    for factor in (1, 2):
-        grid = default_eigen_grid(spec, k, spaced(coarse, factor))
-        result = solve_lowest(build_hamiltonian(spec, grid), k)
-        err = np.abs(np.array(result.energies) - exact)
-        errors[factor] = err / np.where(exact == 0.0, 1.0, np.abs(exact))
-    print(f"\n{name} ({coarse.points} -> {spaced(coarse, 2)} points; the default grid has {default.points})")
-    print(f"{'level':>6} {'E exact':>10} {'err (h)':>12} {'err (h/2)':>13} {'ratio':>7}")
-    for i in range(k):
-        e1, e2 = errors[1][i], errors[2][i]
-        if exact[i] == 0.0:
-            print(f"{i:>6} {exact[i]:>10.4f} {e1:>12.2e} {e2:>13.2e} {'-':>7}  absolute")
-            continue
-        ratio = e1 / e2 if e2 > 0 else float("inf")
-        print(f"{i:>6} {exact[i]:>10.4f} {e1:>12.2e} {e2:>13.2e} {ratio:>7.2f}  relative")
+
+
+def energies(spec, points):
+    grid = default_eigen_grid(spec, k, points)
+    return solve_lowest(build_hamiltonian(spec, grid), k).energies
+
+
+exact = {
+    Box: [box_energy(Box(), n) for n in range(1, k + 1)],
+    Ring: [ring_energy(Ring(), m) for m in (0, 1, -1, 2, -2, 3)],
+    Oscillator: [oscillator_energy(Oscillator(), n) for n in range(k)],
+}
+
+print("Box and ring: largest absolute error of the six lowest levels")
+print(f"{'system':>10} {'points':>7} {'max |E - exact|':>16}")
+for spec, points in ((Box(), (9, 17, 33)), (Ring(), (7, 8, 16, 32))):
+    for p in points:
+        err = np.max(np.abs(energies(spec, p) - exact[type(spec)]))
+        print(f"{type(spec).__name__:>10} {p:>7} {err:>16.2e}")
+
+spec = Oscillator()
+default = default_eigen_grid(spec, k)
+print(f"\nOscillator on [{default.lower:.2f}, {default.upper:.2f}] (the default grid has "
+      f"{default.points} points): largest relative error of the six lowest levels")
+print(f"{'points':>7} {'max rel error':>14}")
+target = np.array(exact[Oscillator])
+for p in (21, 31, 41, 51, 61, 81, default.points):
+    err = np.max(np.abs(energies(spec, p) - target) / target)
+    print(f"{p:>7} {err:>14.2e}")
 
 # node counts on the computed states (box: level i has i interior nodes)
 spec = Box()

@@ -6,8 +6,9 @@ Three computation paths answer the same questions and must agree:
 - `analytic`: closed-form energies and uncertainties,
 - `oracle`: Simpson quadrature and Fourier, sine and cosine series of
   sampled states,
-- `eigensolver`: finite-difference Hamiltonians rediscovering the
-  eigenstates, energies, and node counts from scratch.
+- `eigensolver`: Fourier-grid Hamiltonians (the infinite-order limit of
+  finite differences) rediscovering the eigenstates, energies, and node
+  counts from scratch.
 """
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
+from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_columns, solve_lowest
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     GridError,
     NormalizationError,
+    QnodesError,
 )
 from .model import Box, Constants, Oscillator, Ring, SystemSpec, scales
 from .report import (
@@ -211,6 +212,14 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
         except OverflowError as exc:
             raise DomainError(f"--k {k}: {exc}") from exc
         result = solve_lowest(build_hamiltonian(spec, grid), k)
+        # a dense solve's residuals are roundoff on any grid: the moments'
+        # guards are what catch a grid too coarse for the solved levels
+        levels = {Box: range(1, k + 1), Oscillator: range(k), Ring: range((k + 1) // 2)}
+        levels = levels[type(spec)]
+        try:
+            eigen_columns(spec, result, levels)
+        except QnodesError as exc:
+            raise type(exc)(f"level {levels[exc.row]}: {exc}") from exc
         energies, residuals = [], []
         for i, (e, r) in enumerate(zip(result.energies, result.residuals)):
             try:

@@ -8,10 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from click.testing import CliRunner
 
-from qnodes import Oscillator, SweepConfig, run_sweep
+from qnodes import (
+    Box,
+    Oscillator,
+    Ring,
+    SweepConfig,
+    box_energy,
+    oscillator_energy,
+    ring_energy,
+    run_sweep,
+)
 from qnodes.cli import main
 
 
@@ -103,30 +111,25 @@ class TestSweep:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr == (
-            "numerical failure: level 600: ring eigen grid for 1201 levels needs 32768 points, "
-            "above the limit of 8193\n"
+            "numerical failure: level 600: ring eigen grid for 1201 levels needs 4096 points, "
+            "above the limit of 2049\n"
         )
 
-    @pytest.mark.parametrize("points", [None, "1024"])
-    def test_default_eigen_reach_on_the_ring(self, runner, points):
-        # the rule resolves |m| <= 173 within its limit; above it an eigen
-        # level takes --grid-points (at 1024 points, |m| <= 256 as before)
-        args = ["sweep", "--system", "ring", "--levels", "174:174", "--paths", "analytic,eigen"]
-        result = runner.invoke(main, args + (["--grid-points", points] if points else []))
-        if points:
-            assert result.exit_code == 0, result.stderr
-            return
+    def test_default_eigen_reach_on_the_ring(self, runner):
+        # the rule resolves |m| <= 511 within its limit
+        args = ["sweep", "--system", "ring", "--levels", "512:512", "--paths", "analytic,eigen"]
+        result = runner.invoke(main, args)
         assert result.exit_code == 3
         assert result.stderr == (
-            "numerical failure: level 174: ring eigen grid for 349 levels needs 16384 points, "
-            "above the limit of 8193\n"
+            "numerical failure: level 512: ring eigen grid for 1025 levels needs 4096 points, "
+            "above the limit of 2049\n"
         )
-        below = runner.invoke(main, args[:4] + ["173:173"] + args[5:])
+        below = runner.invoke(main, args[:4] + ["511:511"] + args[5:])
         assert below.exit_code == 0, below.stderr
 
     def test_oscillator_eigen_reaches_its_top_level(self, runner):
         # levels 0 .. 200, the oscillator's supported range, fit the rule's
-        # limit: the eigen path solves them on 8193 points
+        # limit: the eigen path solves them on the oracle's 1149 points
         result = runner.invoke(
             main, ["verify", "--system", "oscillator", "--levels", "0:200", "--paths", "analytic,oracle,eigen"]
         )
@@ -575,7 +578,7 @@ class TestLapackFailure:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalue 3 did not converge")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
 
     @pytest.mark.parametrize(
         "args",
@@ -600,22 +603,34 @@ finally:
     print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
+# `import scipy` anywhere in the run raises ImportError
+_SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None
+import qnodes.cli
+qnodes.cli.main(sys.argv[1:])
+"""
 
-def _scipy_modules_after(args):
-    """The scipy modules loaded once `qnodes.cli` has run `args` in a fresh
-    interpreter; pytest's own process has long imported scipy.linalg."""
+
+def _run_python(source, args):
+    """Run `source` with `args` in a fresh interpreter on this checkout's
+    `src/`; pytest's own process has long imported scipy."""
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    run = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *args],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", source, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def _scipy_modules_after(args):
+    """The scipy modules loaded once `qnodes.cli` has run `args`."""
+    run = _run_python(_SCIPY_PROBE, args)
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout.splitlines()[-1])
 
 
 class TestScipyImport:
-    """scipy is imported by the eigen path's first solve, not by `import qnodes`."""
+    """No command loads scipy, a dependency of the tests only."""
 
     @pytest.mark.parametrize(
         "args",
@@ -638,8 +653,55 @@ class TestScipyImport:
         ],
         ids=["eigensolve", "verify-eigen"],
     )
-    def test_the_eigen_path_loads_scipy_linalg(self, args):
-        assert "scipy.linalg" in _scipy_modules_after(args)
+    def test_the_eigen_path_loads_no_scipy(self, args):
+        assert _scipy_modules_after(args) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eigensolve", "--system", "ring", "--k", "7"],
+            ["verify", "--system", "box", "--levels", "1:5", "--paths", "analytic,oracle,eigen"],
+        ],
+        ids=["eigensolve", "verify-three-paths"],
+    )
+    def test_commands_run_with_scipy_blocked(self, args):
+        run = _run_python(_SCIPY_BLOCKED, args)
+        assert run.returncode == 0, run.stderr
+
+
+# (system, levels, the --grid-points scanned): from grids too coarse for
+# the levels to grids that resolve them
+_COARSE_SCAN = [
+    ("oscillator", "0:6", range(17, 202, 2)),
+    ("box", "1:3", range(5, 258, 2)),
+    ("ring", "-3:3", range(8, 257)),
+]
+_EXACT_ENERGY = {
+    "oscillator": lambda n: oscillator_energy(Oscillator(), n),
+    "box": lambda n: box_energy(Box(), n),
+    "ring": lambda m: ring_energy(Ring(), m),
+}
+
+
+@pytest.mark.parametrize("system, levels, points", _COARSE_SCAN, ids=[c[0] for c in _COARSE_SCAN])
+def test_coarse_eigen_grids_exit_3_or_meet_the_node_law(runner, system, levels, points):
+    # a dense solve's residuals are roundoff on any grid: on each grid the
+    # moments' guards either reject a level (exit 3), or every eigen row
+    # counts its predicted nodes and meets its closed-form energy
+    codes = set()
+    for p in points:
+        args = ["sweep", "--system", system, "--levels", levels, "--paths", "eigen",
+                "--grid-points", str(p), "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code in (0, 3), (p, result.stderr)
+        codes.add(result.exit_code)
+        if result.exit_code:
+            continue
+        for row in json.loads(result.stdout)["rows"]:
+            assert row["nodes_counted"] == row["nodes_predicted"], (p, row["level"])
+            exact = _EXACT_ENERGY[system](row["level"])
+            assert row["energy"] == pytest.approx(exact, rel=1e-6, abs=1e-12), (p, row["level"])
+    assert codes == {0, 3}
 
 
 class TestEigensolve:
@@ -662,34 +724,55 @@ class TestEigensolve:
         assert "odd point count" in result.output
 
     def test_grid_rule_beyond_its_limit_exit_3(self, runner):
-        result = runner.invoke(main, ["eigensolve", "--system", "box", "--k", "700"])
+        result = runner.invoke(main, ["eigensolve", "--system", "box", "--k", "1200"])
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr == (
-            "numerical failure: box eigen grid for 700 levels needs 32769 points, "
-            "above the limit of 8193\n"
+            "numerical failure: box eigen grid for 1200 levels needs 4097 points, "
+            "above the limit of 2049\n"
         )
 
-    @pytest.mark.parametrize("system, k, points", [("box", 347, 8193), ("ring", 347, 8192),
-                                                   ("oscillator", 248, 8193)])
-    def test_default_reach(self, runner, system, k, points):
+    @pytest.mark.parametrize("system, k, beyond", [("box", 1023, 4097), ("ring", 1023, 4096),
+                                                   ("oscillator", 453, 2051)])
+    def test_default_reach(self, runner, system, k, beyond):
         # the most levels the rule resolves within its limit; one more
-        # needs twice the points and exits 3, unless --grid-points is given
+        # needs more points than the limit and exits 3
         reached = runner.invoke(main, ["eigensolve", "--system", system, "--k", str(k), "--format", "json"])
         assert reached.exit_code == 0, reached.stderr
         assert len(json.loads(reached.stdout)["energies"]) == k
-        beyond = runner.invoke(main, ["eigensolve", "--system", system, "--k", str(k + 1)])
-        assert beyond.exit_code == 3
-        twice = 2 * points - (system != "ring")
-        assert beyond.stderr == (
-            f"numerical failure: {system} eigen grid for {k + 1} levels needs {twice} points, "
-            f"above the limit of 8193\n"
+        result = runner.invoke(main, ["eigensolve", "--system", system, "--k", str(k + 1)])
+        assert result.exit_code == 3
+        assert result.stderr == (
+            f"numerical failure: {system} eigen grid for {k + 1} levels needs {beyond} points, "
+            f"above the limit of 2049\n"
         )
-        override = "2001" if system != "ring" else "1024"
-        given = runner.invoke(
-            main, ["eigensolve", "--system", system, "--k", str(k + 1), "--grid-points", override]
+
+    def test_grid_points_beyond_the_limit_exit_3(self, runner):
+        # the bound holds for --grid-points too, before the dense solve allocates
+        args = ["eigensolve", "--system", "box", "--k", "6", "--grid-points", "20001"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numerical failure: a dense eigensolve on 20001 points is above the limit of 2049\n"
         )
-        assert given.exit_code == 0, given.stderr
+
+    @pytest.mark.parametrize(
+        "system, points, message",
+        [
+            # the exact levels are 1.5 and 2.5, not the 4.642 and 4.662 a
+            # 9-point grid's blocks give
+            ("oscillator", "9", "level 0: state has not decayed at the open grid's ends"),
+            # n = 4 .. 6 lie at or above half the Nyquist wavenumber of 8 intervals
+            ("box", "9", "level 4: grid too coarse for momentum moments"),
+        ],
+    )
+    def test_too_coarse_grid_exit_3(self, runner, system, points, message):
+        args = ["eigensolve", "--system", system, "--k", "6", "--grid-points", points]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"numerical failure: {message}")
 
     def test_k_beyond_grid_exit_2(self, runner):
         result = runner.invoke(

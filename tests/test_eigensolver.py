@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qnodes import (
     Box,
@@ -13,6 +12,7 @@ from qnodes import (
     GridSpec,
     Hamiltonian,
     Oscillator,
+    QnodesError,
     Ring,
     box_energy,
     build_hamiltonian,
@@ -25,40 +25,39 @@ from qnodes import (
     ring_momentum_state,
     solve_lowest,
 )
-from qnodes.eigensolver import (
-    _BISECTION_TOL,
-    _GRID_ERROR,
-    _GUARD_LEVELS,
-    _KINETIC_2,
-    _MAX_EIGEN_POINTS,
-    _RESIDUAL_TOL,
-    _Mirror,
-    _apply,
-    _bisect,
-    _parity_pairs,
-)
+from qnodes.eigensolver import _MAX_EIGEN_POINTS, _Mirror, _parity_pairs, eigen_columns
 from qnodes.grids import quad
+from qnodes.oracle import default_grid
 
-# -(1/2) d^2/dq^2 to order 6, times 360 h^2, at offsets 0, 1, 2, 3
-_ORDER6 = np.array([490.0, -270.0, 27.0, -2.0])
-
-
-def _order6_levels(theta, h):
-    """The order-6 operator's eigenvalue on the mode of phase step theta:
-    its symbol (490 - 540 cos theta + 54 cos 2 theta - 4 cos 3 theta) / (360 h^2),
-    written with 1 - cos d theta = 2 sin^2(d theta / 2), which does not
-    cancel to roundoff at small theta."""
-    s = np.sin
-    return (270.0 * s(theta / 2) ** 2 - 27.0 * s(theta) ** 2 + 2.0 * s(1.5 * theta) ** 2) / (90.0 * h**2)
+_EPS = np.finfo(float).eps
 
 
-def _three_point_norm1(ham):
-    """||T||_1 of the three-point operator `_KINETIC_2` + V: the spectrum
-    tests' absolute tolerances are eps ||T||_1."""
-    stencil, denominator = _KINETIC_2
-    scale = 1.0 / (denominator * ham.grid.h**2)
-    couplings = (abs(stencil[0]) + abs(stencil[2])) * scale
-    return float(np.max(np.abs(stencil[1] * scale + ham.potential))) + couplings
+def _chain_matrix(ham):
+    """The whole chain's matrix H, each kinetic entry read off the column
+    of `Hamiltonian.kinetic` by its index rule, with no fold."""
+    c, terms = ham.kinetic
+    i, j = np.indices((ham.potential.size,) * 2)
+    kinetic = sum(coef * c[(i + sign * j + shift) % c.size] for coef, sign, shift in terms)
+    return kinetic + np.diag(ham.potential)
+
+
+def _norm1(ham):
+    """The bound on ||H||_1 that `solve_lowest` takes eps times as its zero
+    floor: sum |c| per kinetic term, plus max |V|."""
+    c, terms = ham.kinetic
+    return len(terms) * float(np.abs(c).sum()) + float(np.abs(ham.potential).max())
+
+
+def _exact_levels(ham):
+    """Every level of the free box's or ring's discrete operator, ascending:
+    (n pi)^2 / 2 for the sine modes n = 1 .. J - 1 between walls, m^2 / 2
+    for the ring's Fourier modes (each 0 < |m| < N/2 twice, an even N's
+    Nyquist m = N/2 once)."""
+    grid = ham.grid
+    if grid.boundary == "dirichlet":
+        return (np.arange(1, grid.points - 1) * np.pi) ** 2 / 2.0
+    m = np.abs(np.fft.fftfreq(grid.points, 1.0 / grid.points))
+    return np.sort(m**2 / 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -80,36 +79,35 @@ def ring_result():
 
 
 class TestDefaultEigenGrid:
-    """The fewest 2^p intervals whose order-6 error (kappa h)^6 / 560 at the
-    top level meets `_GRID_ERROR`."""
+    """The box's fewest 2^p intervals above 2k, the ring's fewest 2^p points
+    above 4 floor(k/2) (at least 8), the oracle's grid for the oscillator's
+    top level."""
 
     @pytest.mark.parametrize(
         "spec, k, points",
-        [(Box(), 40, 1025), (Box(), 100, 4097), (Ring(), 21, 512), (Ring(), 41, 1024),
-         (Ring(), 1, 64), (Oscillator(), 41, 2049), (Oscillator(), 21, 2049),
-         (Oscillator(), 6, 1025), (Oscillator(), 201, 8193)],
-        ids=["box-40", "box-100", "ring-21", "ring-41", "ring-1", "oscillator-41",
-             "oscillator-21", "oscillator-6", "oscillator-201"],
+        [(Box(), 6, 17), (Box(), 40, 129), (Box(), 100, 257), (Box(), 347, 1025),
+         (Ring(), 1, 8), (Ring(), 21, 64), (Ring(), 41, 128), (Ring(), 347, 1024),
+         (Oscillator(), 6, 227), (Oscillator(), 41, 461), (Oscillator(), 201, 1149)],
+        ids=["box-6", "box-40", "box-100", "box-347", "ring-1", "ring-21", "ring-41", "ring-347",
+             "oscillator-6", "oscillator-41", "oscillator-201"],
     )
     def test_rule_sizes(self, spec, k, points):
         grid = default_eigen_grid(spec, k)
         assert grid.points == points
-        # the oscillator's mean wavenumber over a classical orbit of p_max
-        p_max = math.sqrt(2 * k + 1)
-        kappa = {Box: k * np.pi, Ring: max(k // 2, 1), Oscillator: (35 / 128) ** (1 / 6) * p_max}
-        kappa = kappa[type(spec)]
-        # the error target is met, and not on half as many intervals
-        assert (kappa * grid.h) ** 6 / 560.0 <= _GRID_ERROR < (2.0 * kappa * grid.h) ** 6 / 560.0
+        if isinstance(spec, Oscillator):
+            assert grid == default_grid(spec, k - 1)
+            return
+        # a power of two above the need, and not twice as many as it needs
+        size, need = (grid.points, 4 * (k // 2)) if isinstance(spec, Ring) else (grid.points - 1, 2 * k)
+        assert size & (size - 1) == 0
+        assert size > need and (size // 2 <= need or size == 8)
 
     @pytest.mark.parametrize("k", [1, 6, 11, 21, 41])
-    def test_oscillator_rule_meets_the_error_target(self, k):
-        # the classical-orbit estimate holds for the solved levels: the
-        # wavenumber sqrt(k + 1/2) of <p^2> would give k = 21 only 1025
-        # points, and an error of 1.8e-8
+    def test_oscillator_default_grid_energies_meet_roundoff(self, k):
         spec = Oscillator()
         result = solve_lowest(build_hamiltonian(spec, default_eigen_grid(spec, k)), k)
         exact = np.arange(k) + 0.5
-        assert np.max(np.abs(result.energies - exact) / exact) <= _GRID_ERROR
+        assert np.max(np.abs(result.energies - exact) / exact) <= 1e-12
 
     @pytest.mark.parametrize("spec", [Box(), Ring(), Oscillator()], ids=["box", "ring", "oscillator"])
     def test_grid_points_override_the_rule(self, spec):
@@ -117,76 +115,75 @@ class TestDefaultEigenGrid:
         assert default_eigen_grid(spec, 40, points).points == points
         assert default_eigen_grid(spec, 4000, points).points == points
 
-    def test_oscillator_extent_is_unchanged(self):
-        assert default_eigen_grid(Oscillator(), 6).upper == 12.0
-        assert default_eigen_grid(Oscillator(), 40).upper == math.sqrt(81.0) + 8.0
+    def test_oscillator_takes_the_oracle_extent(self):
+        assert default_eigen_grid(Oscillator(), 6).upper == math.sqrt(11.0) + 10.0
+        assert default_eigen_grid(Oscillator(), 41, 1001).upper == math.sqrt(81.0) + 10.0
 
     @pytest.mark.parametrize(
         "spec, k, message",
-        [(Box(), 700, "box eigen grid for 700 levels needs 32769 points"),
-         (Ring(), 1201, "ring eigen grid for 1201 levels needs 32768 points"),
-         (Oscillator(), 500, "oscillator eigen grid for 500 levels needs 16385 points")],
+        [(Box(), 1024, "box eigen grid for 1024 levels needs 4097 points"),
+         (Ring(), 1024, "ring eigen grid for 1024 levels needs 4096 points"),
+         (Oscillator(), 454, "oscillator eigen grid for 454 levels needs 2051 points")],
         ids=["box", "ring", "oscillator"],
     )
     def test_rule_above_the_cap_is_a_grid_error(self, spec, k, message):
+        default_eigen_grid(spec, k - 1)
         with pytest.raises(GridError, match=f"{message}, above the limit of {_MAX_EIGEN_POINTS}"):
             default_eigen_grid(spec, k)
 
+    def test_more_points_than_the_cap_raise_before_the_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args))
+        grid = GridSpec(0.0, 1.0, _MAX_EIGEN_POINTS + 2, "dirichlet")
+        message = f"a dense eigensolve on {grid.points} points is above the limit of 2049"
+        with pytest.raises(GridError, match=message):
+            build_hamiltonian(Box(), grid)
+        # a Hamiltonian built by hand is bounded by the solve itself
+        with pytest.raises(GridError, match=message):
+            solve_lowest(Hamiltonian(grid, np.zeros(grid.points - 2)), 1)
+        assert calls == []
+
 
 class TestBuildHamiltonian:
-    def test_box_structure(self):
-        ham = build_hamiltonian(Box(), GridSpec(0.0, 1.0, 11, "dirichlet"))
-        # walls excluded: 9 interior unknowns, zero potential
-        assert ham.potential.shape == (9,)
-        assert not ham.potential.any()
+    @pytest.mark.parametrize("points", [3, 5, 9, 17])
+    def test_box_kinetic_is_the_sine_dvr(self, points):
+        # T = S diag((n pi)^2 / 2) S^T over the orthonormal sampled sine
+        # modes n = 1 .. J - 1, J = points - 1: the walls are not unknowns
+        ham = build_hamiltonian(Box(), GridSpec(0.0, 1.0, points, "dirichlet"))
+        assert ham.potential.shape == (points - 2,) and not ham.potential.any()
         assert not ham.periodic
-        h = 0.1
-        # the three-point operator's blocks, which label the levels: 1/h^2
-        # on the diagonal, -1/(2 h^2) couplings (sqrt 2 times that into the
-        # self-mirrored middle unknown), nothing beyond them: each block is
-        # the whole three-point matrix folded onto its unit vectors
-        mirror = _Mirror(9, False)
-        even, odd = mirror.bands(ham)
-        chain = (np.eye(9) - 0.5 * np.eye(9, k=1) - 0.5 * np.eye(9, k=-1)) / h**2
-        for block, parity in ((even, False), (odd, True)):
-            np.testing.assert_allclose(block[1], 1.0 / h**2)
-            np.testing.assert_array_equal(block[0, 1:], block[2, :-1])
-            dense = np.diag(block[1]) + np.diag(block[0, 1:], 1) + np.diag(block[2, :-1], -1)
-            units = mirror.unfold(np.eye(block.shape[1]), parity)
-            np.testing.assert_allclose(dense, units @ chain @ units.T, rtol=0.0, atol=1e-12 / h**2)
-        np.testing.assert_allclose(even[2, :-1], [-0.5 / h**2] * 3 + [-math.sqrt(0.5) / h**2])
-        np.testing.assert_allclose(odd[2, :-1], -0.5 / h**2)
+        intervals = points - 1
+        n = np.arange(1, intervals)
+        modes = math.sqrt(2.0 / intervals) * np.sin(np.pi * np.outer(n, n) / intervals)
+        dvr = modes.T @ np.diag((n * np.pi) ** 2 / 2.0) @ modes
+        chain = _chain_matrix(ham)
+        np.testing.assert_allclose(chain, dvr, rtol=0.0, atol=8 * _EPS * _norm1(ham))
+        np.testing.assert_array_equal(np.diag(chain), ham.diagonal)
 
-    def test_ring_corner_coupling(self):
-        ham = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, 8, "periodic"))
+    @pytest.mark.parametrize("points", [3, 4, 5, 8])
+    def test_ring_kinetic_is_the_fourier_grid_matrix(self, points):
+        # T = F^-1 diag(m^2 / 2) F with the DFT matrix F written out
+        ham = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, points, "periodic"))
         assert ham.periodic
-        v = np.zeros(8)
-        v[0] = 1.0
-        out = _apply(ham, v) * (360.0 * ham.grid.h**2)
-        # the seven-point stencil wraps around both ends
-        np.testing.assert_allclose(out, [490, -270, 27, -2, 0, -2, 27, -270], rtol=1e-14)
-        assert out[-1] == out[1] and out[-3] == out[3]
+        m = np.fft.fftfreq(points, 1.0 / points)
+        dft = np.exp(-2j * np.pi * np.outer(np.arange(points), np.arange(points)) / points)
+        fourier = (dft.conj().T @ np.diag(m**2 / 2.0) @ dft).real / points
+        chain = _chain_matrix(ham)
+        np.testing.assert_allclose(chain, fourier, rtol=0.0, atol=8 * _EPS * _norm1(ham))
+        # the mirror theta -> -theta maps the corner coupling onto itself
+        np.testing.assert_allclose(chain[0, -1], chain[0, 1], rtol=0.0, atol=8 * _EPS * _norm1(ham))
 
-    @pytest.mark.parametrize("points", [3, 5, 9, 65])
-    def test_box_ghost_points_make_sine_modes_exact(self, points):
-        # odd reflection in the walls: every sine mode is an eigenvector,
-        # with the stencil's symbol as its eigenvalue
-        grid = GridSpec(0.0, 1.0, points, "dirichlet")
-        ham = build_hamiltonian(Box(), grid)
-        n = np.arange(1, points - 1)
-        modes = np.sin(np.pi * n[:, None] * grid.x[1:-1])
-        expected = _order6_levels(n * np.pi * grid.h, grid.h)[:, None] * modes
-        np.testing.assert_allclose(_apply(ham, modes), expected, atol=1e-12 * expected.max())
-
-    def test_oscillator_potential_on_diagonal(self):
+    def test_oscillator_kinetic_is_the_fourier_grid_of_its_points(self):
+        # the N open points taken as one period: the ring's matrix on N
+        # points, rescaled from spacing 2 pi / N to h
         grid = GridSpec(-12.0, 12.0, 101, "open")
         ham = build_hamiltonian(Oscillator(), grid)
         np.testing.assert_array_equal(ham.potential, 0.5 * grid.x**2)
-        # unknowns 0 .. 50 carry the blocks; each block diagonal is 1/h^2 + V
-        kinetic = 1.0 / grid.h**2
-        even, odd = _Mirror(101, False).bands(ham)
-        np.testing.assert_allclose(even[1] - kinetic, 0.5 * grid.x[:51] ** 2, atol=1e-12)
-        np.testing.assert_allclose(odd[1] - kinetic, 0.5 * grid.x[:50] ** 2, atol=1e-12)
+        ring = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, 101, "periodic"))
+        scaled = _chain_matrix(ring) * (ring.grid.h / grid.h) ** 2
+        kinetic = _chain_matrix(ham) - np.diag(ham.potential)
+        np.testing.assert_allclose(kinetic, scaled, rtol=0.0, atol=8 * _EPS * _norm1(ham))
+        np.testing.assert_array_equal(np.diag(_chain_matrix(ham)), ham.diagonal)
 
     def test_topology_mismatch(self):
         with pytest.raises(GridError):
@@ -195,41 +192,107 @@ class TestBuildHamiltonian:
             build_hamiltonian(Box(), GridSpec(0.0, 1.0, 8, "periodic"))
 
 
+# Small chains for the fold: box and oscillator grids have an odd point
+# count, so their n = 4j + 1 and 4j + 3 unknowns put the self-mirrored
+# middle unknown in either parity of the even block's size; the ring's N
+# is odd (m = 0 self-mirrored) or even (m = 0 and N/2)
+FOLD_CHAINS = (
+    [(Box(), p) for p in (5, 7, 9, 11)]
+    + [(Oscillator(), p) for p in (5, 7, 9, 11)]
+    + [(Ring(), p) for p in (5, 6, 7, 8)]
+)
+
+
+def _chain_id(case):
+    spec, points = case
+    return f"{type(spec).__name__.lower()}-{points}"
+
+
+class TestFoldIsExact:
+    """The even and odd blocks are the chain's matrix on the mirror's even
+    and odd unit vectors, and together hold its whole spectrum."""
+
+    @pytest.fixture(params=FOLD_CHAINS, ids=_chain_id)
+    def chain(self, request):
+        spec, points = request.param
+        ham = build_hamiltonian(spec, default_eigen_grid(spec, points=points))
+        return ham, _Mirror(ham.potential.size, ham.periodic)
+
+    def test_blocks_are_the_folded_chain(self, chain):
+        ham, mirror = chain
+        matrix = _chain_matrix(ham)
+        for odd in (False, True):
+            units = mirror.unfold(np.eye(mirror.block(ham, odd).shape[0]), odd)
+            np.testing.assert_allclose(units @ units.T, np.eye(len(units)), rtol=0.0, atol=1e-15)
+            folded = units @ matrix @ units.T
+            np.testing.assert_allclose(
+                mirror.block(ham, odd), folded, rtol=0.0, atol=4 * _EPS * _norm1(ham)
+            )
+
+    def test_block_levels_are_the_chain_spectrum(self, chain):
+        # the block solves and the reference each carry about eps ||H||_1
+        ham, _ = chain
+        n = ham.potential.size
+        energies, _ = _parity_pairs(ham, n)
+        reference = np.linalg.eigvalsh(_chain_matrix(ham))
+        np.testing.assert_allclose(np.sort(energies), reference, rtol=0.0, atol=4 * _EPS * _norm1(ham))
+
+    def test_unfolded_vectors_have_their_blocks_parity(self, chain):
+        ham, mirror = chain
+        n = ham.potential.size
+        reflected = (mirror.reflect - np.arange(n)) % n
+        for odd in (False, True):
+            _, vecs = np.linalg.eigh(mirror.block(ham, odd))
+            rows = mirror.unfold(vecs.T, odd)
+            np.testing.assert_array_equal(rows[:, reflected], -rows if odd else rows)
+
+
+EXACT_CHAINS = [(Box(), p) for p in (3, 5, 9, 65, 1025)] + [(Ring(), p) for p in (3, 4, 7, 8, 64, 1023)]
+
+
 class TestEnergies:
     def test_box_ground(self, box_result):
         spec, result = box_result
-        assert result.energies[0] == pytest.approx(np.pi**2 / 2.0, rel=1e-4)
+        assert result.energies[0] == pytest.approx(np.pi**2 / 2.0, rel=1e-12)
 
     def test_box_six_lowest(self, box_result):
         spec, result = box_result
         for i in range(6):
-            assert result.energies[i] == pytest.approx(box_energy(spec, i + 1), rel=1e-3)
+            assert result.energies[i] == pytest.approx(box_energy(spec, i + 1), rel=1e-12)
 
     def test_oscillator_ladder(self, osc_result):
         spec, result = osc_result
-        np.testing.assert_allclose(result.energies[:3], [0.5, 1.5, 2.5], rtol=1e-4)
+        np.testing.assert_allclose(result.energies[:3], [0.5, 1.5, 2.5], rtol=1e-12)
 
     def test_ring_spectrum_with_degeneracy(self, ring_result):
         spec, result = ring_result
-        np.testing.assert_allclose(result.energies[:3], [0.0, 0.5, 0.5], atol=1e-4)
+        np.testing.assert_allclose(result.energies[:3], [0.0, 0.5, 0.5], atol=1e-12)
         # +/- m pairs coincide
         for m in (1, 2, 3):
             lo, hi = result.energies[2 * m - 1], result.energies[2 * m]
-            assert abs(hi - lo) <= 1e-8 * max(abs(hi), 1.0)
-            assert hi == pytest.approx(ring_energy(spec, m), rel=1e-3)
+            assert abs(hi - lo) <= 1e-12 * max(abs(hi), 1.0)
+            assert hi == pytest.approx(ring_energy(spec, m), rel=1e-12)
 
-    @pytest.mark.parametrize("factor", [2])
-    def test_convergence_order(self, factor):
-        # order 6, observed on grids coarse enough that the error of level 3
-        # (1.2e-6 and 1.8e-8) sits far above the roundoff floor (~1e-13)
-        spec = Box()
-        errs = []
-        for points in (33, 32 * factor + 1):
-            grid = GridSpec(0.0, spec.length, points, "dirichlet")
-            res = solve_lowest(build_hamiltonian(spec, grid), 3)
-            errs.append(abs(res.energies[2] - box_energy(spec, 3)) / box_energy(spec, 3))
-        assert errs[1] > 1e-10
-        assert math.log(errs[0] / errs[1], factor) >= 5.0
+    @pytest.mark.parametrize("spec, points", EXACT_CHAINS, ids=[_chain_id(c) for c in EXACT_CHAINS])
+    def test_box_and_ring_levels_are_exact_on_any_grid(self, spec, points):
+        # every sampled sine or Fourier mode the grid holds is an exact
+        # eigenvector: all n levels meet the exact ones to a few eps ||H||_1
+        ham = build_hamiltonian(spec, default_eigen_grid(spec, points=points))
+        result = solve_lowest(ham, ham.potential.size)
+        np.testing.assert_allclose(
+            result.energies, _exact_levels(ham), rtol=0.0, atol=4 * _EPS * _norm1(ham)
+        )
+
+    def test_oscillator_converges_exponentially(self):
+        # on the default grid's extent, ten more points gain four digits
+        # or more, down to roundoff
+        spec, exact = Oscillator(), np.arange(6) + 0.5
+        errors = []
+        for points in (41, 51, 61):
+            result = solve_lowest(build_hamiltonian(spec, default_eigen_grid(spec, 6, points)), 6)
+            errors.append(np.max(np.abs(result.energies - exact) / exact))
+        assert errors[1] <= 1e-4 * errors[0]
+        assert errors[2] <= 1e-12
 
 
 class TestEigenvectors:
@@ -297,19 +360,9 @@ class TestSolverFailure:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalue 3 did not converge")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         ham = build_hamiltonian(spec, default_eigen_grid(spec, 4))
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            solve_lowest(ham, 4)
-
-    def test_rayleigh_ritz_failure_is_a_convergence_error(self, monkeypatch):
-        # only the oscillator's blocks take the step's dense eigensolve
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("the algorithm failed to converge")
-
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
-        ham = build_hamiltonian(Oscillator(), default_eigen_grid(Oscillator(), 4))
-        with pytest.raises(ConvergenceError, match="Rayleigh-Ritz eigensolver failed: the algorithm"):
+        with pytest.raises(ConvergenceError, match="dense eigensolver failed: eigenvalue 3 did not"):
             solve_lowest(ham, 4)
 
     @pytest.mark.parametrize("k", [0, -1])
@@ -317,27 +370,6 @@ class TestSolverFailure:
         ham = build_hamiltonian(Box(), GridSpec(0.0, 1.0, 11, "dirichlet"))
         with pytest.raises(ConfigError, match=f"requested {k} eigenpairs"):
             solve_lowest(ham, k)
-
-
-def _dense_energies(ham):
-    """Ascending spectrum of the full order-6 matrix, built from its
-    stencil: circulant on the ring, with odd-reflection ghost points f(-p)
-    = -f(p) and f(J + p) = -f(J - p) between the box's walls (unknown u is
-    point u + 1 of J = n + 1 intervals), truncated on the oscillator."""
-    n = ham.potential.size
-    i, j = np.indices((n, n))
-
-    def weight(offset):
-        return np.where(np.abs(offset) <= 3, _ORDER6[np.minimum(np.abs(offset), 3)], 0.0)
-
-    if ham.periodic:
-        kinetic = sum(weight(i - j + s * n) for s in range(-2, 3))
-    elif ham.grid.boundary == "dirichlet":
-        kinetic = weight(i - j) - weight(i + j + 2) - weight(2 * n - i - j)
-    else:
-        kinetic = weight(i - j)
-    mat = kinetic / (360.0 * ham.grid.h**2) + np.diag(ham.potential)
-    return np.linalg.eigh(mat)[0]
 
 
 def _mirror(values, periodic=True):
@@ -350,16 +382,15 @@ def _mirror(values, periodic=True):
 
 
 class TestRingParitySolve:
-    """The even/odd block solve against a dense reference, on any N >= 3."""
+    """The even/odd block solve against the whole chain's spectrum, on any N >= 3."""
 
     @pytest.mark.parametrize("points", [3, 4, 5, 8, 63, 64, 1001, 1024])
     def test_energies_match_dense_reference(self, points):
         ham = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, points, "periodic"))
-        reference = _dense_energies(ham)
+        reference = np.linalg.eigvalsh(_chain_matrix(ham))
         scale = max(float(np.max(np.abs(reference))), 1.0)
         # every k on the small grids; the edges, both parities of k and a
-        # mid-spectrum cut on the large ones (a full sweep of k there
-        # costs minutes)
+        # mid-spectrum cut on the large ones
         if points <= 64:
             ks = range(1, points + 1)
         else:
@@ -387,8 +418,7 @@ class TestRingParitySolve:
             calls.append(args)
             raise AssertionError("solver reached")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", record)
-        monkeypatch.setattr(scipy.linalg, "eigh", record)
+        monkeypatch.setattr(np.linalg, "eigh", record)
         for points in (3, 8, 1024):
             ham = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, points, "periodic"))
             with pytest.raises(ConfigError):
@@ -441,70 +471,82 @@ OPEN_CHAINS = [(Box(), p) for p in (3, 5, 7, 9, 65, 2001)] + [
     (Oscillator(), p) for p in (5, 7, 65, 2001)
 ]
 
-# The order-6 operator is not a Jacobi matrix: on 5 and 7 points (h = 6 and
-# 4, wider than the oscillator's ground state) its next-nearest couplings,
-# of the other sign, give each of its eigenvectors sign changes at the far
-# edges, so the node law is a property of the states a grid resolves.
-_UNRESOLVED = {("oscillator", 5), ("oscillator", 7)}
 
-
-def _chain_id(case):
-    spec, points = case
-    return f"{type(spec).__name__.lower()}-{points}"
+def _resolved(spec, result):
+    """The states whose moments pass the grid guards (`eigen_columns`):
+    the levels the grid resolves."""
+    first = 1 if isinstance(spec, Box) else 0
+    passed = []
+    for j in range(len(result.energies)):
+        try:
+            eigen_columns(spec, result, [first + j])
+        except QnodesError:
+            continue
+        passed.append(j)
+    return passed
 
 
 class TestMirrorParitySolve:
-    """The box and oscillator even/odd block solve against a dense reference."""
+    """The box and oscillator even/odd block solve against the whole chain."""
 
     @pytest.fixture(scope="class", params=OPEN_CHAINS, ids=_chain_id)
     def chain(self, request):
         spec, points = request.param
         ham = _open_hamiltonian(spec, points)
         dim = ham.potential.size
-        reference = _dense_energies(ham)
+        reference = np.linalg.eigvalsh(_chain_matrix(ham))
         scale = max(float(np.max(np.abs(reference))), 1.0)
-        return ham, reference, scale, solve_lowest(ham, dim)
+        result = solve_lowest(ham, dim)
+        return spec, ham, reference, scale, result, _resolved(spec, result)
 
     def test_energies_match_dense_reference(self, chain):
-        ham, reference, scale, _ = chain
+        # the blocks hold the whole spectrum; their parity slots take the
+        # lowest k levels wherever the levels alternate in parity: all of
+        # the box's, and those below the oscillator grid's first level that
+        # fails the guards
+        spec, ham, reference, scale, full, resolved = chain
         dim = ham.potential.size
+        np.testing.assert_allclose(np.sort(full.energies), reference, rtol=0.0, atol=1e-12 * scale)
+        ordered = dim if isinstance(spec, Box) else next(
+            (j for j in range(dim) if j not in resolved), dim
+        )
         # every k up to 65 points; the edges, both parities of k and the
         # benchmark's 40 levels on the 2001-point grids
-        ks = range(1, dim + 1) if dim <= 65 else (1, 2, 3, 21, 40, dim)
+        ks = range(1, dim + 1) if dim <= 65 else (1, 2, 40, dim)
         for k in ks:
             result = solve_lowest(ham, k)
             assert len(result.states) == k
+            top = min(k, ordered)
             np.testing.assert_allclose(
-                result.energies, reference[:k], rtol=0.0, atol=1e-12 * scale
+                result.energies[:top], reference[:top], rtol=0.0, atol=1e-12 * scale
             )
 
     def test_states_alternate_even_odd(self, chain):
-        result = chain[3]
+        result = chain[4]
         for j, state in enumerate(result.states):
             expected = -state.values if j % 2 else state.values
             np.testing.assert_allclose(
                 _mirror(state.values, periodic=False), expected, atol=1e-12
             )
 
-    def test_energies_ascend(self, chain):
-        ham, _, scale, result = chain
-        dim = ham.potential.size
+    def test_resolved_levels_ascend(self, chain):
+        # a box's levels are its sine modes, all of them in order; beyond
+        # the levels the oscillator's grid resolves, its blocks' levels
+        # interleave in no fixed order
+        spec, _, _, _, result, resolved = chain
         steps = np.diff(result.energies)
-        # the levels a grid resolves (two or more samples per half-wave)
-        # ascend strictly; at the top of a coarse oscillator grid, states
-        # sit at the two far edges and form doublets split below
-        # roundoff, so there the order holds to roundoff only
-        assert np.all(steps[: max(dim // 2 - 1, 0)] > 0.0)
-        assert np.all(steps >= -1e-12 * scale)
-        if ham.grid.boundary == "dirichlet":
+        if isinstance(spec, Box):
             assert np.all(steps > 0.0)
+        assert np.all(np.diff(result.energies[resolved]) > 0.0)
 
-    def test_state_j_has_j_nodes(self, chain):
-        ham, _, _, result = chain
-        dim = ham.potential.size
-        grid = ham.grid
-        system = {"dirichlet": "box", "open": "oscillator"}[grid.boundary]
-        for j in range(0 if (system, grid.points) in _UNRESOLVED else dim // 2):
+    def test_resolved_state_j_has_j_nodes(self, chain):
+        # the guards ask more than the energies: 65 points resolve the
+        # box's n < 32 but no oscillator level (h = 0.42 leaves the ground
+        # state's <p^2> a band share of 5e-7); 2001 points resolve both
+        spec, ham, _, _, result, resolved = chain
+        least = {("box", 65): 31, ("box", 2001): 999, ("oscillator", 2001): 40}
+        assert len(resolved) >= least.get((type(spec).__name__.lower(), ham.grid.points), 0)
+        for j in resolved:
             assert count_nodes(result.states[j]).count == j
 
     @pytest.mark.parametrize("spec", [Box(), Oscillator()], ids=["box", "oscillator"])
@@ -518,97 +560,25 @@ class TestMirrorParitySolve:
         with pytest.raises(ConvergenceError, match="residual"):
             solve_lowest(skewed, 4)
 
-    @pytest.mark.parametrize("spec, k", [
-        (Box(), 40), (Ring(), 21), (Oscillator(), 6), (Oscillator(), 21), (Oscillator(), 41),
-        (Oscillator(), 201),
-    ], ids=["box", "ring", "oscillator-6", "oscillator-21", "oscillator-41", "oscillator-201"])
-    def test_only_the_oscillator_refines(self, monkeypatch, spec, k):
-        # box and ring three-point vectors are discrete sine and Fourier
-        # modes, eigenvectors of the order-6 operator too: their residuals
-        # meet the tolerance with no Rayleigh-Ritz step.  On its default
-        # grid each oscillator block takes one step, on its own levels and
-        # `_GUARD_LEVELS` more, which meets the tolerance with a margin of
-        # 100; nothing solves a banded system.
-        real, solves = scipy.linalg.solve_banded, []
+    @pytest.mark.parametrize(
+        "spec, points, sizes",
+        [(Box(), 65, (32, 31)), (Oscillator(), 65, (33, 32)), (Ring(), 64, (33, 31))],
+        ids=["box", "oscillator", "ring"],
+    )
+    def test_one_dense_solve_per_needed_block(self, monkeypatch, spec, points, sizes):
+        real, seen = np.linalg.eigh, []
 
-        def spy(*args, **kwargs):
-            solves.append(args[1].shape)
-            return real(*args, **kwargs)
+        def spy(a, *args, **kwargs):
+            seen.append(len(a))
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve_banded", spy)
-        steps = _spy_ritz(monkeypatch)
-        result = solve_lowest(build_hamiltonian(spec, default_eigen_grid(spec, k)), k)
-        assert not solves
-        if isinstance(spec, Oscillator):
-            assert steps == [(k + 1) // 2 + _GUARD_LEVELS, k // 2 + _GUARD_LEVELS]
-        else:
-            assert not steps
-        tol = _RESIDUAL_TOL * np.max(np.abs(result.energies))
-        assert np.all(result.residuals <= 1e-2 * tol)
-
-    def test_only_a_coarse_grids_top_is_solved_dense(self, monkeypatch):
-        # 65 points on [-12, 12] (h = 0.375): the 6- and 12-level guards
-        # leave the 13 lowest oscillator levels residuals of up to 2e5 and
-        # 30 times the tolerance, the 24-level one 1e-5 of it: the guard
-        # doubles until it meets it, below the whole block of 33 or 32.
-        # Where the first step spans the whole block already, it is the
-        # only step, the block's dense order-6 solve (every k meets the
-        # dense order-6 spectrum: `test_energies_match_dense_reference`).
-        ham = _open_hamiltonian(Oscillator(), 65)
-        steps = _spy_ritz(monkeypatch)
-        solve_lowest(ham, 13)
-        assert not {33, 32} & set(steps)
-        assert steps == [count + (_GUARD_LEVELS << i) for count in (7, 6) for i in range(3)]
-        steps.clear()
-        solve_lowest(ham, 65)
-        assert steps == [33, 32]
-        # on 513 points (h = 0.047) the first guard step meets the tolerance
-        steps.clear()
-        solve_lowest(_open_hamiltonian(Oscillator(), 513), 13)
-        assert steps == [7 + _GUARD_LEVELS, 6 + _GUARD_LEVELS]
-
-    def test_a_coarser_grid_than_the_rule_doubles_the_guard_once(self, monkeypatch):
-        # k = 100 on 1025 points, half the rule's 2049: the 6-level guard
-        # leaves residuals of 50 times the tolerance, the 12-level one
-        # 3e-4 of it; no step spans a whole block of 513 or 512 levels
-        spec = Oscillator()
-        ham = build_hamiltonian(spec, default_eigen_grid(spec, 100, points=1025))
-        steps = _spy_ritz(monkeypatch)
-        result = solve_lowest(ham, 100)
-        assert steps == [50 + (_GUARD_LEVELS << i) for i in range(2)] * 2
-        tol = _RESIDUAL_TOL * np.max(np.abs(result.energies))
-        assert np.all(result.residuals <= 1e-2 * tol)
-
-
-def _spy_ritz(monkeypatch):
-    """The basis sizes of the Rayleigh-Ritz steps `solve_lowest` takes from
-    now on, one dense eigensolve each."""
-    real, sizes = scipy.linalg.eigh, []
-
-    def spy(a, *args, **kwargs):
-        sizes.append(len(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
-    return sizes
-
-
-class TestExactDiscreteSpectrum:
-    def test_box_levels_match_discrete_eigenvalues(self):
-        # the order-6 Laplacian with odd-reflection walls has the exact
-        # spectrum `_order6_levels(n pi h, h)`; the solver must reach it to
-        # eps ||T||_1 of the three-point operator, which separates solver
-        # error from the O(h^6) discretization gap
-        ham = build_hamiltonian(Box(), default_eigen_grid(Box(), 40))
-        assert ham.potential.size == 1023
-        h = ham.grid.h
-        n = np.arange(1, 41)
-        exact = _order6_levels(n * np.pi * h, h)
-        norm1 = _three_point_norm1(ham)
-        result = solve_lowest(ham, 40)
-        np.testing.assert_allclose(
-            result.energies, exact, rtol=0.0, atol=np.finfo(float).eps * norm1
-        )
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        ham = _open_hamiltonian(spec, points)
+        solve_lowest(ham, 1)
+        assert seen == [sizes[0]]
+        seen.clear()
+        solve_lowest(ham, 6)
+        assert seen == list(sizes)
 
 
 class TestZeroEnergyFloor:
@@ -621,8 +591,7 @@ class TestZeroEnergyFloor:
         result = solve_lowest(ham, k)
         assert result.energies[0] == 0.0
         assert np.all(result.energies[1:] > 0.4)
-        # the floor is reported after the residual check on the raw energy
-        assert result.residuals[0] < 1e-8
+        assert result.residuals[0] == 0.0
 
     def test_sweep_eigen_row_reports_zero(self):
         from qnodes.report import SweepConfig, run_sweep
@@ -632,144 +601,19 @@ class TestZeroEnergyFloor:
         assert energies[0] == 0.0
         assert energies[1] > 0.4 and energies[-1] > 0.4
 
-    @pytest.mark.parametrize("points", [1023, 1024])
-    def test_floor_is_the_operators_norm(self, points):
-        # the floor is eps ||H||_1, the order-6 Rayleigh quotients'
-        # roundoff: each row of the ring's stencil sums |weights| to 1088
-        ham = build_hamiltonian(Ring(), default_eigen_grid(Ring(), points=points))
-        eps = np.finfo(float).eps
-        energies, rows, _, floor = _parity_pairs(ham, 5)
-        assert floor == pytest.approx(eps * 1088.0 / (360.0 * ham.grid.h**2), rel=1e-15)
-        # the raw quotient of the bisected m = 0 vector is within it
-        ground = _bisected_ground(ham)
-        assert abs(float(ground @ _apply(ham, ground))) <= floor
-        assert energies[0] == 0.0
-
-
-def _bisected_ground(ham):
-    """The unit vector inverse iteration gives the ring's even block's lowest
-    three-point level, unfolded."""
-    mirror = _Mirror(ham.potential.size, ham.periodic)
-    even, _ = mirror.bands(ham)
-    _, vecs = _bisect(even, 0, 1)
-    return mirror.unfold(vecs, False)[0]
-
-
-# (system, levels, grid points or None for the default eigen grid)
-_BISECTION_CASES = [
-    (Box(), 40, None), (Box(), 200, None), (Box(), 1999, 2001), (Box(), 9, 11),
-    (Box(), 40, 20001), (Oscillator(), 201, None), (Oscillator(), 41, 20001),
-    (Oscillator(), 15, 31), (Oscillator(), 2001, 2001), (Ring(), 1, None), (Ring(), 3, None),
-    (Ring(), 21, None), (Ring(), 8, 8), (Ring(), 1024, 1024), (Ring(), 201, 4096),
-]
-
-
-def _case_id(case):
-    spec, k, points = case
-    return f"{type(spec).__name__.lower()}-k{k}-{points or 'default'}"
-
-
-def _parity_blocks(monkeypatch, ham, k):
-    """(diagonal, off-diagonal, level index range, coarse levels, vectors) of
-    each bisection `_parity_pairs` runs on a three-point block, as the
-    bisection returned them."""
-    real, blocks = scipy.linalg.eigh_tridiagonal, []
-
-    def spy(diagonal, off, **kwargs):
-        coarse, vecs = real(diagonal, off, **kwargs)
-        levels = kwargs["select_range"]
-        blocks.append((diagonal.copy(), off.copy(), levels, coarse.copy(), vecs.copy()))
-        return coarse, vecs
-
-    with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
-        _parity_pairs(ham, k)
-    return blocks
-
-
-def _tridiagonal_quotients(diagonal, off, shifts, vecs):
-    """Rayleigh quotients w + v.(T - w)v / v.v of the columns of `vecs`
-    about `shifts`, and eps ||T||_1, their roundoff floor."""
-    gap = diagonal[:, None] * vecs
-    gap[:-1] += off[:, None] * vecs[1:]
-    gap[1:] += off[:, None] * vecs[:-1]
-    gap -= shifts * vecs
-    energies = shifts + np.einsum("ij,ij->j", vecs, gap) / np.einsum("ij,ij->j", vecs, vecs)
-    rows = np.abs(diagonal) + np.pad(np.abs(off), (0, 1)) + np.pad(np.abs(off), (1, 0))
-    return energies, np.finfo(float).eps * float(rows.max())
-
-
-class TestNaturalUnitBisection:
-    """Blocks are bisected to `_BISECTION_TOL`, not to eps ||T||_1, and their
-    energies are the order-6 Rayleigh quotients of the inverse-iteration
-    vectors."""
-
-    @pytest.mark.parametrize("case", _BISECTION_CASES, ids=_case_id)
-    def test_blocks_match_the_full_tolerance_bisection(self, monkeypatch, case):
-        spec, k, points = case
-        ham = build_hamiltonian(spec, default_eigen_grid(spec, k, points))
-        for diagonal, off, levels, coarse, vecs in _parity_blocks(monkeypatch, ham, k):
-            ref_e, ref_v = scipy.linalg.eigh_tridiagonal(
-                diagonal, off, select="i", select_range=levels
-            )
-            assert np.max(np.abs(coarse - ref_e)) <= _BISECTION_TOL
-            vecs = vecs * np.sign(np.sum(vecs * ref_v, axis=0))
-            assert np.max(np.abs(vecs - ref_v)) <= 1e-10
-            # the reference bisection and the vectors' three-point quotients
-            # are each within about eps ||T||_1 of the true level (1.1 and
-            # 0.4 floors on the full 1999-unknown box), so they may differ
-            # by up to twice that
-            energies, floor = _tridiagonal_quotients(diagonal, off, coarse, vecs)
-            assert np.max(np.abs(energies - ref_e)) <= 2.0 * floor
-
-    @pytest.mark.parametrize(
-        "case", [c for c in _BISECTION_CASES if not isinstance(c[0], Oscillator)], ids=_case_id
-    )
-    def test_energies_meet_the_exact_discrete_spectrum(self, case):
-        # the order-6 symbol at theta = n pi h (box) or m h (ring, each
-        # |m| > 0 twice, as [m = 0, cos 1, sin 1, ...]); the formula itself
-        # carries a few eps of relative roundoff near the top of the band
-        spec, k, points = case
-        ham = build_hamiltonian(spec, default_eigen_grid(spec, k, points))
-        h = ham.grid.h
-        if isinstance(spec, Box):
-            theta = np.arange(1, k + 1) * np.pi * h
-        else:
-            theta = ((np.arange(k) + 1) // 2) * h
-        exact = _order6_levels(theta, h)
-        norm1 = _three_point_norm1(ham)
-        energies = solve_lowest(ham, k).energies
-        eps = np.finfo(float).eps
-        np.testing.assert_allclose(energies, exact, rtol=4.0 * eps, atol=eps * norm1)
-
-    def test_fine_box_spectrum_beats_the_bisection(self):
-        # on 20001 points eps ||T||_1 is 1.8e-7; a full-tolerance bisection
-        # is about 0.4 of that off its levels, the quotients far less
-        ham = build_hamiltonian(Box(), default_eigen_grid(Box(), points=20001))
-        h = ham.grid.h
-        exact = _order6_levels(np.arange(1, 41) * np.pi * h, h)
-        norm1 = _three_point_norm1(ham)
-        result = solve_lowest(ham, 40)
-        np.testing.assert_allclose(
-            result.energies, exact, rtol=0.0, atol=0.25 * np.finfo(float).eps * norm1
-        )
-
-    def test_tolerance_is_absolute_in_natural_units(self, monkeypatch):
-        real, seen = scipy.linalg.eigh_tridiagonal, []
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs["tol"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
-        for points in (11, 2001, 20001):
-            solve_lowest(build_hamiltonian(Box(), default_eigen_grid(Box(), points=points)), 4)
-        assert seen == [_BISECTION_TOL] * 6
+    def test_ground_is_zero_on_every_grid(self):
+        # the dense solve's own m = 0 level is roundoff, at times beyond
+        # eps ||H||_1 (-1.0e-12 on 164 points): the free ring's state 0 is
+        # the constant by symmetry, not by a test on its energy
+        for points in range(3, 257):
+            ham = build_hamiltonian(Ring(), default_eigen_grid(Ring(), points=points))
+            raw, _ = _parity_pairs(ham, 1)
+            assert abs(raw[0]) <= 1e-12 * _norm1(ham)
+            assert solve_lowest(ham, min(3, points)).energies[0] == 0.0, points
 
 
 class TestConstantNullVector:
-    """A zero energy on an operator that maps the constant to exactly zero
-    is taken as the constant itself."""
+    """The free ring's state 0 is the constant itself."""
 
     @pytest.mark.parametrize("points", [8, 9, 1023, 1024])
     @pytest.mark.parametrize("k", [1, 3, 21])
@@ -785,9 +629,7 @@ class TestConstantNullVector:
         # the box shifted so that its ground level sits at zero: the energy
         # is floored, but the walls keep the constant from being a null vector
         ham = build_hamiltonian(Box(), default_eigen_grid(Box(), points=201))
-        h = ham.grid.h
-        shifted = Hamiltonian(ham.grid, ham.potential - _order6_levels(np.pi * h, h))
-        assert np.any(_apply(shifted, np.ones(shifted.potential.size)))
+        shifted = Hamiltonian(ham.grid, ham.potential - np.pi**2 / 2.0)
         result = solve_lowest(shifted, 3)
         assert result.energies[0] == 0.0
         np.testing.assert_allclose(

@@ -73,8 +73,8 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize(
         "spec, levels, message",
-        [(Ring(), tuple(range(0, 601)), "level 600: ring eigen grid for 1201 levels needs 32768"),
-         (Box(), tuple(range(1, 2001)), "level 2000: box eigen grid for 2000 levels needs 65537")],
+        [(Ring(), tuple(range(0, 601)), "level 600: ring eigen grid for 1201 levels needs 4096"),
+         (Box(), tuple(range(1, 2001)), "level 2000: box eigen grid for 2000 levels needs 4097")],
     )
     def test_eigen_grid_rule_beyond_its_limit_rejected(self, spec, levels, message):
         cfg = SweepConfig(system=spec, levels=levels, paths=("analytic", "eigen"))

@@ -59,7 +59,7 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
          "--format", "json"],
         # a ring sweep whose eigen solve holds three levels: m = 0 is the exact constant
         ["sweep", "--system", "ring", "--levels", "-1:1", *ALL_PATHS],
-        # the bisection tolerance on a fine grid
+        # a grid above the dense eigensolve's point limit
         ["eigensolve", "--system", "box", "--k", "6", "--grid-points", "20001"],
         # row shapes the column code builds: one path (no disagreement, `na`),
         # two paths without the closed forms (JSON floats), and the bench's
@@ -76,8 +76,8 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["sweep", "--system", "box", "--levels", "1:100", *ALL_PATHS],
         ["verify", "--system", "box", "--levels", "1:200", "--paths", "analytic,eigen",
          "--tol", "1e-1", "--grid-points", "2001"],
-        # oscillator eigen residuals: a default grid, and a grid whose every
-        # level takes its block's whole Rayleigh-Ritz step
+        # oscillator eigen residuals on a default grid, and a grid too
+        # coarse for the levels, which the moments' guards reject
         ["eigensolve", "--system", "oscillator", "--k", "21"],
         ["eigensolve", "--system", "oscillator", "--k", "65", "--grid-points", "65"],
     )
