@@ -44,8 +44,8 @@ __all__ = [
     "default_eigen_grid",
     "build_hamiltonian",
     "solve_lowest",
-    "eigen_columns",
     "eigen_uncertainties",
+    "eigen_columns",
     "ring_momentum_state",
 ]
 

@@ -295,11 +295,12 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "system, levels, rows",
-        [("box", "1:100", 300), ("oscillator", "0:40", 123), ("ring", "-20:20", 123)],
+        [("box", "1:100", 300), ("oscillator", "0:40", 123), ("ring", "-20:20", 123),
+         ("box", "1:347", 1041), ("ring", "-173:173", 1041)],
     )
     def test_three_paths_agree_at_the_default_tolerance(self, runner, system, levels, rows):
-        # the order-6 eigen path meets the closed forms and the oracle at
-        # --tol 1e-6
+        # the Fourier-grid eigen path meets the closed forms and the oracle
+        # at --tol 1e-6
         result = runner.invoke(
             main, ["verify", "--system", system, "--levels", levels, "--paths", "analytic,oracle,eigen"]
         )
