@@ -196,7 +196,7 @@ def verify(system, params, hbar, grid_points, levels, paths, tol, inject_corrupt
 @_output_options
 @click.option("--k", type=int, default=6, show_default=True, help="Number of lowest levels.")
 def eigensolve(system, params, hbar, grid_points, fmt, out, k):
-    """Solve the finite-difference Hamiltonian for the lowest levels."""
+    """Solve the Fourier-grid Hamiltonian for the lowest levels."""
 
     def body():
         if k < 1:

@@ -111,17 +111,20 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Lowest eigenpairs in natural units: ascending energies, the stack of
-    normalized sampled states (row j is state j), and residual norms
-    ||H psi - E psi|| of the unit chain vectors on the full operator.
+    """Eigenpairs in natural units, one per parity slot: the energies, the
+    stack of normalized sampled states (row j is state j), and residual
+    norms ||H psi - E psi|| of the unit chain vectors on the full operator.
 
     States alternate even, odd, even, ... under the mirror; the ring's come
-    as [m=0, cos 1, sin 1, cos 2, sin 2, ...].  A +/-m pair, or a doublet
-    split below roundoff, is solved in two blocks, so its energies may be
-    out of order by roundoff.  An energy within the roundoff floor eps
-    ||H||_1 of zero is exactly 0.0: its digits are roundoff.  On a ring
-    without potential, state 0 is m = 0 by symmetry: energy 0.0, residual
-    0.0 and the constant, however few levels are solved.
+    as [m=0, cos 1, sin 1, cos 2, sin 2, ...].  The energies ascend, and
+    are the lowest, only over the levels the grid resolves (those
+    `eigen_columns` accepts); beyond them the slots keep this parity order,
+    not energy order.  A +/-m pair, or a doublet split below roundoff, is
+    solved in two blocks, so its energies may be out of order by roundoff.
+    An energy within the roundoff floor eps ||H||_1 of zero is exactly 0.0:
+    its digits are roundoff.  On a ring without potential, state 0 is m = 0
+    by symmetry: energy 0.0, residual 0.0 and the constant, however few
+    levels are solved.
     """
 
     energies: np.ndarray
@@ -169,12 +172,10 @@ def default_eigen_grid(spec: SystemSpec, k: int = 6, points: int | None = None) 
 def build_hamiltonian(spec: SystemSpec, grid: GridSpec) -> Hamiltonian:
     """Fourier-grid Hamiltonian on the natural-unit `grid`: no potential on
     the box's interior points or the ring, V = x^2/2 on the oscillator's
-    points.  A grid of more than `_MAX_EIGEN_POINTS` points raises
-    GridError before anything is allocated."""
+    points."""
     boundary = {Box: "dirichlet", Ring: "periodic", Oscillator: "open"}[type(spec)]
     if grid.boundary != boundary:
         raise GridError(f"{type(spec).__name__.lower()} Hamiltonian needs a {boundary} grid")
-    _check_points(grid)
     if isinstance(spec, Box):
         potential = np.zeros(grid.points - 2)
     elif isinstance(spec, Ring):
@@ -182,13 +183,6 @@ def build_hamiltonian(spec: SystemSpec, grid: GridSpec) -> Hamiltonian:
     else:
         potential = 0.5 * grid.x**2
     return Hamiltonian(grid, potential)
-
-
-def _check_points(grid: GridSpec) -> None:
-    if grid.points > _MAX_EIGEN_POINTS:
-        raise GridError(
-            f"a dense eigensolve on {grid.points} points is above the limit of {_MAX_EIGEN_POINTS}"
-        )
 
 
 def _window(c: np.ndarray, first: int, m: int, hankel: bool) -> np.ndarray:
@@ -301,18 +295,22 @@ def _residuals(ham: Hamiltonian, rows: np.ndarray, energies: np.ndarray) -> np.n
 
 
 def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
-    """k lowest eigenpairs, continuum-normalized with a positive leading lobe.
+    """k eigenpairs by parity slot (see `EigenResult`), continuum-normalized
+    with a positive leading lobe: the k lowest where the grid resolves them.
 
     The even and odd mirror blocks are solved (`_parity_pairs`) and every
-    pair is checked against the full operator; see `EigenResult`.  The
-    norms and signs are taken on the whole block of eigenvectors, one row
-    per state.  A grid of more than `_MAX_EIGEN_POINTS` points raises
-    GridError before any block is built.
+    pair is checked against the full operator.  The norms and signs are
+    taken on the whole block of eigenvectors, one row per state.  A grid of
+    more than `_MAX_EIGEN_POINTS` points raises GridError before any block
+    is built.
     """
     dim = ham.potential.size
     if not 1 <= k <= dim:
         raise ConfigError(f"requested {k} eigenpairs from a {dim}-dimensional matrix")
-    _check_points(ham.grid)
+    if ham.grid.points > _MAX_EIGEN_POINTS:
+        raise GridError(
+            f"a dense eigensolve on {ham.grid.points} points is above the limit of {_MAX_EIGEN_POINTS}"
+        )
     energies, full = _parity_pairs(ham, k)
     residuals = _residuals(ham, full, energies)
     if ham.periodic and not ham.potential.any():
