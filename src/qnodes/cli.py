@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_columns, solve_lowest
+from .eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -24,7 +24,10 @@ from .errors import (
     NormalizationError,
     QnodesError,
 )
+from .grids import first_failure, first_rows
 from .model import Box, Constants, Oscillator, Ring, SystemSpec, scales
+from .nodal import node_counts
+from .oracle import columns_from_stack
 from .report import (
     SweepConfig,
     corrupt_first_product,
@@ -212,21 +215,24 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
         except OverflowError as exc:
             raise DomainError(f"--k {k}: {exc}") from exc
         result = solve_lowest(build_hamiltonian(spec, grid), k)
-        # a dense solve's residuals are roundoff on any grid: the moments'
-        # guards are what catch a grid too coarse for the solved levels
-        levels = {Box: range(1, k + 1), Oscillator: range(k), Ring: range((k + 1) // 2)}
-        levels = levels[type(spec)]
+
+        def guard(end):
+            # a dense solve's residuals are roundoff on any grid: the moments'
+            # guards are what catch a grid too coarse for the printed states
+            states = first_rows(result.stack, end)
+            return columns_from_stack(spec, states), node_counts(states)
+
         try:
-            eigen_columns(spec, result, levels)
+            first_failure(guard, k)
         except QnodesError as exc:
-            raise type(exc)(f"level {levels[exc.row]}: {exc}") from exc
-        energies, residuals = [], []
-        for i, (e, r) in enumerate(zip(result.energies, result.residuals)):
-            try:
-                energies.append(units.rescale("energy", float(e), "energy"))
-                residuals.append(units.rescale("residual", float(r), "energy"))
-            except DomainError as exc:
-                raise DomainError(f"index {i}: {exc}") from exc
+            slot = getattr(exc, "row", 0)
+            level = {Box: slot + 1, Oscillator: slot, Ring: (slot + 1) // 2}[type(spec)]
+            raise type(exc)(f"level {level}: {exc}") from exc
+        try:
+            energies = units.rescale("energy", result.energies, "energy").tolist()
+            residuals = units.rescale("residual", result.residuals, "energy").tolist()
+        except DomainError as exc:
+            raise DomainError(f"index {exc.row}: {exc}") from exc
         if fmt == "json":
             payload = {"system": system, "energies": energies, "residuals": residuals}
             return json.dumps(payload, indent=2) + "\n"

@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .analytic import COLUMN_UNITS, UncertaintyRecord
-from .errors import ConfigError, ConvergenceError, GridError, QnodesError
+from .analytic import UncertaintyRecord
+from .errors import ConfigError, ConvergenceError, GridError
 from .grids import GridSpec, SampledFunction, dot, first_failure, quad, raise_first
 from .model import Box, Oscillator, Ring, SystemSpec, predicted_node_count, scales
 from .nodal import node_counts
@@ -342,85 +342,59 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
 
 
 def ring_momentum_state(result: EigenResult, m: int) -> SampledFunction:
-    """Definite angular-momentum state e^{i m theta} from a ring eigensolve.
-
-    States 2|m| - 1 and 2|m| are the even (cos) and odd (sin) members of
-    the +/-m pair, each with a positive leading lobe: the cos state at
-    theta = 0, the sin state at theta = h.  So (u + i sign(m) w)/sqrt 2 is
-    the normalized L_z eigenstate with eigenvalue m hbar.  m = 0 is
-    nondegenerate and returned as-is.
-    """
-    if m == 0:
-        return result.states[0]
-    stack = _ring_momentum_stack(result, np.array([m]))
+    """Definite angular-momentum state e^{i m theta} from a ring eigensolve:
+    its row of the ring's complex stack (`_eigen_stack`); m = 0 is state 0."""
+    stack, _ = _eigen_stack(Ring(), result, [m])
     return SampledFunction(stack.grid, stack.values[0])
-
-
-def _ring_momentum_stack(result: EigenResult, ms: np.ndarray) -> SampledFunction:
-    """The stack of `ring_momentum_state` of each nonzero m in `ms`."""
-    first = 2 * np.abs(ms) - 1
-    raise_first((first + 1 >= len(result.energies), lambda row: GridError(
-        f"need at least {first[row] + 2} solved levels for |m| = {abs(ms[row])}"
-    )))
-    states = result.stack.values
-    sign = 1j * np.copysign(1.0, ms)[:, None]
-    psi = (states[first] + sign * states[first + 1]) / math.sqrt(2.0)
-    return SampledFunction(result.stack.grid, psi)
 
 
 def eigen_columns(spec: SystemSpec, result: EigenResult, levels) -> dict[str, np.ndarray]:
     """Natural-unit columns of the computed eigenstates of `levels`
-    (distinct quantum numbers), from one stack of their states: those of
-    `oracle.columns_from_stack`, with the computed eigenvalues as the
-    energy, and the node counts measured on the states as "nodes".
-
-    `levels` are quantum numbers: box n >= 1, oscillator n >= 0, ring any
-    integer m (mapped through its degenerate pair).  An error is that of
-    the first failing level, named by its index in `levels` as the
-    error's `row`.
+    (distinct quantum numbers), from one stack of their states
+    (`_eigen_stack`): those of `oracle.columns_from_stack`, the computed
+    eigenvalues as "energy" and the node counts measured on the states as
+    "nodes".  An error is that of the first failing level, named by its
+    index in `levels` as the error's `row`.
     """
     levels = list(levels)
-    return first_failure(lambda end: _eigen_columns(spec, result, levels[:end]), len(levels))
 
+    def run(end: int) -> dict[str, np.ndarray]:
+        psi, slot = _eigen_stack(spec, result, levels[:end])
+        columns = columns_from_stack(spec, psi)
+        return columns | {"energy": result.energies[slot], "nodes": node_counts(psi)}
 
-def _eigen_columns(spec: SystemSpec, result: EigenResult, levels: list) -> dict[str, np.ndarray]:
-    groups = [list(range(len(levels)))]
-    if isinstance(spec, Ring):
-        # m = 0 is a real state and the others complex: a stack each
-        zero = [i for i, m in enumerate(levels) if m == 0]
-        groups = [zero, [i for i, m in enumerate(levels) if m]]
-    out = {name: np.empty(len(levels)) for name in COLUMN_UNITS}
-    out["nodes"] = np.empty(len(levels), dtype=int)
-    for rows in filter(None, groups):
-        try:
-            psi, pos = _eigen_stack(spec, result, [levels[i] for i in rows])
-            columns = columns_from_stack(spec, psi)
-            columns |= {"energy": result.energies[pos], "nodes": node_counts(psi)}
-        except QnodesError as exc:
-            exc.row = rows[getattr(exc, "row", 0)]
-            raise
-        for name, values in columns.items():
-            out[name][rows] = values
-    return out
+    return first_failure(run, len(levels))
 
 
 def _eigen_stack(
     spec: SystemSpec, result: EigenResult, levels
 ) -> tuple[SampledFunction, np.ndarray]:
-    """(stack of the states of `levels`, index of each one's energy); a
-    ring's `levels` are all 0 or all nonzero."""
+    """(stack of the computed states of `levels`, each one's energy slot):
+    the one map from quantum numbers to `EigenResult` slots.
+
+    Box level n is slot n - 1, oscillator level n slot n.  Ring level m
+    reads slots 2|m| - 1 and 2|m|, the cos and sin members of the +/-m
+    pair, each with a positive leading lobe (at theta = 0 and theta = h),
+    so (cos + i sign(m) sin)/sqrt 2 is the unit L_z eigenstate m hbar; m = 0
+    is slot 0 as it is, in the same complex stack.  A level beyond the
+    solved slots raises GridError, its index in `levels` as the `row`.
+    """
     levels = np.array(levels)
-    if isinstance(spec, Ring):
-        pos = np.where(levels == 0, 0, 2 * np.abs(levels) - 1)
-        if levels.all():
-            return _ring_momentum_stack(result, levels), pos
-    else:
-        pos = levels - 1 if isinstance(spec, Box) else levels
-        k = len(result.energies)
-        raise_first(((pos < 0) | (pos >= k), lambda row: GridError(
-            f"eigenstate {levels[row]} not among the {k} solved"
-        )))
-    return SampledFunction(result.stack.grid, result.stack.values[pos]), pos
+    ring = isinstance(spec, Ring)
+    # the last slot a level reads, and its first: a ring level's cos slot
+    top = 2 * np.abs(levels) if ring else (levels - 1 if isinstance(spec, Box) else levels)
+    slot = top - (levels != 0) if ring else top
+    k = len(result.energies)
+    raise_first(((slot < 0) | (top >= k), lambda row: GridError(
+        f"eigenstate {levels[row]} not among the {k} solved"
+    )))
+    # integer indices also for an empty list of levels
+    slot, top, states = slot.astype(int), top.astype(int), result.stack.values
+    psi = states[slot]
+    if ring:
+        sign = 1j * np.sign(levels)[:, None]
+        psi = (psi + sign * states[top]) / np.where(levels, math.sqrt(2.0), 1.0)[:, None]
+    return SampledFunction(result.stack.grid, psi), slot
 
 
 def eigen_uncertainties(

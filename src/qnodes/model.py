@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NormalizationError
+from .grids import raise_first
 
 __all__ = [
     "Constants",
@@ -114,14 +115,10 @@ class Scales:
         scale = getattr(self, unit)
         with np.errstate(over="ignore"):  # an overflow raises below
             out = np.multiply(value, scale)
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            exc = DomainError(
-                f"{name} {np.ravel(value)[bad[0]].item()!r} overflows to "
-                f"{out.flat[bad[0]].item()!r} at the {unit} scale {scale!r}"
-            )
-            exc.row = int(bad[0])
-            raise exc
+        raise_first((~np.isfinite(out), lambda row: DomainError(
+            f"{name} {np.ravel(value)[row].item()!r} overflows to "
+            f"{out.flat[row].item()!r} at the {unit} scale {scale!r}"
+        )))
         return out if out.ndim else float(out)
 
 

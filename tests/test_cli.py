@@ -775,6 +775,22 @@ class TestEigensolve:
         assert result.stdout == ""
         assert result.stderr.startswith(f"numerical failure: {message}")
 
+    def test_printed_ring_cos_state_is_guarded(self, runner):
+        # an even k prints slot k - 1 = 9, the cos member of level 5, whose
+        # wavenumber lies above half the Nyquist wavenumber of 16 points;
+        # k = 11 adds its sin member and fails at the same level
+        def invoke(k):
+            args = ["eigensolve", "--system", "ring", "--k", k, "--grid-points", "16"]
+            return runner.invoke(main, args)
+
+        result = invoke("10")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith(
+            "numerical failure: level 5: grid too coarse for angular momentum moments"
+        )
+        assert result.stderr == invoke("11").stderr
+
     def test_k_beyond_grid_exit_2(self, runner):
         result = runner.invoke(
             main, ["eigensolve", "--system", "box", "--grid-points", "11", "--k", "20"]

@@ -26,8 +26,9 @@ from qnodes import (
     solve_lowest,
 )
 from qnodes.eigensolver import _MAX_EIGEN_POINTS, _Mirror, _parity_pairs, eigen_columns
-from qnodes.grids import quad
-from qnodes.oracle import default_grid
+from qnodes.grids import first_rows, quad
+from qnodes.nodal import node_counts
+from qnodes.oracle import columns_from_stack, default_grid
 
 _EPS = np.finfo(float).eps
 
@@ -350,6 +351,12 @@ class TestEigenUncertainties:
         with pytest.raises(GridError):
             eigen_uncertainties(spec, result, 11)
 
+    def test_out_of_range_ring_level(self, ring_result):
+        # m = -5 reads slots 9 and 10; slots 0 .. 8 are solved
+        _, result = ring_result
+        with pytest.raises(GridError, match="^eigenstate -5 not among the 9 solved$"):
+            ring_momentum_state(result, -5)
+
 
 class TestSolverFailure:
     @pytest.mark.parametrize("spec", [Box(), Ring(), Oscillator()])
@@ -625,6 +632,24 @@ class TestConstantNullVector:
         ground = result.states[0].values
         assert result.energies[0] == 0.0 and result.residuals[0] == 0.0
         assert np.all(ground == ground[0]) and ground[0] > 0.0
+
+    @pytest.mark.parametrize("points", [2**p for p in range(3, 12)])
+    def test_m0_columns_equal_the_real_state(self, points):
+        # the m = 0 row is state 0 in the ring's complex stack; on a
+        # power-of-two grid the complex FFT keeps the constant's nonzero
+        # wavenumbers exactly 0, as the real one does, so its columns are
+        # those of the real state bit for bit
+        ham = build_hamiltonian(Ring(), default_eigen_grid(Ring(), points=points))
+        result = solve_lowest(ham, 3)
+        ground = first_rows(result.stack, 1)  # the real state 0, a stack of one
+        columns = eigen_columns(Ring(), result, [-1, 0, 1])
+        real = columns_from_stack(Ring(), ground)
+        real |= {"energy": result.energies[:1], "nodes": node_counts(ground)}
+        assert set(columns) == set(real)
+        for name, values in real.items():
+            assert columns[name][1:2].tobytes() == values.tobytes(), name
+        psi = ring_momentum_state(result, 0)
+        assert np.iscomplexobj(psi.values) and np.array_equal(psi.values, result.states[0].values)
 
     def test_floored_level_without_a_constant_null_vector_keeps_its_vector(self):
         # the box shifted so that its ground level sits at zero: the energy

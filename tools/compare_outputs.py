@@ -80,6 +80,11 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         # coarse for the levels, which the moments' guards reject
         ["eigensolve", "--system", "oscillator", "--k", "21"],
         ["eigensolve", "--system", "oscillator", "--k", "65", "--grid-points", "65"],
+        # a printed ring cos state (slot k - 1 of an even k) too fine for its
+        # grid, and the eigen m = 0 row on a grid that is not a power of two
+        ["eigensolve", "--system", "ring", "--k", "10", "--grid-points", "16"],
+        ["sweep", "--system", "ring", "--levels", "-2:2", "--paths", "oracle,eigen",
+         "--grid-points", "1023"],
     )
 )
 
