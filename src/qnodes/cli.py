@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .eigensolver import build_hamiltonian, default_eigen_grid, solve_lowest
+from .eigensolver import build_hamiltonian, default_eigen_grid, slot_level, solve_lowest
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -225,8 +225,7 @@ def eigensolve(system, params, hbar, grid_points, fmt, out, k):
         try:
             first_failure(guard, k)
         except QnodesError as exc:
-            slot = getattr(exc, "row", 0)
-            level = {Box: slot + 1, Oscillator: slot, Ring: (slot + 1) // 2}[type(spec)]
+            level = slot_level(spec, getattr(exc, "row", 0))
             raise type(exc)(f"level {level}: {exc}") from exc
         try:
             energies = units.rescale("energy", result.energies, "energy").tolist()

@@ -47,6 +47,7 @@ __all__ = [
     "eigen_uncertainties",
     "eigen_columns",
     "ring_momentum_state",
+    "slot_level",
 ]
 
 _RESIDUAL_TOL = 1e-8
@@ -139,29 +140,13 @@ class EigenResult:
 
 def default_eigen_grid(spec: SystemSpec, k: int = 6, points: int | None = None) -> GridSpec:
     """Natural-unit grid on which the Fourier-grid Hamiltonian resolves the
-    k lowest levels.
-
-    The box's grid is [0, 1], of J + 1 points, and the ring's [0, 2 pi), of
-    N points.  By default J is the smallest power of two above 2k, and N
-    the smallest above 4 floor(k/2), at least 8: the top level's wavenumber
-    then lies below half the Nyquist wavenumber, and its density's below
-    Nyquist, where the moments' band guards pass (`eigen_columns`).  The
-    oscillator takes the oracle's grid for its top level n = k - 1
-    (`oracle.default_grid`).  A rule asking for more than
+    k lowest levels: the oracle's grid of the level of the top slot k - 1
+    (`slot_level`, `oracle.default_grid`), on which the moments' band
+    guards pass (`eigen_columns`).  A rule asking for more than
     `_MAX_EIGEN_POINTS` points raises GridError; `points` overrides the rule.
     """
-    rule = points is None
-    if isinstance(spec, Oscillator):
-        grid = default_grid(spec, k - 1, points)
-    else:
-        ring = isinstance(spec, Ring)
-        if rule:
-            # in floats: a k too large for one overflows
-            need = int(4.0 * (float(k) // 2.0) if ring else 2.0 * float(k))
-            points = max(1 << need.bit_length(), 8) if ring else (1 << need.bit_length()) + 1
-        upper, boundary = (2.0 * math.pi, "periodic") if ring else (1.0, "dirichlet")
-        grid = GridSpec(0.0, upper, points, boundary)
-    if rule and grid.points > _MAX_EIGEN_POINTS:
+    grid = default_grid(spec, slot_level(spec, k - 1), points)
+    if points is None and grid.points > _MAX_EIGEN_POINTS:
         raise GridError(
             f"{type(spec).__name__.lower()} eigen grid for {k} levels needs "
             f"{grid.points} points, above the limit of {_MAX_EIGEN_POINTS}"
@@ -364,6 +349,13 @@ def eigen_columns(spec: SystemSpec, result: EigenResult, levels) -> dict[str, np
         return columns | {"energy": result.energies[slot], "nodes": node_counts(psi)}
 
     return first_failure(run, len(levels))
+
+
+def slot_level(spec: SystemSpec, slot: int) -> int:
+    """The level whose state fills `EigenResult` slot `slot`, the inverse
+    of `_eigen_stack`'s map: box level slot + 1, oscillator level slot,
+    ring level |m| = (slot + 1) // 2 (slots 2|m| - 1 and 2|m| hold +/-m)."""
+    return {Box: slot + 1, Oscillator: slot, Ring: (slot + 1) // 2}[type(spec)]
 
 
 def _eigen_stack(

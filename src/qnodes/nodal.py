@@ -43,10 +43,11 @@ def count_nodes(f: SampledFunction) -> NodeReport:
 
 
 def node_counts(f: SampledFunction) -> np.ndarray:
-    """`count_nodes(...).count` of every row of a stack of samples; a
-    DegenerateError names the first degenerate row."""
+    """`count_nodes(...).count` of every row of a stack of samples (a
+    sample is a stack of one); a DegenerateError names the first
+    degenerate row."""
     rows, _ = _nodes(f)
-    return np.bincount(rows, minlength=len(f.values))
+    return np.bincount(rows, minlength=f.values.size // f.grid.points)
 
 
 def _nodes(f: SampledFunction) -> tuple[np.ndarray, np.ndarray]:

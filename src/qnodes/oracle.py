@@ -77,14 +77,15 @@ _BAND_SHARE_TOL = 1e-10
 # 1/(upper - lower) of a normalized state, of a sample that has decayed.
 _EDGE_DENSITY_TOL = 1e-16
 
-# Ring and box grids: the fewest points (ring) or intervals (box) per unit
-# of |m| + 1 or n + 1, and the most the rule may ask for (|m|, n <= 131071).
-_POINTS_PER_LEVEL = 8
+# Box and ring grids: the most intervals (box) or points (ring) the rule
+# may ask for (n < 2^19, |m| < 2^18).
 _MAX_BAND_POINTS = 1 << 20
 
 
 def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> GridSpec:
-    """Natural-unit grid suited to the system and quantum number.
+    """Natural-unit grid suited to the system and quantum number: the one
+    grid rule of every path (`eigensolver.default_eigen_grid` takes the
+    grid of its top level).
 
     The box grid is [0, 1], the ring's [0, 2 pi).  The oscillator
     half-width L is the classical turning point sqrt(2n+1) plus a 10-sigma
@@ -94,16 +95,16 @@ def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> G
     spacing at which Simpson's coarse half T(2h) still resolves the
     density: 2 ceil(2 L^2 / pi) + 1 points.
 
-    A ring state with |m| <= M = |idx| is a trigonometric polynomial, so
-    by default the ring grid takes the smallest power of two N >= 8(M + 1):
-    the density's wavenumbers (at most 2M) then lie below half the Nyquist
-    wavenumber N/2, every Fourier sum is exact, and each node interval
-    holds at least 4 samples.  A power of two keeps the FFT's exact zeros
-    (m = 0 reads 0.0).  A box state with n <= M is a sine polynomial, and
-    the box grid takes the same rule in intervals: J >= 8(M + 1), J + 1
-    points, on which the sine and cosine series of the state and its
-    density are exact.  A rule asking for more than 2^20 points or
-    intervals raises GridError; `points` overrides the rule everywhere.
+    A box state with n <= M = |idx| is a sine polynomial, and by default
+    the box grid takes the fewest 2^p intervals J > 2M, at least 4 (J + 1
+    points); a ring state with |m| <= M is a trigonometric polynomial, and
+    the ring grid takes the fewest 2^p points N > 4M, at least 8.  The top
+    level's wavenumber then lies below half the Nyquist wavenumber and its
+    density's below Nyquist, where the sine, cosine and Fourier sums of
+    the state and its density are exact and the band guards pass.  A
+    power of two keeps the FFT's exact zeros (m = 0 reads 0.0).  A rule
+    asking for more than 2^20 intervals or points raises GridError;
+    `points` overrides the rule everywhere.
     """
     if isinstance(spec, Oscillator):
         half_width = max(math.sqrt(2.0 * abs(int(idx)) + 1.0) + 10.0, 12.0)
@@ -114,14 +115,14 @@ def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> G
     if points is None:
         top = abs(int(idx))
         # in floats, as for the oscillator: a level too large for one overflows
-        need = _POINTS_PER_LEVEL * (float(top) + 1.0)
+        need = (4.0 if ring else 2.0) * float(top) + 1.0
         if need > _MAX_BAND_POINTS:
             system, symbol, unit = ("ring", "|m|", "points") if ring else ("box", "n", "intervals")
             raise GridError(
                 f"{system} grid for {symbol} = {top} needs at least {need:.0f} {unit}, "
                 f"above the limit of {_MAX_BAND_POINTS}"
             )
-        points = (1 << (int(need) - 1).bit_length()) + (not ring)
+        points = max(1 << (int(need) - 1).bit_length(), 8 if ring else 4) + (not ring)
     if ring:
         return GridSpec(0.0, 2.0 * math.pi, points, "periodic")
     return GridSpec(0.0, 1.0, points, "dirichlet")

@@ -1,7 +1,7 @@
 """Sweeps across quantum numbers, cross-path reconciliation, and reports.
 
 A sweep evaluates each requested level along up to three independent
-paths (closed forms, quadrature oracle, finite-difference eigensolver),
+paths (closed forms, quadrature oracle, Fourier-grid eigensolver),
 checks the Heisenberg bound where it applies, and serializes the result
 as CSV or JSON with deterministic formatting.  Each path carries its
 results as one array per column over a stack of levels; they are
@@ -116,32 +116,20 @@ def _satisfied_flags(spec: SystemSpec, product: np.ndarray, bound: np.ndarray) -
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per (level, path), in `cfg.levels` order then canonical path order.
 
-    Each distinct level is sampled once, on the one grid that resolves the
-    top level, `default_grid(spec, max |level|, cfg.grid_points)`.  The
-    distinct levels are taken in ascending stacks, as many per stack as
-    `grids.stack_rows` allows for the largest row of the sweep's grids:
-    each path takes a stack's moments and node counts in one pass, as an
-    array per column, rescaled once; the disagreements and rows are made
-    last, over all levels.  Every path computes in natural units.  An
-    error raised for a level names it, and is the one a level-by-level
-    sweep would raise first; a column that overflows, or a level too
-    large for a float (an OverflowError), raises DomainError.
+    Every path works on one grid: the eigen grid when the eigen path runs
+    (`default_eigen_grid`, which is `default_grid` of the top level), else
+    `default_grid(spec, max |level|, cfg.grid_points)`.  Each distinct
+    level is sampled once on it, and the levels are taken in ascending
+    stacks, as many per stack as `grids.stack_rows` allows for a row of
+    that grid: each path takes a stack's moments and node counts in one
+    pass, as an array per column, rescaled once; the disagreements and
+    rows are made last, over all levels.  Every path computes in natural
+    units.  An error raised for a level names it, and is the one a
+    level-by-level sweep would raise first; a column that overflows, or a
+    level too large for a float (an OverflowError), raises DomainError.
     """
     spec = cfg.system
     units = scales(spec)
-    grids = []
-
-    eigen_result = None
-    if "eigen" in cfg.paths:
-        # a level with N predicted nodes needs eigenstates 0 .. N
-        top = max(cfg.levels, key=lambda l: predicted_node_count(spec, l))
-        k = predicted_node_count(spec, top) + 1
-        try:
-            eigen_grid = default_eigen_grid(spec, k=k, points=cfg.grid_points)
-        except (QnodesError, OverflowError) as exc:
-            raise _at_level(top, exc) from exc
-        eigen_result = solve_lowest(build_hamiltonian(spec, eigen_grid), k)
-        grids.append(eigen_grid)
 
     levels = sorted(set(cfg.levels))
     sampled = "analytic" in cfg.paths or "oracle" in cfg.paths
@@ -151,15 +139,24 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
             level_floats(levels)
         except OverflowError as exc:  # unsampled: the levels below it are swept first
             too_large, levels = _at_level(levels[exc.row], exc), levels[: exc.row]
+    eigen = "eigen" in cfg.paths
+    if eigen:
+        # a level with N predicted nodes needs eigenstates 0 .. N
+        top = max(cfg.levels, key=lambda l: predicted_node_count(spec, l))
+        k = predicted_node_count(spec, top) + 1
+    else:
         top = max(levels, key=abs, default=0)
-        try:
-            grid = default_grid(spec, top, cfg.grid_points)
-        except (QnodesError, OverflowError) as exc:
-            raise _at_level(top, exc) from exc
-        grids.append(grid)
+    try:
+        grid = (
+            default_eigen_grid(spec, k, cfg.grid_points)
+            if eigen
+            else default_grid(spec, top, cfg.grid_points)
+        )
+    except (QnodesError, OverflowError) as exc:
+        raise _at_level(top, exc) from exc
+    eigen_result = solve_lowest(build_hamiltonian(spec, grid), k) if eigen else None
     # ring samples are complex
-    itemsize = 16 if isinstance(spec, Ring) else 8
-    rows = stack_rows(itemsize * max(g.points for g in grids))
+    rows = stack_rows((16 if isinstance(spec, Ring) else 8) * grid.points)
     stacks = [levels[i : i + rows] for i in range(0, len(levels), rows)]
     samples = sample_levels(spec, stacks, grid) if sampled else (None for _ in stacks)
     parts = [

@@ -296,7 +296,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "system, levels, rows",
         [("box", "1:100", 300), ("oscillator", "0:40", 123), ("ring", "-20:20", 123),
-         ("box", "1:347", 1041), ("ring", "-173:173", 1041)],
+         ("box", "1:347", 1041), ("ring", "-173:173", 1041),
+         # the default eigen grid's reach
+         ("box", "1:1023", 3069), ("ring", "-511:511", 3069)],
     )
     def test_three_paths_agree_at_the_default_tolerance(self, runner, system, levels, rows):
         # the Fourier-grid eigen path meets the closed forms and the oracle
@@ -476,12 +478,12 @@ class TestVerify:
         )
 
     def test_ring_grid_limit_exit_3(self, runner):
-        result = runner.invoke(main, ["sweep", "--system", "ring", "--levels", "-200000:-200000"])
+        result = runner.invoke(main, ["sweep", "--system", "ring", "--levels", "-262144:-262144"])
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr == (
-            "numerical failure: level -200000: ring grid for |m| = 200000 needs at least "
-            "1600008 points, above the limit of 1048576\n"
+            "numerical failure: level -262144: ring grid for |m| = 262144 needs at least "
+            "1048577 points, above the limit of 1048576\n"
         )
 
     def test_ring_m0_rows_exactly_zero(self, runner):

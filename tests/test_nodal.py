@@ -18,7 +18,7 @@ from qnodes import (
     ring_density,
     sample_state,
 )
-from qnodes.nodal import ZERO_RTOL
+from qnodes.nodal import ZERO_RTOL, node_counts
 
 
 def real_samples(spec, idx, grid=None):
@@ -50,6 +50,13 @@ class TestCountNodes:
         for idx in levels:
             got = count_nodes(real_samples(spec, idx)).count
             assert got == predicted_node_count(spec, idx), idx
+
+    @pytest.mark.parametrize(
+        "spec, idx", [(Box(), 3), (Oscillator(), 4), (Ring(), 2)], ids=["box", "oscillator", "ring"]
+    )
+    def test_one_sample_counts_as_a_stack_of_one(self, spec, idx):
+        psi = sample_state(spec, idx)
+        assert node_counts(psi).tolist() == [count_nodes(psi).count]
 
     def test_invariant_under_refinement(self):
         for points in (2001, 8001):

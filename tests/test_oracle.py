@@ -101,10 +101,10 @@ class TestPositionMoments:
         with pytest.raises(NormalizationError):
             position_moments(SampledFunction(g, 2.0 * np.ones(101)))
 
-    @pytest.mark.parametrize("m, points", [(3, 32), (10, 128)])
+    @pytest.mark.parametrize("m, points", [(3, 16), (10, 64)])
     def test_ring_takes_the_theta_series(self, m, points):
-        # theta is not periodic: the rectangle rule gives <theta> = pi - pi/32
-        # on 32 points; the Fourier series of theta on [0, 2 pi) is exact
+        # theta is not periodic: the rectangle rule gives <theta> = pi - pi/16
+        # on 16 points; the Fourier series of theta on [0, 2 pi) is exact
         psi = sample_state(Ring(), m)
         assert psi.grid.points == points
         mean, var = position_moments(psi)
@@ -240,14 +240,14 @@ class TestSineAndCosineSeries:
                 want, got = getattr(a, field), getattr(o, field)
                 assert abs(got - want) <= 1e-14 * abs(want), (a.level, field)
 
-    @pytest.mark.parametrize("top, points", [(1, 17), (7, 65), (40, 513), (100, 1025), (131071, 2**20 + 1)])
+    @pytest.mark.parametrize("top, points", [(1, 5), (7, 17), (40, 129), (100, 257), (524287, 2**20 + 1)])
     def test_box_grid_sized_by_band_limit(self, top, points):
         assert default_grid(Box(), top).points == points
         assert default_grid(Box(), top, 4001).points == 4001
 
     def test_box_grid_limit(self):
-        with pytest.raises(GridError, match=r"n = 131072 needs at least 1048584 intervals, above the limit of 1048576"):
-            default_grid(Box(), 131072)
+        with pytest.raises(GridError, match=r"n = 524288 needs at least 1048577 intervals, above the limit of 1048576"):
+            default_grid(Box(), 524288)
 
     @pytest.mark.parametrize(
         "spec, level, points, message",
@@ -321,16 +321,16 @@ class TestRingBandLimit:
     """Ring grids sized by the largest |m|, and L_z by one Parseval FFT
     behind the same half-band guard as <p^2>."""
 
-    @pytest.mark.parametrize("top, points", [(0, 8), (1, 16), (3, 32), (10, 128), (20, 256)])
+    @pytest.mark.parametrize("top, points", [(0, 8), (1, 8), (3, 16), (10, 64), (20, 128)])
     def test_ring_grid_sized_by_band_limit(self, top, points):
         assert default_grid(Ring(), top).points == points
         assert default_grid(Ring(), -top).points == points
         assert default_grid(Ring(), top, 4096).points == 4096
 
     def test_ring_grid_limit(self):
-        assert default_grid(Ring(), 131071).points == 2**20
-        with pytest.raises(GridError, match=r"\|m\| = 131072 needs at least 1048584 points, above the limit of 1048576"):
-            default_grid(Ring(), 131072)
+        assert default_grid(Ring(), 262143).points == 2**20
+        with pytest.raises(GridError, match=r"\|m\| = 262144 needs at least 1048577 points, above the limit of 1048576"):
+            default_grid(Ring(), 262144)
 
     def test_m0_record_exactly_zero(self):
         for top in range(65):
@@ -346,7 +346,7 @@ class TestRingBandLimit:
     def test_superposition_grid_follows_largest_m(self):
         state = RingSuperposition(((40, math.sqrt(0.3)), (-40, 1j * math.sqrt(0.7))))
         psi = sample_state(Ring(), state)
-        assert psi.grid.points == 512
+        assert psi.grid.points == 256
         mean_q, spread_q, mean2_q = ring_lz_by_quadrature(psi)
         mean_c, spread_c = ring_lz_stats(Ring(), state)
         assert mean_q == pytest.approx(mean_c, abs=1e-12)

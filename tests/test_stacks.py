@@ -67,23 +67,20 @@ FIELDS = ("energy", "delta_q", "delta_p", "product", "bound", "nodes_predicted")
 SWEEPS = {
     "box-1:150": (Box(), range(1, 151), ("analytic", "oracle")),
     "box-1:70": (Box(length=1.7, mass=0.6), range(1, 71), ALL),
+    "box-1:300": (Box(length=1.7, mass=0.6), range(1, 301), ALL),
     "oscillator-0:200": (Oscillator(), range(201), ("analytic", "oracle")),
     "oscillator-0:60": (Oscillator(mass=1.7, omega=0.6), range(61), ALL),
     "ring-70:70": (Ring(moment_of_inertia=0.7), range(-70, 71), ALL),
     "ring-10:10": (Ring(), range(-10, 11), ALL),
 }
 # each of these needs at least two stacks
-MULTI_STACK = ("box-1:150", "box-1:70", "oscillator-0:200", "ring-70:70")
+MULTI_STACK = ("box-1:150", "box-1:300", "oscillator-0:200", "ring-70:70")
 
 
-def _rows_per_stack(spec, levels, paths):
-    points = []
-    if "eigen" in paths:
-        k = max(predicted_node_count(spec, l) for l in levels) + 1
-        points.append(default_eigen_grid(spec, k).points)
-    if "analytic" in paths or "oracle" in paths:
-        points.append(default_grid(spec, max(levels, key=abs)).points)
-    return stack_rows((16 if isinstance(spec, Ring) else 8) * max(points))
+def _rows_per_stack(spec, levels):
+    # every path of a sweep works on the grid of its top level
+    grid = default_grid(spec, max(levels, key=abs))
+    return stack_rows((16 if isinstance(spec, Ring) else 8) * grid.points)
 
 
 def _eigen_state(spec, result, level):
@@ -99,7 +96,7 @@ def test_sweep_rows_equal_single_sample_functions(name):
     spec, levels, paths = SWEEPS[name]
     levels = tuple(levels)
     if name in MULTI_STACK:
-        assert len(levels) > _rows_per_stack(spec, levels, paths)
+        assert len(levels) > _rows_per_stack(spec, levels)
     rows = run_sweep(SweepConfig(spec, levels, paths))
     units = scales(spec)
     grid = default_grid(spec, max(levels, key=abs))
@@ -126,6 +123,25 @@ def test_sweep_rows_equal_single_sample_functions(name):
         for field in FIELDS:
             assert getattr(row, field) == getattr(rec, field), (level, row.path, field)
         assert row.nodes_counted == counted, (level, row.path)
+
+
+@pytest.mark.parametrize("name", [name for name, (*_, paths) in SWEEPS.items() if paths == ALL])
+def test_three_path_sweep_samples_on_its_eigen_grid(name, monkeypatch):
+    spec, levels, _ = SWEEPS[name]
+    seen = {"sampled": [], "solved": []}
+
+    def spy(key, function):
+        def wrapper(spec, *args):
+            seen[key].append(args[-1])
+            return function(spec, *args)
+        return wrapper
+
+    monkeypatch.setattr(qnodes.report, "sample_levels", spy("sampled", qnodes.report.sample_levels))
+    monkeypatch.setattr(qnodes.report, "build_hamiltonian", spy("solved", qnodes.report.build_hamiltonian))
+    run_sweep(SweepConfig(spec, tuple(levels), ALL))
+    k = max(predicted_node_count(spec, l) for l in levels) + 1
+    assert seen["sampled"] == seen["solved"] == [default_eigen_grid(spec, k)]
+    assert seen["sampled"] == [default_grid(spec, max(levels, key=abs))]
 
 
 @pytest.mark.parametrize(

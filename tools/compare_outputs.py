@@ -85,6 +85,10 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["eigensolve", "--system", "ring", "--k", "10", "--grid-points", "16"],
         ["sweep", "--system", "ring", "--levels", "-2:2", "--paths", "oracle,eigen",
          "--grid-points", "1023"],
+        # the smallest box grid (5 points), one grid for all three paths, and
+        # the oracle rows of the benchmark's cold-start ring sweep
+        ["sweep", "--system", "box", "--levels", "1:1", *ALL_PATHS],
+        ["sweep", "--system", "ring", "--levels", "-3:3", "--paths", "analytic,oracle"],
     )
 )
 
