@@ -7,10 +7,13 @@ grows (Colbert & Miller, *J. Chem. Phys.* 96, 1982 (1992)).  The ring's
 grid is that period; the oscillator's open grid is taken as one, the
 Fourier grid Hamiltonian (Marston & Balint-Kurti, *J. Chem. Phys.* 91,
 3571 (1989)); between the box's walls T acts on the odd extension over
-twice the box, the sine DVR.  Each operator commutes with its mirror
+twice the box, the sine DVR.  One index rule gives every entry from
+T's circulant column c = F^-1 (k^2/2): c[i - j] on the ring and the
+oscillator, c[i - j] - c[i + j + 2] on the box's unknowns
+(`Hamiltonian.kinetic`).  Each operator commutes with its mirror
 (x -> a - x, theta -> -theta, x -> -x), so it folds into an even and an
-odd block of about half the size, and `numpy.linalg.eigh` solves each
-block densely.  The m-th levels of the ring's even (cos) and odd (sin)
+odd block of about half the size, built entry by entry by that rule, and
+`numpy.linalg.eigh` solves each block densely.  The m-th levels of the ring's even (cos) and odd (sin)
 blocks are the degenerate +/-m pair (symmetry reduction: Trefethen,
 *Spectral Methods in MATLAB*, SIAM 2000, ch. 3).  Box and ring vectors
 are the sampled sine and Fourier modes, with energies exact to roundoff
@@ -75,35 +78,37 @@ class Hamiltonian:
     on the unknowns of `grid`.
 
     `potential` holds V(q_i) per unknown: every grid point, or the box's
-    interior points (its walls are not unknowns).  `kinetic` gives T by
-    one circulant column; `diagonal` is H's diagonal, one entry per
-    unknown (the benchmark's tracer reads its size).  A periodic grid
-    makes the mirror j -> N - j, not N - 1 - j; `solve_lowest` folds the
-    (mirror-symmetric) operator by it.  `grid` is the full state grid (for
-    the box this includes the wall points).
+    interior points (its walls are not unknowns).  `kinetic(i, j)` gives
+    T's entries by their index rule on T's circulant `column`; `diagonal`
+    is H's diagonal, one entry per unknown (the benchmark's tracer reads
+    its size).  A periodic grid makes the mirror j -> N - j, not
+    N - 1 - j; `solve_lowest` folds the (mirror-symmetric) operator by it.
+    `grid` is the full state grid (for the box this includes the wall
+    points).
     """
 
     grid: GridSpec
     potential: np.ndarray
 
     @cached_property
-    def kinetic(self) -> tuple[np.ndarray, tuple]:
-        """(c, terms): T[i, j] is the sum of coef * c[(i + sign j + shift)
-        mod P] over the terms (coef, sign, shift), with c = F^-1 (k^2/2)
-        over the period of P points.  The ring's and the oscillator's T is
-        the circulant c[i - j]; the box's unknown u is point u + 1 of its
-        odd extension, so its T is c[i - j] - c[i + j + 2]."""
-        c = np.fft.ifft(_symbol(self.grid)).real
+    def column(self) -> np.ndarray:
+        """c = F^-1 (k^2/2) over T's period of P points (`_period`)."""
+        return np.fft.ifft(_symbol(self.grid)).real
+
+    def kinetic(self, i, j) -> np.ndarray:
+        """T[i, j] for the index arrays `i` and `j`, broadcast together:
+        the ring's and the oscillator's T is the circulant c[i - j], and
+        the box's unknown u is point u + 1 of its odd extension, so its T
+        is c[i - j] - c[i + j + 2], indices taken mod P."""
+        entries = np.take(self.column, i - j, mode="wrap")
         if self.grid.boundary == "dirichlet":
-            return c, ((1.0, -1, 0), (-1.0, 1, 2))
-        return c, ((1.0, -1, 0),)
+            entries -= np.take(self.column, i + j + 2, mode="wrap")
+        return entries
 
     @property
     def diagonal(self) -> np.ndarray:
-        c, terms = self.kinetic
         u = np.arange(self.potential.size)
-        kinetic = (coef * c[((1 + sign) * u + shift) % c.size] for coef, sign, shift in terms)
-        return self.potential + sum(kinetic)
+        return self.potential + self.kinetic(u, u)
 
     @property
     def periodic(self) -> bool:
@@ -170,15 +175,6 @@ def build_hamiltonian(spec: SystemSpec, grid: GridSpec) -> Hamiltonian:
     return Hamiltonian(grid, potential)
 
 
-def _window(c: np.ndarray, first: int, m: int, hankel: bool) -> np.ndarray:
-    """The m x m view W[a, b] = c[(first + a + b) mod P] if `hankel`, else
-    c[(first + a - b) mod P], P = c.size: one window per row on a gathered
-    vector of 2m - 1 entries."""
-    start = first if hankel else first - (m - 1)
-    view = np.lib.stride_tricks.sliding_window_view(c[(start + np.arange(2 * m - 1)) % c.size], m)
-    return view if hankel else view[:, ::-1]
-
-
 class _Mirror:
     """The mirror j -> N - j (mod N) of a periodic chain of N unknowns, else
     j -> N - 1 - j, and the even and odd blocks it folds an operator into.
@@ -206,25 +202,20 @@ class _Mirror:
         Even-block entry (a, b) is (H[a, b] + H[a, R(b)]) s_a s_b, with R
         the mirror and s = 1 on a paired unknown, 1/sqrt 2 on a
         self-mirrored one; odd-block entry (a, b) is H[a, b] - H[a, R(b)]
-        over the paired unknowns.  Each term of T (`Hamiltonian.kinetic`)
-        adds a Toeplitz and a Hankel window on its column, so neither the
-        chain's matrix nor an index array is built.
+        over the paired unknowns.  Each T entry is read off T's column by
+        its index rule (`Hamiltonian.kinetic`), so the chain's matrix is
+        never built.
         """
-        c, terms = ham.kinetic
         units = np.flatnonzero(self.paired) if odd else np.arange(self.paired.size)
-        lo, m, parity = int(units[0]), units.size, -1.0 if odd else 1.0
-        block = np.zeros((m, m))
-        for coef, sign, shift in terms:
-            # c[a + sign b + shift], and through R(b) = reflect - b,
-            # c[a - sign b + sign reflect + shift], over a, b = lo, lo + 1, ...
-            block += coef * _window(c, (1 + sign) * lo + shift, m, sign > 0)
-            far = (1 - sign) * lo + sign * self.reflect + shift
-            block += parity * coef * _window(c, far, m, sign < 0)
+        a, b, m = units[:, None], units, units.size
+        # R(b) = reflect - b: `kinetic` wraps it mod the ring's period
+        near, far = ham.kinetic(a, b), ham.kinetic(a, self.reflect - b)
+        block = near - far if odd else near + far
         if not odd:
             s = np.where(self.paired, 1.0, math.sqrt(0.5))
             block *= s
             block *= s[:, None]
-        block.flat[:: m + 1] += ham.potential[lo : lo + m]
+        block.flat[:: m + 1] += ham.potential[units]
         return block
 
     def unfold(self, vecs: np.ndarray, odd: bool) -> np.ndarray:
@@ -302,9 +293,9 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
         # the free ring's lowest level is m = 0: exactly 0, the constant
         full[0], energies[0], residuals[0] = 1.0 / math.sqrt(dim), 0.0, 0.0
     # the roundoff floor, eps times a bound on ||H||_1: sum |c| is the
-    # 1-norm of each circulant term of T
-    c, terms = ham.kinetic
-    norm1 = len(terms) * np.abs(c).sum() + np.abs(ham.potential).max()
+    # 1-norm of each circulant term of T, one or (between walls) two
+    terms = 2 if ham.grid.boundary == "dirichlet" else 1
+    norm1 = terms * np.abs(ham.column).sum() + np.abs(ham.potential).max()
     zero = np.abs(energies) <= np.finfo(float).eps * norm1
     if ham.grid.boundary == "dirichlet":
         full = np.pad(full, ((0, 0), (1, 1)))

@@ -18,13 +18,14 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .analytic import COLUMN_UNITS, level_floats, uncertainty_columns
+from .analytic import COLUMN_UNITS, uncertainty_columns
 from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_columns, solve_lowest
 from .errors import ConfigError, DomainError, GridError, QnodesError
 from .grids import first_failure, first_rows, raise_first, stack_rows
-from .model import Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
+from .model import Oscillator, Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
 from .nodal import node_counts
 from .oracle import alias_check, columns_from_stack, default_grid, sample_levels
+from .special import oscillator_ladder
 
 __all__ = [
     "SweepConfig",
@@ -126,7 +127,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     rows are made last, over all levels.  Every path computes in natural
     units.  An error raised for a level names it, and is the one a
     level-by-level sweep would raise first; a column that overflows, or a
-    level too large for a float (an OverflowError), raises DomainError.
+    level too large to sample (for a float, or for the oscillator's
+    ladder: an OverflowError), raises DomainError.
     """
     spec = cfg.system
     units = scales(spec)
@@ -134,11 +136,14 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     levels = sorted(set(cfg.levels))
     sampled = "analytic" in cfg.paths or "oracle" in cfg.paths
     too_large = None
-    if sampled:
+    for row, level in enumerate(levels if sampled else ()):
         try:
-            level_floats(levels)
+            float(level)
+            if isinstance(spec, Oscillator):
+                oscillator_ladder((), level)  # checks the ladder's limit, steps no level
         except OverflowError as exc:  # unsampled: the levels below it are swept first
-            too_large, levels = _at_level(levels[exc.row], exc), levels[: exc.row]
+            too_large, levels = _at_level(level, exc), levels[:row]
+            break
     eigen = "eigen" in cfg.paths
     if eigen:
         # a level with N predicted nodes needs eigenstates 0 .. N

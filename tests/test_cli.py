@@ -220,11 +220,14 @@ _TOO_LARGE = [
      r"level 2: energy 19\.739208802178716 overflows to inf at the energy scale 1e\+307"),
     ("sweep", ["sweep", *_OVERFLOW_BOX],
      r"level 2: energy 19\.739208802178716 overflows to inf at the energy scale 1e\+307"),
+    # the first level past the oscillator ladder's limit, after the levels below it
     ("nodes-n201", ["nodes", "--system", "oscillator", "--levels", "0:201"],
-     r"oscillator_psi supports n <= 200, got 201"),
+     r"level 201: oscillator_psi supports n <= 200, got 201"),
+    ("verify-n201", ["verify", "--system", "oscillator", "--levels", "195:205"],
+     r"level 201: oscillator_psi supports n <= 200, got 201"),
     ("sweep-huge-level", ["sweep", "--system", "ring", "--levels", f"{_HUGE}:{_HUGE}"],
      rf"level {_HUGE}: int too large to convert to float"),
-    # the box grid does not depend on the level: sampling meets it first
+    # the level sizes the box grid, but the sweep's float pre-pass meets it first
     ("sweep-box-huge-level", ["sweep", "--system", "box", "--levels", f"{_HUGE}:{_HUGE}"],
      rf"level {_HUGE}: int too large to convert to float"),
     ("nodes-box-huge-level", ["nodes", "--system", "box", "--levels", f"{_HUGE}:{_HUGE}"],
@@ -235,7 +238,7 @@ _TOO_LARGE = [
 
 
 def _too_large_stderr(name, message, fmt):
-    if name == "verify" and fmt:
+    if name.startswith("verify") and fmt:
         return r"Usage: main verify \[OPTIONS\]\n.*\nError: No such option '--format'\.\n"
     return f"error: {message}\n"
 
@@ -248,7 +251,7 @@ def _too_large_stderr(name, message, fmt):
         )
         for fmt in ("csv", "json", None)
         for name, args, message in _TOO_LARGE
-        if fmt or name == "verify"
+        if fmt or name.startswith("verify")
     ],
 )
 def test_value_too_large_for_a_double_exit_2(runner, args, stderr, fmt):

@@ -34,19 +34,17 @@ _EPS = np.finfo(float).eps
 
 
 def _chain_matrix(ham):
-    """The whole chain's matrix H, each kinetic entry read off the column
-    of `Hamiltonian.kinetic` by its index rule, with no fold."""
-    c, terms = ham.kinetic
+    """The whole chain's matrix H, each kinetic entry read off T's column
+    by `Hamiltonian.kinetic` on every index pair, with no fold."""
     i, j = np.indices((ham.potential.size,) * 2)
-    kinetic = sum(coef * c[(i + sign * j + shift) % c.size] for coef, sign, shift in terms)
-    return kinetic + np.diag(ham.potential)
+    return ham.kinetic(i, j) + np.diag(ham.potential)
 
 
 def _norm1(ham):
     """The bound on ||H||_1 that `solve_lowest` takes eps times as its zero
-    floor: sum |c| per kinetic term, plus max |V|."""
-    c, terms = ham.kinetic
-    return len(terms) * float(np.abs(c).sum()) + float(np.abs(ham.potential).max())
+    floor: sum |c| per circulant term of T (two between walls), plus max |V|."""
+    terms = 2 if ham.grid.boundary == "dirichlet" else 1
+    return terms * float(np.abs(ham.column).sum()) + float(np.abs(ham.potential).max())
 
 
 def _exact_levels(ham):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import replace
@@ -23,7 +24,9 @@ from qnodes import (
     run_sweep,
     verify_rows,
 )
-from qnodes.report import CSV_HEADER, default_metadata
+from qnodes.analytic import COLUMN_UNITS
+from qnodes.model import scales
+from qnodes.report import CSV_HEADER, PATH_ORDER, default_metadata
 
 RECORD_FIELDS = ("energy", "delta_q", "delta_p", "product", "nodes_predicted")
 
@@ -265,6 +268,67 @@ class TestVerifyRows:
         rows = run_sweep(cfg)
         rows[0] = replace(rows[0], nodes_counted=5)
         assert any("nodes" in f for f in verify_rows(cfg, rows))
+
+
+# three-path sweeps on the default grids, for the tolerance-edge tests
+EDGE_SWEEPS = {
+    "box-1:40": (Box(), range(1, 41)),
+    "ring--10:10": (Ring(), range(-10, 11)),
+    "oscillator-0:40": (Oscillator(), range(0, 41)),
+}
+
+
+@functools.cache
+def _edge_sweep(name):
+    spec, levels = EDGE_SWEEPS[name]
+    cfg = SweepConfig(system=spec, levels=tuple(levels), paths=PATH_ORDER)
+    return cfg, tuple(run_sweep(cfg))
+
+
+def _edge_rows(name, path):
+    """The first, middle and last row of `path` in the sweep `name`."""
+    _, rows = _edge_sweep(name)
+    own = [i for i, row in enumerate(rows) if row.path == path]
+    return [own[0], own[len(own) // 2], own[-1]]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+@pytest.mark.parametrize("column", ["energy", "delta_q", "delta_p", "product"])
+@pytest.mark.parametrize("path", PATH_ORDER)
+@pytest.mark.parametrize("name", EDGE_SWEEPS)
+def test_verify_fails_just_above_its_tolerance_and_passes_below(name, path, column, tol):
+    # one row's value raised by a multiple of tol, relative to the larger
+    # of the value and its column's unit (the ring's Delta L_z and its
+    # m = 0 energy are 0), against the other paths' rows of its level
+    cfg, rows = _edge_sweep(name)
+    cfg = replace(cfg, tol=tol)
+    unit = getattr(scales(cfg.system), COLUMN_UNITS[column])
+    assert verify_rows(cfg, list(rows)) == []
+    for i in _edge_rows(name, path):
+        value, level = getattr(rows[i], column), rows[i].level
+        step = tol * max(abs(value), unit)
+        above, below = list(rows), list(rows)
+        above[i] = replace(rows[i], **{column: value + 3.0 * step})
+        below[i] = replace(rows[i], **{column: value + step / 3.0})
+        failures = verify_rows(cfg, above)
+        where = f"{rows[i].system} level {level} ("
+        assert f"{where}{path}): cross-path disagreement" in "\n".join(failures)
+        assert all(f.startswith(where) and "cross-path disagreement" in f for f in failures)
+        assert verify_rows(cfg, below) == []
+
+
+@pytest.mark.parametrize("path", PATH_ORDER)
+@pytest.mark.parametrize("name", EDGE_SWEEPS)
+def test_verify_fails_a_node_count_off_by_one(name, path):
+    cfg, rows = _edge_sweep(name)
+    for i in _edge_rows(name, path):
+        row = rows[i]
+        miscounted = list(rows)
+        miscounted[i] = replace(row, nodes_counted=row.nodes_counted + 1)
+        assert verify_rows(cfg, miscounted) == [
+            f"{row.system} level {row.level} ({path}): counted {row.nodes_counted + 1} "
+            f"nodes, predicted {row.nodes_predicted}"
+        ]
 
 
 class TestEmit:

@@ -89,6 +89,15 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         # the oracle rows of the benchmark's cold-start ring sweep
         ["sweep", "--system", "box", "--levels", "1:1", *ALL_PATHS],
         ["sweep", "--system", "ring", "--levels", "-3:3", "--paths", "analytic,oracle"],
+        # the largest box and open-grid blocks the default grids solve
+        ["eigensolve", "--system", "box", "--k", "1023"],
+        ["eigensolve", "--system", "oscillator", "--k", "453"],
+        # the ring's band message at level 4, and a node-count failure at box level 8
+        ["sweep", "--system", "ring", "--levels", "0:5", "--paths", "oracle", "--grid-points",
+         "12"],
+        ["verify", "--system", "box", "--levels", "1:12", *ALL_PATHS, "--grid-points", "17"],
+        # an oscillator level past the ladder's limit, named after the levels below it
+        ["verify", "--system", "oscillator", "--levels", "195:205"],
     )
 )
 
