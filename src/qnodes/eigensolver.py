@@ -106,6 +106,12 @@ class Hamiltonian:
         return entries
 
     @property
+    def norm1(self) -> float:
+        """A bound on ||H||_1: max |V| plus sum |c| per circulant term of T."""
+        terms = 2 if self.grid.boundary == "dirichlet" else 1
+        return terms * float(np.abs(self.column).sum()) + float(np.abs(self.potential).max())
+
+    @property
     def diagonal(self) -> np.ndarray:
         u = np.arange(self.potential.size)
         return self.potential + self.kinetic(u, u)
@@ -202,15 +208,14 @@ class _Mirror:
         Even-block entry (a, b) is (H[a, b] + H[a, R(b)]) s_a s_b, with R
         the mirror and s = 1 on a paired unknown, 1/sqrt 2 on a
         self-mirrored one; odd-block entry (a, b) is H[a, b] - H[a, R(b)]
-        over the paired unknowns.  Each T entry is read off T's column by
-        its index rule (`Hamiltonian.kinetic`), so the chain's matrix is
-        never built.
+        over the paired unknowns.  Each T entry comes from its index rule
+        (`Hamiltonian.kinetic`); the chain's matrix is never built.
         """
         units = np.flatnonzero(self.paired) if odd else np.arange(self.paired.size)
         a, b, m = units[:, None], units, units.size
         # R(b) = reflect - b: `kinetic` wraps it mod the ring's period
-        near, far = ham.kinetic(a, b), ham.kinetic(a, self.reflect - b)
-        block = near - far if odd else near + far
+        block, far = ham.kinetic(a, b), ham.kinetic(a, self.reflect - b)
+        (np.subtract if odd else np.add)(block, far, out=block)
         if not odd:
             s = np.where(self.paired, 1.0, math.sqrt(0.5))
             block *= s
@@ -292,11 +297,7 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     if ham.periodic and not ham.potential.any():
         # the free ring's lowest level is m = 0: exactly 0, the constant
         full[0], energies[0], residuals[0] = 1.0 / math.sqrt(dim), 0.0, 0.0
-    # the roundoff floor, eps times a bound on ||H||_1: sum |c| is the
-    # 1-norm of each circulant term of T, one or (between walls) two
-    terms = 2 if ham.grid.boundary == "dirichlet" else 1
-    norm1 = terms * np.abs(ham.column).sum() + np.abs(ham.potential).max()
-    zero = np.abs(energies) <= np.finfo(float).eps * norm1
+    zero = np.abs(energies) <= np.finfo(float).eps * ham.norm1  # the roundoff floor
     if ham.grid.boundary == "dirichlet":
         full = np.pad(full, ((0, 0), (1, 1)))
     full /= np.sqrt(np.real(quad(ham.grid, np.square(full))))[:, None]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from .grids import first_failure, first_rows, raise_first, stack_rows
 from .model import Oscillator, Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
 from .nodal import node_counts
 from .oracle import alias_check, columns_from_stack, default_grid, sample_levels
-from .special import oscillator_ladder
+from .special import MAX_OSCILLATOR_N, oscillator_ladder
 
 __all__ = [
     "SweepConfig",
@@ -136,11 +137,12 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     levels = sorted(set(cfg.levels))
     sampled = "analytic" in cfg.paths or "oracle" in cfg.paths
     too_large = None
+    ladder_cut = bisect_right(levels, MAX_OSCILLATOR_N) if isinstance(spec, Oscillator) else None
     for row, level in enumerate(levels if sampled else ()):
         try:
             float(level)
-            if isinstance(spec, Oscillator):
-                oscillator_ladder((), level)  # checks the ladder's limit, steps no level
+            if row == ladder_cut:
+                oscillator_ladder((), level)  # the first level past its limit
         except OverflowError as exc:  # unsampled: the levels below it are swept first
             too_large, levels = _at_level(level, exc), levels[:row]
             break
@@ -163,7 +165,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     # ring samples are complex
     rows = stack_rows((16 if isinstance(spec, Ring) else 8) * grid.points)
     stacks = [levels[i : i + rows] for i in range(0, len(levels), rows)]
-    samples = sample_levels(spec, stacks, grid) if sampled else (None for _ in stacks)
+    samples = sample_levels(spec, stacks, grid) if sampled and stacks else (None for _ in stacks)
     parts = [
         _sweep_stack(spec, units, cfg.paths, stack, psi, eigen_result)
         for stack, psi in zip(stacks, samples)

@@ -225,6 +225,9 @@ _TOO_LARGE = [
      r"level 201: oscillator_psi supports n <= 200, got 201"),
     ("verify-n201", ["verify", "--system", "oscillator", "--levels", "195:205"],
      r"level 201: oscillator_psi supports n <= 200, got 201"),
+    # a range wholly past the limit: no level is swept before it
+    ("nodes-n201-only", ["nodes", "--system", "oscillator", "--levels", "201:205"],
+     r"level 201: oscillator_psi supports n <= 200, got 201"),
     ("sweep-huge-level", ["sweep", "--system", "ring", "--levels", f"{_HUGE}:{_HUGE}"],
      rf"level {_HUGE}: int too large to convert to float"),
     # the level sizes the box grid, but the sweep's float pre-pass meets it first

@@ -40,13 +40,6 @@ def _chain_matrix(ham):
     return ham.kinetic(i, j) + np.diag(ham.potential)
 
 
-def _norm1(ham):
-    """The bound on ||H||_1 that `solve_lowest` takes eps times as its zero
-    floor: sum |c| per circulant term of T (two between walls), plus max |V|."""
-    terms = 2 if ham.grid.boundary == "dirichlet" else 1
-    return terms * float(np.abs(ham.column).sum()) + float(np.abs(ham.potential).max())
-
-
 def _exact_levels(ham):
     """Every level of the free box's or ring's discrete operator, ascending:
     (n pi)^2 / 2 for the sine modes n = 1 .. J - 1 between walls, m^2 / 2
@@ -153,7 +146,7 @@ class TestBuildHamiltonian:
         modes = math.sqrt(2.0 / intervals) * np.sin(np.pi * np.outer(n, n) / intervals)
         dvr = modes.T @ np.diag((n * np.pi) ** 2 / 2.0) @ modes
         chain = _chain_matrix(ham)
-        np.testing.assert_allclose(chain, dvr, rtol=0.0, atol=8 * _EPS * _norm1(ham))
+        np.testing.assert_allclose(chain, dvr, rtol=0.0, atol=8 * _EPS * ham.norm1)
         np.testing.assert_array_equal(np.diag(chain), ham.diagonal)
 
     @pytest.mark.parametrize("points", [3, 4, 5, 8])
@@ -165,9 +158,9 @@ class TestBuildHamiltonian:
         dft = np.exp(-2j * np.pi * np.outer(np.arange(points), np.arange(points)) / points)
         fourier = (dft.conj().T @ np.diag(m**2 / 2.0) @ dft).real / points
         chain = _chain_matrix(ham)
-        np.testing.assert_allclose(chain, fourier, rtol=0.0, atol=8 * _EPS * _norm1(ham))
+        np.testing.assert_allclose(chain, fourier, rtol=0.0, atol=8 * _EPS * ham.norm1)
         # the mirror theta -> -theta maps the corner coupling onto itself
-        np.testing.assert_allclose(chain[0, -1], chain[0, 1], rtol=0.0, atol=8 * _EPS * _norm1(ham))
+        np.testing.assert_allclose(chain[0, -1], chain[0, 1], rtol=0.0, atol=8 * _EPS * ham.norm1)
 
     def test_oscillator_kinetic_is_the_fourier_grid_of_its_points(self):
         # the N open points taken as one period: the ring's matrix on N
@@ -178,7 +171,7 @@ class TestBuildHamiltonian:
         ring = build_hamiltonian(Ring(), GridSpec(0.0, 2.0 * np.pi, 101, "periodic"))
         scaled = _chain_matrix(ring) * (ring.grid.h / grid.h) ** 2
         kinetic = _chain_matrix(ham) - np.diag(ham.potential)
-        np.testing.assert_allclose(kinetic, scaled, rtol=0.0, atol=8 * _EPS * _norm1(ham))
+        np.testing.assert_allclose(kinetic, scaled, rtol=0.0, atol=8 * _EPS * ham.norm1)
         np.testing.assert_array_equal(np.diag(_chain_matrix(ham)), ham.diagonal)
 
     def test_topology_mismatch(self):
@@ -222,7 +215,7 @@ class TestFoldIsExact:
             np.testing.assert_allclose(units @ units.T, np.eye(len(units)), rtol=0.0, atol=1e-15)
             folded = units @ matrix @ units.T
             np.testing.assert_allclose(
-                mirror.block(ham, odd), folded, rtol=0.0, atol=4 * _EPS * _norm1(ham)
+                mirror.block(ham, odd), folded, rtol=0.0, atol=4 * _EPS * ham.norm1
             )
 
     def test_block_levels_are_the_chain_spectrum(self, chain):
@@ -231,7 +224,7 @@ class TestFoldIsExact:
         n = ham.potential.size
         energies, _ = _parity_pairs(ham, n)
         reference = np.linalg.eigvalsh(_chain_matrix(ham))
-        np.testing.assert_allclose(np.sort(energies), reference, rtol=0.0, atol=4 * _EPS * _norm1(ham))
+        np.testing.assert_allclose(np.sort(energies), reference, rtol=0.0, atol=4 * _EPS * ham.norm1)
 
     def test_unfolded_vectors_have_their_blocks_parity(self, chain):
         ham, mirror = chain
@@ -276,7 +269,7 @@ class TestEnergies:
         ham = build_hamiltonian(spec, default_eigen_grid(spec, points=points))
         result = solve_lowest(ham, ham.potential.size)
         np.testing.assert_allclose(
-            result.energies, _exact_levels(ham), rtol=0.0, atol=4 * _EPS * _norm1(ham)
+            result.energies, _exact_levels(ham), rtol=0.0, atol=4 * _EPS * ham.norm1
         )
 
     def test_oscillator_converges_exponentially(self):
@@ -614,7 +607,7 @@ class TestZeroEnergyFloor:
         for points in range(3, 257):
             ham = build_hamiltonian(Ring(), default_eigen_grid(Ring(), points=points))
             raw, _ = _parity_pairs(ham, 1)
-            assert abs(raw[0]) <= 1e-12 * _norm1(ham)
+            assert abs(raw[0]) <= 1e-12 * ham.norm1
             assert solve_lowest(ham, min(3, points)).energies[0] == 0.0, points
 
 
