@@ -10,6 +10,7 @@ bit for bit; one sample gives plain floats, a stack one value per row.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -37,6 +38,35 @@ _BOUNDARIES = ("dirichlet", "periodic", "open")
 # whatever its level range, and keeps each stack's per-row temporaries
 # (density, FFT, derivatives) within a few MiB.
 STACK_BYTES = 1 << 19
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_stack_memory() -> None:
+    """Keep the memory a stack frees in the process for the next stack.
+
+    By default glibc's malloc serves each stack's 512 KiB temporaries by
+    mmap, or trims them from the heap when they are freed, and faults the
+    pages in again for the next stack: about 1,000 minor page faults per
+    oscillator 0:200 sweep, none once the memory is kept.  Any mallopt call freezes malloc's dynamic
+    thresholds, so both are set: blocks up to 32 MiB (glibc's ceiling,
+    above the 8 MiB dense eigen block at the 2049-point limit) come from
+    the heap, and the heap keeps up to 32 stacks' worth (16 MiB) free at
+    its top.  Called once, at import; a C library without mallopt is
+    left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 32 * STACK_BYTES)
+
+
+keep_stack_memory()
 
 
 def stack_rows(bytes_per_row: int) -> int:

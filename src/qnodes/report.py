@@ -191,15 +191,16 @@ def _sweep_stack(spec, units, paths, levels, psi, eigen_result) -> dict[str, tup
     """Each path's (physical (column, level) array in `COLUMN_UNITS` order,
     node counts) for the ascending `levels` sampled in the stack `psi`
     (None when no path needs samples).  The steps run in a level's order
-    (the grid's aliasing check, node count, then each path's columns and
-    rescale), each over the whole stack; an error is that of the first
-    failing level (`grids.first_failure`) and names it."""
+    (the grid's aliasing check, each path's columns and rescale, then the
+    samples' node count), each over the whole stack, so the moments'
+    guards come before the node count's on samples as on eigenstates
+    (`eigen_columns`); an error is that of the first failing level
+    (`grids.first_failure`) and names it."""
 
     def run(end):
         part = None if psi is None else first_rows(psi, end)
         if part is not None:
             raise_first(alias_check(spec, levels[:end], part.grid))
-        counted = None if part is None else node_counts(part)
         natural = {
             "analytic": lambda: uncertainty_columns(spec, levels[:end]),
             "oracle": lambda: columns_from_stack(spec, part),
@@ -209,8 +210,9 @@ def _sweep_stack(spec, units, paths, levels, psi, eigen_result) -> dict[str, tup
         for path in paths:
             c = natural[path]()
             physical = [units.rescale(name, c[name], unit) for name, unit in COLUMN_UNITS.items()]
-            out[path] = np.array(physical), c.get("nodes", counted)
-        return out
+            out[path] = np.array(physical), c.get("nodes")
+        counted = None if part is None else node_counts(part)
+        return {path: (v, counted if nodes is None else nodes) for path, (v, nodes) in out.items()}
 
     try:
         return first_failure(run, len(levels))

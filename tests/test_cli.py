@@ -406,6 +406,38 @@ class TestVerify:
             "above half the Nyquist wavenumber carry 1.000e+00 of <p^2>, above 1e-10\n"
         )
 
+    @pytest.mark.parametrize(
+        "args, stderr",
+        [
+            # the moments' guards come before the node count on samples too;
+            # the samples' first is their norm, which eigenvectors meet
+            (
+                ["sweep", "--system", "box", "--levels", "25:25", "--grid-points", "51",
+                 "--paths", "oracle"],
+                "level 25: state norm^2 is 1.3333333333333337, deviates beyond 1e-06",
+            ),
+            (
+                ["sweep", "--system", "box", "--levels", "25:25", "--grid-points", "51",
+                 "--paths", "eigen"],
+                "level 25: grid too coarse for momentum moments: wavenumbers above half the "
+                "Nyquist wavenumber carry 1.000e+00 of <p^2>, above 1e-10",
+            ),
+            (
+                ["eigensolve", "--system", "box", "--k", "25", "--grid-points", "51"],
+                "level 25: grid too coarse for momentum moments: wavenumbers above half the "
+                "Nyquist wavenumber carry 1.000e+00 of <p^2>, above 1e-10",
+            ),
+        ],
+        ids=["sweep-oracle", "sweep-eigen", "eigensolve"],
+    )
+    def test_moment_guards_come_before_the_node_count(self, runner, args, stderr):
+        # n = 25 on 50 intervals samples 0, 1, 0, -1, ...: every other
+        # sample is zero, which the node count would reject first
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"numerical failure: {stderr}\n"
+
     def test_resolved_level_on_a_coarse_grid_meets_the_closed_forms(self, runner):
         # n = 20 lies below half the Nyquist wavenumber of 50 intervals
         args = ["sweep", "--system", "box", "--levels", "20:20", "--paths", "analytic,oracle"]

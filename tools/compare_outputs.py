@@ -92,12 +92,22 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         # the largest box and open-grid blocks the default grids solve
         ["eigensolve", "--system", "box", "--k", "1023"],
         ["eigensolve", "--system", "oscillator", "--k", "453"],
-        # the ring's band message at level 4, and a node-count failure at box level 8
+        # the ring's band message at level 4, and box level 8 at half the Nyquist
+        # wavenumber of 16 intervals, whose samples fail the norm guard
         ["sweep", "--system", "ring", "--levels", "0:5", "--paths", "oracle", "--grid-points",
          "12"],
         ["verify", "--system", "box", "--levels", "1:12", *ALL_PATHS, "--grid-points", "17"],
         # an oscillator level past the ladder's limit, named after the levels below it
         ["verify", "--system", "oscillator", "--levels", "195:205"],
+        # one coarse box state on each path: the moments' guards come before the
+        # node count, on samples as on eigenstates
+        ["sweep", "--system", "box", "--levels", "25:25", "--grid-points", "51", "--paths",
+         "oracle"],
+        ["sweep", "--system", "box", "--levels", "25:25", "--grid-points", "51", "--paths",
+         "eigen"],
+        ["eigensolve", "--system", "box", "--k", "25", "--grid-points", "51"],
+        # 33 stacks of samples on one grid, the sweep the allocator policy helps most
+        ["verify", "--system", "box", "--levels", "1:1023", "--paths", "analytic,oracle"],
     )
 )
 
