@@ -316,7 +316,7 @@ for _ in range(5):
 @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
 def test_stacks_reuse_the_memory_of_the_stack_before():
     # a fresh interpreter keeps pytest's own heap out of the count; an
-    # oscillator 0:200 sweep's four stacks took about 960 minor faults
+    # oscillator 0:200 sweep's four stacks took about 1,200 minor faults
     # when malloc gave each stack's temporaries back to the OS
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
