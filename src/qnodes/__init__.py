@@ -4,7 +4,7 @@ solvable 1D quantum systems, with independent numerical verification.
 Three computation paths answer the same questions and must agree:
 
 - `analytic`: closed-form energies and uncertainties,
-- `oracle`: Simpson quadrature and Fourier, sine and cosine series of
+- `oracle`: the rectangle rule and Fourier, sine and cosine series of
   sampled states,
 - `eigensolver`: Fourier-grid Hamiltonians (the infinite-order limit of
   finite differences) rediscovering the eigenstates, energies, and node

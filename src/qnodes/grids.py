@@ -1,4 +1,4 @@
-"""Uniform grids, composite-Simpson quadrature, discrete derivatives, and
+"""Uniform grids, rectangle-rule quadrature, discrete derivatives, and
 momentum moments by Parseval (FFT, or a sine series between hard walls).
 
 The unit of work is a stack: the samples of one state, or a (levels,
@@ -85,10 +85,10 @@ def stack_rows(bytes_per_row: int) -> int:
 class GridSpec:
     """Uniform discretization of an interval.
 
-    Non-periodic grids include both endpoints and need an odd point count
-    (composite Simpson pairs intervals).  Periodic grids cover
-    [lower, upper) without the duplicate endpoint; any count >= 3 works
-    because the rectangle rule is the natural periodic quadrature.
+    Non-periodic grids include both endpoints and need an odd point count,
+    for the centre point that an open grid's <x> is folded about.  Periodic
+    grids cover [lower, upper) without the duplicate endpoint; any count
+    >= 3 works.
     """
 
     lower: float
@@ -105,7 +105,7 @@ class GridSpec:
             raise GridError(f"need at least 3 points, got {self.points}")
         if self.boundary != "periodic" and self.points % 2 == 0:
             raise GridError(
-                f"composite Simpson needs an odd point count, got {self.points}"
+                f"non-periodic grids need an odd point count (a centre point), got {self.points}"
             )
 
     @property
@@ -262,21 +262,15 @@ def quad(grid: GridSpec, y: np.ndarray):
     """Integrate the values `y`, one per point of `grid`, over the grid;
     a stack of rows gives one integral per row.
 
-    Composite Simpson on closed grids (O(h^4) for smooth integrands);
-    rectangle rule on periodic grids, which is spectrally accurate for
-    smooth periodic integrands.
+    The rectangle rule over one period (the trapezoid rule on closed grids,
+    whose end samples are zero between walls and decayed on open grids):
+    exact for the density of a state below the Nyquist wavenumber pi/h
+    (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
     """
     _check_count(grid, y)
-    h = grid.h
     if grid.boundary == "periodic":
-        return h * y.sum(axis=-1)
-    s = (
-        y[..., 0]
-        + y[..., -1]
-        + 4.0 * y[..., 1:-1:2].sum(axis=-1)
-        + 2.0 * y[..., 2:-2:2].sum(axis=-1)
-    )
-    return s * h / 3.0
+        return grid.h * y.sum(axis=-1)
+    return grid.h * (y[..., 1:-1].sum(axis=-1) + 0.5 * (y[..., 0] + y[..., -1]))
 
 
 def _fd_weights(offsets: tuple[int, ...], deriv: int) -> np.ndarray:
@@ -351,21 +345,22 @@ def _parseval_weights(grid: GridSpec, real: bool) -> tuple[np.ndarray, ...]:
     each value appears twice.  <p^k> = sum_j w_j kappa_j^k v_j^2 with
     weight w = h/M per bin (Parseval, M samples per period); an `rfft` bin
     other than 0 and M/2 also stands for its mirror bin and counts twice.
-    The high band is the bins with |kappa| above half the Nyquist
-    wavenumber: the tail of an `rfft`, the middle of an `fft`.  A Dirichlet
-    grid is half the period of its odd extension: its weights are halved,
-    and its high band starts at half the Nyquist wavenumber, k = J/2.
+    The high band is the bins from `first` on, with |kappa| above half the
+    Nyquist wavenumber (7/8 of it on an open grid): the tail of an `rfft`,
+    the middle of an `fft`.  A Dirichlet grid is half the period of its odd
+    extension: its weights are halved, and its band starts at k = J/2.
     """
     walls = grid.boundary == "dirichlet"
     m = grid.points if grid.boundary == "periodic" else (grid.points - 1) * (2 if walls else 1)
+    first = {"dirichlet": m // 4, "periodic": m // 4 + 1, "open": 7 * m // 16 + 1}[grid.boundary]
     if real:
         k = np.arange(m // 2 + 1, dtype=float)
         weight = np.where((k == 0) | (2 * k == m), 1.0, 2.0) * grid.h / m * (0.5 if walls else 1.0)
-        high = slice(2 * (m // 4 if walls else m // 4 + 1), None)
+        high = slice(2 * first, None)
     else:
         k = np.fft.fftfreq(m, 1.0 / m)
         weight = np.full(m, grid.h / m)
-        high = slice(2 * (m // 4 + 1), 2 * (m - m // 4))
+        high = slice(2 * first, 2 * (m + 1 - first))
     w0 = np.repeat(weight, 2)
     kappa = np.repeat(2.0 * np.pi / (m * grid.h) * k, 2)
     w1 = w0 * kappa
@@ -392,7 +387,7 @@ def spectral_moments(f: SampledFunction) -> tuple:
     band (`_parseval_weights`), the moment floored at one natural unit
     (hbar^2 = 1) so that a state at rest reads roundoff over 1, not
     roundoff over roundoff.  It is at roundoff when a grid of spacing 2h
-    would still resolve the samples.
+    (8h/7 on an open grid) would still resolve the samples.
     """
     y = f.values if f.grid.boundary == "periodic" else f.values[..., :-1]
     real = not np.iscomplexobj(y)

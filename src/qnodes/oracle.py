@@ -2,7 +2,7 @@
 
 Nothing in this module uses the closed-form moments; states are sampled
 (or handed over as eigenvectors) on band-limited grids, and every moment
-is recomputed from Simpson quadrature or from series coefficients that
+is recomputed from the rectangle rule or from series coefficients that
 one FFT gives: Fourier series on open and periodic grids, and between
 the box's walls the sine series of the samples (DST-I) for <p^2> and the
 cosine series of the density (DCT-I) for <x> and Var x.  Grids, samples
@@ -67,11 +67,11 @@ __all__ = [
 # Normalization tolerances: precondition vs hard error.
 _NORM_TOL = 1e-6
 # Resolution guard for <p^2> and <L_z^2>: the largest share of the second
-# moment that wavenumbers above half the Nyquist wavenumber may carry.
-# Simpson's coarse half T(2h) resolves |psi|^2 only if psi is resolved
-# there, and the position moments' relative error tracks this share
-# (2.1e-6 at a share of 2.7e-6, oscillator 0:200 on 801 points), so the
-# bound keeps them far below the default cross-path tolerance of 1e-6.
+# moment that wavenumbers above half (open grids: 7/8 of) the Nyquist
+# wavenumber may carry.  The rectangle rule is exact below Nyquist, and the
+# share measures how near a state comes: oscillator 0:200's norms, Var x
+# and <p^2> stay within 1e-14 of the closed forms from 473 points (share
+# 2.0e-10, the first grid rejected) to 431 (0.2), and miss by 7e-5 at 401.
 _BAND_SHARE_TOL = 1e-10
 # Open grids: the largest end-sample density, relative to the mean density
 # 1/(upper - lower) of a normalized state, of a sample that has decayed.
@@ -90,10 +90,10 @@ def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> G
     The box grid is [0, 1], the ring's [0, 2 pi).  The oscillator
     half-width L is the classical turning point sqrt(2n+1) plus a 10-sigma
     tail margin.  The oscillator is its own Fourier transform, so the same
-    L bounds the wavenumbers of every level up to n and 2L those of its
-    density; by default the oscillator grid takes h <= pi / (2L), the
-    spacing at which Simpson's coarse half T(2h) still resolves the
-    density: 2 ceil(2 L^2 / pi) + 1 points.
+    L bounds the wavenumbers of every level up to n; by default the
+    oscillator grid takes h <= pi / L, which puts them below the Nyquist
+    wavenumber, where the rectangle rule integrates the density exactly:
+    2 ceil(L^2 / pi) + 1 points.
 
     A box state with n <= M = |idx| is a sine polynomial, and by default
     the box grid takes the fewest 2^p intervals J > 2M, at least 4 (J + 1
@@ -109,7 +109,7 @@ def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> G
     if isinstance(spec, Oscillator):
         half_width = max(math.sqrt(2.0 * abs(int(idx)) + 1.0) + 10.0, 12.0)
         if points is None:
-            points = 2 * math.ceil(2.0 * half_width**2 / math.pi) + 1
+            points = 2 * math.ceil(half_width**2 / math.pi) + 1
         return GridSpec(-half_width, half_width, points, "open")
     ring = isinstance(spec, Ring)
     if points is None:
@@ -192,18 +192,17 @@ def _norm_check(psi: SampledFunction):
 
 
 def _folded_mean(psi: SampledFunction) -> float:
-    """Simpson quadrature of x |psi|^2 on an open grid, folded about its
-    centre c: c times the norm plus (h/3) sum_{j<m} w_j (x_j - c)
-    (rho_j - rho_{N-1-j}), with m the centre index and w_j the Simpson
-    weights.  An exactly even density on a grid centred on 0 gives
-    exactly 0.0."""
+    """Trapezoid quadrature of x |psi|^2 on an open grid, folded about its
+    centre c: c times the norm plus h sum_{j<m} w_j (x_j - c)
+    (rho_j - rho_{N-1-j}), with m the centre index and w_j the trapezoid
+    weights (1/2 at the end, 1 inside).  An exactly even density on a
+    grid centred on 0 gives exactly 0.0."""
     grid, rho = psi.grid, psi.density
     m = grid.points // 2
     centre = 0.5 * (grid.lower + grid.upper)
     t = rho[..., :m] - rho[..., :m:-1]
     t *= grid.x[:m] - centre
-    s = t[..., 0] + 4.0 * t[..., 1::2].sum(axis=-1) + 2.0 * t[..., 2::2].sum(axis=-1)
-    return centre * psi.norm + s * grid.h / 3.0
+    return centre * psi.norm + grid.h * (t[..., 1:].sum(axis=-1) + 0.5 * t[..., 0])
 
 
 @lru_cache(maxsize=16)
@@ -233,9 +232,9 @@ def position_moments(psi: SampledFunction) -> tuple:
     cancel digits for a state far from the origin.  Between hard walls both
     pair one DCT-I of the density with the cosine series of x - c and
     (x - c)^2 about the centre c (`_cosine_weights`): exact below J/2 on J
-    intervals, where Simpson's end terms hold x |psi|^2 at O(h^4).  On a
-    periodic grid x is not periodic, and both are the Fourier-series
-    moments of `ring_theta_by_quadrature`, on the branch [0, 2 pi) only.
+    intervals, where a quadrature rule holds the non-periodic x |psi|^2 only
+    at a power of h.  On a periodic grid x is not periodic, and both are the
+    Fourier-series moments of `ring_theta_by_quadrature`, on [0, 2 pi) only.
     """
     raise_first(_norm_check(psi))
     grid, rho = psi.grid, psi.density
@@ -263,8 +262,8 @@ def momentum_moments(psi: SampledFunction) -> tuple:
     over the sine coefficients b_k on a box of width L.  A real sample's
     <p> is exactly 0.0.  An open-grid sample must have decayed at both
     ends, and a GridError is raised when wavenumbers above half the
-    Nyquist wavenumber carry more than `_BAND_SHARE_TOL` of <p^2>: the
-    grid does not resolve the state.
+    Nyquist wavenumber (7/8 of it on an open grid) carry more than
+    `_BAND_SHARE_TOL` of <p^2>: the grid does not resolve the state.
     """
     grid = psi.grid
     checks = [_norm_check(psi)]
@@ -277,17 +276,18 @@ def momentum_moments(psi: SampledFunction) -> tuple:
         )
         checks.append(undecayed)
     mean_p, mean_p2, share, _ = spectral_moments(psi)
-    raise_first(*checks, _band_check(share, "momentum", "p"))
+    raise_first(*checks, _band_check(grid, share, "momentum", "p"))
     return mean_p, mean_p2
 
 
-def _band_check(share, quantity: str, symbol: str):
-    """The `raise_first` check that the high-band share of <symbol^2> is
-    at most `_BAND_SHARE_TOL`; above it the grid does not resolve the
-    state (a GridError)."""
+def _band_check(grid: GridSpec, share, quantity: str, symbol: str):
+    """The `raise_first` check that the high-band share of <symbol^2> on
+    `grid` is at most `_BAND_SHARE_TOL`; above it the grid does not
+    resolve the state (a GridError naming where the band starts)."""
     share = np.atleast_1d(share)
+    band = "7/8 of" if grid.boundary == "open" else "half"
     return share > _BAND_SHARE_TOL, lambda row: GridError(
-        f"grid too coarse for {quantity} moments: wavenumbers above half the "
+        f"grid too coarse for {quantity} moments: wavenumbers above {band} the "
         f"Nyquist wavenumber carry {float(share[row]):.3e} of <{symbol}^2>, "
         f"above {_BAND_SHARE_TOL:.0e}"
     )
@@ -308,7 +308,7 @@ def ring_lz_by_quadrature(psi: SampledFunction) -> tuple[float, float, float]:
     if psi.grid.boundary != "periodic":
         raise GridError("ring L_z statistics need a periodic grid")
     mean, mean2, share, var = spectral_moments(psi)
-    raise_first(_norm_check(psi), _band_check(share, "angular momentum", "L_z"))
+    raise_first(_norm_check(psi), _band_check(psi.grid, share, "angular momentum", "L_z"))
     return per_sample(psi, mean, np.sqrt(floored(var, 0.0)), mean2)
 
 

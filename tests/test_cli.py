@@ -129,7 +129,7 @@ class TestSweep:
 
     def test_oscillator_eigen_reaches_its_top_level(self, runner):
         # levels 0 .. 200, the oscillator's supported range, fit the rule's
-        # limit: the eigen path solves them on the oracle's 1149 points
+        # limit: the eigen path solves them on the oracle's 575 points
         result = runner.invoke(
             main, ["verify", "--system", "oscillator", "--levels", "0:200", "--paths", "analytic,oracle,eigen"]
         )
@@ -410,11 +410,12 @@ class TestVerify:
         "args, stderr",
         [
             # the moments' guards come before the node count on samples too;
-            # the samples' first is their norm, which eigenvectors meet
+            # the samples' trapezoid norm is 1, as the eigenvectors' is
             (
                 ["sweep", "--system", "box", "--levels", "25:25", "--grid-points", "51",
                  "--paths", "oracle"],
-                "level 25: state norm^2 is 1.3333333333333337, deviates beyond 1e-06",
+                "level 25: grid too coarse for momentum moments: wavenumbers above half the "
+                "Nyquist wavenumber carry 1.000e+00 of <p^2>, above 1e-10",
             ),
             (
                 ["sweep", "--system", "box", "--levels", "25:25", "--grid-points", "51",
@@ -459,16 +460,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_under_resolved_oscillator_grid_exit_3(self, runner, command):
-        # on 801 points the top levels carry too much of <p^2> in the upper
-        # half of the band for Simpson's coarse half to resolve the density
-        args = [command, "--system", "oscillator", "--levels", "0:200", "--grid-points", "801",
+        # on 473 points, two fewer than the first that resolves 0:200, level
+        # 200 carries too much of <p^2> in the top eighth of the band
+        args = [command, "--system", "oscillator", "--levels", "0:200", "--grid-points", "473",
                 "--paths", "analytic,oracle"]
         result = runner.invoke(main, args)
         assert result.exit_code == 3
         assert result.stdout == ""
         assert re.fullmatch(
-            r"numerical failure: level 187: grid too coarse for momentum moments: wavenumbers "
-            r"above half the Nyquist wavenumber carry 1\.604e-10 of <p\^2>, above 1e-10\n",
+            r"numerical failure: level 200: grid too coarse for momentum moments: wavenumbers "
+            r"above 7/8 of the Nyquist wavenumber carry 2\.001e-10 of <p\^2>, above 1e-10\n",
             result.stderr,
         )
 
@@ -774,7 +775,7 @@ class TestEigensolve:
         )
 
     @pytest.mark.parametrize("system, k, beyond", [("box", 1023, 4097), ("ring", 1023, 4096),
-                                                   ("oscillator", 453, 2051)])
+                                                   ("oscillator", 1091, 2051)])
     def test_default_reach(self, runner, system, k, beyond):
         # the most levels the rule resolves within its limit; one more
         # needs more points than the limit and exits 3

@@ -79,7 +79,7 @@ class TestDefaultEigenGrid:
         "spec, k, points",
         [(Box(), 6, 17), (Box(), 40, 129), (Box(), 100, 257), (Box(), 347, 1025),
          (Ring(), 1, 8), (Ring(), 21, 64), (Ring(), 41, 128), (Ring(), 347, 1024),
-         (Oscillator(), 6, 227), (Oscillator(), 41, 461), (Oscillator(), 201, 1149)],
+         (Oscillator(), 6, 115), (Oscillator(), 41, 231), (Oscillator(), 201, 575)],
         ids=["box-6", "box-40", "box-100", "box-347", "ring-1", "ring-21", "ring-41", "ring-347",
              "oscillator-6", "oscillator-41", "oscillator-201"],
     )
@@ -115,7 +115,7 @@ class TestDefaultEigenGrid:
         "spec, k, message",
         [(Box(), 1024, "box eigen grid for 1024 levels needs 4097 points"),
          (Ring(), 1024, "ring eigen grid for 1024 levels needs 4096 points"),
-         (Oscillator(), 454, "oscillator eigen grid for 454 levels needs 2051 points")],
+         (Oscillator(), 1092, "oscillator eigen grid for 1092 levels needs 2051 points")],
         ids=["box", "ring", "oscillator"],
     )
     def test_rule_above_the_cap_is_a_grid_error(self, spec, k, message):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,9 +47,11 @@ class TestQuad:
         g = GridSpec(0.0, 1.0, 101, "open")
         assert quad(g, np.ones(101)) == pytest.approx(1.0, rel=1e-15)
 
-    def test_x_squared_exact(self):
-        g = GridSpec(0.0, 1.0, 101, "open")
-        assert quad(g, g.x**2) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    def test_decayed_gaussian_exact(self):
+        # spacing 1/2 resolves exp(-x^2) to exp(-pi^2/h^2); a rule mixing in
+        # the spacing 2h, as Simpson's does, would be off by about 6e-5
+        g = GridSpec(-12.0, 12.0, 49, "open")
+        assert quad(g, np.exp(-(g.x**2))) == pytest.approx(math.sqrt(math.pi), rel=4e-16)
 
     def test_box_ground_norm(self):
         g = GridSpec(0.0, 1.0, 1001, "open")
@@ -65,14 +66,15 @@ class TestQuad:
         with pytest.raises(GridError):
             GridSpec(0.0, 1.0, 100, "open")
 
-    def test_refinement_order_at_least_three(self):
-        f = lambda x: np.exp(np.sin(3.0 * x))
-        exact, _ = scipy.integrate.quad(f, 0.0, 1.0, epsabs=1e-14)
-        errs = []
-        for points in (101, 201):
-            g = GridSpec(0.0, 1.0, points, "open")
-            errs.append(abs(quad(g, f(g.x)) - exact))
-        assert errs[0] / errs[1] >= 8.0
+    @pytest.mark.parametrize("top", [1, 7, 31, 255, 1023])
+    def test_box_sine_squares_exact(self, top):
+        # every n < J/2 on the rule's J intervals for level `top`, sampled
+        # with the argument reduced exactly so that the error is the rule's
+        g = default_grid(Box(), top)
+        intervals = g.points - 1
+        n = np.arange(1, (intervals + 1) // 2)[:, None]
+        y = np.sin(np.pi * (n * np.arange(g.points) % (2 * intervals)) / intervals) ** 2
+        assert np.max(np.abs(quad(g, y) - 0.5)) <= 2 * np.spacing(0.5)
 
     def test_periodic_rectangle_rule(self):
         g = GridSpec(0.0, 2.0 * np.pi, 64, "periodic")
@@ -265,13 +267,14 @@ class TestSineAndCosineSeries:
 
 
 class TestResolutionGuard:
-    """Open and periodic grids: Parseval moments behind a half-band guard."""
+    """Open and periodic grids: Parseval moments behind a high-band guard
+    (above 7/8 of the Nyquist wavenumber on open grids, half on periodic)."""
 
-    @pytest.mark.parametrize("n, points", [(0, 185), (2, 193), (200, 1149)])
+    @pytest.mark.parametrize("n, points", [(0, 93), (2, 97), (200, 575)])
     def test_oscillator_grid_sized_by_band_limit(self, n, points):
         grid = default_grid(Oscillator(), n)
         assert grid.points == points
-        assert grid.h <= math.pi / (2.0 * grid.upper)
+        assert grid.h <= math.pi / grid.upper
         assert default_grid(Oscillator(), n, 8001).points == 8001
 
     @pytest.mark.parametrize("points", [185, 801, 1149])
@@ -280,16 +283,29 @@ class TestResolutionGuard:
         assert np.array_equal(x[::-1], -x)
         assert x[points // 2] == 0.0
 
+    @pytest.mark.parametrize("boundary, points, first", [("open", 65, 29), ("periodic", 64, 17)])
+    def test_high_band_starts_above_its_fraction_of_nyquist(self, boundary, points, first):
+        # 64 samples per period, Nyquist bin 32: the band guard's high band
+        # starts above 7/8 of it (bin 28) on open grids, above half (bin 16)
+        # on periodic ones, for real and complex samples alike
+        grid = GridSpec(0.0, 64.0, points, boundary)
+        phase = 2.0 * math.pi * np.arange(points) / 64
+        for k, share in ((first - 1, 0.0), (first, 1.0)):
+            for y in (np.cos(k * phase), np.exp(1j * k * phase)):
+                got = spectral_moments(SampledFunction(grid, y))[2]
+                assert got == pytest.approx(share, abs=1e-12), (k, y.dtype)
+
     def test_default_grid_share_far_below_threshold(self):
         worst = max(qnodes.grids.spectral_moments(psi)[2] for psi in _sweep_oscillator_samples())
         assert worst <= 1e-20
 
     def test_under_resolved_sample_rejected(self):
         wide = default_grid(Oscillator(), 200)
-        grid = GridSpec(wide.lower, wide.upper, 801, "open")
+        grid = GridSpec(wide.lower, wide.upper, 473, "open")
         y = list(qnodes.special.oscillator_ladder(grid.x, 200))[-1]
         psi = SampledFunction(grid, y / math.sqrt(quad(grid, y**2)))
-        with pytest.raises(GridError, match=r"carry \d\.\d{3}e-0\d of <p\^2>, above 1e-10"):
+        message = r"above 7/8 of the Nyquist wavenumber carry 2\.001e-10 of <p\^2>, above 1e-10"
+        with pytest.raises(GridError, match=message):
             momentum_moments(psi)
 
     def test_undecayed_sample_rejected(self):

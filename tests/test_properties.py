@@ -90,19 +90,24 @@ def test_superposition_lz_spread_matches_enumeration(terms):
     assert spread == pytest.approx(math.sqrt(max(var_bf, 0.0)), abs=1e-9)
 
 
+coefficient = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
 @given(
-    st.lists(
-        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-        min_size=4,
-        max_size=4,
-    )
+    st.integers(min_value=3, max_value=64),
+    st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=64),
+    st.floats(min_value=0.5, max_value=20.0),
 )
-def test_simpson_exact_for_cubics(coeffs):
-    grid = GridSpec(-1.0, 2.0, 51, "open")
-    poly = np.polynomial.Polynomial(coeffs)
-    exact = poly.integ()(2.0) - poly.integ()(-1.0)
-    got = quad(grid, poly(grid.x))
-    assert got == pytest.approx(exact, abs=1e-10)
+def test_rectangle_rule_exact_for_trig_polynomials(points, coeffs, length):
+    # sum_k a_k cos(k w x) + b_k sin(k w x) over one period 2 pi / w, sampled
+    # at exact phases: every degree below the point count integrates to a_0
+    # times the period
+    a, b = np.array(coeffs[:points]).T
+    grid = GridSpec(0.0, length, points, "periodic")
+    phase = 2.0 * math.pi * np.arange(a.size)[:, None] * np.arange(points) / points
+    got = quad(grid, a @ np.cos(phase) + b @ np.sin(phase))
+    scale = length * (np.abs(a).sum() + np.abs(b).sum() + 1.0)
+    assert got == pytest.approx(a[0] * length, abs=1e-14 * scale)
 
 
 @settings(deadline=None)

@@ -399,3 +399,26 @@ class TestEmit:
         rows = run_sweep(SweepConfig(system=Box(), levels=(1,)))
         with pytest.raises(ConfigError):
             emit(rows, "yaml")
+
+
+@pytest.mark.parametrize(
+    "top, paths, first_fired",
+    [(200, ("analytic", "oracle"), 473), (40, PATH_ORDER, 153), (200, PATH_ORDER, 473)],
+    ids=["0:200-analytic-oracle", "0:40-three-paths", "0:200-three-paths"],
+)
+def test_open_grid_guards_are_sharp(top, paths, first_fired):
+    # oscillator grids from the rule's size down to half of it, in steps of
+    # 2 points: a sweep the guards pass meets the closed forms at the default
+    # tolerance, and the passing grids are those above where the guards
+    # first fire
+    rule = default_grid(Oscillator(), top).points
+    passed = []
+    for points in range(rule, rule // 2, -2):
+        cfg = SweepConfig(Oscillator(), tuple(range(top + 1)), paths, grid_points=points)
+        try:
+            rows = run_sweep(cfg)
+        except GridError:
+            continue
+        assert verify_rows(cfg, rows) == [], points
+        passed.append(points)
+    assert passed == list(range(rule, first_fired, -2))

@@ -48,7 +48,7 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["verify", *OVERFLOW_BOX, *ALL_PATHS],
         ["sweep", *OVERFLOW_BOX],
         # an oscillator grid too coarse for the top levels
-        ["verify", "--system", "oscillator", "--levels", "0:200", "--grid-points", "801"],
+        ["verify", "--system", "oscillator", "--levels", "0:200", "--grid-points", "473"],
         # ring states that alias on their grid: the half-band guard exits 3
         ["sweep", "--system", "ring", "--levels", "8:10", "--paths", "oracle", "--grid-points", "16"],
         ["sweep", "--system", "ring", "--levels", "300:300", "--paths", "eigen", "--grid-points",
@@ -89,11 +89,15 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         # the oracle rows of the benchmark's cold-start ring sweep
         ["sweep", "--system", "box", "--levels", "1:1", *ALL_PATHS],
         ["sweep", "--system", "ring", "--levels", "-3:3", "--paths", "analytic,oracle"],
-        # the largest box and open-grid blocks the default grids solve
+        # the largest box and open-grid blocks the default grids solve, a
+        # mid-size open-grid block, and the first oscillator eigen grid above
+        # the point limit
         ["eigensolve", "--system", "box", "--k", "1023"],
+        ["eigensolve", "--system", "oscillator", "--k", "1091"],
         ["eigensolve", "--system", "oscillator", "--k", "453"],
+        ["eigensolve", "--system", "oscillator", "--k", "1092"],
         # the ring's band message at level 4, and box level 8 at half the Nyquist
-        # wavenumber of 16 intervals, whose samples fail the norm guard
+        # wavenumber of 16 intervals, whose samples fail the band guard
         ["sweep", "--system", "ring", "--levels", "0:5", "--paths", "oracle", "--grid-points",
          "12"],
         ["verify", "--system", "box", "--levels", "1:12", *ALL_PATHS, "--grid-points", "17"],
