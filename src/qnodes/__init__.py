@@ -57,7 +57,7 @@ from .model import (
     scales,
     validate_state,
 )
-from .nodal import NodeReport, count_nodes, density_flatness
+from .nodal import NodeReport, count_nodes
 from .oracle import (
     default_grid,
     momentum_moments,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .analytic import UncertaintyRecord
 from .errors import ConfigError, ConvergenceError, GridError
-from .grids import GridSpec, SampledFunction, dot, first_failure, quad, raise_first
+from .grids import GridSpec, SampledFunction, dot, raise_first
 from .model import Box, Oscillator, Ring, SystemSpec, predicted_node_count, scales
 from .nodal import node_counts
 from .oracle import columns_from_stack, default_grid
@@ -124,8 +124,8 @@ class Hamiltonian:
 @dataclass(frozen=True)
 class EigenResult:
     """Eigenpairs in natural units, one per parity slot: the energies, the
-    stack of normalized sampled states (row j is state j), and residual
-    norms ||H psi - E psi|| of the unit chain vectors on the full operator.
+    states (row j of `stack` is state j, its unit chain vector / sqrt h),
+    and residual norms ||H psi - E psi|| of the unit chain vectors.
 
     States alternate even, odd, even, ... under the mirror; the ring's come
     as [m=0, cos 1, sin 1, cos 2, sin 2, ...].  The energies ascend, and
@@ -133,10 +133,9 @@ class EigenResult:
     `eigen_columns` accepts); beyond them the slots keep this parity order,
     not energy order.  A +/-m pair, or a doublet split below roundoff, is
     solved in two blocks, so its energies may be out of order by roundoff.
-    An energy within the roundoff floor eps ||H||_1 of zero is exactly 0.0:
-    its digits are roundoff.  On a ring without potential, state 0 is m = 0
-    by symmetry: energy 0.0, residual 0.0 and the constant, however few
-    levels are solved.
+    On a ring without potential, state 0 is m = 0 by symmetry: energy 0.0,
+    residual 0.0 and the constant, however few levels are solved.  No other
+    level of any system lies near 0, and no energy is floored.
     """
 
     energies: np.ndarray
@@ -279,11 +278,11 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     """k eigenpairs by parity slot (see `EigenResult`), continuum-normalized
     with a positive leading lobe: the k lowest where the grid resolves them.
 
-    The even and odd mirror blocks are solved (`_parity_pairs`) and every
-    pair is checked against the full operator.  The norms and signs are
-    taken on the whole block of eigenvectors, one row per state.  A grid of
-    more than `_MAX_EIGEN_POINTS` points raises GridError before any block
-    is built.
+    The even and odd mirror blocks are solved (`_parity_pairs`), every pair
+    is checked against the full operator, and the unit chain vectors (with
+    the box's walls) over sqrt h have rectangle-rule norm^2 1 to roundoff;
+    signs are set on the whole block.  A grid of more than
+    `_MAX_EIGEN_POINTS` points raises GridError before any block is built.
     """
     dim = ham.potential.size
     if not 1 <= k <= dim:
@@ -297,10 +296,9 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
     if ham.periodic and not ham.potential.any():
         # the free ring's lowest level is m = 0: exactly 0, the constant
         full[0], energies[0], residuals[0] = 1.0 / math.sqrt(dim), 0.0, 0.0
-    zero = np.abs(energies) <= np.finfo(float).eps * ham.norm1  # the roundoff floor
     if ham.grid.boundary == "dirichlet":
         full = np.pad(full, ((0, 0), (1, 1)))
-    full /= np.sqrt(np.real(quad(ham.grid, np.square(full))))[:, None]
+    full *= 1.0 / math.sqrt(ham.grid.h)
     magnitude = np.abs(full)
     lead = np.argmax(magnitude > 1e-8 * magnitude.max(axis=1)[:, None], axis=1)
     flip = full[np.arange(k), lead] < 0
@@ -313,7 +311,6 @@ def solve_lowest(ham: Hamiltonian, k: int) -> EigenResult:
             f"eigenpair residual {residuals.max():.3e} exceeds "
             f"{_RESIDUAL_TOL * scale:.3e}"
         )
-    energies[zero] = 0.0
     stack = SampledFunction(ham.grid, full)
     return EigenResult(energies=energies, stack=stack, residuals=residuals)
 
@@ -330,17 +327,13 @@ def eigen_columns(spec: SystemSpec, result: EigenResult, levels) -> dict[str, np
     (distinct quantum numbers), from one stack of their states
     (`_eigen_stack`): those of `oracle.columns_from_stack`, the computed
     eigenvalues as "energy" and the node counts measured on the states as
-    "nodes".  An error is that of the first failing level, named by its
-    index in `levels` as the error's `row`.
+    "nodes".  Each step raises for its own first failing level, its index
+    in `levels` as the error's `row`; a sweep's driver
+    (`report._sweep_stack`) names the first failing level across steps.
     """
-    levels = list(levels)
-
-    def run(end: int) -> dict[str, np.ndarray]:
-        psi, slot = _eigen_stack(spec, result, levels[:end])
-        columns = columns_from_stack(spec, psi)
-        return columns | {"energy": result.energies[slot], "nodes": node_counts(psi)}
-
-    return first_failure(run, len(levels))
+    psi, slot = _eigen_stack(spec, result, levels)
+    columns = columns_from_stack(spec, psi)
+    return columns | {"energy": result.energies[slot], "nodes": node_counts(psi)}
 
 
 def slot_level(spec: SystemSpec, slot: int) -> int:

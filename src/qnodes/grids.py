@@ -219,9 +219,9 @@ def raise_first(*checks) -> None:
 
 
 def first_rows(f: SampledFunction, end: int) -> SampledFunction:
-    """The stack of the first `end` rows of `f` (`f` itself if that is all
-    of them, or if `f` is one sample)."""
-    if f.values.ndim == 1 or end == len(f.values):
+    """The stack of the first `end` rows of the stack `f` (`f` itself if
+    that is all of them)."""
+    if end == len(f.values):
         return f
     return SampledFunction(f.grid, f.values[:end])
 

@@ -1,6 +1,6 @@
-"""Node counting on sampled wavefunctions and density-flatness checks.
+"""Node counting on sampled wavefunctions.
 
-Both read the real part of the samples: a real state's own values, or
+It reads the real part of the samples: a real state's own values, or
 Re psi of a complex ring state.  `count_nodes` judges near-zero samples
 against one fixed threshold, `ZERO_RTOL` times the peak magnitude;
 `node_counts` counts every row of a stack of samples the same way.
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DegenerateError
 from .grids import SampledFunction, raise_first
 
-__all__ = ["NodeReport", "count_nodes", "node_counts", "density_flatness"]
+__all__ = ["NodeReport", "count_nodes", "node_counts"]
 
 # Samples below this fraction of the peak magnitude are "touching zero":
 # they are bridged, and a graze without a sign change is not a node.
@@ -110,17 +110,3 @@ def _nodes(f: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
         rows, locations = rows[inside], locations[inside]
     return rows, locations
 
-
-def density_flatness(rho: SampledFunction) -> tuple[float, bool]:
-    """Max deviation of a density from its mean, and whether it is nodeless.
-
-    Returns (max|rho - mean(rho)|, min(rho) > 0).  For any definite-m ring
-    state the sampled density is exactly constant and strictly positive.
-    """
-    values = np.real(rho.values)
-    if np.ptp(values) == 0.0:
-        # exactly constant samples: zero deviation with no roundoff from the mean
-        return 0.0, bool(values[0] > 0.0)
-    mean = float(np.mean(values))
-    max_dev = float(np.max(np.abs(values - mean)))
-    return max_dev, bool(np.min(values) > 0.0)

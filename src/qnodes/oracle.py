@@ -14,7 +14,7 @@ samples (`grids.SampledFunction`), giving one value per row, bit for bit
 the row's own.  A guard that fails raises for the stack's first failing
 row, with that row's message, and names the row in the error's `row`.
 `columns_from_stack` turns a stack's moments into one array per column
-of a record; `record_from_samples` is its one-sample form.
+of a record in one pass; `record_from_samples` is its one-sample form.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .grids import (
     GridSpec,
     SampledFunction,
     dot,
-    first_failure,
-    first_rows,
     floored,
     per_sample,
     quad,
@@ -397,21 +395,17 @@ def columns_from_stack(spec: SystemSpec, psi: SampledFunction) -> dict[str, np.n
     The one moment pipeline of the oracle and eigen paths: each moment
     function takes the whole stack once, which builds its |psi|^2 and
     norms once.  The energy is <L_z^2>/2 on the ring, <p^2>/2 plus the
-    oscillator's <x^2>/2 otherwise; the bound is 1/2.  An error is that of
+    oscillator's <x^2>/2 otherwise; the bound is 1/2.  Every row check sits
+    in the first moment function's one `raise_first`, so an error is that of
     the first failing row, named by its index as the error's `row`.
     """
-    rows = len(psi.values) if psi.values.ndim == 2 else 1
-    return first_failure(lambda end: _columns(spec, first_rows(psi, end)), rows)
-
-
-def _columns(spec: SystemSpec, psi: SampledFunction) -> dict[str, np.ndarray]:
     if isinstance(spec, Ring):
         _, dp, mean_lz2 = ring_lz_by_quadrature(psi)
         _, dq = ring_theta_by_quadrature(psi)
         energy = mean_lz2 / 2.0
     else:
-        mean_x, var_x = position_moments(psi)
         mean_p, mean_p2 = momentum_moments(psi)
+        mean_x, var_x = position_moments(psi)
         dq = np.sqrt(floored(var_x, 0.0))
         dp = np.sqrt(floored(mean_p2 - _pow2(mean_p), 0.0))
         energy = mean_p2 / 2.0

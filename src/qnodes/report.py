@@ -194,8 +194,8 @@ def _sweep_stack(spec, units, paths, levels, psi, eigen_result) -> dict[str, tup
     (the grid's aliasing check, each path's columns and rescale, then the
     samples' node count), each over the whole stack, so the moments'
     guards come before the node count's on samples as on eigenstates
-    (`eigen_columns`); an error is that of the first failing level
-    (`grids.first_failure`) and names it."""
+    (`eigen_columns`); an error is that of the first failing level across
+    the steps (`grids.first_failure`, run only here), and names it."""
 
     def run(end):
         part = None if psi is None else first_rows(psi, end)

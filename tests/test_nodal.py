@@ -13,9 +13,7 @@ from qnodes import (
     Ring,
     SampledFunction,
     count_nodes,
-    density_flatness,
     predicted_node_count,
-    ring_density,
     sample_state,
 )
 from qnodes.nodal import ZERO_RTOL, node_counts
@@ -90,31 +88,6 @@ class TestCountNodes:
         grid = GridSpec(0.0, 1.0, 2001, "dirichlet")
         report = count_nodes(real_samples(Box(), 1, grid))
         assert report.count == 0
-
-
-class TestDensityFlatness:
-    def test_definite_m_exactly_flat(self):
-        grid = GridSpec(0.0, 2.0 * np.pi, 4096, "periodic")
-        rho = SampledFunction(grid, ring_density(Ring(), 3, grid.x))
-        max_dev, nodeless = density_flatness(rho)
-        assert max_dev == 0.0
-        assert nodeless
-
-    def test_m0_same(self):
-        grid = GridSpec(0.0, 2.0 * np.pi, 512, "periodic")
-        max_dev, nodeless = density_flatness(
-            SampledFunction(grid, ring_density(Ring(), 0, grid.x))
-        )
-        assert max_dev == 0.0 and nodeless
-
-    def test_superposition_not_flat(self):
-        from qnodes import RingSuperposition
-
-        c = 1.0 / math.sqrt(2.0)
-        psi = sample_state(Ring(), RingSuperposition(((0, c), (1, c))))
-        rho = SampledFunction(psi.grid, np.abs(psi.values) ** 2)
-        max_dev, _ = density_flatness(rho)
-        assert max_dev > 0.0
 
 
 def _reference_count_nodes(f):

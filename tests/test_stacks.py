@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qnodes.oracle
 import qnodes.report
 from qnodes import (
     Box,
@@ -183,7 +184,9 @@ def test_eigen_block_equals_per_state_loop(spec, k):
         residual = 0.0 if ring_ground else float(_residuals(ham, v[None], energies[j : j + 1])[0])
         assert result.residuals[j] == residual
         full = np.concatenate(([0.0], v, [0.0])) if isinstance(spec, Box) else v
-        full = full / math.sqrt(SampledFunction(ham.grid, full).norm)
+        full = full * (1.0 / math.sqrt(ham.grid.h))
+        # the unit chain vector over sqrt h: its rectangle-rule norm^2 is 1
+        assert abs(SampledFunction(ham.grid, full).norm - 1.0) <= 1e-14, j
         lead = np.flatnonzero(np.abs(full) > 1e-8 * np.max(np.abs(full)))[0]
         if full[lead] < 0:
             full = -full
@@ -224,6 +227,25 @@ def _oscillator_rows():
     return grid, good, ripple
 
 
+def _failing_stack(norm_first):
+    """Oscillator levels 0, 1, 2 on one grid, level 1 failing one guard
+    and level 2 another: the norm then the band (`norm_first`), or the
+    band then the norm.  Returns the stack, level 1's failing sample and
+    the error it raises."""
+    grid, good, ripple = _oscillator_rows()
+    if norm_first:
+        failing, later, error = 1.1 * good[1], ripple, NormalizationError
+    else:
+        failing, later, error = ripple, 1.1 * good[2], GridError
+    stack = SampledFunction(grid, np.stack([good[0], failing, later]))
+    return stack, SampledFunction(grid, failing), error
+
+
+FAILING_STACKS = pytest.mark.parametrize(
+    "norm_first", [False, True], ids=["band-before-norm", "norm-before-band"]
+)
+
+
 class TestFirstFailingLevel:
     """A guard that fails inside a stack raises the error of the first
     failing level, with the message its single sample raises."""
@@ -249,18 +271,42 @@ class TestFirstFailingLevel:
         assert str(stacked.value) == str(single.value)
         assert stacked.value.row == 1
 
-    def test_sweep_names_the_first_failing_level(self, monkeypatch):
-        grid, good, ripple = _oscillator_rows()
-        stack = SampledFunction(grid, np.stack([good[0], ripple, 1.1 * good[2]]))
+    @FAILING_STACKS
+    def test_one_moment_pass_per_stack(self, monkeypatch, norm_first):
+        # every row check of a stack sits in one `raise_first`: its moments
+        # are taken once, on all its rows, and no prefix is run again
+        stack, failing, error = _failing_stack(norm_first)
+        with pytest.raises(error) as single:
+            record_from_samples(Oscillator(), 1, failing)
+        rows = []
+        moments = qnodes.oracle.spectral_moments
+
+        def counted(psi):
+            rows.append(len(psi.values))
+            return moments(psi)
+
+        monkeypatch.setattr(qnodes.oracle, "spectral_moments", counted)
+        with pytest.raises(error) as stacked:
+            columns_from_stack(Oscillator(), stack)
+        assert rows == [3]
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.row == 1
+
+    @FAILING_STACKS
+    def test_sweep_names_the_first_failing_level(self, monkeypatch, norm_first):
+        stack, failing, error = _failing_stack(norm_first)
+
         def sampled(spec, stacks, grid):
             return iter([stack])
 
         monkeypatch.setattr(qnodes.report, "sample_levels", sampled)
-        with pytest.raises(GridError) as single:
-            record_from_samples(Oscillator(), 1, SampledFunction(grid, ripple))
-        with pytest.raises(GridError) as swept:
+        with pytest.raises(error) as single:
+            record_from_samples(Oscillator(), 1, failing)
+        with pytest.raises(error) as swept:
             run_sweep(SweepConfig(Oscillator(), (0, 1, 2), ("analytic", "oracle")))
         assert str(swept.value) == f"level 1: {single.value}"
+        if norm_first:
+            assert str(swept.value).startswith("level 1: state norm^2 is ")
 
     def test_node_count_failure_names_its_row(self):
         grid, good, _ = _oscillator_rows()

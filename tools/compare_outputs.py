@@ -112,6 +112,12 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["eigensolve", "--system", "box", "--k", "25", "--grid-points", "51"],
         # 33 stacks of samples on one grid, the sweep the allocator policy helps most
         ["verify", "--system", "box", "--levels", "1:1023", "--paths", "analytic,oracle"],
+        # band guards that fire inside a stack both the oracle and the eigen path
+        # take: the sweep's driver names the first failing level across paths
+        ["sweep", "--system", "box", "--levels", "1:150", "--paths", "oracle,eigen",
+         "--grid-points", "257"],
+        ["sweep", "--system", "oscillator", "--levels", "0:60", "--paths", "oracle,eigen",
+         "--grid-points", "101"],
     )
 )
 
