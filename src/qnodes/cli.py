@@ -128,7 +128,14 @@ def _common_options(fn):
         help="System parameter as key=value (e.g. a=1, m=1, I=1, omega=1).",
     )(fn)
     fn = click.option("--hbar", type=float, default=1.0, show_default=True)(fn)
-    fn = click.option("--grid-points", type=int, default=None)(fn)
+    fn = click.option(
+        "--grid-points",
+        type=int,
+        default=None,
+        help="Grid points for every path, in place of the default rule (box, ring: the fewest "
+        "2^a 3^b intervals or points above the band limit). On the ring only 2^a 3^b counts "
+        "keep the m = 0 row exactly 0.",
+    )(fn)
     return fn
 
 

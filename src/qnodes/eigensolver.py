@@ -56,7 +56,8 @@ __all__ = [
 _RESIDUAL_TOL = 1e-8
 # The most points a dense solve may take: its blocks and their eigenvectors
 # grow as points^2 and its time as points^3 (all 1023 box levels on 2049
-# points: 0.8 s on one core of a 2-vCPU Xeon host, 163 MB peak)
+# points: a 0.64-0.75 s solve on one core of a 2-vCPU Xeon host, 180 MB
+# peak for the whole `qnodes eigensolve` process)
 _MAX_EIGEN_POINTS = 2049
 
 

@@ -94,15 +94,17 @@ def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> G
     2 ceil(L^2 / pi) + 1 points.
 
     A box state with n <= M = |idx| is a sine polynomial, and by default
-    the box grid takes the fewest 2^p intervals J > 2M, at least 4 (J + 1
-    points); a ring state with |m| <= M is a trigonometric polynomial, and
-    the ring grid takes the fewest 2^p points N > 4M, at least 8.  The top
-    level's wavenumber then lies below half the Nyquist wavenumber and its
-    density's below Nyquist, where the sine, cosine and Fourier sums of
-    the state and its density are exact and the band guards pass.  A
-    power of two keeps the FFT's exact zeros (m = 0 reads 0.0).  A rule
-    asking for more than 2^20 intervals or points raises GridError;
-    `points` overrides the rule everywhere.
+    the box grid takes the fewest 2^a 3^b intervals J > 2M (a >= 1), at
+    least 4 (J + 1 points); a ring state with |m| <= M is a trigonometric
+    polynomial, and the ring grid takes the fewest 2^a 3^b points N > 4M
+    (a >= 1), at least 8.  The top level's wavenumber then lies below half
+    the Nyquist wavenumber and its density's below Nyquist, where the sine,
+    cosine and Fourier sums of the state and its density are exact and the
+    band guards pass.  Such a size is never more than the fewest power of
+    two, and its FFT runs only radix-2 and radix-3 passes, which keep a
+    constant's exact zeros (m = 0 reads 0.0; radix-5 and larger passes do
+    not).  A rule asking for more than 2^20 intervals or points raises
+    GridError; `points` overrides the rule everywhere.
     """
     if isinstance(spec, Oscillator):
         half_width = max(math.sqrt(2.0 * abs(int(idx)) + 1.0) + 10.0, 12.0)
@@ -120,10 +122,17 @@ def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> G
                 f"{system} grid for {symbol} = {top} needs at least {need:.0f} {unit}, "
                 f"above the limit of {_MAX_BAND_POINTS}"
             )
-        points = max(1 << (int(need) - 1).bit_length(), 8 if ring else 4) + (not ring)
+        points = max(_smooth_size(int(need)), 8 if ring else 4) + (not ring)
     if ring:
         return GridSpec(0.0, 2.0 * math.pi, points, "periodic")
     return GridSpec(0.0, 1.0, points, "dirichlet")
+
+
+def _smooth_size(need: int) -> int:
+    """The fewest 2^a 3^b >= need with a >= 1: over each 3^b, the fewest
+    2^a with 2^a 3^b >= need."""
+    powers_of_3 = (3**b for b in range(need.bit_length()))
+    return min(p << max(((need - 1) // p).bit_length(), 1) for p in powers_of_3)
 
 
 def sample_state(

@@ -111,7 +111,7 @@ class TestSweep:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr == (
-            "numerical failure: level 600: ring eigen grid for 1201 levels needs 4096 points, "
+            "numerical failure: level 600: ring eigen grid for 1201 levels needs 2592 points, "
             "above the limit of 2049\n"
         )
 
@@ -121,7 +121,7 @@ class TestSweep:
         result = runner.invoke(main, args)
         assert result.exit_code == 3
         assert result.stderr == (
-            "numerical failure: level 512: ring eigen grid for 1025 levels needs 4096 points, "
+            "numerical failure: level 512: ring eigen grid for 1025 levels needs 2304 points, "
             "above the limit of 2049\n"
         )
         below = runner.invoke(main, args[:4] + ["511:511"] + args[5:])
@@ -770,11 +770,11 @@ class TestEigensolve:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr == (
-            "numerical failure: box eigen grid for 1200 levels needs 4097 points, "
+            "numerical failure: box eigen grid for 1200 levels needs 2593 points, "
             "above the limit of 2049\n"
         )
 
-    @pytest.mark.parametrize("system, k, beyond", [("box", 1023, 4097), ("ring", 1023, 4096),
+    @pytest.mark.parametrize("system, k, beyond", [("box", 1023, 2305), ("ring", 1023, 2304),
                                                    ("oscillator", 1091, 2051)])
     def test_default_reach(self, runner, system, k, beyond):
         # the most levels the rule resolves within its limit; one more

@@ -14,6 +14,8 @@ from qnodes import (
     Oscillator,
     QnodesError,
     Ring,
+    SampledFunction,
+    SweepConfig,
     box_energy,
     build_hamiltonian,
     count_nodes,
@@ -23,6 +25,8 @@ from qnodes import (
     ring_energy,
     ring_lz_by_quadrature,
     ring_momentum_state,
+    run_sweep,
+    sample_state,
     solve_lowest,
 )
 from qnodes.eigensolver import _MAX_EIGEN_POINTS, _Mirror, _parity_pairs, eigen_columns
@@ -70,15 +74,32 @@ def ring_result():
     return spec, solve_lowest(build_hamiltonian(spec, default_eigen_grid(spec, 9)), 9)
 
 
+# every 2^a 3^b (a >= 1) up to the sizes of the 2049-point limit, and
+# every power of two
+_SMOOTH = sorted(2**a * 3**b for a in range(1, 13) for b in range(8))
+_POWERS = [2**a for a in range(13)]
+# the ring counts the rule may take within the 2049-point limit
+_RING_SIZES = [s for s in _SMOOTH if 8 <= s <= 2048]
+
+
+def _rule_size(spec, k):
+    """(the box's intervals or the ring's points of the rule for k levels,
+    the need it lies above, the fewest size the rule allows)."""
+    grid = default_eigen_grid(spec, k)
+    if isinstance(spec, Ring):
+        return grid.points, 4 * (k // 2), 8
+    return grid.points - 1, 2 * k, 4
+
+
 class TestDefaultEigenGrid:
-    """The box's fewest 2^p intervals above 2k, the ring's fewest 2^p points
-    above 4 floor(k/2) (at least 8), the oracle's grid for the oscillator's
-    top level."""
+    """The box's fewest 2^a 3^b intervals above 2k (a >= 1, at least 4), the
+    ring's fewest 2^a 3^b points above 4 floor(k/2) (a >= 1, at least 8),
+    the oracle's grid for the oscillator's top level."""
 
     @pytest.mark.parametrize(
         "spec, k, points",
-        [(Box(), 6, 17), (Box(), 40, 129), (Box(), 100, 257), (Box(), 347, 1025),
-         (Ring(), 1, 8), (Ring(), 21, 64), (Ring(), 41, 128), (Ring(), 347, 1024),
+        [(Box(), 6, 17), (Box(), 40, 97), (Box(), 100, 217), (Box(), 347, 769),
+         (Ring(), 1, 8), (Ring(), 21, 48), (Ring(), 41, 96), (Ring(), 347, 768),
          (Oscillator(), 6, 115), (Oscillator(), 41, 231), (Oscillator(), 201, 575)],
         ids=["box-6", "box-40", "box-100", "box-347", "ring-1", "ring-21", "ring-41", "ring-347",
              "oscillator-6", "oscillator-41", "oscillator-201"],
@@ -89,10 +110,17 @@ class TestDefaultEigenGrid:
         if isinstance(spec, Oscillator):
             assert grid == default_grid(spec, k - 1)
             return
-        # a power of two above the need, and not twice as many as it needs
-        size, need = (grid.points, 4 * (k // 2)) if isinstance(spec, Ring) else (grid.points - 1, 2 * k)
-        assert size & (size - 1) == 0
-        assert size > need and (size // 2 <= need or size == 8)
+        size, need, least = _rule_size(spec, k)
+        assert size == max(min(s for s in _SMOOTH if s > need), least)
+
+    @pytest.mark.parametrize("spec", [Box(), Ring()], ids=["box", "ring"])
+    def test_rule_takes_the_fewest_smooth_size_up_to_the_limit(self, spec):
+        # every box n <= 1023 and ring |m| <= 511: the fewest 2^a 3^b above
+        # the need, and never more than the fewest power of two above it
+        for k in range(1, 1024):
+            size, need, least = _rule_size(spec, k)
+            assert size == max(min(s for s in _SMOOTH if s > need), least), k
+            assert size <= max(min(p for p in _POWERS if p > need), least), k
 
     @pytest.mark.parametrize("k", [1, 6, 11, 21, 41])
     def test_oscillator_default_grid_energies_meet_roundoff(self, k):
@@ -113,8 +141,8 @@ class TestDefaultEigenGrid:
 
     @pytest.mark.parametrize(
         "spec, k, message",
-        [(Box(), 1024, "box eigen grid for 1024 levels needs 4097 points"),
-         (Ring(), 1024, "ring eigen grid for 1024 levels needs 4096 points"),
+        [(Box(), 1024, "box eigen grid for 1024 levels needs 2305 points"),
+         (Ring(), 1024, "ring eigen grid for 1024 levels needs 2304 points"),
          (Oscillator(), 1092, "oscillator eigen grid for 1092 levels needs 2051 points")],
         ids=["box", "ring", "oscillator"],
     )
@@ -624,10 +652,10 @@ class TestConstantNullVector:
         assert result.energies[0] == 0.0 and result.residuals[0] == 0.0
         assert np.all(ground == ground[0]) and ground[0] > 0.0
 
-    @pytest.mark.parametrize("points", [2**p for p in range(3, 12)])
+    @pytest.mark.parametrize("points", _RING_SIZES)
     def test_m0_columns_equal_the_real_state(self, points):
         # the m = 0 row is state 0 in the ring's complex stack; on a
-        # power-of-two grid the complex FFT keeps the constant's nonzero
+        # 2^a 3^b grid the complex FFT keeps the constant's nonzero
         # wavenumbers exactly 0, as the real one does, so its columns are
         # those of the real state bit for bit
         ham = build_hamiltonian(Ring(), default_eigen_grid(Ring(), points=points))
@@ -652,3 +680,40 @@ class TestConstantNullVector:
         np.testing.assert_allclose(
             result.states[0].values, np.sqrt(2.0) * np.sin(np.pi * ham.grid.x), atol=1e-12
         )
+
+
+class TestSmoothRingGrids:
+    """The property the ring's grid rule rests on: on every 2^a 3^b count
+    the FFT moments of the constant are exactly 0, so the m = 0 row reads
+    0.0 for energy, Delta L_z and product on the oracle and eigen paths."""
+
+    @staticmethod
+    def _m0_columns(points):
+        # the oracle's sampled m = 0 state, and the eigen path's state 0
+        # (the unit chain constant over sqrt h) in a complex stack
+        grid = GridSpec(0.0, 2.0 * math.pi, points, "periodic")
+        oracle = columns_from_stack(Ring(), sample_state(Ring(), 0, grid))
+        constant = np.full((3, points), 1.0 / math.sqrt(points), complex) * (1.0 / math.sqrt(grid.h))
+        return oracle, columns_from_stack(Ring(), SampledFunction(grid, constant))
+
+    def test_m0_moments_are_zero_on_every_smooth_count(self):
+        assert len(_RING_SIZES) == 38
+        for points in _RING_SIZES:
+            for columns in self._m0_columns(points):
+                for name in ("energy", "delta_p", "product"):
+                    assert np.all(columns[name] == 0.0), (points, name)
+
+    def test_radix_5_counts_break_the_zeros(self):
+        # why the rule stops at 3: a radix-5 pass leaves roundoff in the
+        # constant's transform (Delta L_z about 1e-15 on 40 points)
+        for points in (40, 80):
+            for columns in self._m0_columns(points):
+                assert 0.0 < columns["delta_p"][0] < 1e-14, points
+
+    @pytest.mark.parametrize("points", [s for s in _RING_SIZES if s <= 216])
+    def test_m0_sweep_rows_are_zero(self, points):
+        cfg = SweepConfig(Ring(), (-1, 0, 1), ("analytic", "oracle", "eigen"), grid_points=points)
+        rows = [row for row in run_sweep(cfg) if row.level == 0]
+        assert [row.path for row in rows] == ["analytic", "oracle", "eigen"]
+        for row in rows:
+            assert (row.energy, row.delta_p, row.product) == (0.0, 0.0, 0.0), (points, row.path)

@@ -71,7 +71,7 @@ CLOSED_FORMS = {Box: box_uncertainties, Ring: ring_uncertainties, Oscillator: os
 FIELDS = ("energy", "delta_q", "delta_p", "product", "bound", "nodes_predicted")
 
 SWEEPS = {
-    "box-1:150": (Box(), range(1, 151), ("analytic", "oracle")),
+    "box-1:250": (Box(), range(1, 251), ("analytic", "oracle")),
     "box-1:70": (Box(length=1.7, mass=0.6), range(1, 71), ALL),
     "box-1:300": (Box(length=1.7, mass=0.6), range(1, 301), ALL),
     "oscillator-0:200": (Oscillator(), range(201), ("analytic", "oracle")),
@@ -80,7 +80,7 @@ SWEEPS = {
     "ring-10:10": (Ring(), range(-10, 11), ALL),
 }
 # each of these needs at least two stacks
-MULTI_STACK = ("box-1:150", "box-1:300", "oscillator-0:200", "ring-70:70")
+MULTI_STACK = ("box-1:250", "box-1:300", "oscillator-0:200", "ring-70:70")
 
 
 def _rows_per_stack(spec, levels):
