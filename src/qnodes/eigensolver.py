@@ -56,8 +56,8 @@ __all__ = [
 _RESIDUAL_TOL = 1e-8
 # The most points a dense solve may take: its blocks and their eigenvectors
 # grow as points^2 and its time as points^3 (all 1023 box levels on 2049
-# points: a 0.64-0.75 s solve on one core of a 2-vCPU Xeon host, 180 MB
-# peak for the whole `qnodes eigensolve` process)
+# points: a 0.59-0.76 s solve on one core of a 2-vCPU Xeon host; the whole
+# `qnodes eigensolve` process peaks at 196 MB, in some runs at 180 MB)
 _MAX_EIGEN_POINTS = 2049
 
 
