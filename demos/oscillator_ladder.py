@@ -6,9 +6,10 @@ Gaussian) and each rung of the ladder adds exactly hbar.  The node count
 climbs in lockstep -- state n has exactly n nodes -- so the uncertainty
 product is a simple affine function of the number of nodes.
 
-The quadrature oracle reproduces the ladder to better than a part in 10^6
-even at n = 20, where the wavefunction oscillates rapidly over a classical
-turning region of half-width sqrt(2n+1) oscillator lengths.
+The quadrature oracle reproduces the ladder to roundoff, a few parts in
+10^16 in the table below (n <= 10), although the wavefunction oscillates
+ever faster over a classical turning region of half-width sqrt(2n+1)
+oscillator lengths.
 """
 
 from qnodes import (

@@ -161,12 +161,9 @@ def box_psi(spec: Box, n, x):
     An integer array `n` broadcasts against `x`: an (L, 1) array of
     quantum numbers gives the (L, x.size) stack of their samples.
     """
-    if np.ndim(n):
-        # as floats, which the product with x takes anyway: an integer
-        # beyond int64 would make an array of Python objects
-        n = level_floats([validate_state(spec, k) for k in np.ravel(n)]).reshape(np.shape(n))
-    else:
-        n = validate_state(spec, n)
+    # as floats, which the product with x takes anyway: an integer
+    # beyond int64 would make an array of Python objects
+    n = level_floats([validate_state(spec, k) for k in np.ravel(n)]).reshape(np.shape(n))
     a = scales(spec).length
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or np.any(x > a):
@@ -206,7 +203,7 @@ def ring_state_values(state, theta) -> np.ndarray:
         for m, c in state.terms:
             out += c * np.exp(1j * m * theta)
         return out / np.sqrt(2.0 * np.pi)
-    m = level_floats(np.ravel(state)).reshape(np.shape(state)) if np.ndim(state) else int(state)
+    m = level_floats(np.ravel(state)).reshape(np.shape(state))
     return np.exp(1j * m * theta) / np.sqrt(2.0 * np.pi)
 
 

@@ -48,8 +48,9 @@ _PARAM_KEYS = {
 
 
 def build_system(system: str, params: tuple[str, ...], hbar: float) -> SystemSpec:
-    """Construct a SystemSpec from `--param key=value` pairs."""
-    kwargs = {"constants": Constants(hbar=hbar)}
+    """Construct a SystemSpec from `--param key=value` pairs; a parameter
+    given twice, under one key or two of its spellings, is a ConfigError."""
+    kwargs, keys = {"constants": Constants(hbar=hbar)}, {}
     table = _PARAM_KEYS[system]
     for pair in params:
         if "=" not in pair:
@@ -61,8 +62,12 @@ def build_system(system: str, params: tuple[str, ...], hbar: float) -> SystemSpe
                 f"unknown parameter {key!r} for {system}; "
                 f"accepted: {sorted(set(table))}"
             )
+        name = table[key]
+        if name in keys:
+            raise ConfigError(f"parameter {name} given twice: as {keys[name]!r} and as {key!r}")
+        keys[name] = key
         try:
-            kwargs[table[key]] = float(raw)
+            kwargs[name] = float(raw)
         except ValueError as exc:
             raise ConfigError(f"parameter {key!r} is not a number: {raw!r}") from exc
     cls = {"box": Box, "ring": Ring, "oscillator": Oscillator}[system]

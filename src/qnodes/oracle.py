@@ -5,8 +5,10 @@ Nothing in this module uses the closed-form moments; states are sampled
 is recomputed from the rectangle rule or from series coefficients that
 one FFT gives: Fourier series on open and periodic grids, and between
 the box's walls the sine series of the samples (DST-I) for <p^2> and the
-cosine series of the density (DCT-I) for <x> and Var x.  Grids, samples
-and moments are in the system's natural units (`model.scales`);
+cosine series of the density (DCT-I) for <x> and Var x.  On the ring's
+periodic grid x is the angle theta and p the angular momentum L_z, so the
+same two functions give the ring's conjugate pair.  Grids, samples and
+moments are in the system's natural units (`model.scales`);
 `oracle_uncertainties` rescales its record once.
 
 Every moment function takes one sample, giving floats, or a stack of
@@ -46,7 +48,7 @@ from .model import (
     scales,
     validate_state,
 )
-from .special import oscillator_psi, oscillator_stacks
+from .special import oscillator_stacks
 
 __all__ = [
     "default_grid",
@@ -142,17 +144,16 @@ def sample_state(
 ) -> SampledFunction:
     """Sample the natural-unit eigenfunction (or ring superposition) on a
     natural-unit grid, by default the grid of the state's level (for a
-    superposition, of its largest |m|); a level it aliases raises GridError."""
-    if isinstance(spec, Ring):
-        ms = [m for m, _ in state.terms] if isinstance(state, RingSuperposition) else [state]
-        grid = grid or default_grid(spec, max(abs(validate_state(spec, m)) for m in ms))
-        raise_first(alias_check(spec, ms, grid))
+    superposition, of its largest |m|); a level it aliases raises GridError.
+    A level's sample is row 0 of its one-level stack (`sample_levels`)."""
+    superposition = isinstance(spec, Ring) and isinstance(state, RingSuperposition)
+    levels = [m for m, _ in state.terms] if superposition else [state]
+    levels = [validate_state(spec, k) for k in levels]
+    grid = grid or default_grid(spec, max(map(abs, levels)))
+    raise_first(alias_check(spec, levels, grid))
+    if superposition:
         return SampledFunction(grid, ring_state_values(state, grid.x))
-    idx = validate_state(spec, state)
-    grid = grid or default_grid(spec, idx)
-    raise_first(alias_check(spec, [idx], grid))
-    psi = box_psi if isinstance(spec, Box) else oscillator_psi
-    return SampledFunction(grid, psi(type(spec)(), idx, grid.x))
+    return SampledFunction(grid, next(sample_levels(spec, [levels], grid)).values[0])
 
 
 def sample_levels(spec: SystemSpec, stacks, grid: GridSpec):
@@ -230,95 +231,6 @@ def _cosine_weights(points: int) -> np.ndarray:
     return w
 
 
-def position_moments(psi: SampledFunction) -> tuple:
-    """(<x>, Var x) by quadrature of x |psi|^2 and (x - <x>)^2 |psi|^2.
-
-    On open grids <x> is folded about the grid centre (`_folded_mean`), so
-    a state of definite parity has <x> exactly 0.0.  The variance is
-    integrated about the mean, not taken as <x^2> - <x>^2, which would
-    cancel digits for a state far from the origin.  Between hard walls both
-    pair one DCT-I of the density with the cosine series of x - c and
-    (x - c)^2 about the centre c (`_cosine_weights`): exact below J/2 on J
-    intervals, where a quadrature rule holds the non-periodic x |psi|^2 only
-    at a power of h.  On a periodic grid x is not periodic, and both are the
-    Fourier-series moments of `ring_theta_by_quadrature`, on [0, 2 pi) only.
-    """
-    raise_first(_norm_check(psi))
-    grid, rho = psi.grid, psi.density
-    if grid.boundary == "dirichlet":
-        even = np.concatenate([rho, rho[..., -2:0:-1]], axis=-1)
-        v, w = np.fft.rfft(even, axis=-1).view(np.float64), _cosine_weights(grid.points)
-        mean_u, mean_u2 = dot(v, w[0]) / v[..., 0], dot(v, w[1]) / v[..., 0]
-        span = grid.upper - grid.lower
-        mean_x = grid.lower + span * (0.5 + mean_u)
-        return per_sample(psi, mean_x, span**2 * (mean_u2 - _pow2(mean_u)))
-    if grid.boundary == "periodic":
-        return per_sample(psi, *_theta_moments(psi))
-    mean_x = _folded_mean(psi)
-    spread = grid.x - np.asarray(mean_x)[..., None]
-    np.square(spread, out=spread)
-    spread *= rho
-    return per_sample(psi, mean_x, quad(grid, spread))
-
-
-def momentum_moments(psi: SampledFunction) -> tuple:
-    """(<p>, <p^2>) in natural units (hbar = 1).
-
-    Both come from one FFT by Parseval (`grids.spectral_moments`), of the
-    odd extension between hard walls: <p^2> = sum_k (k pi / L)^2 b_k^2 L/2
-    over the sine coefficients b_k on a box of width L.  A real sample's
-    <p> is exactly 0.0.  An open-grid sample must have decayed at both
-    ends, and a GridError is raised when wavenumbers above half the
-    Nyquist wavenumber (7/8 of it on an open grid) carry more than
-    `_BAND_SHARE_TOL` of <p^2>: the grid does not resolve the state.
-    """
-    grid = psi.grid
-    checks = [_norm_check(psi)]
-    if grid.boundary == "open":
-        rho = psi.density
-        edge = np.atleast_1d(np.maximum(rho[..., 0], rho[..., -1]) * (grid.upper - grid.lower))
-        undecayed = edge > _EDGE_DENSITY_TOL, lambda row: GridError(
-            f"state has not decayed at the open grid's ends: end density "
-            f"{float(edge[row]):.3e} of the mean exceeds {_EDGE_DENSITY_TOL:.0e}"
-        )
-        checks.append(undecayed)
-    mean_p, mean_p2, share, _ = spectral_moments(psi)
-    raise_first(*checks, _band_check(grid, share, "momentum", "p"))
-    return mean_p, mean_p2
-
-
-def _band_check(grid: GridSpec, share, quantity: str, symbol: str):
-    """The `raise_first` check that the high-band share of <symbol^2> on
-    `grid` is at most `_BAND_SHARE_TOL`; above it the grid does not
-    resolve the state (a GridError naming where the band starts)."""
-    share = np.atleast_1d(share)
-    band = "7/8 of" if grid.boundary == "open" else "half"
-    return share > _BAND_SHARE_TOL, lambda row: GridError(
-        f"grid too coarse for {quantity} moments: wavenumbers above {band} the "
-        f"Nyquist wavenumber carry {float(share[row]):.3e} of <{symbol}^2>, "
-        f"above {_BAND_SHARE_TOL:.0e}"
-    )
-
-
-def ring_lz_by_quadrature(psi: SampledFunction) -> tuple[float, float, float]:
-    """(<L_z>, Delta L_z, <L_z^2>) in units of hbar, by Parseval from one
-    FFT of the samples (`grids.spectral_moments`): L_z = -i d/dtheta has
-    the integer wavenumbers of the [0, 2 pi) grid as its eigenvalues.
-
-    Delta L_z is the root of the centred sum of w (kappa - <L_z>)^2 |c|^2,
-    so a definite-m state yields zero to roundoff, and <L_z^2> is the sum
-    of w kappa^2 |c|^2, not <L_z>^2 + (Delta L_z)^2.  A GridError is
-    raised when wavenumbers above half the Nyquist wavenumber carry more
-    than `_BAND_SHARE_TOL` of <L_z^2> (floored at hbar^2): a state with
-    |m| > N/4 on N points aliases, or is not resolved.
-    """
-    if psi.grid.boundary != "periodic":
-        raise GridError("ring L_z statistics need a periodic grid")
-    mean, mean2, share, var = spectral_moments(psi)
-    raise_first(_norm_check(psi), _band_check(psi.grid, share, "angular momentum", "L_z"))
-    return per_sample(psi, mean, np.sqrt(floored(var, 0.0)), mean2)
-
-
 @lru_cache(maxsize=16)
 def _theta_weights(points: int) -> np.ndarray:
     """(2, 2 (points // 2 + 1)) weights that take the interleaved (re, im)
@@ -336,37 +248,108 @@ def _theta_weights(points: int) -> np.ndarray:
     return w
 
 
-def ring_theta_by_quadrature(psi: SampledFunction) -> tuple[float, float]:
-    """Naive [0, 2 pi) interval statistics of theta for a sampled ring state.
+def position_moments(psi: SampledFunction) -> tuple:
+    """(<x>, Var x) by quadrature of x |psi|^2 and (x - <x>)^2 |psi|^2.
 
-    theta and theta^2 are not periodic, so the rectangle rule on the ring
-    grid would only be O(h) accurate.  Instead the moments are evaluated
-    against the Fourier series of theta on the branch [0, 2 pi):
-
-        theta   = pi      - sum_k (2/k) sin(k theta)
-        theta^2 = 4 pi^2/3 + sum_k (4/k^2 cos(k theta) - 4 pi/k sin(k theta))
-
-    paired with the density's Fourier coefficients c_k, which one `rfft` of
-    the real density gives exactly for trigonometric-polynomial densities,
-    through weights cached per point count (`_theta_weights`).  The
-    quadrature's factor h cancels in the ratios to c_0.
+    On open grids <x> is folded about the grid centre (`_folded_mean`), so
+    a state of definite parity has <x> exactly 0.0.  The variance is
+    integrated about the mean, not taken as <x^2> - <x>^2, which would
+    cancel digits for a state far from the origin.  Between hard walls both
+    pair one DCT-I of the density with the cosine series of x - c and
+    (x - c)^2 about the centre c (`_cosine_weights`): exact below J/2 on J
+    intervals, where a quadrature rule holds the non-periodic x |psi|^2 only
+    at a power of h.  On a periodic grid x is the angle theta, which is not
+    periodic: both pair one `rfft` of the density, exact for a
+    trigonometric-polynomial density, with the Fourier series of theta on
+    the branch [0, 2 pi) (a GridError on any other), theta = pi - sum_k
+    (2/k) sin k theta and theta^2 = 4 pi^2/3 + sum_k (4/k^2 cos k theta -
+    4 pi/k sin k theta), through weights cached per point count
+    (`_theta_weights`).
     """
+    raise_first(_norm_check(psi))
+    grid, rho = psi.grid, psi.density
+    if grid.boundary == "dirichlet":
+        even = np.concatenate([rho, rho[..., -2:0:-1]], axis=-1)
+        v, w = np.fft.rfft(even, axis=-1).view(np.float64), _cosine_weights(grid.points)
+        mean_u, mean_u2 = dot(v, w[0]) / v[..., 0], dot(v, w[1]) / v[..., 0]
+        span = grid.upper - grid.lower
+        mean_x = grid.lower + span * (0.5 + mean_u)
+        return per_sample(psi, mean_x, span**2 * (mean_u2 - _pow2(mean_u)))
+    if grid.boundary == "periodic":
+        if grid.lower != 0.0 or abs(grid.upper - 2.0 * math.pi) > 1e-12:
+            raise GridError("theta statistics assume the branch [0, 2 pi)")
+        v = np.fft.rfft(rho, axis=-1).view(np.float64)
+        moments = np.matmul(_theta_weights(grid.points), v[..., None])[..., 0] / v[..., :1]
+        mean_theta = moments[..., 0]
+        return per_sample(psi, mean_theta, floored(moments[..., 1] - _pow2(mean_theta), 0.0))
+    mean_x = _folded_mean(psi)
+    spread = grid.x - np.asarray(mean_x)[..., None]
+    np.square(spread, out=spread)
+    spread *= rho
+    return per_sample(psi, mean_x, quad(grid, spread))
+
+
+def momentum_moments(psi: SampledFunction) -> tuple:
+    """(<p>, <p^2>, Var p) in natural units (hbar = 1); on a periodic grid p
+    is L_z = -i d/dtheta, whose eigenvalues are the integer wavenumbers.
+
+    All three come from one FFT by Parseval (`grids.spectral_moments`), of
+    the odd extension between hard walls.  Var p is the centred sum of
+    w (kappa - <p>)^2 |c|^2, so a definite-m ring state has Var p at
+    roundoff; a real sample's <p> is exactly 0.0 and its Var p exactly
+    <p^2>.  An open-grid sample must have decayed at both ends, and a
+    GridError is raised when wavenumbers above half the Nyquist wavenumber
+    (7/8 of it on an open grid) carry more than `_BAND_SHARE_TOL` of <p^2>
+    (floored at hbar^2): the grid does not resolve the state, or a ring
+    state with |m| > N/4 on N points aliases.
+    """
+    grid = psi.grid
+    checks = [_norm_check(psi)]
+    if grid.boundary == "open":
+        rho = psi.density
+        edge = np.atleast_1d(np.maximum(rho[..., 0], rho[..., -1]) * (grid.upper - grid.lower))
+        undecayed = edge > _EDGE_DENSITY_TOL, lambda row: GridError(
+            f"state has not decayed at the open grid's ends: end density "
+            f"{float(edge[row]):.3e} of the mean exceeds {_EDGE_DENSITY_TOL:.0e}"
+        )
+        checks.append(undecayed)
+    mean_p, mean_p2, share, var_p = spectral_moments(psi)
+    raise_first(*checks, _band_check(grid, share))
+    return mean_p, mean_p2, var_p
+
+
+def _band_check(grid: GridSpec, share):
+    """The `raise_first` check that the high-band share of <p^2> (on a
+    periodic grid, of <L_z^2>) is at most `_BAND_SHARE_TOL`; above it the
+    grid does not resolve the state (a GridError naming where the band
+    starts)."""
+    share = np.atleast_1d(share)
+    band = "7/8 of" if grid.boundary == "open" else "half"
+    periodic = grid.boundary == "periodic"
+    quantity, symbol = ("angular momentum", "L_z") if periodic else ("momentum", "p")
+    return share > _BAND_SHARE_TOL, lambda row: GridError(
+        f"grid too coarse for {quantity} moments: wavenumbers above {band} the "
+        f"Nyquist wavenumber carry {float(share[row]):.3e} of <{symbol}^2>, "
+        f"above {_BAND_SHARE_TOL:.0e}"
+    )
+
+
+def ring_lz_by_quadrature(psi: SampledFunction) -> tuple[float, float, float]:
+    """(<L_z>, Delta L_z, <L_z^2>) in units of hbar of samples on a periodic
+    grid: (<p>, sqrt(Var p), <p^2>) of `momentum_moments`."""
+    if psi.grid.boundary != "periodic":
+        raise GridError("ring L_z statistics need a periodic grid")
+    mean, mean2, var = momentum_moments(psi)
+    return per_sample(psi, mean, np.sqrt(var), mean2)
+
+
+def ring_theta_by_quadrature(psi: SampledFunction) -> tuple[float, float]:
+    """Naive [0, 2 pi) interval statistics (<theta>, Delta theta) of samples
+    on a periodic grid: (<x>, sqrt(Var x)) of `position_moments`."""
     if psi.grid.boundary != "periodic":
         raise GridError("ring theta statistics need a periodic grid")
-    mean, var = _theta_moments(psi)
+    mean, var = position_moments(psi)
     return per_sample(psi, mean, np.sqrt(var))
-
-
-def _theta_moments(psi: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
-    """(<theta>, Var theta) of samples on a periodic grid, from the Fourier
-    series of theta on the branch [0, 2 pi) (`ring_theta_by_quadrature`);
-    a GridError on any other branch."""
-    if psi.grid.lower != 0.0 or abs(psi.grid.upper - 2.0 * math.pi) > 1e-12:
-        raise GridError("theta statistics assume the branch [0, 2 pi)")
-    v = np.fft.rfft(psi.density, axis=-1).view(np.float64)
-    moments = np.matmul(_theta_weights(psi.grid.points), v[..., None])[..., 0] / v[..., :1]
-    mean, mean2 = moments[..., 0], moments[..., 1]
-    return mean, floored(mean2 - _pow2(mean), 0.0)
 
 
 def _pow2(a):
@@ -403,23 +386,18 @@ def columns_from_stack(spec: SystemSpec, psi: SampledFunction) -> dict[str, np.n
 
     The one moment pipeline of the oracle and eigen paths: each moment
     function takes the whole stack once, which builds its |psi|^2 and
-    norms once.  The energy is <L_z^2>/2 on the ring, <p^2>/2 plus the
-    oscillator's <x^2>/2 otherwise; the bound is 1/2.  Every row check sits
-    in the first moment function's one `raise_first`, so an error is that of
-    the first failing row, named by its index as the error's `row`.
+    norms once.  On the ring's periodic grid x is theta and p is L_z.  The
+    energy is <p^2>/2, plus the oscillator's <x^2>/2; the bound is 1/2.
+    Every row check sits in the first moment function's one `raise_first`,
+    so an error is that of the first failing row, named by its index as the
+    error's `row`.
     """
-    if isinstance(spec, Ring):
-        _, dp, mean_lz2 = ring_lz_by_quadrature(psi)
-        _, dq = ring_theta_by_quadrature(psi)
-        energy = mean_lz2 / 2.0
-    else:
-        mean_p, mean_p2 = momentum_moments(psi)
-        mean_x, var_x = position_moments(psi)
-        dq = np.sqrt(floored(var_x, 0.0))
-        dp = np.sqrt(floored(mean_p2 - _pow2(mean_p), 0.0))
-        energy = mean_p2 / 2.0
-        if isinstance(spec, Oscillator):
-            energy += 0.5 * (var_x + _pow2(mean_x))
+    _, mean_p2, var_p = momentum_moments(psi)
+    mean_x, var_x = position_moments(psi)
+    dq, dp = np.sqrt(floored(var_x, 0.0)), np.sqrt(var_p)
+    energy = mean_p2 / 2.0
+    if isinstance(spec, Oscillator):
+        energy += 0.5 * (var_x + _pow2(mean_x))
     dq, dp, product, energy = np.atleast_1d(dq, dp, dq * dp, energy)
     bound = np.full(energy.shape, 0.5)
     return {"energy": energy, "delta_q": dq, "delta_p": dp, "product": product, "bound": bound}

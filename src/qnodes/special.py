@@ -72,11 +72,10 @@ def oscillator_psi(spec: Oscillator, n: int, x):
     """Normalized harmonic-oscillator eigenfunction psi_n(x).
 
     Equals (m w / pi hbar)^{1/4} (2^n n!)^{-1/2} H_n(xi) e^{-xi^2/2} with
-    xi = x / length: the last value of `oscillator_ladder(xi, n)`, divided
+    xi = x / length: the one row of `oscillator_stacks(xi, [[n]])`, divided
     by sqrt(length).
     """
     length = scales(spec).length
-    for phi in oscillator_ladder(np.asarray(x, dtype=float) / length, n):
-        pass
-    phi = phi / np.sqrt(length)
+    xi = np.asarray(x, dtype=float) / length
+    phi = next(oscillator_stacks(xi.ravel(), [[n]]))[0].reshape(xi.shape) / np.sqrt(length)
     return phi if phi.ndim else float(phi)

@@ -91,7 +91,7 @@ class TestBoxMoments:
     def test_variances_nonnegative(self, n):
         psi = sample_state(self.spec, n)
         _, var_x = position_moments(psi)
-        mean_p, mean_p2 = momentum_moments(psi)
+        mean_p, mean_p2, _ = momentum_moments(psi)
         assert var_x >= 0.0
         assert mean_p2 - mean_p**2 >= 0.0
 

@@ -83,6 +83,26 @@ class TestSweep:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "system, first, second, name",
+        [
+            ("box", "a=1", "length=2", "length"),
+            ("box", "mass=1", "m=2", "mass"),
+            ("ring", "I=1", "inertia=2", "moment_of_inertia"),
+            ("oscillator", "omega=1", "w=2", "omega"),
+            ("oscillator", "m=1", "m=1", "mass"),
+        ],
+        ids=["box-a-length", "box-mass-m", "ring-I-inertia", "osc-omega-w", "osc-m-twice"],
+    )
+    def test_repeated_param_exit_2(self, runner, system, first, second, name):
+        result = runner.invoke(
+            main,
+            ["sweep", "--system", system, "--levels", "1:1", "--param", first, "--param", second],
+        )
+        assert result.exit_code == 2
+        keys = first.partition("=")[0], second.partition("=")[0]
+        assert f"error: parameter {name} given twice: as {keys[0]!r} and as {keys[1]!r}" in result.output
+
     def test_unknown_system_exit_2(self, runner):
         result = runner.invoke(main, ["sweep", "--system", "torus", "--levels", "1:2"])
         assert result.exit_code == 2

@@ -125,13 +125,13 @@ class TestPositionMoments:
 class TestMomentumMoments:
     def test_box_ground_p2(self):
         psi = sample_state(Box(), 1)
-        mean_p, mean_p2 = momentum_moments(psi)
+        mean_p, mean_p2, _ = momentum_moments(psi)
         assert mean_p == pytest.approx(0.0, abs=1e-10)
         assert mean_p2 == pytest.approx(np.pi**2, rel=1e-6)
 
     def test_oscillator_ground_p2(self):
         psi = sample_state(Oscillator(), 0)
-        _, mean_p2 = momentum_moments(psi)
+        _, mean_p2, _ = momentum_moments(psi)
         assert mean_p2 == pytest.approx(0.5, abs=1e-8)
 
     def test_coarse_grid_rejected(self):
@@ -146,7 +146,7 @@ class TestMomentumMoments:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_p2_is_the_sine_series_sum(self, n):
-        _, p2 = momentum_moments(sample_state(Box(), n))
+        _, p2, _ = momentum_moments(sample_state(Box(), n))
         assert p2 == pytest.approx((n * np.pi) ** 2, rel=1e-14)
 
     def test_complex_dirichlet_sample_rejected(self):
@@ -328,7 +328,7 @@ class TestResolutionGuard:
     def test_periodic_sample_takes_parseval(self):
         grid = GridSpec(0.0, 2.0 * math.pi, 64, "periodic")
         psi = SampledFunction(grid, (np.exp(3j * grid.x) + np.exp(-1j * grid.x)) / math.sqrt(4 * math.pi))
-        mean_p, mean_p2 = momentum_moments(psi)
+        mean_p, mean_p2, _ = momentum_moments(psi)
         assert mean_p == pytest.approx(1.0, rel=1e-13)
         assert mean_p2 == pytest.approx(5.0, rel=1e-13)
 
@@ -570,7 +570,7 @@ class TestMovingWavePacket:
         grid = default_grid(Oscillator(), 0)
         x = grid.x
         psi = SampledFunction(grid, np.pi**-0.25 * np.exp(-(x**2) / 2.0) * np.exp(1j * k0 * x))
-        mean_p, mean_p2 = momentum_moments(psi)
+        mean_p, mean_p2, _ = momentum_moments(psi)
         assert mean_p == pytest.approx(k0, abs=1e-8)
         assert mean_p2 == pytest.approx(k0**2 + 0.5, abs=1e-8)
 
@@ -637,6 +637,11 @@ class TestOracleVsAnalytic:
         assert ora.product == pytest.approx(ana.product, rel=1e-6)
 
 
+def _bits(values) -> bytes:
+    """The bytes of `values` (floats, or arrays of one shape) as one array."""
+    return np.array(values).tobytes()
+
+
 class TestOneMomentPipeline:
     @pytest.mark.parametrize("moments", [momentum_moments, position_moments])
     def test_one_transform_per_box_moment(self, monkeypatch, moments):
@@ -691,7 +696,7 @@ class TestOneMomentPipeline:
         assert len(qnodes.oracle.columns_from_stack(spec, stack)["energy"]) == 3
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("spec, state", [(Box(), 3), (Oscillator(), 4)])
+    @pytest.mark.parametrize("spec, state", [(Box(), 3), (Oscillator(), 4), (Ring(), 3)])
     def test_record_uses_the_public_moment_functions(self, monkeypatch, spec, state):
         calls = []
         for name in ("position_moments", "momentum_moments"):
@@ -704,6 +709,31 @@ class TestOneMomentPipeline:
             monkeypatch.setattr(qnodes.oracle, name, counted)
         oracle_uncertainties(spec, state)
         assert sorted(calls) == ["momentum_moments", "position_moments"]
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["sample", "stack"])
+    @pytest.mark.parametrize(
+        "states",
+        [
+            [-7, 0, 3],
+            [
+                RingSuperposition(((2, 1.0 / math.sqrt(2.0)), (-1, 1j / math.sqrt(2.0)))),
+                RingSuperposition(((7, math.sqrt(0.3)), (0, math.sqrt(0.7)))),
+            ],
+        ],
+        ids=["definite-m", "superposition"],
+    )
+    def test_ring_functions_are_views_of_the_moments(self, states, stacked):
+        # L_z and theta are the periodic grid's p and x, bit for bit
+        grid = default_grid(Ring(), 7)
+        rows = np.array([sample_state(Ring(), state, grid).values for state in states])
+        for values in [rows] if stacked else rows:
+            psi = SampledFunction(grid, values)
+            mean_p, mean_p2, var_p = momentum_moments(psi)
+            mean_x, var_x = position_moments(psi)
+            lz, theta = ring_lz_by_quadrature(psi), ring_theta_by_quadrature(psi)
+            assert _bits(lz) == _bits((mean_p, np.sqrt(var_p), mean_p2))
+            assert _bits(theta) == _bits((mean_x, np.sqrt(var_x)))
+            assert type(lz[0]) is type(mean_p) and type(theta[0]) is type(mean_x)
 
     def test_unnormalized_sample_rejected_by_record(self):
         psi = sample_state(Box(), 2)

@@ -187,7 +187,7 @@ class TestOneGridSweep:
 
         # `special.oscillator_stacks` runs the ladder into the rows of each stack
         monkeypatch.setattr(qnodes.special, "oscillator_ladder", counted)
-        monkeypatch.setattr(qnodes.oracle, "oscillator_psi", forbidden)
+        monkeypatch.setattr(qnodes.special, "oscillator_psi", forbidden)
         cfg = SweepConfig(system=Oscillator(), levels=(3, 20, 3, 0), paths=("analytic", "oracle"))
         rows = run_sweep(cfg)
         assert passes == [20]

@@ -118,6 +118,8 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
          "--grid-points", "257"],
         ["sweep", "--system", "oscillator", "--levels", "0:60", "--paths", "oracle,eigen",
          "--grid-points", "101"],
+        # ring rows in full float repr: CSV rounds to 12 digits
+        ["sweep", "--system", "ring", "--levels=-20:20", *ALL_PATHS, "--format", "json"],
     )
 )
 
