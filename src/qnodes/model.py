@@ -197,7 +197,7 @@ def validate_state(spec: SystemSpec, idx: int) -> int:
     """
     try:
         integral = idx == int(idx)
-    except (ValueError, OverflowError):  # int() of a NaN or an infinity
+    except (TypeError, ValueError, OverflowError):  # int() of a non-number, a NaN or an infinity
         integral = False
     if not integral:
         raise DomainError(f"quantum number must be an integer, got {idx!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError
+from .errors import DegenerateError, GridError
 from .grids import SampledFunction, raise_first
 
 __all__ = ["NodeReport", "count_nodes", "node_counts"]
@@ -31,13 +31,16 @@ class NodeReport:
 
 
 def count_nodes(f: SampledFunction) -> NodeReport:
-    """Count strict sign changes of the (real part of the) samples.
+    """Count strict sign changes of the (real part of the) samples of one
+    state; a stack raises GridError (`node_counts` counts its rows).
 
     Samples with magnitude below ZERO_RTOL * max|f| are bridged: a node is
     a sign change between the significant samples on either side, located
     by linear interpolation.  Zeros within one grid cell of a Dirichlet
     wall are not counted.
     """
+    if f.values.ndim != 1:
+        raise GridError("count_nodes takes one sample; node_counts counts a stack's rows")
     _, locations = _nodes(f)
     return NodeReport(count=int(locations.size), locations=np.sort(locations))
 

@@ -31,7 +31,6 @@ from .errors import GridError, NormalizationError
 from .grids import (
     GridSpec,
     SampledFunction,
-    dot,
     floored,
     per_sample,
     quad,
@@ -234,16 +233,17 @@ def _cosine_weights(points: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _theta_weights(points: int) -> np.ndarray:
     """(2, 2 (points // 2 + 1)) weights that take the interleaved (re, im)
-    `rfft` of a density on `points` ring points to the numerators of
-    <theta> and <theta^2> in units of its 0-th coefficient; read-only
-    because they are cached.  Every bin 0 < k < points / 2 is used."""
-    k = np.arange(1, (points + 1) // 2, dtype=float)
+    `rfft` of a density on `points` ring points, c_k, to c_0 <u - 1/2> and
+    c_0 <(u - 1/2)^2>, u = theta / 2 pi in [0, 1); read-only because
+    cached.  By the Fourier series u - 1/2 = -sum_k sin k theta / k pi and
+    (u - 1/2)^2 = 1/12 + sum_k cos k theta / (k pi)^2, these are sum_k
+    Im c_k / k pi and c_0 / 12 + sum_k Re c_k / (k pi)^2 over every bin
+    0 < k < points / 2."""
+    k = np.arange(1, (points + 1) // 2, dtype=float) * math.pi
     w = np.zeros((2, 2 * (points // 2 + 1)))
-    w[0, 0] = math.pi
-    w[0, 3 : 2 * k.size + 2 : 2] = 2.0 / k
-    w[1, 0] = 4.0 * math.pi**2 / 3.0
-    w[1, 2 : 2 * k.size + 2 : 2] = 4.0 / k**2
-    w[1, 3 : 2 * k.size + 2 : 2] = 4.0 * math.pi / k
+    w[0, 3 : 2 * k.size + 2 : 2] = 1.0 / k
+    w[1, 2 : 2 * k.size + 2 : 2] = 1.0 / k**2
+    w[1, 0] = 1.0 / 12.0
     w.flags.writeable = False
     return w
 
@@ -252,41 +252,38 @@ def position_moments(psi: SampledFunction) -> tuple:
     """(<x>, Var x) by quadrature of x |psi|^2 and (x - <x>)^2 |psi|^2.
 
     On open grids <x> is folded about the grid centre (`_folded_mean`), so
-    a state of definite parity has <x> exactly 0.0.  The variance is
-    integrated about the mean, not taken as <x^2> - <x>^2, which would
-    cancel digits for a state far from the origin.  Between hard walls both
-    pair one DCT-I of the density with the cosine series of x - c and
-    (x - c)^2 about the centre c (`_cosine_weights`): exact below J/2 on J
-    intervals, where a quadrature rule holds the non-periodic x |psi|^2 only
-    at a power of h.  On a periodic grid x is the angle theta, which is not
-    periodic: both pair one `rfft` of the density, exact for a
-    trigonometric-polynomial density, with the Fourier series of theta on
-    the branch [0, 2 pi) (a GridError on any other), theta = pi - sum_k
-    (2/k) sin k theta and theta^2 = 4 pi^2/3 + sum_k (4/k^2 cos k theta -
-    4 pi/k sin k theta), through weights cached per point count
-    (`_theta_weights`).
+    a state of definite parity has <x> exactly 0.0, and the variance is
+    integrated about the mean, not as <x^2> - <x>^2, which would cancel
+    digits far from the origin.  On a closed grid x |psi|^2 is not
+    periodic, so a quadrature rule would hold it only at a power of h.
+    There one `rfft` times cached series weights gives <u - 1/2> and
+    <(u - 1/2)^2>, u = (x - lower) / span, exact for a band-limited
+    density: between hard walls the density's DCT-I (the `rfft` of its
+    even extension) with the cosine series (`_cosine_weights`); on a
+    periodic grid, where x is the angle theta on the branch [0, 2 pi) (a
+    GridError on any other), its Fourier series with theta's
+    (`_theta_weights`).  Then <x> = lower + span (1/2 + <u - 1/2>) and
+    Var x = span^2 (<(u - 1/2)^2> - <u - 1/2>^2).
     """
     raise_first(_norm_check(psi))
     grid, rho = psi.grid, psi.density
+    if grid.boundary == "open":
+        mean_x = _folded_mean(psi)
+        spread = grid.x - np.asarray(mean_x)[..., None]
+        np.square(spread, out=spread)
+        spread *= rho
+        return per_sample(psi, mean_x, quad(grid, spread))
     if grid.boundary == "dirichlet":
-        even = np.concatenate([rho, rho[..., -2:0:-1]], axis=-1)
-        v, w = np.fft.rfft(even, axis=-1).view(np.float64), _cosine_weights(grid.points)
-        mean_u, mean_u2 = dot(v, w[0]) / v[..., 0], dot(v, w[1]) / v[..., 0]
-        span = grid.upper - grid.lower
-        mean_x = grid.lower + span * (0.5 + mean_u)
-        return per_sample(psi, mean_x, span**2 * (mean_u2 - _pow2(mean_u)))
-    if grid.boundary == "periodic":
-        if grid.lower != 0.0 or abs(grid.upper - 2.0 * math.pi) > 1e-12:
-            raise GridError("theta statistics assume the branch [0, 2 pi)")
-        v = np.fft.rfft(rho, axis=-1).view(np.float64)
-        moments = np.matmul(_theta_weights(grid.points), v[..., None])[..., 0] / v[..., :1]
-        mean_theta = moments[..., 0]
-        return per_sample(psi, mean_theta, floored(moments[..., 1] - _pow2(mean_theta), 0.0))
-    mean_x = _folded_mean(psi)
-    spread = grid.x - np.asarray(mean_x)[..., None]
-    np.square(spread, out=spread)
-    spread *= rho
-    return per_sample(psi, mean_x, quad(grid, spread))
+        rho, w = np.concatenate([rho, rho[..., -2:0:-1]], axis=-1), _cosine_weights(grid.points)
+    elif grid.lower != 0.0 or abs(grid.upper - 2.0 * math.pi) > 1e-12:
+        raise GridError("theta statistics assume the branch [0, 2 pi)")
+    else:
+        w = _theta_weights(grid.points)
+    v = np.fft.rfft(rho, axis=-1).view(np.float64)
+    moments = np.matmul(w, v[..., None])[..., 0] / v[..., :1]
+    mean_u, span = moments[..., 0], grid.upper - grid.lower
+    mean_x = grid.lower + span * (0.5 + mean_u)
+    return per_sample(psi, mean_x, span**2 * (moments[..., 1] - np.square(mean_u)))
 
 
 def momentum_moments(psi: SampledFunction) -> tuple:
@@ -345,17 +342,12 @@ def ring_lz_by_quadrature(psi: SampledFunction) -> tuple[float, float, float]:
 
 def ring_theta_by_quadrature(psi: SampledFunction) -> tuple[float, float]:
     """Naive [0, 2 pi) interval statistics (<theta>, Delta theta) of samples
-    on a periodic grid: (<x>, sqrt(Var x)) of `position_moments`."""
+    on a periodic grid: (<x>, sqrt(Var x)) of `position_moments`, Var x
+    floored at 0 as in `columns_from_stack`."""
     if psi.grid.boundary != "periodic":
         raise GridError("ring theta statistics need a periodic grid")
     mean, var = position_moments(psi)
-    return per_sample(psi, mean, np.sqrt(var))
-
-
-def _pow2(a):
-    """a**2 by C pow, as the scalar `a**2` of one sample: on an array,
-    `**2` and `np.square` multiply, which differs in the last bit."""
-    return np.float_power(a, 2)
+    return per_sample(psi, mean, np.sqrt(floored(var, 0.0)))
 
 
 def oracle_uncertainties(
@@ -397,7 +389,7 @@ def columns_from_stack(spec: SystemSpec, psi: SampledFunction) -> dict[str, np.n
     dq, dp = np.sqrt(floored(var_x, 0.0)), np.sqrt(var_p)
     energy = mean_p2 / 2.0
     if isinstance(spec, Oscillator):
-        energy += 0.5 * (var_x + _pow2(mean_x))
+        energy += 0.5 * (var_x + np.square(mean_x))
     dq, dp, product, energy = np.atleast_1d(dq, dp, dq * dp, energy)
     bound = np.full(energy.shape, 0.5)
     return {"energy": energy, "delta_q": dq, "delta_p": dp, "product": product, "bound": bound}

@@ -16,6 +16,7 @@ from qnodes import (
     validate_state,
 )
 from qnodes.analytic import box_uncertainties, ring_state_values
+from qnodes.oracle import oracle_uncertainties, sample_state
 
 
 class TestConstruction:
@@ -85,6 +86,19 @@ class TestValidateState:
     def test_non_finite_rejected_by_public_functions(self, value):
         with pytest.raises(DomainError, match="quantum number must be an integer, got"):
             box_uncertainties(Box(), value)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: oracle_uncertainties(Box(), RingSuperposition(((1, 1.0),))),
+            lambda: sample_state(Oscillator(), RingSuperposition(((1, 1.0),))),
+            lambda: predicted_node_count(Box(), None),
+        ],
+        ids=["superposition-box", "superposition-oscillator", "none"],
+    )
+    def test_non_numbers_rejected_by_public_functions(self, call):
+        with pytest.raises(DomainError, match="quantum number must be an integer, got"):
+            call()
 
     def test_idempotent(self):
         spec = Ring()

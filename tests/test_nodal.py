@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qnodes import (
     Box,
     DegenerateError,
+    GridError,
     GridSpec,
     Oscillator,
     Ring,
@@ -17,6 +18,7 @@ from qnodes import (
     sample_state,
 )
 from qnodes.nodal import ZERO_RTOL, node_counts
+from qnodes.oracle import default_grid, sample_levels
 
 
 def real_samples(spec, idx, grid=None):
@@ -55,6 +57,13 @@ class TestCountNodes:
     def test_one_sample_counts_as_a_stack_of_one(self, spec, idx):
         psi = sample_state(spec, idx)
         assert node_counts(psi).tolist() == [count_nodes(psi).count]
+
+    def test_stack_rejected(self):
+        # the rows' nodes would pool: levels 1, 2, 3 read as one state with 3
+        stack = next(sample_levels(Box(), [[1, 2, 3]], default_grid(Box(), 5)))
+        with pytest.raises(GridError, match="node_counts"):
+            count_nodes(stack)
+        assert node_counts(stack).tolist() == [0, 1, 2]
 
     def test_invariant_under_refinement(self):
         for points in (2001, 8001):

@@ -122,6 +122,31 @@ class TestPositionMoments:
             position_moments(psi)
 
 
+class TestRingSineIsBoxLevel:
+    """sin m theta / sqrt(pi) on [0, 2 pi) is box level n = 2m in a box of
+    length 2 pi: the periodic and the Dirichlet branch of each moment
+    function must agree, and sqrt(Var x <p^2>) is sqrt(m^2 pi^2/3 - 1/2)."""
+
+    @pytest.mark.parametrize(
+        "m, points",
+        [(m, n) for m in (1, 2, 5, 20, 100) for n in (48, 96, 768) if 4 * m < n],
+    )
+    def test_both_branches_agree(self, m, points):
+        moments = []
+        for grid in (
+            GridSpec(0.0, 2.0 * math.pi, points, "periodic"),
+            GridSpec(0.0, 2.0 * math.pi, points + 1, "dirichlet"),
+        ):
+            psi = SampledFunction(grid, np.sin(m * grid.x) / math.sqrt(math.pi))
+            mean_x, var_x = position_moments(psi)
+            moments.append((mean_x, var_x, momentum_moments(psi)[1]))
+        ring, box = moments
+        assert ring == pytest.approx(box, rel=1e-14, abs=0.0)
+        assert math.sqrt(ring[1] * ring[2]) == pytest.approx(
+            math.sqrt(m**2 * math.pi**2 / 3.0 - 0.5), rel=1e-14, abs=0.0
+        )
+
+
 class TestMomentumMoments:
     def test_box_ground_p2(self):
         psi = sample_state(Box(), 1)

@@ -120,6 +120,11 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
          "--grid-points", "101"],
         # ring rows in full float repr: CSV rounds to 12 digits
         ["sweep", "--system", "ring", "--levels=-20:20", *ALL_PATHS, "--format", "json"],
+        # the last bits of the box and ring position series at the point limits
+        # (2049 box points, 2048 ring points)
+        ["sweep", "--system", "box", "--levels", "1:1023", "--paths", "analytic,oracle",
+         "--format", "json"],
+        ["sweep", "--system", "ring", "--levels=-511:511", *ALL_PATHS, "--format", "json"],
     )
 )
 
