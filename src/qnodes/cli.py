@@ -40,18 +40,14 @@ from .report import (
 _USAGE_ERRORS = (ConfigError, DomainError, OverflowError)
 _NUMERICAL_ERRORS = (GridError, ConvergenceError, DegenerateError, NormalizationError)
 
-_PARAM_KEYS = {
-    "box": {"a": "length", "length": "length", "m": "mass", "mass": "mass"},
-    "ring": {"I": "moment_of_inertia", "inertia": "moment_of_inertia"},
-    "oscillator": {"m": "mass", "mass": "mass", "omega": "omega", "w": "omega"},
-}
+SYSTEMS = {"box": Box, "ring": Ring, "oscillator": Oscillator}
 
 
 def build_system(system: str, params: tuple[str, ...], hbar: float) -> SystemSpec:
-    """Construct a SystemSpec from `--param key=value` pairs; a parameter
-    given twice, under one key or two of its spellings, is a ConfigError."""
+    """Construct a SystemSpec from `--param key=value` pairs (keys from its
+    `params`); one given twice, under one key or two, is a ConfigError."""
     kwargs, keys = {"constants": Constants(hbar=hbar)}, {}
-    table = _PARAM_KEYS[system]
+    table = SYSTEMS[system].params
     for pair in params:
         if "=" not in pair:
             raise ConfigError(f"--param expects key=value, got {pair!r}")
@@ -70,8 +66,7 @@ def build_system(system: str, params: tuple[str, ...], hbar: float) -> SystemSpe
             kwargs[name] = float(raw)
         except ValueError as exc:
             raise ConfigError(f"parameter {key!r} is not a number: {raw!r}") from exc
-    cls = {"box": Box, "ring": Ring, "oscillator": Oscillator}[system]
-    return cls(**kwargs)
+    return SYSTEMS[system](**kwargs)
 
 
 def parse_levels(text: str) -> tuple[int, ...]:
@@ -121,11 +116,7 @@ def _run_guarded(fn):
 
 
 def _common_options(fn):
-    fn = click.option(
-        "--system",
-        type=click.Choice(["box", "ring", "oscillator"]),
-        required=True,
-    )(fn)
+    fn = click.option("--system", type=click.Choice(list(SYSTEMS)), required=True)(fn)
     fn = click.option(
         "--param",
         "params",

@@ -37,7 +37,7 @@ import numpy as np
 from .analytic import UncertaintyRecord
 from .errors import ConfigError, ConvergenceError, GridError
 from .grids import GridSpec, SampledFunction, dot, raise_first
-from .model import Box, Oscillator, Ring, SystemSpec, predicted_node_count, scales
+from .model import Ring, SystemSpec, predicted_node_count, scales, validate_state
 from .nodal import node_counts
 from .oracle import columns_from_stack, default_grid
 
@@ -166,19 +166,13 @@ def default_eigen_grid(spec: SystemSpec, k: int = 6, points: int | None = None) 
 
 
 def build_hamiltonian(spec: SystemSpec, grid: GridSpec) -> Hamiltonian:
-    """Fourier-grid Hamiltonian on the natural-unit `grid`: no potential on
-    the box's interior points or the ring, V = x^2/2 on the oscillator's
-    points."""
-    boundary = {Box: "dirichlet", Ring: "periodic", Oscillator: "open"}[type(spec)]
-    if grid.boundary != boundary:
-        raise GridError(f"{type(spec).__name__.lower()} Hamiltonian needs a {boundary} grid")
-    if isinstance(spec, Box):
-        potential = np.zeros(grid.points - 2)
-    elif isinstance(spec, Ring):
-        potential = np.zeros(grid.points)
-    else:
-        potential = 0.5 * grid.x**2
-    return Hamiltonian(grid, potential)
+    """Fourier-grid Hamiltonian on the natural-unit `grid` of boundary
+    `spec.boundary`: V = k x^2 / 2 (k = `spec.stiffness`) on the unknowns,
+    the box's interior points or every point, 0.0 but on the oscillator."""
+    if grid.boundary != spec.boundary:
+        raise GridError(f"{type(spec).__name__.lower()} Hamiltonian needs a {spec.boundary} grid")
+    unknowns = grid.x[1:-1] if grid.boundary == "dirichlet" else grid.x
+    return Hamiltonian(grid, 0.5 * spec.stiffness * unknowns**2)
 
 
 class _Mirror:
@@ -338,10 +332,12 @@ def eigen_columns(spec: SystemSpec, result: EigenResult, levels) -> dict[str, np
 
 
 def slot_level(spec: SystemSpec, slot: int) -> int:
-    """The level whose state fills `EigenResult` slot `slot`, the inverse
-    of `_eigen_stack`'s map: box level slot + 1, oscillator level slot,
-    ring level |m| = (slot + 1) // 2 (slots 2|m| - 1 and 2|m| hold +/-m)."""
-    return {Box: slot + 1, Oscillator: slot, Ring: (slot + 1) // 2}[type(spec)]
+    """The level |n| whose state fills `EigenResult` slot `slot`: the
+    inverse of the node law s = per_level |n| + offset, rounded up: box
+    level slot + 1, oscillator level slot, ring level |m| = (slot + 1) // 2
+    (slots 2|m| - 1 and 2|m| hold +/-m)."""
+    per_level, offset = spec.node_law
+    return -((offset - slot) // per_level)
 
 
 def _eigen_stack(
@@ -350,17 +346,18 @@ def _eigen_stack(
     """(stack of the computed states of `levels`, each one's energy slot):
     the one map from quantum numbers to `EigenResult` slots.
 
-    Box level n is slot n - 1, oscillator level n slot n.  Ring level m
-    reads slots 2|m| - 1 and 2|m|, the cos and sin members of the +/-m
-    pair, each with a positive leading lobe (at theta = 0 and theta = h),
-    so (cos + i sign(m) sin)/sqrt 2 is the unit L_z eigenstate m hbar; m = 0
-    is slot 0 as it is, in the same complex stack.  A level beyond the
-    solved slots raises GridError, its index in `levels` as the `row`.
+    A level's top slot is its node count (`spec.node_law`): box level n is
+    slot n - 1, oscillator level n slot n.  Ring level m reads slots
+    2|m| - 1 and 2|m|, the cos and sin members of the +/-m pair, each with
+    a positive leading lobe (at theta = 0 and theta = h), so (cos + i
+    sign(m) sin)/sqrt 2 is the unit L_z eigenstate m hbar; m = 0 is slot 0
+    as it is, in the same complex stack.  A level outside the solved slots
+    raises GridError, its index in `levels` as the `row`.
     """
     levels = np.array(levels)
-    ring = isinstance(spec, Ring)
+    ring = spec.boundary == "periodic"
     # the last slot a level reads, and its first: a ring level's cos slot
-    top = 2 * np.abs(levels) if ring else (levels - 1 if isinstance(spec, Box) else levels)
+    top = spec.node_law[0] * (np.abs(levels) if ring else levels) + spec.node_law[1]
     slot = top - (levels != 0) if ring else top
     k = len(result.energies)
     raise_first(((slot < 0) | (top >= k), lambda row: GridError(
@@ -379,7 +376,8 @@ def eigen_uncertainties(
     spec: SystemSpec, result: EigenResult, index: int
 ) -> UncertaintyRecord:
     """Physical UncertaintyRecord for one computed natural-unit eigenstate:
-    the rescaled `eigen_columns` of the one quantum number `index`."""
+    the rescaled `eigen_columns` of the one legal (`validate_state`) `index`."""
+    index = validate_state(spec, index)
     columns = eigen_columns(spec, result, [index])
     measured = int(columns["nodes"][0])
     nodes = {"nodes_predicted": predicted_node_count(spec, index), "nodes_measured": measured}

@@ -1,11 +1,16 @@
 """Physical systems, their unit scales, quantum numbers, and node counts.
 
+A system is its spec: each class declares its grid's `boundary`, its
+`lowest` quantum number (None on the ring), its `node_law` (per_level,
+offset) for per_level |n| + offset nodes, the `stiffness` k of V = k x^2
+/ 2, its `--param` spellings (`params`) and its unit scales (`_scales`).
+
 Default natural units: hbar = mass = length = omega = inertia = 1, so
 every headline number is dimensionless.  All parameters can be overridden
-at construction time.  `scales` is the only code that reads hbar or a
-system parameter: every numerical path computes in natural units and
-multiplies by these scales once, through `Scales.rescale`, one column of
-values at a time.
+at construction time.  `scales` (each class's `_scales`) is the only code
+that reads hbar or a system parameter: every numerical path computes in
+natural units and multiplies by these scales once, through
+`Scales.rescale`, one column of values at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,6 +60,12 @@ class Constants:
 class Box:
     """Particle in a 1D box of length `length` with hard walls."""
 
+    boundary: ClassVar[str] = "dirichlet"
+    lowest: ClassVar[tuple[int, str] | None] = (1, "box principal quantum number")
+    node_law: ClassVar[tuple[int, int]] = (1, -1)
+    stiffness: ClassVar[float] = 0.0
+    params: ClassVar[dict[str, str]] = {"a": "length", "length": "length", "m": "mass", "mass": "mass"}
+
     length: float = 1.0
     mass: float = 1.0
     constants: Constants = field(default_factory=Constants)
@@ -62,10 +74,20 @@ class Box:
         _check_positive("box length", self.length)
         _check_positive("mass", self.mass)
 
+    def _scales(self, hbar: float) -> Scales:
+        a = self.length
+        return Scales(a, _scale((hbar, 1), (a, -1)), _scale((hbar, 2), (self.mass, -1), (a, -2)), hbar)
+
 
 @dataclass(frozen=True)
 class Ring:
     """Particle constrained to a ring, parameterized by its moment of inertia."""
+
+    boundary: ClassVar[str] = "periodic"
+    lowest: ClassVar[tuple[int, str] | None] = None
+    node_law: ClassVar[tuple[int, int]] = (2, 0)
+    stiffness: ClassVar[float] = 0.0
+    params: ClassVar[dict[str, str]] = {"I": "moment_of_inertia", "inertia": "moment_of_inertia"}
 
     moment_of_inertia: float = 1.0
     constants: Constants = field(default_factory=Constants)
@@ -73,10 +95,19 @@ class Ring:
     def __post_init__(self):
         _check_positive("moment of inertia", self.moment_of_inertia)
 
+    def _scales(self, hbar: float) -> Scales:
+        return Scales(1.0, hbar, _scale((hbar, 2), (self.moment_of_inertia, -1)), hbar)
+
 
 @dataclass(frozen=True)
 class Oscillator:
     """1D harmonic oscillator with mass `mass` and angular frequency `omega`."""
+
+    boundary: ClassVar[str] = "open"
+    lowest: ClassVar[tuple[int, str] | None] = (0, "oscillator quantum number")
+    node_law: ClassVar[tuple[int, int]] = (1, 0)
+    stiffness: ClassVar[float] = 1.0
+    params: ClassVar[dict[str, str]] = {"m": "mass", "mass": "mass", "omega": "omega", "w": "omega"}
 
     mass: float = 1.0
     omega: float = 1.0
@@ -85,6 +116,11 @@ class Oscillator:
     def __post_init__(self):
         _check_positive("mass", self.mass)
         _check_positive("omega", self.omega)
+
+    def _scales(self, hbar: float) -> Scales:
+        m, w = self.mass, self.omega
+        length = _scale((hbar, 1), (m, -1), (w, -1), root=2)
+        return Scales(length, _scale((hbar, 1), (m, 1), (w, 1), root=2), _scale((hbar, 1), (w, 1)), hbar)
 
 
 SystemSpec = Box | Ring | Oscillator
@@ -141,21 +177,7 @@ def scales(spec: SystemSpec) -> Scales:
     Raises DomainError, naming the scale, when one leaves the normal
     double range: no physical row could then be represented.
     """
-    hbar = spec.constants.hbar
-    if isinstance(spec, Box):
-        a = spec.length
-        energy = _scale((hbar, 2), (spec.mass, -1), (a, -2))
-        out = Scales(a, _scale((hbar, 1), (a, -1)), energy, hbar)
-    elif isinstance(spec, Ring):
-        out = Scales(1.0, hbar, _scale((hbar, 2), (spec.moment_of_inertia, -1)), hbar)
-    else:
-        m, w = spec.mass, spec.omega
-        out = Scales(
-            length=_scale((hbar, 1), (m, -1), (w, -1), root=2),
-            momentum=_scale((hbar, 1), (m, 1), (w, 1), root=2),
-            energy=_scale((hbar, 1), (w, 1)),
-            hbar=hbar,
-        )
+    out = spec._scales(spec.constants.hbar)
     for name, value in vars(out).items():
         if not sys.float_info.min <= value < math.inf:
             raise DomainError(f"{name} scale {value!r} is outside the normal double range")
@@ -193,7 +215,7 @@ class RingSuperposition:
 def validate_state(spec: SystemSpec, idx: int) -> int:
     """Check that `idx` is a legal quantum number for `spec` and return it.
 
-    Box requires n >= 1, oscillator n >= 0, ring accepts any integer m.
+    Box requires n >= 1, oscillator n >= 0 (`lowest`), ring any integer m.
     """
     try:
         integral = idx == int(idx)
@@ -202,23 +224,19 @@ def validate_state(spec: SystemSpec, idx: int) -> int:
     if not integral:
         raise DomainError(f"quantum number must be an integer, got {idx!r}")
     idx = int(idx)
-    if isinstance(spec, Box) and idx < 1:
-        raise DomainError(f"box principal quantum number must be >= 1, got {idx}")
-    if isinstance(spec, Oscillator) and idx < 0:
-        raise DomainError(f"oscillator quantum number must be >= 0, got {idx}")
+    if spec.lowest is not None and idx < spec.lowest[0]:
+        raise DomainError(f"{spec.lowest[1]} must be >= {spec.lowest[0]}, got {idx}")
     return idx
 
 
 def predicted_node_count(spec: SystemSpec, idx: int) -> int:
-    """Closed-form interior node count for the state `idx` of `spec`.
+    """Closed-form interior node count for the state `idx` of `spec`, per
+    its node law per_level |idx| + offset, which is also the top eigen slot
+    the level reads (`eigensolver.slot_level` is its inverse).
 
     Box: n - 1.  Oscillator: n.  Ring: 2|m|, counting the zeros of
     Re(psi_m) = cos(m theta)/sqrt(2 pi) over one period; the modulus of
     psi_m never vanishes and the density is nodeless.
     """
     idx = validate_state(spec, idx)
-    if isinstance(spec, Box):
-        return idx - 1
-    if isinstance(spec, Oscillator):
-        return idx
-    return 2 * abs(idx)
+    return spec.node_law[0] * abs(idx) + spec.node_law[1]

@@ -40,7 +40,6 @@ from .grids import (
 from .model import (
     Box,
     Oscillator,
-    Ring,
     RingSuperposition,
     SystemSpec,
     predicted_node_count,
@@ -107,12 +106,12 @@ def default_grid(spec: SystemSpec, idx: int = 0, points: int | None = None) -> G
     not).  A rule asking for more than 2^20 intervals or points raises
     GridError; `points` overrides the rule everywhere.
     """
-    if isinstance(spec, Oscillator):
+    if spec.boundary == "open":
         half_width = max(math.sqrt(2.0 * abs(int(idx)) + 1.0) + 10.0, 12.0)
         if points is None:
             points = 2 * math.ceil(half_width**2 / math.pi) + 1
         return GridSpec(-half_width, half_width, points, "open")
-    ring = isinstance(spec, Ring)
+    ring = spec.boundary == "periodic"
     if points is None:
         top = abs(int(idx))
         # in floats, as for the oscillator: a level too large for one overflows
@@ -145,7 +144,7 @@ def sample_state(
     natural-unit grid, by default the grid of the state's level (for a
     superposition, of its largest |m|); a level it aliases raises GridError.
     A level's sample is row 0 of its one-level stack (`sample_levels`)."""
-    superposition = isinstance(spec, Ring) and isinstance(state, RingSuperposition)
+    superposition = spec.boundary == "periodic" and isinstance(state, RingSuperposition)
     levels = [m for m, _ in state.terms] if superposition else [state]
     levels = [validate_state(spec, k) for k in levels]
     grid = grid or default_grid(spec, max(map(abs, levels)))
@@ -179,10 +178,10 @@ def alias_check(spec: SystemSpec, levels, grid: GridSpec):
     """The `raise_first` check that `grid` samples each of `levels` below
     its Nyquist wavenumber (a GridError naming the level): beyond it, a
     ring or box level reads as a lower one, where no band guard sees it."""
-    ring = isinstance(spec, Ring)
+    ring = spec.boundary == "periodic"
     first = grid.points // 2 + 1 if ring else grid.points - 1  # the lowest aliased level
     symbol = "|m|" if ring else "n"
-    aliased = [abs(m) >= first and not isinstance(spec, Oscillator) for m in levels]
+    aliased = [abs(m) >= first and spec.boundary != "open" for m in levels]
     return np.array(aliased, dtype=bool), lambda row: GridError(
         f"grid too coarse: the {grid.points}-point {type(spec).__name__.lower()} grid aliases "
         f"{symbol} = {abs(levels[row])} (every {symbol} >= {first})"
@@ -379,17 +378,21 @@ def columns_from_stack(spec: SystemSpec, psi: SampledFunction) -> dict[str, np.n
     The one moment pipeline of the oracle and eigen paths: each moment
     function takes the whole stack once, which builds its |psi|^2 and
     norms once.  On the ring's periodic grid x is theta and p is L_z.  The
-    energy is <p^2>/2, plus the oscillator's <x^2>/2; the bound is 1/2.
-    Every row check sits in the first moment function's one `raise_first`,
-    so an error is that of the first failing row, named by its index as the
-    error's `row`.
+    energy is <p^2>/2, plus k <x^2>/2 for a `spec.stiffness` k; the bound
+    is 1/2.  A grid of a boundary other than `spec.boundary` raises
+    GridError.  Every row check sits in the first moment function's one
+    `raise_first`, so an error is that of the first failing row, named by
+    its index as the error's `row`.
     """
+    if psi.grid.boundary != spec.boundary:
+        article = "an" if spec.boundary == "open" else "a"
+        raise GridError(f"{type(spec).__name__.lower()} states need {article} {spec.boundary} grid")
     _, mean_p2, var_p = momentum_moments(psi)
     mean_x, var_x = position_moments(psi)
     dq, dp = np.sqrt(floored(var_x, 0.0)), np.sqrt(var_p)
     energy = mean_p2 / 2.0
-    if isinstance(spec, Oscillator):
-        energy += 0.5 * (var_x + np.square(mean_x))
+    if spec.stiffness:
+        energy += 0.5 * spec.stiffness * (var_x + np.square(mean_x))
     dq, dp, product, energy = np.atleast_1d(dq, dp, dq * dp, energy)
     bound = np.full(energy.shape, 0.5)
     return {"energy": energy, "delta_q": dq, "delta_p": dp, "product": product, "bound": bound}

@@ -23,7 +23,7 @@ from .analytic import COLUMN_UNITS, uncertainty_columns
 from .eigensolver import build_hamiltonian, default_eigen_grid, eigen_columns, solve_lowest
 from .errors import ConfigError, DomainError, GridError, QnodesError
 from .grids import first_failure, first_rows, raise_first, stack_rows
-from .model import Oscillator, Ring, Scales, SystemSpec, predicted_node_count, scales, validate_state
+from .model import Oscillator, Scales, SystemSpec, predicted_node_count, scales, validate_state
 from .nodal import node_counts
 from .oracle import alias_check, columns_from_stack, default_grid, sample_levels
 from .special import MAX_OSCILLATOR_N, oscillator_ladder
@@ -106,9 +106,9 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def _satisfied_flags(spec: SystemSpec, product: np.ndarray, bound: np.ndarray) -> list[str]:
-    """Per element, 'na' on the ring, which has no Heisenberg check; else
-    whether the product meets the bound within the roundoff slack."""
-    if isinstance(spec, Ring):
+    """Per element, 'na' on a periodic grid (the ring), which has no Heisenberg
+    check; else whether the product meets the bound within the roundoff slack."""
+    if spec.boundary == "periodic":
         return ["na"] * len(product)
     # an infinite bound makes a NaN threshold, which no product meets
     with np.errstate(invalid="ignore"):
@@ -162,8 +162,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     except (QnodesError, OverflowError) as exc:
         raise _at_level(top, exc) from exc
     eigen_result = solve_lowest(build_hamiltonian(spec, grid), k) if eigen else None
-    # ring samples are complex
-    rows = stack_rows((16 if isinstance(spec, Ring) else 8) * grid.points)
+    # samples on a periodic grid (the ring's) are complex
+    rows = stack_rows((16 if spec.boundary == "periodic" else 8) * grid.points)
     stacks = [levels[i : i + rows] for i in range(0, len(levels), rows)]
     samples = sample_levels(spec, stacks, grid) if sampled and stacks else (None for _ in stacks)
     parts = [

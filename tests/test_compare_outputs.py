@@ -31,7 +31,7 @@ def test_one_byte_difference_is_diff(tool):
     changed = CSV[:-2] + b"5\n"
     run = _stub(tool, {"parent": (0, CSV, b""), "change": (0, changed, b"")})
     lines = list(tool.compare(Path("parent"), Path("change"), run=run))
-    assert len(lines) == len(tool.INVOCATIONS) == 54
+    assert len(lines) == len(tool.INVOCATIONS) == 57
     assert all(line.startswith(f"DIFF stdout at byte {len(CSV) - 2} ") for line in lines)
 
 

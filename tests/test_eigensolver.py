@@ -8,6 +8,7 @@ from qnodes import (
     ConfigError,
     Constants,
     ConvergenceError,
+    DomainError,
     GridError,
     GridSpec,
     Hamiltonian,
@@ -21,6 +22,7 @@ from qnodes import (
     count_nodes,
     default_eigen_grid,
     eigen_uncertainties,
+    oracle_uncertainties,
     oscillator_energy,
     ring_energy,
     ring_lz_by_quadrature,
@@ -29,6 +31,7 @@ from qnodes import (
     sample_state,
     solve_lowest,
 )
+from qnodes import eigensolver
 from qnodes.eigensolver import _MAX_EIGEN_POINTS, _Mirror, _parity_pairs, eigen_columns
 from qnodes.grids import first_rows, quad
 from qnodes.nodal import node_counts
@@ -375,6 +378,49 @@ class TestEigenUncertainties:
         _, result = ring_result
         with pytest.raises(GridError, match="^eigenstate -5 not among the 9 solved$"):
             ring_momentum_state(result, -5)
+
+    @pytest.mark.parametrize(
+        "fixture, level, message",
+        [
+            ("box_result", 0, "box principal quantum number must be >= 1, got 0"),
+            ("osc_result", -1, "oscillator quantum number must be >= 0, got -1"),
+            ("box_result", 2.5, "quantum number must be an integer, got 2.5"),
+            ("osc_result", 2.5, "quantum number must be an integer, got 2.5"),
+        ],
+    )
+    def test_illegal_level_is_rejected_before_any_column(
+        self, request, monkeypatch, fixture, level, message
+    ):
+        # the closed forms' and the oracle's DomainError, not a missing slot's
+        # GridError, and no slot's columns are computed first
+        spec, result = request.getfixturevalue(fixture)
+        monkeypatch.setattr(eigensolver, "eigen_columns", lambda *args: pytest.fail("columns"))
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            eigen_uncertainties(spec, result, level)
+
+    @pytest.mark.parametrize("fixture, level", [("box_result", 0), ("box_result", -1), ("osc_result", -1)])
+    def test_illegal_level_reads_no_slot(self, request, fixture, level):
+        # eigen_columns takes validated levels; an illegal one is not among
+        # the slots, rather than |n|'s row
+        spec, result = request.getfixturevalue(fixture)
+        with pytest.raises(GridError, match=f"^eigenstate {level} not among the"):
+            eigen_columns(spec, result, [level])
+
+
+class TestAnotherSystemsGrid:
+    """A state on another system's grid raises GridError, not a plausible
+    row of the other system (ring m = 1 read as box level 2, box level 3
+    as oscillator level 2)."""
+
+    def test_eigen_result_of_another_system(self, box_result, ring_result):
+        with pytest.raises(GridError, match="^box states need a dirichlet grid$"):
+            eigen_uncertainties(Box(), ring_result[1], 2)
+        with pytest.raises(GridError, match="^oscillator states need an open grid$"):
+            eigen_uncertainties(Oscillator(), box_result[1], 2)
+
+    def test_oracle_on_another_systems_grid(self):
+        with pytest.raises(GridError, match="^oscillator states need an open grid$"):
+            oracle_uncertainties(Oscillator(), 2, default_grid(Box(), 2))
 
 
 class TestSolverFailure:

@@ -15,6 +15,7 @@ from qnodes import (
     predicted_node_count,
     validate_state,
 )
+from qnodes.eigensolver import slot_level
 from qnodes.analytic import box_uncertainties, ring_state_values
 from qnodes.oracle import oracle_uncertainties, sample_state
 
@@ -128,6 +129,27 @@ class TestPredictedNodeCount:
     def test_monotone_nondecreasing(self, spec, levels):
         counts = [predicted_node_count(spec, n) for n in levels]
         assert counts == sorted(counts)
+
+
+class TestNodeLawIsTheSlotMap:
+    """The top eigen slot a level reads is its node count, and `slot_level`
+    is the node law's inverse."""
+
+    @pytest.mark.parametrize("spec", [Box(), Oscillator(), Ring()], ids=["box", "osc", "ring"])
+    def test_every_slot_reads_its_level(self, spec):
+        for s in range(3000):
+            # a ring level |m| > 0 reads its cos slot 2|m| - 1 and its sin slot 2|m|
+            cos = isinstance(spec, Ring) and s % 2 == 1
+            assert predicted_node_count(spec, slot_level(spec, s)) == s + cos
+
+    @pytest.mark.parametrize(
+        "spec, levels",
+        [(Box(), range(1, 3001)), (Oscillator(), range(0, 3000)), (Ring(), range(-1500, 1500))],
+        ids=["box", "osc", "ring"],
+    )
+    def test_slot_level_inverts_the_node_law(self, spec, levels):
+        for n in levels:
+            assert slot_level(spec, predicted_node_count(spec, n)) == abs(n)
 
 
 class TestRingSuperposition:

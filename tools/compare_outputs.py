@@ -125,6 +125,11 @@ INVOCATIONS: tuple[tuple[str, ...], ...] = tuple(
         ["sweep", "--system", "box", "--levels", "1:1023", "--paths", "analytic,oracle",
          "--format", "json"],
         ["sweep", "--system", "ring", "--levels=-511:511", *ALL_PATHS, "--format", "json"],
+        # the messages each system's spec declares: the box's and the
+        # oscillator's least level, and the ring's `--param` keys
+        ["sweep", "--system", "box", "--levels", "0:2"],
+        ["sweep", "--system", "oscillator", "--levels=-1:1"],
+        ["sweep", "--system", "ring", "--levels", "0:1", "--param", "a=2"],
     )
 )
 
