@@ -37,7 +37,15 @@ import numpy as np
 from .analytic import UncertaintyRecord
 from .errors import ConfigError, ConvergenceError, GridError
 from .grids import GridSpec, SampledFunction, dot, raise_first
-from .model import Ring, SystemSpec, predicted_node_count, scales, validate_state
+from .model import (
+    Ring,
+    SystemSpec,
+    not_an_integer,
+    predicted_node_count,
+    require_boundary,
+    scales,
+    validate_state,
+)
 from .nodal import node_counts
 from .oracle import columns_from_stack, default_grid
 
@@ -169,8 +177,7 @@ def build_hamiltonian(spec: SystemSpec, grid: GridSpec) -> Hamiltonian:
     """Fourier-grid Hamiltonian on the natural-unit `grid` of boundary
     `spec.boundary`: V = k x^2 / 2 (k = `spec.stiffness`) on the unknowns,
     the box's interior points or every point, 0.0 but on the oscillator."""
-    if grid.boundary != spec.boundary:
-        raise GridError(f"{type(spec).__name__.lower()} Hamiltonian needs a {spec.boundary} grid")
+    require_boundary(spec, grid, "Hamiltonian needs")
     unknowns = grid.x[1:-1] if grid.boundary == "dirichlet" else grid.x
     return Hamiltonian(grid, 0.5 * spec.stiffness * unknowns**2)
 
@@ -351,18 +358,23 @@ def _eigen_stack(
     2|m| - 1 and 2|m|, the cos and sin members of the +/-m pair, each with
     a positive leading lobe (at theta = 0 and theta = h), so (cos + i
     sign(m) sin)/sqrt 2 is the unit L_z eigenstate m hbar; m = 0 is slot 0
-    as it is, in the same complex stack.  A level outside the solved slots
-    raises GridError, its index in `levels` as the `row`.
+    as it is, in the same complex stack.  A level that is not an integer
+    (a fraction, a NaN, an infinity) raises DomainError, and one outside
+    the solved slots GridError, its index in `levels` as the `row`.
     """
-    levels = np.array(levels)
+    given, levels = levels, np.array(levels)
     ring = spec.boundary == "periodic"
     # the last slot a level reads, and its first: a ring level's cos slot
     top = spec.node_law[0] * (np.abs(levels) if ring else levels) + spec.node_law[1]
     slot = top - (levels != 0) if ring else top
     k = len(result.energies)
-    raise_first(((slot < 0) | (top >= k), lambda row: GridError(
-        f"eigenstate {levels[row]} not among the {k} solved"
-    )))
+    with np.errstate(invalid="ignore"):  # a NaN's or an infinity's remainder is NaN
+        fractional = np.mod(levels, 1) != 0
+    unsolved = (slot < 0) | (top >= k)
+    raise_first(
+        (fractional, lambda row: not_an_integer(given[row])),
+        (unsolved, lambda row: GridError(f"eigenstate {levels[row]} not among the {k} solved")),
+    )
     # integer indices also for an empty list of levels
     slot, top, states = slot.astype(int), top.astype(int), result.stack.values
     psi = states[slot]

@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError
+from .errors import DomainError, GridError, NormalizationError
 from .grids import raise_first
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "scales",
     "RingSuperposition",
     "validate_state",
+    "not_an_integer",
+    "require_boundary",
     "predicted_node_count",
 ]
 
@@ -222,11 +224,25 @@ def validate_state(spec: SystemSpec, idx: int) -> int:
     except (TypeError, ValueError, OverflowError):  # int() of a non-number, a NaN or an infinity
         integral = False
     if not integral:
-        raise DomainError(f"quantum number must be an integer, got {idx!r}")
+        raise not_an_integer(idx)
     idx = int(idx)
     if spec.lowest is not None and idx < spec.lowest[0]:
         raise DomainError(f"{spec.lowest[1]} must be >= {spec.lowest[0]}, got {idx}")
     return idx
+
+
+def not_an_integer(idx) -> DomainError:
+    """The error for a quantum number `idx` that is not an integer."""
+    return DomainError(f"quantum number must be an integer, got {idx!r}")
+
+
+def require_boundary(spec: SystemSpec, grid, needs: str) -> None:
+    """Raise GridError unless `grid` has `spec.boundary`: "<system> <needs>
+    a dirichlet grid" ("a periodic grid", "an open grid")."""
+    if grid.boundary != spec.boundary:
+        article = "an" if spec.boundary == "open" else "a"
+        name = type(spec).__name__.lower()
+        raise GridError(f"{name} {needs} {article} {spec.boundary} grid")
 
 
 def predicted_node_count(spec: SystemSpec, idx: int) -> int:

@@ -43,6 +43,7 @@ from .model import (
     RingSuperposition,
     SystemSpec,
     predicted_node_count,
+    require_boundary,
     scales,
     validate_state,
 )
@@ -384,9 +385,7 @@ def columns_from_stack(spec: SystemSpec, psi: SampledFunction) -> dict[str, np.n
     `raise_first`, so an error is that of the first failing row, named by
     its index as the error's `row`.
     """
-    if psi.grid.boundary != spec.boundary:
-        article = "an" if spec.boundary == "open" else "a"
-        raise GridError(f"{type(spec).__name__.lower()} states need {article} {spec.boundary} grid")
+    require_boundary(spec, psi.grid, "states need")
     _, mean_p2, var_p = momentum_moments(psi)
     mean_x, var_x = position_moments(psi)
     dq, dp = np.sqrt(floored(var_x, 0.0)), np.sqrt(var_p)

@@ -102,7 +102,17 @@ class SweepRow:
     disagreement: float | None
 
 
-CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+_FIELDS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(_FIELDS)
+
+
+def _new_row(*values) -> SweepRow:
+    """The SweepRow of `values`, in field order, with its `__dict__` filled
+    in one update instead of the frozen `__init__`'s one
+    `object.__setattr__` per field; it is the same frozen value."""
+    row = object.__new__(SweepRow)
+    row.__dict__.update(zip(_FIELDS, values))
+    return row
 
 
 def _satisfied_flags(spec: SystemSpec, product: np.ndarray, bound: np.ndarray) -> list[str]:
@@ -240,7 +250,7 @@ def _rows(spec, units, order, levels, columns) -> list[SweepRow]:
     for level in order:
         i = index[level]
         for path in columns:
-            rows.append(SweepRow(tag, level, predicted[i], *cells[path][i], path, disagreement[i]))
+            rows.append(_new_row(tag, level, predicted[i], *cells[path][i], path, disagreement[i]))
     return rows
 
 
@@ -331,9 +341,23 @@ def corrupt_first_product(rows: list[SweepRow]) -> list[SweepRow]:
 
 
 def _cell(value) -> str:
+    """A value's CSV text: the one rule for a cell."""
     if value is None:
         return ""
     return format(value, "#.12g") if isinstance(value, float) else str(value)
+
+
+def _csv_column(column: tuple) -> tuple[str, tuple]:
+    """(`%` format, values) that print a whole column as `_cell` prints
+    each of its cells: a column of plain floats takes `%#.12g`, one of ints
+    and strings `%s`, and any other (a None, a bool, numpy scalars, a float
+    column holding an int) `%s` of its `_cell` strings."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return "%#.12g", column
+    if kinds <= {int, str}:
+        return "%s", column
+    return "%s", tuple(map(_cell, column))
 
 
 def emit(
@@ -344,12 +368,17 @@ def emit(
     """Serialize rows as CSV (fixed header, 12 significant digits) or JSON.
 
     The columns and JSON keys are the fields of `SweepRow`, in order.
+    The CSV is formatted a column at a time: one `%` template per call,
+    its format per column chosen by `_csv_column`, prints every row.
     JSON is standard: a value that is not finite raises ValueError.
     """
     if not rows:
         raise ConfigError("no rows to emit")
     if fmt == "csv":
-        lines = [CSV_HEADER] + [",".join(map(_cell, vars(r).values())) for r in rows]
+        columns = zip(*(vars(r).values() for r in rows))
+        formats, columns = zip(*map(_csv_column, columns))
+        template = ",".join(formats)
+        lines = [CSV_HEADER] + [template % values for values in zip(*columns)]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         # a row's fields are all scalars: its __dict__ is what asdict copies

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -406,6 +407,21 @@ class TestEigenUncertainties:
         with pytest.raises(GridError, match=f"^eigenstate {level} not among the"):
             eigen_columns(spec, result, [level])
 
+    @pytest.mark.parametrize("fixture", ["box_result", "ring_result", "osc_result"])
+    @pytest.mark.parametrize(
+        "levels, row",
+        [([2.5], 0), ([math.nan], 0), ([math.inf], 0), ([-math.inf], 0), ([1, 2, 2.5], 2), ([2.5, 99], 0)],
+        ids=["fraction", "nan", "inf", "-inf", "third", "before-an-unsolved-level"],
+    )
+    def test_non_integer_level_is_a_domain_error(self, request, fixture, levels, row):
+        # a fraction read the slot it truncates to (box 2.5 gave level 2's
+        # row), and a NaN raised a bare IndexError after a cast warning
+        spec, result = request.getfixturevalue(fixture)
+        message = f"quantum number must be an integer, got {levels[row]!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as caught:
+            eigen_columns(spec, result, levels)
+        assert caught.value.row == row
+
 
 class TestAnotherSystemsGrid:
     """A state on another system's grid raises GridError, not a plausible
@@ -421,6 +437,23 @@ class TestAnotherSystemsGrid:
     def test_oracle_on_another_systems_grid(self):
         with pytest.raises(GridError, match="^oscillator states need an open grid$"):
             oracle_uncertainties(Oscillator(), 2, default_grid(Box(), 2))
+
+    @pytest.mark.parametrize(
+        "spec, other, message",
+        [
+            (Box(), Ring(), "box Hamiltonian needs a dirichlet grid"),
+            (Ring(), Oscillator(), "ring Hamiltonian needs a periodic grid"),
+            (Oscillator(), Box(), "oscillator Hamiltonian needs an open grid"),
+        ],
+        ids=["box", "ring", "oscillator"],
+    )
+    def test_hamiltonian_on_another_systems_grid(self, spec, other, message):
+        # the Hamiltonian's message picks its article as the states' does
+        # ("needs a open grid" before)
+        with pytest.raises(GridError, match=f"^{message}$"):
+            build_hamiltonian(spec, default_grid(other, 2))
+        with pytest.raises(GridError, match=f"^{message.replace('Hamiltonian needs', 'states need')}$"):
+            columns_from_stack(spec, sample_state(other, 2, default_grid(other, 2)))
 
 
 class TestSolverFailure:

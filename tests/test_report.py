@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qnodes.oracle
 import qnodes.special
@@ -17,6 +19,7 @@ from qnodes import (
     Oscillator,
     Ring,
     SweepConfig,
+    SweepRow,
     corrupt_first_product,
     default_grid,
     emit,
@@ -26,7 +29,7 @@ from qnodes import (
 )
 from qnodes.analytic import COLUMN_UNITS
 from qnodes.model import scales
-from qnodes.report import CSV_HEADER, PATH_ORDER, default_metadata
+from qnodes.report import CSV_HEADER, PATH_ORDER, _cell, default_metadata
 
 RECORD_FIELDS = ("energy", "delta_q", "delta_p", "product", "nodes_predicted")
 
@@ -399,6 +402,94 @@ class TestEmit:
         rows = run_sweep(SweepConfig(system=Box(), levels=(1,)))
         with pytest.raises(ConfigError):
             emit(rows, "yaml")
+
+
+def _per_cell_csv(rows):
+    """The CSV as `_cell` prints it, one cell at a time: the reference for
+    `emit`'s column templates."""
+    return "\n".join([CSV_HEADER] + [",".join(map(_cell, vars(r).values())) for r in rows]) + "\n"
+
+
+def _two_path_rows():
+    return run_sweep(SweepConfig(system=Box(), levels=(1, 2, 3), paths=("analytic", "oracle")))
+
+
+def _with(rows, i, **changes):
+    return rows[:i] + [replace(rows[i], **changes)] + rows[i + 1 :]
+
+
+class TestCsvEqualsTheCellRule:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rows: [replace(r, disagreement=None) for r in rows],
+            lambda rows: _with(rows, 1, disagreement=None),
+            lambda rows: _with(rows, 2, energy=3, bound=1),
+            lambda rows: _with(rows, 0, energy=math.nan, delta_q=math.inf, delta_p=-math.inf, product=-0.0),
+            lambda rows: [replace(r, energy=np.float64(r.energy), product=np.float64(r.product)) for r in rows],
+            lambda rows: _with(rows, 3, nodes_counted=True, satisfied=False),
+            lambda rows: [replace(r, level=np.int64(r.level)) for r in rows],
+        ],
+        ids=["none-column", "none-in-one-row", "int-in-float-field", "nan-inf-negative-zero",
+             "numpy-floats", "bool", "numpy-ints"],
+    )
+    def test_csv_equals_the_per_cell_rule(self, make):
+        rows = make(_two_path_rows())
+        assert emit(rows, "csv") == _per_cell_csv(rows)
+
+    def test_sweep_csv_equals_the_per_cell_rule(self):
+        rows = run_sweep(SweepConfig(system=Ring(), levels=(-2, -1, 0, 1, 2), paths=PATH_ORDER))
+        assert emit(rows, "csv") == _per_cell_csv(rows)
+        assert emit(rows[:1], "csv") == _per_cell_csv(rows[:1])
+
+
+_ANY_CELL = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64), st.text(max_size=4)
+)
+_COLUMN_CELLS = [st.floats(), st.integers(), st.text(max_size=4), _ANY_CELL]
+
+
+@st.composite
+def _rows_of_columns(draw):
+    """Rows whose columns are each of plain floats, ints, strings, or any mix."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    columns = [
+        draw(st.lists(draw(st.sampled_from(_COLUMN_CELLS)), min_size=n, max_size=n))
+        for _ in CSV_HEADER.split(",")
+    ]
+    return [SweepRow(*values) for values in zip(*columns)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(_rows_of_columns())
+def test_csv_of_any_columns_equals_the_per_cell_rule(rows):
+    assert emit(rows, "csv") == _per_cell_csv(rows)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SweepConfig(system=Box(), levels=(3, 1, 2), paths=PATH_ORDER),
+        SweepConfig(system=Ring(), levels=(-1, 0, 1), paths=PATH_ORDER),
+        SweepConfig(system=Oscillator(), levels=(0, 4)),
+    ],
+    ids=["box", "ring", "oscillator"],
+)
+def test_sweep_rows_are_frozen_values(cfg):
+    # rows are built without the dataclass __init__; they are the same values
+    names = [f.name for f in dataclasses.fields(SweepRow)]
+    for row in run_sweep(cfg):
+        assert type(row) is SweepRow and list(vars(row)) == names
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.product = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del row.energy
+        rebuilt = SweepRow(**vars(row))
+        assert rebuilt == row and hash(rebuilt) == hash(row)
+        assert [f.name for f in dataclasses.fields(row)] == names
+        moved = replace(row, product=row.product + 1.0)
+        assert type(moved) is SweepRow and moved.product == row.product + 1.0 and moved != row
+        assert replace(moved, product=row.product) == row
 
 
 @pytest.mark.parametrize(
